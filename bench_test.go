@@ -50,23 +50,23 @@ func BenchmarkFig5MemorySweep(b *testing.B) { benchFigure(b, "fig5") }
 func BenchmarkFig6Applications(b *testing.B) { benchFigure(b, "fig6") }
 
 // BenchmarkAblationMAC compares the control-packet MAC with the token MAC
-// baseline on the exclusive shared channel (DESIGN.md A1).
+// baseline on the exclusive shared channel.
 func BenchmarkAblationMAC(b *testing.B) { benchFigure(b, "mac") }
 
 // BenchmarkAblationChannel quantifies the crossbar-versus-exclusive channel
-// model gap (DESIGN.md A2 / §5.1).
+// model gap (the channel models are described in the internal/core package
+// doc).
 func BenchmarkAblationChannel(b *testing.B) { benchFigure(b, "channel") }
 
 // BenchmarkAblationRouting compares per-source shortest-path routing with
-// the paper's literal single-tree routing (DESIGN.md A3 / §5.2).
+// the paper's literal single-tree routing (the table modes are described in
+// the internal/route package doc).
 func BenchmarkAblationRouting(b *testing.B) { benchFigure(b, "routing") }
 
-// BenchmarkAblationSleep measures the sleepy-transceiver power gating
-// (DESIGN.md A4).
+// BenchmarkAblationSleep measures the sleepy-transceiver power gating.
 func BenchmarkAblationSleep(b *testing.B) { benchFigure(b, "sleep") }
 
-// BenchmarkAblationWIDensity sweeps wireless-interface deployment density
-// (DESIGN.md A5).
+// BenchmarkAblationWIDensity sweeps wireless-interface deployment density.
 func BenchmarkAblationWIDensity(b *testing.B) { benchFigure(b, "density") }
 
 // BenchmarkExtensionHybrid evaluates the interposer+wireless hybrid against

@@ -1,8 +1,9 @@
 // Command wimcbench regenerates every figure of the paper's evaluation
-// plus the DESIGN.md ablations, printing text tables and optionally writing
-// CSV files. Each figure's independent simulation runs are fanned out
-// across the machine's cores by default (tables are byte-identical to a
-// sequential run); per-figure wall times go to stderr.
+// plus the ablations and extension experiments of internal/figures,
+// printing text tables and optionally writing CSV files. Each figure's
+// independent simulation runs are fanned out across the machine's cores by
+// default (tables are byte-identical to a sequential run); per-figure wall
+// times go to stderr.
 //
 // Usage:
 //

@@ -29,7 +29,7 @@ func main() {
 			mem*100, g.BandwidthPct, g.PacketEnergyPct)
 	}
 
-	fmt.Println("\nChannel-model ablation (DESIGN.md §5.1), 4C4M wireless at saturation:")
+	fmt.Println("\nChannel-model ablation (crossbar vs exclusive medium), 4C4M wireless at saturation:")
 	for _, ch := range []wimc.ChannelMode{wimc.ChannelCrossbar, wimc.ChannelExclusive} {
 		cfg := wimc.MustXCYM(4, 4, wimc.ArchWireless)
 		cfg.Channel = ch

@@ -3,8 +3,7 @@
 // microarchitecture, physical-layer constants for every link technology,
 // the wireless channel/MAC variants, routing mode, and run control.
 //
-// Default values follow the experimental setup of Shamim et al., SOCC 2017
-// (see DESIGN.md §6 for parameter provenance).
+// Default values follow the experimental setup of Shamim et al., SOCC 2017.
 package config
 
 import (
@@ -29,7 +28,8 @@ const (
 	ArchHybrid Architecture = "hybrid"
 )
 
-// RoutingMode selects how forwarding tables are computed (DESIGN.md §5.2).
+// RoutingMode selects how forwarding tables are computed (see the
+// internal/route package doc).
 type RoutingMode string
 
 // Supported routing modes.
@@ -42,7 +42,8 @@ const (
 	RouteTree RoutingMode = "tree"
 )
 
-// ChannelMode selects the wireless channel model (DESIGN.md §5.1).
+// ChannelMode selects the wireless channel model (see the internal/core
+// package doc).
 type ChannelMode string
 
 // Supported channel models.

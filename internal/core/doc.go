@@ -11,7 +11,7 @@
 // the receiver demultiplexes flits into the correct VC, preserving wormhole
 // integrity.
 //
-// Two channel models are provided (DESIGN.md §5.1):
+// Two channel models are provided:
 //
 //   - ChannelCrossbar: every WI pair is a direct link; each WI transmits at
 //     most one flit per cycle and each WI receives at most one flit per

@@ -145,8 +145,7 @@ func TestControlMACWorksWithSmallBuffers(t *testing.T) {
 func TestBothMACsCompleteCompetingBursts(t *testing.T) {
 	// Both MACs must complete competing bursts; their latency ordering is a
 	// provisioning trade-off (the token MAC's whole-packet buffers buy it
-	// fewer turn overheads) reported by the wimcbench "mac" ablation and
-	// discussed in EXPERIMENTS.md.
+	// fewer turn overheads) reported by the wimcbench "mac" ablation.
 	run := func(mac config.MACMode) int64 {
 		cfg := exclusiveConfig()
 		cfg.MAC = mac

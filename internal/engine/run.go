@@ -163,7 +163,7 @@ func (e *Engine) Run() (*Result, error) {
 	return e.results()
 }
 
-// step advances the system by one cycle. Phase order (DESIGN.md):
+// step advances the system by one cycle. Phase order:
 // wireless launch → SA/ST → VA → RC → link/wireless delivery → endpoint NI
 // tick → traffic generation. (Link bandwidth refills lazily inside the
 // token buckets, so the former refill phase is gone.)
@@ -588,8 +588,9 @@ func Run(p Params) (*Result, error) {
 }
 
 // CheckPipelineInvariants recomputes every switch's incrementally
-// maintained pipeline state (ready/rcReady VC masks, buffered and waiting
-// counters) from its VC buffers, plus the wireless fabric's MAC protocol
+// maintained pipeline state (ready/rcReady/starved VC masks, buffered and
+// waiting counters, the VA-pending flag) from its VC buffers and credits,
+// plus the wireless fabric's MAC protocol
 // state (announce accounting, active-turn queues — see
 // core.Fabric.CheckMACInvariants), and reports the first drift (test and
 // validation hook; call after Run or between runs).

@@ -57,9 +57,9 @@ func AblationMAC(o Opts) (*Table, error) {
 	return t, nil
 }
 
-// AblationChannel quantifies DESIGN.md §5.1: the gap between the
-// results-consistent crossbar channel and the literal single shared
-// 16 Gbps medium.
+// AblationChannel quantifies the channel-model choice described in the
+// internal/core package doc: the gap between the results-consistent
+// crossbar channel and the literal single shared 16 Gbps medium.
 func AblationChannel(o Opts) (*Table, error) {
 	t := &Table{
 		ID:     "channel",
@@ -95,8 +95,9 @@ func AblationChannel(o Opts) (*Table, error) {
 	return t, nil
 }
 
-// AblationRouting quantifies DESIGN.md §5.2: per-source shortest paths
-// versus the paper's literal single shortest-path tree.
+// AblationRouting quantifies the table-mode choice described in the
+// internal/route package doc: per-source shortest paths versus the paper's
+// literal single shortest-path tree.
 func AblationRouting(o Opts) (*Table, error) {
 	t := &Table{
 		ID:     "routing",

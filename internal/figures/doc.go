@@ -1,6 +1,6 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation (§IV) plus the ablations called out in DESIGN.md §7 and three
-// extension experiments the paper never ran: the hybrid
+// evaluation (§IV) plus five ablations of the model's design choices and
+// three extension experiments the paper never ran: the hybrid
 // interposer+wireless architecture, memory read round trips, and the
 // large-system scale sweep (saturation throughput and energy per bit at 4
 // to 64 chips — ScaleSweep). Each experiment returns a Table that the

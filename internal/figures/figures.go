@@ -212,11 +212,12 @@ func reductionPct(base, sys float64) float64 {
 }
 
 // Experiments lists every experiment ID in run order: the paper's five
-// figures, the five DESIGN.md ablations, and seven extension experiments
-// (hybrid architecture, memory read round trips, the large-system scale
-// sweep, the sub-channel/spatial-reuse sweep, the MAC arbitration-policy
-// sweep, the hybrid route-selection sweep, and the fault-injection
-// resilience sweep).
+// figures, five ablations of the model's design choices (MAC, channel
+// model, routing, sleepy transceivers, WI density), and seven extension
+// experiments (hybrid architecture, memory read round trips, the
+// large-system scale sweep, the sub-channel/spatial-reuse sweep, the MAC
+// arbitration-policy sweep, the hybrid route-selection sweep, and the
+// fault-injection resilience sweep).
 func Experiments() []string {
 	return []string{"fig2", "fig3", "fig4", "fig5", "fig6",
 		"mac", "channel", "routing", "sleep", "density",

@@ -99,7 +99,7 @@ func Fig4(o Opts) (*Table, error) {
 		Header: []string{"config", "offchip_traffic", "bw_gain_pct", "energy_gain_pct", "wireless_bw", "interposer_bw"},
 		Notes: []string{
 			"paper: gains shrink toward ~11% bandwidth / ~37% energy at 8C4M",
-			"1C4M bandwidth gain is negative under any finite-capacity wireless fabric: see EXPERIMENTS.md",
+			"1C4M bandwidth gain is negative under any finite-capacity wireless fabric",
 		},
 	}
 	offchip := map[int]string{1: "20%", 4: "80%", 8: "90%"}

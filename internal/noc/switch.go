@@ -71,6 +71,9 @@ type InputPort struct {
 	// in the same order — without touching the rest.
 	ready   uint64
 	rcReady uint64
+	// starved marks vcActive VCs whose held output VC has no downstream
+	// credit; SA nomination skips them (triggers: see TickSAST).
+	starved uint64
 }
 
 // outputVC is one virtual channel of an output port.
@@ -139,6 +142,9 @@ type Switch struct {
 	// waiting counts input VCs in vcWaitVC state; TickVA is a no-op while
 	// it is zero.
 	waiting int
+	// vaPending is set while a VA pass might grant; TickVA returns at once
+	// while it is clear (triggers: see TickVA).
+	vaPending bool
 
 	active   *sim.ActiveSet
 	activeID int
@@ -309,28 +315,41 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 }
 
 // ReturnCredit restores one downstream credit to output port port, VC vc.
+// The first credit back on a held VC makes its holder an SA candidate
+// again.
 func (s *Switch) ReturnCredit(port, vc int) {
 	op := s.out[port]
-	op.vcs[vc].credits++
-	if op.vcs[vc].credits > op.maxCredits {
+	ovc := &op.vcs[vc]
+	ovc.credits++
+	if ovc.credits > op.maxCredits {
 		panic(fmt.Sprintf("noc: switch %d out port %d vc %d credit overflow", s.ID, port, vc))
+	}
+	if ovc.credits == 1 && ovc.holderPort >= 0 {
+		s.in[ovc.holderPort].starved &^= 1 << uint(ovc.holderVC)
 	}
 }
 
 // TickSAST performs switch allocation and traversal: each input port
 // nominates one ready VC (round-robin), each output port grants one
 // nominee (round-robin) and the winning flit traverses to the conduit.
+//
+// Nomination walks ready &^ starved: a VC whose held output VC has no
+// credit is never visited, exactly as the full scan skipped it before
+// asking the conduit. The starved mask is set when a VA grant or a
+// non-tail traversal leaves the held VC at zero credits and cleared when
+// ReturnCredit restores the first credit or the tail releases the VC.
 func (s *Switch) TickSAST(now sim.Cycle) {
 	if s.buffered == 0 {
 		return
 	}
 	s.nominated = s.nominated[:0]
 
-	// Stage 1: input-port nomination. The ready mask holds exactly the VCs
-	// the full scan would consider (vcActive, nonempty buffer); iterate its
-	// bits in the same wrap-around order starting at rrNom.
+	// Stage 1: input-port nomination. ready &^ starved holds exactly the
+	// VCs the full scan would reach the conduit test with (vcActive,
+	// nonempty buffer, credit held); iterate its bits in the same
+	// wrap-around order starting at rrNom.
 	for ipIdx, ip := range s.in {
-		m := ip.ready
+		m := ip.ready &^ ip.starved
 		if m == 0 {
 			continue
 		}
@@ -347,9 +366,6 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 				mm &^= 1 << uint(vcIdx)
 				vc := &ip.vcs[vcIdx]
 				op := s.out[vc.outPort]
-				if op.vcs[vc.outVC].credits <= 0 {
-					continue
-				}
 				if !op.conduit.CanAccept(now) {
 					continue
 				}
@@ -427,6 +443,9 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 	}
 	f.VC = nm.outVC
 	ovc.credits--
+	if ovc.credits <= 0 {
+		ip.starved |= bit
+	}
 	nextHop := vc.nextHop
 
 	// Dynamic switch energy, attributed to the packet.
@@ -438,12 +457,15 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 
 	if f.IsTail() {
 		// Release the output VC and rearm the input VC for the next packet.
+		// The freed VC may satisfy a waiter in this cycle's VA.
 		ovc.holderPort = -1
 		ovc.holderVC = -1
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
 		vc.nextHop = sim.NoSwitch
 		ip.ready &^= bit
+		ip.starved &^= bit
+		s.vaPending = true
 		if vc.buf.len() > 0 {
 			// The next packet's head is already waiting: RC-eligible.
 			ip.rcReady |= bit
@@ -463,10 +485,18 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 // round-robin. Requests are collected once into preallocated scratch (a
 // request belongs to exactly one output port, so a global grant list is
 // equivalent to the per-port one).
+//
+// The pass runs only while vaPending is set. TickRC sets it when it routes
+// a head and traverse sets it when a tail releases an output VC; the pass
+// clears it unless a waiter was not yet eligible (routedAt >= now). After
+// a pass no eligible waiter has a free output VC in its class at its port,
+// and a pass that grants nothing changes no state, so skipping passes
+// while the flag is clear is exact.
 func (s *Switch) TickVA(now sim.Cycle) {
-	if s.buffered == 0 || s.waiting == 0 {
+	if s.buffered == 0 || s.waiting == 0 || !s.vaPending {
 		return
 	}
+	s.vaPending = false
 	if len(s.vaPortCnt) != len(s.out) {
 		s.vaPortCnt = make([]int16, len(s.out))
 	}
@@ -480,10 +510,15 @@ func (s *Switch) TickVA(now sim.Cycle) {
 		}
 		for vcIdx := range ip.vcs {
 			vc := &ip.vcs[vcIdx]
-			if vc.state == vcWaitVC && vc.routedAt < now {
-				reqs = append(reqs, vaReq{int16(ipIdx), int16(vcIdx), vc.outPort})
-				s.vaPortCnt[vc.outPort]++
+			if vc.state != vcWaitVC {
+				continue
 			}
+			if vc.routedAt >= now {
+				s.vaPending = true
+				continue
+			}
+			reqs = append(reqs, vaReq{int16(ipIdx), int16(vcIdx), vc.outPort})
+			s.vaPortCnt[vc.outPort]++
 		}
 	}
 	s.vaReqs = reqs
@@ -532,6 +567,9 @@ func (s *Switch) TickVA(now sim.Cycle) {
 			vc := &s.in[r.ipIdx].vcs[r.vcIdx]
 			vc.state = vcActive
 			s.in[r.ipIdx].ready |= 1 << uint(r.vcIdx)
+			if ovc.credits <= 0 {
+				s.in[r.ipIdx].starved |= 1 << uint(r.vcIdx)
+			}
 			s.waiting--
 			vc.outVC = int16(ovcIdx)
 			ovc.holderPort = r.ipIdx
@@ -545,7 +583,7 @@ func (s *Switch) TickVA(now sim.Cycle) {
 }
 
 // TickRC performs route computation for input VCs whose head-of-buffer flit
-// opens a new packet.
+// opens a new packet. Each routed head marks VA pending.
 func (s *Switch) TickRC(now sim.Cycle) {
 	if s.buffered == 0 {
 		return
@@ -568,6 +606,7 @@ func (s *Switch) TickRC(now sim.Cycle) {
 			vc.routedAt = now
 			ip.rcReady &^= 1 << uint(vcIdx)
 			s.waiting++
+			s.vaPending = true
 		}
 	}
 }
@@ -589,22 +628,31 @@ func (s *Switch) CountBufferedFlits() int {
 }
 
 // CheckPipelineInvariants recomputes every incrementally maintained
-// pipeline predicate — the per-port ready/rcReady VC bitmasks, the per-port
-// and per-switch buffered counters and the waiting counter — from the
-// underlying VC state machines, and reports the first drift. The masks and
-// counters are shared by the active-set and FullTick scheduling paths, so
-// the determinism suite alone cannot catch a dropped update (both paths
-// would skip the same work); this recompute-style check can. The invariants:
+// pipeline predicate — the per-port ready/rcReady/starved VC bitmasks, the
+// per-port and per-switch buffered counters, the waiting counter and the
+// VA-pending flag — from the underlying VC state machines and credits, and
+// reports the first drift. The masks, counters and flag are shared by the
+// active-set and FullTick scheduling paths, so the determinism suite alone
+// cannot catch a dropped update (both paths would skip the same work);
+// this recompute-style check can. The invariants:
 //
 //	ready[vc]   ⇔ state == vcActive && buffer nonempty (SA nominee)
 //	rcReady[vc] ⇔ state == vcIdle   && buffer nonempty (RC candidate)
+//	starved[vc] ⇔ state == vcActive && held output VC credits <= 0
 //	port.buffered   = Σ VC buffer occupancy over the port
 //	switch.buffered = Σ port.buffered
 //	switch.waiting  = #VCs in vcWaitVC state
+//	!vaPending ⇒ no vcWaitVC VC has a free output VC in its vcRange at its port
+//
+// starved is set by a VA grant or traversal that leaves the held VC at
+// zero credits and cleared by ReturnCredit's first credit or the tail's
+// release; vaPending is set by TickRC routing a head and by a tail
+// releasing an output VC, and cleared by a TickVA pass that saw every
+// waiter eligible.
 func (s *Switch) CheckPipelineInvariants() error {
 	total, waiting := 0, 0
 	for pi, ip := range s.in {
-		var ready, rcReady uint64
+		var ready, rcReady, starved uint64
 		portFlits := 0
 		for vi := range ip.vcs {
 			vc := &ip.vcs[vi]
@@ -618,8 +666,23 @@ func (s *Switch) CheckPipelineInvariants() error {
 					rcReady |= 1 << uint(vi)
 				}
 			}
-			if vc.state == vcWaitVC {
+			switch vc.state {
+			case vcActive:
+				if s.out[vc.outPort].vcs[vc.outVC].credits <= 0 {
+					starved |= 1 << uint(vi)
+				}
+			case vcWaitVC:
 				waiting++
+				if !s.vaPending {
+					op := s.out[vc.outPort]
+					lo, hi := s.vcRange(vc.phase)
+					for ovc := lo; ovc < hi; ovc++ {
+						if op.vcs[ovc].holderPort == -1 {
+							return fmt.Errorf("noc: switch %d port %d vc %d waits with output port %d vc %d free, but VA is not pending",
+								s.ID, pi, vi, vc.outPort, ovc)
+						}
+					}
+				}
 			}
 		}
 		if ip.ready != ready {
@@ -629,6 +692,10 @@ func (s *Switch) CheckPipelineInvariants() error {
 		if ip.rcReady != rcReady {
 			return fmt.Errorf("noc: switch %d port %d rcReady mask %064b, recomputed %064b",
 				s.ID, pi, ip.rcReady, rcReady)
+		}
+		if ip.starved != starved {
+			return fmt.Errorf("noc: switch %d port %d starved mask %064b, recomputed %064b",
+				s.ID, pi, ip.starved, starved)
 		}
 		if ip.buffered != portFlits {
 			return fmt.Errorf("noc: switch %d port %d buffered counter %d, buffers hold %d",

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"wimc/internal/sim"
@@ -329,4 +330,192 @@ func TestNewSwitchRejectsOver64VCs(t *testing.T) {
 		}
 	}()
 	NewSwitch(0, 65, 4, 32, 0, nil)
+}
+
+// TestTailReleaseTriggersVA: a tail that traverses in SA frees its output
+// VC, and a waiter for that VC is granted in the same cycle's VA. With a
+// single phase-0 output VC, packet B on input VC 1 can only be granted
+// once packet A on input VC 0 has released it, and the VA pass that found
+// nothing free has already cleared the pending flag, so only the tail's
+// release can wake VA.
+func TestTailReleaseTriggersVA(t *testing.T) {
+	o := defaultPipeOpts()
+	o.vcs = 2
+	o.phaseSplit = true
+	o.postVCs = 1 // phase 0 may use output VC 0 only
+	p := newPipe(t, o)
+	a, b := mkPacket(1, 3), mkPacket(2, 1)
+	for i := 0; i < a.NumFlits; i++ {
+		p.sw0.Receive(0, 0, FlitAt(a, i))
+	}
+	p.sw0.Receive(0, 1, FlitAt(b, 0))
+
+	ip, ovc := p.sw0.in[0], &p.sw0.out[0].vcs[0]
+	for i := 0; i < 20; i++ {
+		aHere := ip.vcs[0].buf.len() > 0
+		p.step()
+		if !aHere || ip.vcs[0].buf.len() > 0 {
+			if ip.vcs[1].state == vcActive {
+				t.Fatalf("cycle %d: B granted while A still holds the only output VC", p.now-1)
+			}
+			continue
+		}
+		// A's tail traversed in this cycle's SA.
+		if ip.vcs[1].state != vcActive || ovc.holderPort != 0 || ovc.holderVC != 1 {
+			t.Fatalf("cycle %d: A's tail released output VC 0 but B (state %d) was not granted it in the same VA (holder %d/%d)",
+				p.now-1, ip.vcs[1].state, ovc.holderPort, ovc.holderVC)
+		}
+		return
+	}
+	t.Fatal("A's tail never left sw0")
+}
+
+// TestRouteTriggersVA: a head routed by RC at cycle t is granted at t+1
+// when a VC in its class is free, even though the previous VA pass
+// cleared the pending flag.
+func TestRouteTriggersVA(t *testing.T) {
+	p := newPipe(t, defaultPipeOpts())
+	a, b := mkPacket(1, 4), mkPacket(2, 1)
+	for i := 0; i < a.NumFlits; i++ {
+		p.sw0.Receive(0, 0, FlitAt(a, i))
+	}
+	ip := p.sw0.in[0]
+	for ip.vcs[0].state != vcActive {
+		if p.now > 10 {
+			t.Fatal("A never granted")
+		}
+		p.step()
+	}
+	if p.sw0.vaPending {
+		t.Fatal("VA still pending after the pass that granted the only waiter")
+	}
+
+	p.sw0.Receive(0, 1, FlitAt(b, 0))
+	routed := p.now
+	p.step()
+	if vc := &ip.vcs[1]; vc.state != vcWaitVC || vc.routedAt != routed {
+		t.Fatalf("B state %d routedAt %d after RC at cycle %d, want vcWaitVC", vc.state, vc.routedAt, routed)
+	}
+	p.step()
+	if ip.vcs[1].state != vcActive {
+		t.Fatalf("B routed at cycle %d with output VCs free was not granted at cycle %d", routed, routed+1)
+	}
+	if ip.vcs[0].state != vcActive {
+		t.Fatal("A's tail left before B was granted: the tail release, not RC, may have woken VA")
+	}
+}
+
+// TestReturnCreditUnstarvesSA: a VC whose output VC ran out of credits is
+// skipped by SA nomination and nominates in the first SA after
+// ReturnCredit restores one credit. Only sw0 is ticked, so no credit comes
+// back unless the test returns it.
+func TestReturnCreditUnstarvesSA(t *testing.T) {
+	o := defaultPipeOpts()
+	o.depth = 2 // two buffer slots at sw0, two credits toward sw1
+	p := newPipe(t, o)
+	tick := func() {
+		p.sw0.TickSAST(p.now)
+		p.sw0.TickVA(p.now)
+		p.sw0.TickRC(p.now)
+		p.now++
+	}
+	a := mkPacket(1, 5)
+	p.sw0.Receive(0, 0, FlitAt(a, 0))
+	p.sw0.Receive(0, 0, FlitAt(a, 1))
+	for p.link.InFlight() < 2 {
+		if p.now > 10 {
+			t.Fatal("first two flits never traversed")
+		}
+		tick()
+	}
+	ip := p.sw0.in[0]
+	ovc := ip.vcs[0].outVC
+	if ip.starved&1 == 0 {
+		t.Fatal("VC 0 not starved with its output VC at zero credits")
+	}
+
+	p.sw0.Receive(0, 0, FlitAt(a, 2))
+	p.sw0.Receive(0, 0, FlitAt(a, 3))
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	if got := p.link.InFlight(); got != 2 {
+		t.Fatalf("%d flits traversed without credit, want 2", got)
+	}
+	// Feed the rest of the packet one credit at a time: every returned
+	// credit lets exactly one flit through in the next SA, and the tail,
+	// which also leaves the output VC at zero credits, un-starves the VC
+	// as it releases it.
+	for sent := 3; sent <= a.NumFlits; sent++ {
+		p.sw0.ReturnCredit(0, int(ovc))
+		tick()
+		if got := p.link.InFlight(); got != sent {
+			t.Fatalf("%d flits on the link after credit %d came back, want %d (the first SA must nominate)",
+				got, sent-2, sent)
+		}
+		if err := p.sw0.CheckPipelineInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if next := sent + 1; next < a.NumFlits {
+			p.sw0.Receive(0, 0, FlitAt(a, next))
+		}
+	}
+	if ip.vcs[0].state != vcIdle || ip.starved != 0 || ip.buffered != 0 {
+		t.Fatalf("after the tail: state %d, starved %b, %d flits buffered; want idle, unstarved, empty",
+			ip.vcs[0].state, ip.starved, ip.buffered)
+	}
+}
+
+// TestPipelineInvariantsCatchDrift corrupts each event-driven predicate by
+// hand and requires CheckPipelineInvariants to name the drift. The
+// determinism suite cannot catch a dropped update of these predicates
+// (every scheduling path shares the switch code); only recomputation can.
+func TestPipelineInvariantsCatchDrift(t *testing.T) {
+	t.Run("va_pending", func(t *testing.T) {
+		p := newPipe(t, defaultPipeOpts())
+		p.sw0.Receive(0, 0, FlitAt(mkPacket(1, 2), 0))
+		p.step() // RC: a waiter with every output VC free
+		if err := p.sw0.CheckPipelineInvariants(); err != nil {
+			t.Fatalf("before corruption: %v", err)
+		}
+		p.sw0.vaPending = false
+		err := p.sw0.CheckPipelineInvariants()
+		if err == nil || !strings.Contains(err.Error(), "VA is not pending") {
+			t.Fatalf("cleared VA-pending flag with a grantable waiter not reported: %v", err)
+		}
+	})
+	t.Run("starved", func(t *testing.T) {
+		p := newPipe(t, defaultPipeOpts())
+		a := mkPacket(1, 3)
+		p.sw0.Receive(0, 0, FlitAt(a, 0))
+		p.sw0.Receive(0, 0, FlitAt(a, 1))
+		p.step() // RC
+		p.step() // VA: active on an output VC with every credit
+		if err := p.sw0.CheckPipelineInvariants(); err != nil {
+			t.Fatalf("before corruption: %v", err)
+		}
+		p.sw0.in[0].starved |= 1
+		err := p.sw0.CheckPipelineInvariants()
+		if err == nil || !strings.Contains(err.Error(), "starved mask") {
+			t.Fatalf("starved bit on a VC with credits not reported: %v", err)
+		}
+	})
+}
+
+// TestIneligibleWaiterKeepsVAPending: a VA pass that meets a waiter routed
+// in the same cycle (routedAt >= now) cannot grant it yet, so it must
+// leave VA pending for the next cycle's pass.
+func TestIneligibleWaiterKeepsVAPending(t *testing.T) {
+	p := newPipe(t, defaultPipeOpts())
+	p.sw0.Receive(0, 0, FlitAt(mkPacket(1, 1), 0))
+	p.sw0.TickRC(5)
+	p.sw0.TickVA(5)
+	vc := &p.sw0.in[0].vcs[0]
+	if vc.state != vcWaitVC {
+		t.Fatalf("head routed at cycle 5 granted in the same cycle (state %d)", vc.state)
+	}
+	p.sw0.TickVA(6)
+	if vc.state != vcActive {
+		t.Fatalf("head routed at cycle 5 not granted at cycle 6 (state %d)", vc.state)
+	}
 }

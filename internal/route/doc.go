@@ -2,7 +2,7 @@
 //
 // # Table modes
 //
-// Two table constructions are provided (DESIGN.md §5.2):
+// Two table constructions are provided:
 //
 //   - RouteShortest (default): true per-source shortest paths computed by
 //     Dijkstra's algorithm with deterministic tie-breaking that prefers

@@ -278,7 +278,7 @@ func TestWirelessDirectWIToWI(t *testing.T) {
 
 func TestTreeForcesWITrafficThroughRoot(t *testing.T) {
 	// The paper's literal tree routing defeats one-hop WI links for most
-	// pairs — the motivation for RouteShortest (DESIGN.md §5.2).
+	// pairs — the motivation for RouteShortest (package doc, Table modes).
 	g, tb := buildTables(t, 4, config.ArchWireless, config.RouteTree)
 	direct := 0
 	pairs := 0

@@ -30,8 +30,9 @@
 //	if err != nil { ... }
 //	fmt.Println(res.AvgLatency, res.BandwidthPerCoreGbps, res.AvgPacketEnergyNJ)
 //
-// See DESIGN.md for the modeling decisions and EXPERIMENTS.md for the
-// reproduction of every figure in the paper.
+// The repository README describes the modeled architectures and how to
+// regenerate every figure of the paper; each internal package's doc comment
+// records its modeling decisions.
 package wimc
 
 import (
