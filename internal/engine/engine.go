@@ -109,9 +109,10 @@ type Engine struct {
 	// wd is the liveness watchdog, non-nil exactly while the fault model
 	// is active (it doubles as the engine's faults-active flag).
 	wd *watchdog
-	// outToward maps a switch to the wired output port feeding each
-	// neighbor (kept from build for the selector's wired-headroom probe).
-	outToward map[sim.SwitchID]map[sim.SwitchID]int
+	// outToward lists, per switch, the wired output port feeding each
+	// neighbor (the forwarding fill and the selector's wired-headroom
+	// probe look ports up through portToward).
+	outToward [][]wiredPort
 	// classPackets counts packets classified at injection per route class
 	// (reported for adaptive runs).
 	classPackets [route.NumClasses]int64
@@ -359,10 +360,7 @@ func (e *Engine) build() error {
 	}
 
 	// Wired links: two directed links per topology edge.
-	outToward := make(map[sim.SwitchID]map[sim.SwitchID]int, g.SwitchCount())
-	for i := range e.switches {
-		outToward[sim.SwitchID(i)] = make(map[sim.SwitchID]int, 5)
-	}
+	e.outToward = make([][]wiredPort, g.SwitchCount())
 	addDirected := func(a, b sim.SwitchID, ed topo.Edge) {
 		l := noc.NewLink(classOf(ed.Kind), ed.Latency, ed.Rate, ed.PJPerBit,
 			cfg.FlitBits, e.meter)
@@ -370,7 +368,7 @@ func (e *Engine) build() error {
 		outP := src.AddOutputPort(l, cfg.BufferDepth)
 		inP := dst.AddInputPort(l)
 		l.Connect(src, outP, dst, inP)
-		outToward[a][b] = outP
+		e.setPortToward(a, b, outP)
 		e.links = append(e.links, l)
 		e.linkEnds = append(e.linkEnds, [2]sim.SwitchID{a, b})
 	}
@@ -434,7 +432,7 @@ func (e *Engine) build() error {
 				if next == sim.NoSwitch {
 					return fmt.Errorf("engine: class %d: no route from switch %d to endpoint %d", ci, s, ep.ID)
 				}
-				if p, ok := outToward[s][next]; ok {
+				if p, ok := e.portToward(s, next); ok {
 					fwd[eIdx] = noc.PortHop{Port: int16(p), Next: next}
 				} else if tbl.IsWireless(s, next) {
 					p, ok := wiOutPort[s]
@@ -449,7 +447,6 @@ func (e *Engine) build() error {
 			sw.SetForwardingClass(ci, fwd)
 		}
 	}
-	e.outToward = outToward
 
 	// Route selector: adaptive hybrid runs classify each packet at
 	// injection (the NI's VC-bind point, where load signals are fresh —
@@ -521,6 +518,37 @@ func (e *Engine) build() error {
 		ep.SetActivity(e.epActive, i)
 	}
 	return nil
+}
+
+// wiredPort is one wired output port of a switch and the neighbor it feeds.
+type wiredPort struct {
+	to   sim.SwitchID
+	port int
+}
+
+// setPortToward records port as s's wired output toward next. A later
+// port toward the same neighbor replaces the earlier one.
+func (e *Engine) setPortToward(s, next sim.SwitchID, port int) {
+	ps := e.outToward[s]
+	for i := range ps {
+		if ps[i].to == next {
+			ps[i].port = port
+			return
+		}
+	}
+	e.outToward[s] = append(ps, wiredPort{to: next, port: port})
+}
+
+// portToward returns s's wired output port toward next, if a wired edge
+// joins them. A switch has a handful of wired neighbors, so a scan beats
+// any index.
+func (e *Engine) portToward(s, next sim.SwitchID) (int, bool) {
+	for _, p := range e.outToward[s] {
+		if p.to == next {
+			return p.port, true
+		}
+	}
+	return 0, false
 }
 
 // classOf maps topology edge kinds to energy classes.
@@ -613,7 +641,7 @@ func (e *Engine) loadProbe(txWI, src, dst sim.SwitchID) route.LoadSignals {
 	// route would take out of the source switch.
 	wired := e.tables.Classes[route.ClassWiredOnly]
 	if next := wired.Next[src][dst]; next != sim.NoSwitch && next != src {
-		if port, ok := e.outToward[src][next]; ok {
+		if port, ok := e.portToward(src, next); ok {
 			s.WiredFreeCredits, s.WiredCreditCap = e.switches[src].Output(port).CreditOccupancy()
 		}
 	}

@@ -30,10 +30,10 @@
 //     byte-identical to the single table Build produces, so the default
 //     remains exactly the pre-class behavior.
 //
-//   - ClassWiredOnly (class 1): shortest paths over the wired subgraph only
-//     (arcs whose topo.FabricClass is FabricWired). On a hybrid this is the
-//     interposer underlay; distant traffic that class 0 sends over one
-//     wireless hop instead walks the wires.
+//   - ClassWiredOnly (class 1): shortest paths over the wired edges only,
+//     without the wireless overlay. On a hybrid this is the interposer
+//     underlay; distant traffic that class 0 sends over one wireless hop
+//     instead walks the wires.
 //
 // ClassTables.TxWI precomputes, for every (source, destination) switch
 // pair, the host switch of the transmitting WI on the class-0 route (or
@@ -65,4 +65,46 @@
 // vertical before I/O), so their wired segments obey one turn discipline
 // and the union check passes on every shipped preset; it runs at engine
 // build time exactly like the single-table check did.
+//
+// A hop between two WI switches that a wired edge also joins (a memory
+// logic WI and the chip WI it hangs off by wide I/O) travels the wire: the
+// engine forwards onto the wired port first, and only the wireless fabric
+// moves a flit to the post-wireless VC class. The check models it that
+// way. IsWireless, and TxWI with it, still report every WI pair as
+// wireless, so TxWI names the switch at the start of such a wide-I/O hop
+// as the route's transmitter although nothing is transmitted there.
+//
+// # Construction cost
+//
+// Every engine build computes the class tables and runs the union check,
+// and at 64 chips (n ≈ 1,100 switches, W = 128 WIs) they dominate set-up.
+// Per destination, a table costs one relaxation per wired arc plus O(W)
+// for the wireless overlay; the check is linear in the n² table entries.
+//
+//   - Shortest paths use a monotone radix heap: 33 buckets, indexed by the
+//     highest bit in which a key differs from the last popped key. It is
+//     exact for any non-negative int32 key and sizes nothing by the
+//     largest weight, so a 65,536-cycle mesh latency costs what a 1-cycle
+//     one does (Validate bounds no latency). Tree routing drains each
+//     bucket of equal keys in node order, the (distance, node) pop order
+//     its parent choice depends on.
+//   - The wireless full graph is never materialized. Dijkstra relaxes it
+//     through a virtual hub: WI→hub at wireless_hop_weight, hub→WI at 0.
+//     That gives the same distances as the W·(W−1) pair arcs with O(W)
+//     work per destination. The next hop still scans a switch's wired
+//     arcs in tie-break order; when none lies on a shortest path, the
+//     switch is a WI whose distance came from the hub, and the scan over
+//     wireless arcs would pick the lowest-ID WI one wireless hop closer —
+//     one choice per destination, computed once.
+//   - Destinations are filled in blocks of 16 columns, so each table row
+//     is written as one contiguous run.
+//   - The deadlock check numbers the directed links in (u, v) order and
+//     names a channel link*3+class, so the CDG lives in dense slices and
+//     ascending channel IDs are ascending (u, v, class) triples. The DFS
+//     starts from the used channels in that order and follows
+//     dependencies in first-insertion order; that fixes which cycle it
+//     meets first, so the error text depends only on the routes, not on
+//     how channels are stored. A per-channel successor bitset
+//     deduplicates dependencies, and a link lookup scans the handful of
+//     wired links of a switch or indexes the WI pair table directly.
 package route

@@ -375,28 +375,68 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 }
 
 // TestLargePresetsDeadlockFree extends the CDG verification to the
-// generalized 16- and 32-chip presets (the memoized walk must agree with
-// the construction-time deadlock arguments at scale).
+// generalized 16-, 32- and 64-chip presets of every architecture, through
+// the class tables and the union check the engine runs (the memoized walk
+// must agree with the construction-time deadlock arguments at scale).
 func TestLargePresetsDeadlockFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large route builds")
 	}
-	for _, chips := range []int{16, 32} {
+	for _, chips := range []int{16, 32, 64} {
 		for _, arch := range []config.Architecture{
-			config.ArchSubstrate, config.ArchInterposer, config.ArchWireless,
+			config.ArchSubstrate, config.ArchInterposer, config.ArchWireless, config.ArchHybrid,
 		} {
-			cfg := config.MustXCYM(chips, config.DefaultStacks(chips), arch)
-			g, err := topo.Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := Build(g)
-			if err != nil {
-				t.Fatalf("%dC/%s: %v", chips, arch, err)
-			}
-			if err := CheckDeadlockFree(g, tb); err != nil {
+			g, ct := buildClassGraph(t, chips, arch)
+			if err := CheckDeadlockFreeUnion(g, ct.Tables()...); err != nil {
 				t.Fatalf("%dC/%s: %v", chips, arch, err)
 			}
 		}
+	}
+}
+
+// benchGraph builds the 64-chip preset of arch for the construction
+// benchmarks.
+func benchGraph(b *testing.B, arch config.Architecture) *topo.Graph {
+	b.Helper()
+	g, err := topo.Build(config.MustXCYM(64, config.DefaultStacks(64), arch))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkBuildClasses64 times the class tables of the 64-chip presets
+// (one worker, so the figure is the total work).
+func BenchmarkBuildClasses64(b *testing.B) {
+	for _, arch := range []config.Architecture{config.ArchWireless, config.ArchHybrid} {
+		b.Run(string(arch), func(b *testing.B) {
+			g := benchGraph(b, arch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildClasses(g, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDeadlockCheck64 times the union deadlock check of the 64-chip
+// presets' class tables.
+func BenchmarkDeadlockCheck64(b *testing.B) {
+	for _, arch := range []config.Architecture{config.ArchWireless, config.ArchHybrid} {
+		b.Run(string(arch), func(b *testing.B) {
+			g := benchGraph(b, arch)
+			ct, err := BuildClasses(g, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := CheckDeadlockFreeUnion(g, ct.Tables()...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
