@@ -259,19 +259,25 @@ func TestSameSeedByteIdentical(t *testing.T) {
 // Result JSON under active-set scheduling and under the FullTick reference
 // path that ticks every switch, link and endpoint every cycle. This is the
 // proof that skipping idle components preserves cycle accuracy, including
-// the order of floating-point energy accumulation.
+// the order of floating-point energy accumulation. FullTick forces one
+// shard, so the reference also runs with engine_shards 4 and must not
+// move a byte.
 func TestActiveSetMatchesFullTick(t *testing.T) {
 	for _, p := range determinismParams() {
 		p := p
 		t.Run(p.Cfg.Name+"/"+string(p.Cfg.Channel), func(t *testing.T) {
 			active := p
 			active.FullTick = false
-			reference := p
-			reference.FullTick = true
 			a := resultJSON(t, mustRun(t, active))
-			b := resultJSON(t, mustRun(t, reference))
-			if a != b {
-				t.Fatalf("active-set scheduling diverged from full-tick reference:\nactive:    %s\nreference: %s", a, b)
+			for _, shards := range []int{0, 4} {
+				reference := p
+				reference.FullTick = true
+				reference.Cfg.EngineShards = shards
+				b := resultJSON(t, mustRun(t, reference))
+				if a != b {
+					t.Fatalf("active-set scheduling diverged from full-tick reference (engine_shards=%d):\nactive:    %s\nreference: %s",
+						shards, a, b)
+				}
 			}
 		})
 	}
@@ -282,9 +288,8 @@ func TestActiveSetMatchesFullTick(t *testing.T) {
 // the determinism matrix — baseline meshes, multi-sub-channel MACs, the
 // work-conserving policies, adaptive routing and the fault schedules —
 // must produce byte-identical Result JSON AND a byte-identical packet
-// trace at every shard count. shards <= 1 never builds shards, so the
-// shards=1 row doubles as the proof that the knob leaves the serial
-// engine exactly as it was.
+// trace at every shard count. engine_shards 0 and 1 both build the
+// one-shard engine (TestOneShardWiring pins its wiring).
 func TestShardCountByteIdentical(t *testing.T) {
 	for _, p := range determinismParams() {
 		p := p
@@ -301,8 +306,8 @@ func TestShardCountByteIdentical(t *testing.T) {
 				if shards > 1 && e.NumShards() < 2 {
 					t.Fatalf("engine_shards=%d built %d shards", shards, e.NumShards())
 				}
-				if shards <= 1 && e.NumShards() != 0 {
-					t.Fatalf("engine_shards=%d must stay serial, built %d shards", shards, e.NumShards())
+				if shards <= 1 && e.NumShards() != 1 {
+					t.Fatalf("engine_shards=%d must run as one shard, built %d shards", shards, e.NumShards())
 				}
 				r, err := e.Run()
 				if err != nil {
@@ -533,7 +538,7 @@ func TestPipelineInvariantsEveryCycleSaturated(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.stopShards()
-				if shards > 1 && e.NumShards() != shards {
+				if e.NumShards() != shards {
 					t.Fatalf("built %d shards, want %d", e.NumShards(), shards)
 				}
 				total := cfg.WarmupCycles + cfg.MeasureCycles

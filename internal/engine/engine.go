@@ -44,25 +44,24 @@ type TrafficSpec struct {
 
 // Params bundles everything needed to run one simulation.
 type Params struct {
-	Cfg               config.Config
-	Traffic           TrafficSpec
-	SkipDeadlockCheck bool // skip the CDG verification (it runs once per build)
+	Cfg     config.Config
+	Traffic TrafficSpec
 	// Trace, when non-nil, receives one JSON line per delivered packet
 	// (id, endpoints, class, timing, hops, energy) — a packet-level trace
 	// for debugging and external analysis.
 	Trace io.Writer
 	// FullTick disables active-set scheduling and ticks every switch, link
-	// and endpoint every cycle — the reference scheduling path. Results are
-	// cycle-identical either way (the determinism regression test asserts
-	// it); FullTick exists to keep that claim checkable forever. FullTick
-	// also implies EveryCycle.
+	// and endpoint every cycle — the reference scheduling path, a separate
+	// loop that forces one shard. Results are cycle-identical either way
+	// (the determinism regression test asserts it); FullTick exists to keep
+	// that claim checkable forever. FullTick also implies EveryCycle.
 	FullTick bool
 	// EveryCycle disables the event-horizon fast-forward (Run ticks every
 	// simulated cycle) while keeping active-set scheduling — the reference
 	// path for the fast-forward equivalence regression, in the FullTick
-	// tradition. It exists as its own knob because FullTick forces the
-	// serial engine, while fast-forward identity must also be checkable
-	// under sharded execution. Results are byte-identical either way (after
+	// tradition. It exists as its own knob because FullTick forces one
+	// shard, while fast-forward identity must also be checkable under
+	// sharded execution. Results are byte-identical either way (after
 	// zeroing the idle_cycles_skipped / drain-exit telemetry, which is the
 	// only thing the skip path adds).
 	EveryCycle bool
@@ -141,14 +140,11 @@ type Engine struct {
 	replySeq     uint64
 	retryScratch []pendingReply
 
-	// Active-set scheduling (see step): a component is ticked only while
-	// the corresponding predicate says ticking could do work. fullTick
-	// forces the reference everything-every-cycle path.
-	swActive   *sim.ActiveSet
-	linkActive *sim.ActiveSet
-	epActive   *sim.ActiveSet
-	fullTick   bool
-	legacyMAC  bool
+	// fullTick hands every cycle to the reference everything-every-cycle
+	// loop (see stepFullTick); otherwise the shards' activity sets decide
+	// what ticks.
+	fullTick  bool
+	legacyMAC bool
 
 	// Event-horizon fast-forward (see Run): everyCycle disables it (the
 	// reference path; fullTick implies it), idleSkipped counts the cycles
@@ -163,17 +159,18 @@ type Engine struct {
 	// pool recycles delivered packets back into traffic generation.
 	pool noc.PacketPool
 
-	// Sharded execution (see shard.go; all nil/empty when serial): the
-	// row-band shards, per-component shard assignment, the recorded link
-	// endpoints (for boundary classification), the persistent worker
-	// barrier, and reusable merge scratch for the serial replay phases.
-	shards       []*shard
-	swShard      []int
-	epShard      []int
-	linkEnds     [][2]sim.SwitchID
-	barrier      *shardBarrier
-	opScratch    []core.ShardOp
-	eventScratch []epEvent
+	// Sharded execution (see shard.go): the row-band shards (exactly one
+	// when serial) and the recorded link endpoints (for boundary
+	// classification). The rest is multi-shard only: the persistent worker
+	// barrier, the two parallel phases bound once, and reusable merge
+	// scratch for the serial replays.
+	shards        []*shard
+	linkEnds      [][2]sim.SwitchID
+	barrier       *shardBarrier
+	pipelinePhase func(si int)
+	endpointPhase func(si int)
+	opScratch     []core.ShardOp
+	eventScratch  []epEvent
 
 	trace    io.Writer
 	traceErr error
@@ -278,13 +275,11 @@ func New(p Params) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if !p.SkipDeadlockCheck {
-		// Flits of different route classes share the physical channels, so
-		// deadlock freedom must hold over the UNION of the class tables'
-		// channel dependencies, not per table (see route.CheckDeadlockFreeUnion).
-		if err := route.CheckDeadlockFreeUnion(g, tables.Tables()...); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	// Flits of different route classes share the physical channels, so
+	// deadlock freedom must hold over the UNION of the class tables'
+	// channel dependencies, not per table (see route.CheckDeadlockFreeUnion).
+	if err := route.CheckDeadlockFreeUnion(g, tables.Tables()...); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	meter, err := energy.NewMeter(cfg.ClockGHz)
 	if err != nil {
@@ -309,7 +304,7 @@ func New(p Params) (*Engine, error) {
 	if err := e.buildTraffic(p.Traffic); err != nil {
 		return nil, err
 	}
-	e.buildShards(p)
+	e.buildShards()
 	return e, nil
 }
 
@@ -317,10 +312,10 @@ func New(p Params) (*Engine, error) {
 // release, DRAM read-reply scheduling, trace emission, pool recycling. A
 // delivered read request is kept until its data reply is issued; a Faulted
 // read request lost its payload crossing a failed transceiver, so the DRAM
-// channel never sees it and no reply is scheduled. Serial-phase only: the
-// sharded engine's endpoints defer their delivered hooks into per-shard
-// event logs that replay through here at the cycle's synchronization
-// point.
+// channel never sees it and no reply is scheduled. Serial-phase only: a
+// one-shard engine's endpoints call it directly from the inline NI phase;
+// with more shards they defer into per-shard event logs that replay
+// through here at the cycle's synchronization point.
 func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 	e.coll.OnDelivered(now, p)
 	if e.wd != nil {
@@ -392,8 +387,8 @@ func (e *Engine) build() error {
 	}
 
 	// Endpoints. Each NI reports deliveries through e.deliverPacket
-	// (directly when serial; through the per-shard event logs when
-	// sharded — see shard.go).
+	// (directly on one shard; through the per-shard event logs on more —
+	// see shard.go).
 	e.endpoints = make([]*noc.Endpoint, g.EndpointCount())
 	localOut := make([]int, g.EndpointCount())
 	for i, ep := range g.Endpoints {
@@ -499,24 +494,6 @@ func (e *Engine) build() error {
 		e.world.CoreGY = append(e.world.CoreGY, node.GY)
 	}
 	e.world.MemChannels = append(e.world.MemChannels, g.MemChannels...)
-
-	// Activity sets: every component registers itself on the events that
-	// give it work (flit arrival, credit in flight, packet offered), and
-	// the cycle loop visits members only. Iteration is in ascending index
-	// order, so an active sweep is a strict subsequence of the full sweep
-	// and results are cycle-identical to ticking everything.
-	e.swActive = sim.NewActiveSet(len(e.switches))
-	for i, sw := range e.switches {
-		sw.SetActivity(e.swActive, i)
-	}
-	e.linkActive = sim.NewActiveSet(len(e.links))
-	for i, l := range e.links {
-		l.SetActivity(e.linkActive, i)
-	}
-	e.epActive = sim.NewActiveSet(len(e.endpoints))
-	for i, ep := range e.endpoints {
-		ep.SetActivity(e.epActive, i)
-	}
 	return nil
 }
 

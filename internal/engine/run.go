@@ -163,19 +163,22 @@ func (e *Engine) Run() (*Result, error) {
 	return e.results()
 }
 
-// step advances the system by one cycle. Phase order:
-// wireless launch → SA/ST → VA → RC → link/wireless delivery → endpoint NI
-// tick → traffic generation. (Link bandwidth refills lazily inside the
-// token buckets, so the former refill phase is gone.)
+// step advances the system by one cycle — the one cycle loop at every
+// shard count (see shard.go). Phase order:
 //
-// Active-set scheduling: only components whose activity predicate holds are
-// ticked. A switch with no buffered flits, a link with nothing in flight
-// and a drained endpoint are provable no-ops, and the sets iterate in
-// ascending index order, so the schedule is cycle-identical to the
-// FullTick reference path — same seed, byte-identical Result.
+//   - S0: fault events, the watchdog, wireless launch.
+//   - P1: per shard, mailbox drains, the SA/ST → VA → RC sweeps and link
+//     delivery.
+//   - S1: fabric-op replay, wireless delivery.
+//   - P2: per shard, NI ticks.
+//   - S2: endpoint-event replay, memory read replies, traffic generation.
+//
+// A one-shard engine runs P1 and P2 inline on its only shard: nothing
+// defers, so there is nothing to replay. With more shards each P phase
+// runs across the barrier and the replays restore the one-shard order.
 func (e *Engine) step() {
-	if len(e.shards) > 0 {
-		e.stepSharded()
+	if e.fullTick {
+		e.stepFullTick()
 		return
 	}
 	now := e.now
@@ -185,83 +188,34 @@ func (e *Engine) step() {
 		e.fabric.ApplyFaults(now)
 		e.wd.check(now)
 	}
-	if e.fabric != nil && (e.fullTick || e.fabric.LaunchNeeded()) {
+	if e.fabric != nil && e.fabric.LaunchNeeded() {
 		e.fabric.Launch(now)
 	}
-	if e.fullTick {
-		for _, s := range e.switches {
-			s.TickSAST(now)
+	sharded := len(e.shards) > 1
+	if sharded {
+		if e.barrier == nil {
+			e.barrier = newShardBarrier(len(e.shards))
 		}
-		for _, s := range e.switches {
-			s.TickVA(now)
+		if e.fabric != nil {
+			e.fabric.SetDeferred(true)
 		}
-		for _, s := range e.switches {
-			s.TickRC(now)
-		}
-		for _, l := range e.links {
-			l.Deliver(now)
+		e.barrier.run(e.pipelinePhase)
+		if e.fabric != nil {
+			e.fabric.SetDeferred(false)
+			e.replayFabricOps(now)
 		}
 	} else {
-		// No switch joins or leaves the set during the three pipeline
-		// phases (traversed flits land in link/WI/endpoint queues, never
-		// directly in another switch), so the three sweeps see identical
-		// membership.
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			e.switches[i].TickSAST(now)
-		}
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			e.switches[i].TickVA(now)
-		}
-		for it := e.swActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			s := e.switches[i]
-			s.TickRC(now)
-			if s.BufferedFlits() == 0 {
-				e.swActive.Remove(i)
-			}
-		}
-		for it := e.linkActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			l := e.links[i]
-			l.Deliver(now)
-			if !l.Busy() {
-				e.linkActive.Remove(i)
-			}
-		}
+		e.tickShardPipeline(e.shards[0], now)
 	}
-	if e.fabric != nil && (e.fullTick || e.fabric.HasPending()) {
+	// Wireless delivery writes destination switches and WIs across shards.
+	if e.fabric != nil && e.fabric.HasPending() {
 		e.fabric.Deliver(now)
 	}
-	if e.fullTick {
-		for _, ep := range e.endpoints {
-			ep.Tick(now)
-		}
+	if sharded {
+		e.barrier.run(e.endpointPhase)
+		e.replayEndpointEvents(now)
 	} else {
-		for it := e.epActive.Iter(); ; {
-			i, ok := it.Next()
-			if !ok {
-				break
-			}
-			ep := e.endpoints[i]
-			ep.Tick(now)
-			if ep.Drained() {
-				e.epActive.Remove(i)
-			}
-		}
+		e.tickShardEndpoints(e.shards[0], now)
 	}
 	e.issueReplies(now)
 	if now < e.genStop {
@@ -269,19 +223,52 @@ func (e *Engine) step() {
 	}
 }
 
-// quiescent reports whether the network is provably inert: no switch,
-// link or endpoint has work (the active sets are empty) and — when
-// sharded — every boundary link is quiet, including its mailbox parity
-// buffers (boundary links live outside the per-shard active sets). With
-// quiescent true, a step can only act through the horizon sources: fabric
-// launch/delivery, scheduled fault events, due DRAM replies, traffic
-// generation and the watchdog. The probe runs at the serial point after
-// step returns (post-barrier when sharded), so every shard trivially
-// agrees on it — and on the horizon computed from it.
-func (e *Engine) quiescent() bool {
-	if len(e.shards) == 0 {
-		return e.swActive.Empty() && e.linkActive.Empty() && e.epActive.Empty()
+// stepFullTick is the FullTick reference loop: step's phase order with
+// every switch, link and endpoint ticked every cycle, and no active-set
+// or shard code, so the determinism matrix compares step against an
+// independent loop.
+func (e *Engine) stepFullTick() {
+	now := e.now
+	if e.wd != nil {
+		e.fabric.ApplyFaults(now)
+		e.wd.check(now)
 	}
+	if e.fabric != nil {
+		e.fabric.Launch(now)
+	}
+	for _, s := range e.switches {
+		s.TickSAST(now)
+	}
+	for _, s := range e.switches {
+		s.TickVA(now)
+	}
+	for _, s := range e.switches {
+		s.TickRC(now)
+	}
+	for _, l := range e.links {
+		l.Deliver(now)
+	}
+	if e.fabric != nil {
+		e.fabric.Deliver(now)
+	}
+	for _, ep := range e.endpoints {
+		ep.Tick(now)
+	}
+	e.issueReplies(now)
+	if now < e.genStop {
+		e.generate(now)
+	}
+}
+
+// quiescent reports whether the network is provably inert: every shard's
+// active sets are empty and every boundary link is quiet, including its
+// mailbox parity buffers (boundary links live outside the activity sets).
+// With quiescent true, a step can only act through the horizon sources:
+// fabric launch/delivery, scheduled fault events, due DRAM replies,
+// traffic generation and the watchdog. The probe runs at the serial point
+// after step returns (post-barrier when sharded), so every shard
+// trivially agrees on it — and on the horizon computed from it.
+func (e *Engine) quiescent() bool {
 	for _, s := range e.shards {
 		if !s.swActive.Empty() || !s.linkActive.Empty() || !s.epActive.Empty() {
 			return false

@@ -24,11 +24,6 @@ func TestThinnedInterposerFailsDeadlockCheck(t *testing.T) {
 	if !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// The explicit escape hatch must still work for experimentation.
-	if _, err := New(Params{Cfg: cfg, SkipDeadlockCheck: true,
-		Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.001, MemFraction: 0.2}}); err != nil {
-		t.Fatalf("SkipDeadlockCheck did not bypass the check: %v", err)
-	}
 }
 
 // TestDeadknobCleanupRejectedAtEngine pins the deadknob cleanup end to

@@ -1,53 +1,37 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wimc/internal/core"
 	"wimc/internal/noc"
 	"wimc/internal/sim"
 )
 
-// Sharded intra-run execution
+// Sharded execution: the one cycle loop
 //
-// One simulation ticks across worker goroutines: the global mesh grid is
-// partitioned into contiguous row bands, and each band's switches, NIs and
-// wireless interfaces form a shard that runs the pipeline sweeps and NI
-// ticks of its own components concurrently with its peers. Results are
-// byte-identical to the serial engine at every shard count — the FullTick
-// tradition: the parallel schedule is a reordering of provably independent
-// work, never a different simulation. See doc.go for the full ownership
-// and deferral rules; the short version of why this is safe:
+// step (run.go) is the only cycle loop, and it always runs over shards:
+// contiguous row bands of the global mesh grid, each owning the switches,
+// NIs and WIs in its band and the activity sets that decide which of them
+// tick. A serial engine is the one-shard case — one shard owning every
+// switch, link and endpoint, with no boundary links, nothing deferred and
+// no barrier goroutines. With more shards the two per-shard phases run
+// across worker goroutines: boundary links split into single-writer
+// mailbox halves, and fabric-global and NI-side effects defer into
+// per-shard logs replayed in the one-shard order, so results stay
+// byte-identical at every shard count. doc.go has the ownership and
+// deferral rules and why each is exact.
 //
-//   - Pipeline sweeps only write the swept switch, its attached WI/NI, and
-//     the conduits of its output ports. Intra-shard components interact
-//     through the same per-component queues as the serial engine.
-//   - Every conduit crossing a shard boundary is a wired Link with latency
-//     >= 1, split into single-writer mailbox halves (noc.SetMailbox): due
-//     traffic parks in a parity buffer at cycle t and is drained by the
-//     peer shard at the start of t+1 — the same cycle the serial engine's
-//     destination pipeline would first see it.
-//   - Fabric-global mutations reachable from a sweep (launch predicate,
-//     sub-channel backlog/turn queues, fault drop accounting) are deferred
-//     as core.ShardOps and replayed serially in ascending host-switch
-//     order — the serial sweep order.
-//   - NI-side engine hooks (delivery bookkeeping, route classification,
-//     watchdog arming) are deferred as epEvents and replayed serially in
-//     ascending endpoint order — the serial NI sweep order.
-//   - Energy accumulation is atomic fixed-point (energy.FPScale), so
-//     concurrent metering sums to bit-identical totals in any order.
-//
-// The cycle structure is S0 (serial: faults, watchdog, MAC arbitration) →
-// P1 (parallel: mailbox drains, pipeline sweeps, link delivery) → S1
-// (serial: ShardOp replay, wireless delivery) → P2 (parallel: NI ticks) →
-// S2 (serial: epEvent replay, read replies, traffic generation), with a
-// barrier after each parallel phase.
+// Params.FullTick bypasses all of this: it forces one shard and hands
+// every cycle to stepFullTick, the independent reference loop that ticks
+// every component with no active-set or shard code.
 
 // epEvent defers one NI-side engine hook invocation for serial replay.
 // ep is the global endpoint index — the stable merge key that recovers
-// the serial NI sweep order (an endpoint's events all land in one shard's
-// log in occurrence order, so a stable sort by ep reproduces the serial
-// interleaving exactly).
+// the one-shard NI sweep order (an endpoint's events all land in one
+// shard's log in occurrence order, so a stable sort by ep reproduces the
+// one-shard interleaving exactly).
 type epEvent struct {
 	ep   int
 	kind uint8
@@ -62,10 +46,9 @@ const (
 )
 
 // shard is one row band of the system: the components it owns, their
-// activity sets, its boundary-link halves and its deferred-work logs.
+// activity sets, its boundary-link halves and its deferred-work logs. The
+// only shard of a one-shard engine has no boundary links and empty logs.
 type shard struct {
-	idx int
-
 	// Per-shard activity sets, indexed by GLOBAL component index (each set
 	// is sized for the whole system; members are this shard's only).
 	swActive   *sim.ActiveSet
@@ -155,35 +138,34 @@ func shardBands(n, k int) [][2]int {
 }
 
 // buildShards partitions the built system into cfg.EngineShards row bands
-// and rewires component activity registration, boundary links and engine
-// hooks for sharded stepping. A no-op (the engine stays serial) when fewer
-// than two effective shards result or the FullTick reference path is
-// requested — FullTick exists to pin the serial schedule, so it always
-// runs serially.
-func (e *Engine) buildShards(p Params) {
+// (clamped to [1, rows]; FullTick forces one) and registers every
+// component on its owning shard's activity set: each component adds itself
+// on the events that give it work (flit arrival, credit in flight, packet
+// offered), and the cycle loop visits members only. With one shard that is
+// the whole wiring — the engine hooks stay direct. With more, boundary
+// links switch to mailbox halves, endpoint hooks and WI fabric-global ops
+// defer into per-shard logs, and the two parallel phases are bound once.
+func (e *Engine) buildShards() {
 	rows := e.cfg.ChipsY * e.cfg.CoresY
 	nsh := e.cfg.EngineShards
-	if nsh > rows {
-		nsh = rows
+	if e.fullTick {
+		nsh = 1
 	}
-	if nsh < 2 || p.FullTick {
-		return
-	}
+	bands := shardBands(rows, nsh)
 	g := e.graph
 
 	// Row → shard map. Every node (core and mem-logic alike) carries a
 	// global row GY in [0, rows).
 	rowShard := make([]int, rows)
-	for si, band := range shardBands(rows, nsh) {
+	for si, band := range bands {
 		for r := band[0]; r < band[1]; r++ {
 			rowShard[r] = si
 		}
 	}
 
-	e.shards = make([]*shard, nsh)
+	e.shards = make([]*shard, len(bands))
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			idx:        i,
 			swActive:   sim.NewActiveSet(len(e.switches)),
 			linkActive: sim.NewActiveSet(len(e.links)),
 			epActive:   sim.NewActiveSet(len(e.endpoints)),
@@ -191,39 +173,39 @@ func (e *Engine) buildShards(p Params) {
 	}
 
 	// Switches by row band.
-	e.swShard = make([]int, len(e.switches))
+	swShard := make([]int, len(e.switches))
 	for i, n := range g.Nodes {
 		si := rowShard[n.GY]
-		e.swShard[i] = si
+		swShard[i] = si
 		e.shards[si].switchIdx = append(e.shards[si].switchIdx, i)
 		e.switches[i].SetActivity(e.shards[si].swActive, i)
 	}
 
 	// Links: intra-shard links keep normal delivery under the owning
 	// shard's activity set; boundary links switch to mailbox halves and
-	// leave activity scheduling entirely (their halves run unconditionally
-	// each cycle — a nil ActiveSet no-ops the link's Add calls).
+	// stay out of activity scheduling (their halves run unconditionally
+	// each cycle — a link with no ActiveSet no-ops its Add calls).
 	for i, l := range e.links {
 		a, b := e.linkEnds[i][0], e.linkEnds[i][1]
-		sa, sb := e.swShard[a], e.swShard[b]
+		sa, sb := swShard[a], swShard[b]
 		if sa == sb {
 			l.SetActivity(e.shards[sa].linkActive, i)
 			continue
 		}
 		l.SetMailbox()
-		l.SetActivity(nil, i)
 		e.shards[sa].outBound = append(e.shards[sa].outBound, l)
 		e.shards[sb].inBound = append(e.shards[sb].inBound, l)
 	}
 
-	// Endpoints co-locate with their host switch; their engine hooks
-	// defer into the owning shard's event log (replayed in S2).
-	e.epShard = make([]int, len(e.endpoints))
+	// Endpoints co-locate with their host switch. Sharded, their engine
+	// hooks defer into the owning shard's event log (replayed in S2).
+	sharded := len(e.shards) > 1
 	for i, ep := range e.endpoints {
-		si := e.swShard[g.Endpoints[i].Switch]
-		e.epShard[i] = si
-		s := e.shards[si]
+		s := e.shards[swShard[g.Endpoints[i].Switch]]
 		ep.SetActivity(s.epActive, i)
+		if !sharded {
+			continue
+		}
 		idx := i
 		ep.SetDeliveredHook(func(_ sim.Cycle, p *noc.Packet) {
 			s.events = append(s.events, epEvent{ep: idx, kind: evDelivered, pkt: p})
@@ -240,24 +222,34 @@ func (e *Engine) buildShards(p Params) {
 		}
 	}
 
-	// Wireless interfaces log their deferred fabric-global ops into the
-	// shard owning their host switch; sub-channels are owned (for
+	// Sharded, wireless interfaces log their deferred fabric-global ops
+	// into the shard owning their host switch. Sub-channels are owned (for
 	// invariant checking) by the shard of their first member's switch.
 	if e.fabric != nil {
-		for _, w := range e.fabric.WIs() {
-			s := e.shards[e.swShard[w.SwitchID]]
-			w.SetShardLog(&s.ops)
+		if sharded {
+			for _, w := range e.fabric.WIs() {
+				w.SetShardLog(&e.shards[swShard[w.SwitchID]].ops)
+			}
 		}
 		for ci := 0; ci < e.fabric.SubChannels(); ci++ {
 			if host, ok := e.fabric.SubChannelHostSwitch(ci); ok {
-				s := e.shards[e.swShard[host]]
+				s := e.shards[swShard[host]]
 				s.subs = append(s.subs, ci)
 			}
 		}
 	}
+
+	// The parallel phases, bound once so a sharded step allocates nothing
+	// (fresh closures would escape through the barrier's job channels).
+	// Workers read e.now after the job hand-off, which orders the read
+	// after Run's write.
+	if sharded {
+		e.pipelinePhase = func(si int) { e.tickShardPipeline(e.shards[si], e.now) }
+		e.endpointPhase = func(si int) { e.tickShardEndpoints(e.shards[si], e.now) }
+	}
 }
 
-// NumShards returns the number of execution shards (0 when serial).
+// NumShards returns the number of execution shards: 1 for a serial engine.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // stopShards terminates the barrier workers; stepping restarts them
@@ -269,63 +261,13 @@ func (e *Engine) stopShards() {
 	}
 }
 
-// stepSharded advances the system by one cycle across the shards. Phase
-// structure and the byte-identity argument are documented at the top of
-// this file; each phase body below names its serial-engine counterpart.
-func (e *Engine) stepSharded() {
-	now := e.now
-	if e.barrier == nil {
-		e.barrier = newShardBarrier(len(e.shards))
-	}
-
-	// S0 — faults, watchdog, MAC arbitration and launch (serial: these
-	// read and write WIs across all shards).
-	if e.wd != nil {
-		e.fabric.ApplyFaults(now)
-		e.wd.check(now)
-	}
-	if e.fabric != nil {
-		if e.fabric.LaunchNeeded() {
-			e.fabric.Launch(now)
-		}
-		e.fabric.SetDeferred(true)
-	}
-
-	// P1 — pipeline sweeps and link delivery, one goroutine per shard.
-	e.barrier.run(func(si int) {
-		e.tickShardPipeline(e.shards[si], now)
-	})
-
-	// S1 — replay deferred fabric ops in serial sweep order, then deliver
-	// completed wireless transmissions (writes destination switches and
-	// WIs across shards).
-	if e.fabric != nil {
-		e.fabric.SetDeferred(false)
-		e.replayFabricOps(now)
-		if e.fabric.HasPending() {
-			e.fabric.Deliver(now)
-		}
-	}
-
-	// P2 — NI ticks, one goroutine per shard (engine hooks defer).
-	e.barrier.run(func(si int) {
-		e.tickShardEndpoints(e.shards[si], now)
-	})
-
-	// S2 — replay deferred NI events in serial sweep order, then the
-	// global injection machinery.
-	e.replayEndpointEvents(now)
-	e.issueReplies(now)
-	if now < e.genStop {
-		e.generate(now)
-	}
-}
-
-// tickShardPipeline is one shard's share of the serial engine's pipeline
-// phase: drain boundary mailboxes parked by peer shards at cycle now-1
-// (exactly when the serial destination pipeline would first see them),
-// run the three pipeline sweeps over owned switches, deliver intra-shard
-// links, and park this cycle's due boundary traffic for the peers.
+// tickShardPipeline is one shard's pipeline phase: drain boundary
+// mailboxes parked by peer shards at cycle now-1 (exactly when a one-shard
+// run's destination pipeline would first see them), run the SA/ST → VA →
+// RC sweeps over owned active switches, deliver active intra-shard links,
+// and park this cycle's due boundary traffic for the peers. Active sweeps
+// run in ascending index order, a strict subsequence of ticking every
+// component, so skipping idle ones is cycle-identical to FullTick.
 func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 	for _, l := range s.inBound {
 		l.DrainFlitInbox(now)
@@ -380,8 +322,8 @@ func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 	}
 }
 
-// tickShardEndpoints is one shard's share of the serial engine's NI
-// phase.
+// tickShardEndpoints is one shard's NI phase: tick its active endpoints
+// in ascending index order.
 func (e *Engine) tickShardEndpoints(s *shard, now sim.Cycle) {
 	for it := s.epActive.Iter(); ; {
 		i, ok := it.Next()
@@ -397,7 +339,7 @@ func (e *Engine) tickShardEndpoints(s *shard, now sim.Cycle) {
 }
 
 // replayFabricOps merges every shard's deferred fabric-global operations
-// by ascending host-switch index — the serial pipeline sweep order (at
+// by ascending host-switch index — the one-shard pipeline sweep order (at
 // most one wireless Accept reaches a WI per cycle, and per-WI op order is
 // preserved by the stable sort) — and applies them.
 func (e *Engine) replayFabricOps(now sim.Cycle) {
@@ -407,8 +349,8 @@ func (e *Engine) replayFabricOps(now sim.Cycle) {
 		s.ops = s.ops[:0]
 	}
 	if len(buf) > 0 {
-		sort.SliceStable(buf, func(i, j int) bool {
-			return buf[i].W.SwitchID < buf[j].W.SwitchID
+		slices.SortStableFunc(buf, func(a, b core.ShardOp) int {
+			return cmp.Compare(a.W.SwitchID, b.W.SwitchID)
 		})
 		e.fabric.ReplayShardOps(now, buf)
 	}
@@ -416,7 +358,7 @@ func (e *Engine) replayFabricOps(now sim.Cycle) {
 }
 
 // replayEndpointEvents merges every shard's deferred NI events by
-// ascending endpoint index — the serial NI sweep order (an endpoint's
+// ascending endpoint index — the one-shard NI sweep order (an endpoint's
 // events live in exactly one shard's log in occurrence order, preserved
 // by the stable sort) — and invokes the real hooks.
 func (e *Engine) replayEndpointEvents(now sim.Cycle) {
@@ -426,7 +368,7 @@ func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 		s.events = s.events[:0]
 	}
 	if len(buf) > 0 {
-		sort.SliceStable(buf, func(i, j int) bool { return buf[i].ep < buf[j].ep })
+		slices.SortStableFunc(buf, func(a, b epEvent) int { return cmp.Compare(a.ep, b.ep) })
 		for i := range buf {
 			ev := &buf[i]
 			switch ev.kind {

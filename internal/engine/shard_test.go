@@ -1,0 +1,146 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"wimc/internal/config"
+)
+
+// TestOneShardWiring pins the serial engine as the one-shard case of the
+// sharded engine. engine_shards 0 and 1, and FullTick at engine_shards 4,
+// must build exactly one shard with no link in mailbox mode and no
+// parallel phases bound. Stepping it must never start the barrier or defer
+// a hook: one shard replays nothing, so a deferring endpoint hook or WI
+// log would leave entries in the shard's logs, and the collector would
+// lag the endpoints' ejection counts. A two-shard engine is the control:
+// the same probes must see its mailboxes and its barrier, which Run stops
+// again on return.
+func TestOneShardWiring(t *testing.T) {
+	// Adaptive routing plus the fault model installs all three endpoint
+	// hooks (delivery, route classification, watchdog injection) on a
+	// wireless fabric with sub-channels.
+	cfg := config.MustXCYM(4, 4, config.ArchHybrid)
+	cfg.WarmupCycles = 100
+	cfg.MeasureCycles = 600
+	cfg.Channel = config.ChannelExclusive
+	cfg.ChannelAssign = config.AssignSpatialReuse
+	cfg.WirelessChannels = 2
+	cfg.RouteSelectMode = config.SelectAdaptive
+	cfg.WirelessPER = 0.02
+	tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.05, MemFraction: 0.3, MemReadFraction: 0.5}
+
+	for _, tc := range []struct {
+		shards   int
+		fullTick bool
+		want     int
+	}{
+		{shards: 0, want: 1},
+		{shards: 1, want: 1},
+		{shards: 4, fullTick: true, want: 1},
+		{shards: 2, want: 2},
+	} {
+		t.Run(fmt.Sprintf("shards%d/fulltick=%v", tc.shards, tc.fullTick), func(t *testing.T) {
+			c := cfg
+			c.EngineShards = tc.shards
+			e, err := New(Params{Cfg: c, Traffic: tr, FullTick: tc.fullTick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.stopShards()
+			if e.NumShards() != tc.want {
+				t.Fatalf("built %d shards, want %d", e.NumShards(), tc.want)
+			}
+			one := tc.want == 1
+			mailboxes := 0
+			for _, l := range e.links {
+				if l.Mailboxed() {
+					mailboxes++
+				}
+			}
+			if one != (mailboxes == 0) {
+				t.Fatalf("%d links in mailbox mode on %d shards", mailboxes, tc.want)
+			}
+			if one != (e.pipelinePhase == nil && e.endpointPhase == nil) {
+				t.Fatalf("parallel phases bound=%v on %d shards", e.pipelinePhase != nil, tc.want)
+			}
+
+			for stop := c.WarmupCycles + c.MeasureCycles/2; e.now < stop; e.now++ {
+				e.step()
+				var ejected int64
+				for _, ep := range e.endpoints {
+					ejected += ep.Ejected
+				}
+				if ejected != e.coll.TotalDelivered {
+					t.Fatalf("cycle %d: endpoints ejected %d packets, collector saw %d",
+						e.now, ejected, e.coll.TotalDelivered)
+				}
+				if !one {
+					continue
+				}
+				if e.barrier != nil {
+					t.Fatalf("cycle %d: one-shard engine started the barrier", e.now)
+				}
+				if s := e.shards[0]; len(s.ops) != 0 || len(s.events) != 0 {
+					t.Fatalf("cycle %d: one-shard engine deferred %d fabric ops and %d endpoint events",
+						e.now, len(s.ops), len(s.events))
+				}
+			}
+			if !one && e.barrier == nil {
+				t.Fatal("two-shard engine stepped without starting its barrier")
+			}
+
+			r, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.barrier != nil {
+				t.Fatal("barrier left started after Run")
+			}
+			// The probes above saw real work: packets delivered, flits
+			// crossed the wireless fabric, the selector classified.
+			var wireless int64
+			for _, w := range e.fabric.WIs() {
+				wireless += w.TxFlits
+			}
+			if r.DeliveredPackets == 0 || wireless == 0 || len(r.RouteClassPackets) == 0 {
+				t.Fatalf("vacuous run: %d delivered, %d wireless flits, route classes %v",
+					r.DeliveredPackets, wireless, r.RouteClassPackets)
+			}
+		})
+	}
+}
+
+// TestStepAllocatesNothing pins a steady-state step at zero heap
+// allocations on a saturated 16-chip package, on one shard and on two,
+// with and without a wireless fabric: packets recycle through the pool,
+// the parallel phases are bound once at build, and the replays sort in
+// place.
+func TestStepAllocatesNothing(t *testing.T) {
+	tr := TrafficSpec{Kind: TrafficUniform, Rate: 1.0, MemFraction: 0.2}
+	for _, arch := range []config.Architecture{config.ArchWireless, config.ArchInterposer} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards%d", arch, shards), func(t *testing.T) {
+				cfg := config.MustXCYM(16, 16, arch)
+				cfg.WarmupCycles = 1000
+				cfg.MeasureCycles = 4000
+				cfg.EngineShards = shards
+				e, err := New(Params{Cfg: cfg, Traffic: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.stopShards()
+				for ; e.now < 2000; e.now++ {
+					e.step()
+				}
+				allocs := testing.AllocsPerRun(500, func() {
+					e.step()
+					e.now++
+				})
+				if allocs != 0 {
+					t.Fatalf("%v heap allocations per step, want 0", allocs)
+				}
+			})
+		}
+	}
+}

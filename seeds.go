@@ -39,7 +39,7 @@ func RunSeeds(cfg Config, traffic TrafficSpec, seeds []uint64) (*SeedStats, erro
 		c.Seed = seed
 		ps[i] = engine.Params{Cfg: c, Traffic: traffic}
 	}
-	rs, idx, err := exp.RunIndexed(sweepWorkers, ps)
+	rs, idx, err := exp.RunIndexed(0, ps)
 	if err != nil {
 		return nil, fmt.Errorf("wimc: seed %d: %w", seeds[idx], err)
 	}

@@ -66,10 +66,9 @@ type SweepPoint struct {
 
 // Sweep expands the spec and runs every point, returning results in
 // expansion order (first axis outermost). Points run concurrently on a
-// worker pool bounded by spec.Workers (0 falls back to the deprecated
-// SetParallelism default, then to one worker per core); results are
-// byte-identical for every worker count (internal/exp's determinism
-// contract).
+// worker pool bounded by spec.Workers (0 means one worker per core);
+// results are byte-identical for every worker count (internal/exp's
+// determinism contract).
 //
 // Sweep is the single entry point the legacy sweep helpers (LoadSweep,
 // ScaleSweep, ChannelSweep, HybridSweep, PolicySweep) now wrap: anything
@@ -82,15 +81,11 @@ func Sweep(s *Spec) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wimc: %w", err)
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = sweepWorkers
-	}
 	ps := make([]engine.Params, len(pts))
 	for i := range pts {
 		ps[i] = pts[i].Params()
 	}
-	rs, idx, err := exp.RunIndexed(workers, ps)
+	rs, idx, err := exp.RunIndexed(s.Workers, ps)
 	if err != nil {
 		return nil, fmt.Errorf("wimc: sweep point %d (%s): %w",
 			idx, strings.Join(pts[idx].Labels, "/"), err)

@@ -9,29 +9,6 @@ import (
 	"wimc/internal/spec"
 )
 
-// sweepWorkers is the process-wide default worker bound that Spec.Workers
-// falls back to when zero. 0 = GOMAXPROCS.
-var sweepWorkers = 0
-
-// SetParallelism sets the process-wide default worker bound used when a
-// Spec (or a legacy sweep helper, which builds one) does not carry its
-// own Workers value: n = 1 forces sequential execution, n <= 0 restores
-// one worker per core. Results are byte-identical regardless of the
-// setting (internal/exp's determinism contract).
-//
-// Deprecated: SetParallelism mutates process-global state and is not safe
-// to call concurrently with running sweeps — two callers wanting
-// different parallelism race. Set Spec.Workers on each experiment spec
-// instead; it is carried per request (the wimcd daemon relies on this to
-// run concurrent jobs with independent parallelism). SetParallelism now
-// only supplies the default for specs with Workers == 0.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	sweepWorkers = n
-}
-
 // LoadPoint is one sample of a latency-versus-load sweep.
 type LoadPoint struct {
 	Load   float64 `json:"load"` // offered packets/core/cycle
@@ -120,7 +97,7 @@ func CompareAtSaturation(cfgs []Config, traffic TrafficSpec) ([]*Result, error) 
 	for i, c := range cfgs {
 		ps[i] = engine.Params{Cfg: c, Traffic: t}
 	}
-	rs, idx, err := exp.RunIndexed(sweepWorkers, ps)
+	rs, idx, err := exp.RunIndexed(0, ps)
 	if err != nil {
 		return nil, fmt.Errorf("wimc: %s: %w", cfgs[idx].Name, err)
 	}
