@@ -93,7 +93,6 @@ func run() int {
 		shards         = flag.Int("shards", 0, "worker shards per simulation tick (0 = serial engine; results are byte-identical at any shard count)")
 		specFile       = flag.String("spec", "", "run a canonical experiment spec file instead of a named figure")
 		storeDir       = flag.String("store", "", "content-addressed result cache directory (cached points are served, fresh ones stored)")
-		everyCycle     = flag.Bool("every-cycle", false, "disable the engine's event-horizon fast-forward (benchmark reference; tables are byte-identical either way)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProfile     = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
 	)
@@ -163,7 +162,6 @@ func run() int {
 		ChannelAssign: config.ChannelAssignment(*channelAssign),
 		Policies:      policies,
 		Shards:        *shards,
-		EveryCycle:    *everyCycle,
 	}
 	if !*parallel {
 		opts.Workers = 1

@@ -244,8 +244,7 @@ func run(c *daemon.Client, file string, expectCached, quiet bool) error {
 		case "error":
 			return fmt.Errorf("experiment failed: %s", e.Error)
 		case "done":
-			fmt.Fprintf(os.Stderr, "wimcctl: done: %d cached, %d ran, %d uncacheable\n",
-				e.Stats.Hits, e.Stats.Misses, e.Stats.Skipped)
+			fmt.Fprintf(os.Stderr, "wimcctl: done: %d cached, %d ran\n", e.Stats.Hits, e.Stats.Misses)
 		}
 		return nil
 	})

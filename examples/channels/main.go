@@ -19,15 +19,31 @@ import (
 func main() {
 	traffic := wimc.TrafficSpec{
 		Kind:        wimc.TrafficUniform,
+		Rate:        1.0, // saturation
 		MemFraction: 0.2,
 		// One receive-buffer reservation per packet, so packets complete
 		// within a single MAC turn (the figures.ChannelSweep methodology).
 		PacketFlits: 16,
 	}
 
-	pts, err := wimc.ChannelSweep(
-		[]int{4, 16}, []int{1, 2, 4},
-		wimc.AssignSpatialReuse, traffic)
+	// The outer axis carries each package's whole preset; the inner axis
+	// patches only the sub-channel count.
+	system := wimc.Axis{Name: "system"}
+	for _, chips := range []int{4, 16} {
+		cfg := wimc.MustXCYM(chips, wimc.DefaultStacks(chips), wimc.ArchWireless)
+		cfg.Channel = wimc.ChannelExclusive
+		cfg.ChannelAssign = wimc.AssignSpatialReuse
+		system.Points = append(system.Points, wimc.ConfigAxisPoint(cfg.Name, cfg))
+	}
+	subChannels := wimc.Axis{Name: "K"}
+	for _, k := range []int{1, 2, 4} {
+		subChannels.Points = append(subChannels.Points,
+			wimc.ConfigAxisPoint(fmt.Sprintf("K=%d", k), map[string]any{"wireless_channels": k}))
+	}
+	pts, err := wimc.Sweep(&wimc.Spec{
+		Name: "channels", Config: wimc.Default(), Traffic: traffic,
+		Axes: []wimc.Axis{system, subChannels},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +56,7 @@ func main() {
 	for _, p := range pts {
 		r := p.Result
 		fmt.Printf("  %-8s %-6d %3d %14.4f %12.1f\n",
-			fmt.Sprintf("%dC%dM", p.Chips, p.Stacks), r.Cores, p.Channels,
+			fmt.Sprintf("%dC%dM", p.Config.Chips(), p.Config.MemStacks), r.Cores, p.Config.WirelessChannels,
 			r.BandwidthPerCoreGbps, r.AvgPacketEnergyNJ*1000/bitsPerPacket)
 	}
 }

@@ -46,11 +46,12 @@ func main() {
 	for _, load := range loads {
 		fmt.Printf("  %-8.4f", load)
 		for _, a := range archs {
-			pts, err := wimc.LoadSweep(wimc.MustXCYM(4, 4, a), traffic, []float64{load})
+			t := traffic
+			t.Rate = load
+			r, err := wimc.Run(wimc.MustXCYM(4, 4, a), t)
 			if err != nil {
 				log.Fatal(err)
 			}
-			r := pts[0].Result
 			lat := r.AvgLatency
 			if r.MeasuredPackets == 0 {
 				lat = r.AvgDeliveredLatency

@@ -20,10 +20,42 @@ import (
 func main() {
 	traffic := wimc.TrafficSpec{
 		Kind:        wimc.TrafficUniform,
+		Rate:        1.0, // saturation
 		MemFraction: 0.2,
+		// One receive-buffer reservation per packet, so a transfer
+		// completes within a single MAC turn (the figures.HybridSweep
+		// methodology).
+		PacketFlits: wimc.Default().BufferDepth,
 	}
 
-	pts, err := wimc.HybridSweep([]int{4, 16}, []int{1, 8}, traffic)
+	// The outer axis carries each package's whole preset; the inner axes
+	// patch only the sub-channel count (K = 1 is the single shared
+	// medium, larger K uses spatial reuse) and the route selection.
+	system := wimc.Axis{Name: "system"}
+	for _, chips := range []int{4, 16} {
+		cfg := wimc.MustXCYM(chips, wimc.DefaultStacks(chips), wimc.ArchHybrid)
+		cfg.Channel = wimc.ChannelExclusive
+		cfg.MACPolicyMode = wimc.PolicySkipEmpty
+		system.Points = append(system.Points, wimc.ConfigAxisPoint(cfg.Name, cfg))
+	}
+	subChannels := wimc.Axis{Name: "K"}
+	for _, k := range []int{1, 8} {
+		assign := wimc.AssignSpatialReuse
+		if k == 1 {
+			assign = wimc.AssignSingle
+		}
+		subChannels.Points = append(subChannels.Points, wimc.ConfigAxisPoint(fmt.Sprintf("K=%d", k),
+			map[string]any{"wireless_channels": k, "channel_assignment": assign}))
+	}
+	selection := wimc.Axis{Name: "route_select"}
+	for _, sel := range []wimc.RouteSelect{wimc.SelectStatic, wimc.SelectAdaptive} {
+		selection.Points = append(selection.Points,
+			wimc.ConfigAxisPoint(string(sel), map[string]any{"route_select": sel}))
+	}
+	pts, err := wimc.Sweep(&wimc.Spec{
+		Name: "hybrid", Config: wimc.Default(), Traffic: traffic,
+		Axes: []wimc.Axis{system, subChannels, selection},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +68,8 @@ func main() {
 	for _, p := range pts {
 		r := p.Result
 		fmt.Printf("  %-8s %-6d %-3d %-9s %12.4f %10.1f %8d\n",
-			fmt.Sprintf("%dC%dM", p.Chips, p.Stacks), r.Cores, p.Channels, p.Select,
+			fmt.Sprintf("%dC%dM", p.Config.Chips(), p.Config.MemStacks), r.Cores,
+			p.Config.WirelessChannels, p.Config.RouteSelectMode,
 			r.BandwidthPerCoreGbps, r.AvgPacketEnergyNJ*1000/bitsPerPacket,
 			r.RouteClassPackets["wired-only"])
 	}

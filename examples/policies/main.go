@@ -18,14 +18,32 @@ import (
 func main() {
 	traffic := wimc.TrafficSpec{
 		Kind:        wimc.TrafficUniform,
+		Rate:        1.0, // saturation
 		MemFraction: 0.2,
 	}
 
-	policies := []wimc.MACPolicy{
+	// The outer axis carries each package's whole preset; the inner axis
+	// patches only the arbitration policy.
+	system := wimc.Axis{Name: "system"}
+	for _, chips := range []int{4, 16} {
+		cfg := wimc.MustXCYM(chips, wimc.DefaultStacks(chips), wimc.ArchWireless)
+		cfg.Channel = wimc.ChannelExclusive
+		cfg.ChannelAssign = wimc.AssignSpatialReuse
+		cfg.WirelessChannels = 8
+		system.Points = append(system.Points, wimc.ConfigAxisPoint(cfg.Name, cfg))
+	}
+	policies := wimc.Axis{Name: "mac_policy"}
+	for _, pol := range []wimc.MACPolicy{
 		wimc.PolicyRotate, wimc.PolicySkipEmpty,
 		wimc.PolicyDrainAware, wimc.PolicyWeighted,
+	} {
+		policies.Points = append(policies.Points,
+			wimc.ConfigAxisPoint(string(pol), map[string]any{"mac_policy": pol}))
 	}
-	pts, err := wimc.PolicySweep([]int{4, 16}, 8, policies, traffic)
+	pts, err := wimc.Sweep(&wimc.Spec{
+		Name: "policies", Config: wimc.Default(), Traffic: traffic,
+		Axes: []wimc.Axis{system, policies},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +56,7 @@ func main() {
 	for _, p := range pts {
 		r := p.Result
 		fmt.Printf("  %-8s %-6d %-12s %14.4f %12.1f %10d\n",
-			fmt.Sprintf("%dC%dM", p.Chips, p.Stacks), r.Cores, p.Policy,
+			fmt.Sprintf("%dC%dM", p.Config.Chips(), p.Config.MemStacks), r.Cores, p.Config.MACPolicyMode,
 			r.BandwidthPerCoreGbps, r.AvgPacketEnergyNJ*1000/bitsPerPacket,
 			r.ControlPackets)
 	}

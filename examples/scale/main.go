@@ -17,14 +17,27 @@ import (
 func main() {
 	traffic := wimc.TrafficSpec{
 		Kind:        wimc.TrafficUniform,
+		Rate:        1.0, // saturation
 		MemFraction: 0.2,
 	}
-	sizes := []int{4, 16, 64}
 	archs := []wimc.Architecture{
 		wimc.ArchSubstrate, wimc.ArchInterposer, wimc.ArchWireless,
 	}
 
-	pts, err := wimc.ScaleSweep(sizes, archs, traffic)
+	// One axis point per (size, architecture), each carrying its whole
+	// preset: the preset's name and wireless sub-channel budget depend on
+	// both, so patching only the arch field would run a different system.
+	system := wimc.Axis{Name: "system"}
+	for _, chips := range []int{4, 16, 64} {
+		for _, arch := range archs {
+			cfg := wimc.MustXCYM(chips, wimc.DefaultStacks(chips), arch)
+			system.Points = append(system.Points, wimc.ConfigAxisPoint(cfg.Name, cfg))
+		}
+	}
+	pts, err := wimc.Sweep(&wimc.Spec{
+		Name: "scale", Config: wimc.Default(), Traffic: traffic,
+		Axes: []wimc.Axis{system},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +51,7 @@ func main() {
 	for _, p := range pts {
 		r := p.Result
 		fmt.Printf("  %-8s %-6d %-11s %14.3f %12.1f\n",
-			fmt.Sprintf("%dC%dM", p.Chips, p.Stacks), r.Cores, p.Arch,
+			fmt.Sprintf("%dC%dM", p.Config.Chips(), p.Config.MemStacks), r.Cores, p.Config.Arch,
 			r.BandwidthPerCoreGbps, r.AvgPacketEnergyNJ*1000/bitsPerPacket)
 	}
 }

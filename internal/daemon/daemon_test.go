@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wimc/internal/config"
@@ -141,6 +142,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"confg": {}}`,
 		`{"axes": [{"name": "k", "points": [{"patch": {"config": {"wirelss_channels": 2}}}]}]}`,
 		`{"config": {"vcs": 0}}`,
+		// 2^64 points: the grid size overflows int.
+		`{"axes": [` + strings.Repeat(`{"points": [{"patch": {}}, {"patch": {}}]},`, 63) +
+			`{"points": [{"patch": {}}, {"patch": {}}]}]}`,
 	} {
 		if _, err := c.Submit([]byte(doc)); err == nil {
 			t.Errorf("accepted bad spec %s", doc)

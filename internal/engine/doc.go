@@ -99,6 +99,6 @@
 // stopped and the horizon is sim.Never, no packet can ever move again,
 // so Run exits the drain loop immediately (Result.DrainCyclesUsed /
 // DrainCyclesConfigured record the early exit). Params.EveryCycle — the
-// wimcsim/wimcbench -every-cycle flag — disables the fast-forward and is
-// the benchmark reference path (FullTick implies it).
+// wimcsim -every-cycle flag — disables the fast-forward and is the
+// benchmark reference path (FullTick implies it).
 package engine

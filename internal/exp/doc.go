@@ -20,13 +20,11 @@
 //     claimed in ascending index order and a failure stops further claims
 //     (fail-fast), so runs after a failure may or may not execute, but
 //     their outcomes are discarded and the reported failure never changes.
-//   - Per-run seeds are fixed in the Params before any worker starts;
-//     DeriveSeed/Replicate give statistically independent replicas whose
-//     seeds depend only on (base seed, replica index).
+//   - Per-run seeds are fixed in the Params before any worker starts.
 //
-// Consequently Run(1, ps) and Run(n, ps) produce byte-identical results,
-// and regenerating a figure through the runner is reproducible bit-for-bit
-// regardless of GOMAXPROCS.
+// Consequently RunIndexed(1, ps) and RunIndexed(n, ps) produce
+// byte-identical results, and regenerating a figure through the runner is
+// reproducible bit-for-bit regardless of GOMAXPROCS.
 //
 // Params with a non-nil Trace writer must not share that writer between
 // runs executed concurrently; give each run its own writer (or run with

@@ -1,24 +1,18 @@
 package exp
 
 import (
-	"hash/fnv"
 	"runtime"
 
 	"wimc/internal/engine"
 	"wimc/internal/exp/pool"
 )
 
-// Run executes every params entry and returns the results in input order.
-// workers bounds the goroutine pool: <= 0 means runtime.GOMAXPROCS(0), 1
-// reproduces a plain sequential loop (no goroutines at all).
-func Run(workers int, params []engine.Params) ([]*engine.Result, error) {
-	results, _, err := RunIndexed(workers, params)
-	return results, err
-}
-
-// RunIndexed is Run, additionally reporting the input index the returned
-// error belongs to (-1 when err is nil) so callers can attach run-specific
-// context (the load, the seed, the configuration name).
+// RunIndexed executes every params entry and returns the results in input
+// order, plus the input index the returned error belongs to (-1 when err
+// is nil) so callers can attach run-specific context (the load, the seed,
+// the configuration name). workers bounds the goroutine pool: <= 0 means
+// runtime.GOMAXPROCS(0), 1 reproduces a plain sequential loop (no
+// goroutines at all).
 //
 // A failing run fails the batch fast: workers stop claiming new entries as
 // soon as any run errors (pool.ForEach's failed flag), instead of running
@@ -75,30 +69,4 @@ func RunIndexedObserved(workers int, params []engine.Params, observe func(i int,
 		return nil, idx, err
 	}
 	return results, -1, nil
-}
-
-// DeriveSeed returns the seed of replica i of a base seed: a stable FNV-1a
-// hash of (base, i). Replicas are decoupled from each other and from the
-// base run, yet fully reproducible.
-func DeriveSeed(base uint64, i int) uint64 {
-	h := fnv.New64a()
-	var b [16]byte
-	for k := 0; k < 8; k++ {
-		b[k] = byte(base >> (8 * k))
-		b[8+k] = byte(uint64(i) >> (8 * k))
-	}
-	_, _ = h.Write(b[:])
-	return h.Sum64()
-}
-
-// Replicate returns n copies of p whose seeds are DeriveSeed(p.Cfg.Seed, i)
-// — the input to Run for error-bar experiments (independent repetitions of
-// one configuration).
-func Replicate(p engine.Params, n int) []engine.Params {
-	out := make([]engine.Params, n)
-	for i := range out {
-		out[i] = p
-		out[i].Cfg.Seed = DeriveSeed(p.Cfg.Seed, i)
-	}
-	return out
 }

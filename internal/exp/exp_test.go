@@ -19,6 +19,12 @@ func quickParams(rate float64, seed uint64) engine.Params {
 	}
 }
 
+// run is RunIndexed without the failing index.
+func run(workers int, ps []engine.Params) ([]*engine.Result, error) {
+	rs, _, err := RunIndexed(workers, ps)
+	return rs, err
+}
+
 // TestParallelMatchesSequential is the runner's determinism contract: the
 // same batch run with 1 worker and with many workers yields byte-identical
 // results in the same order.
@@ -27,11 +33,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for i, rate := range []float64{0.0005, 0.001, 0.002, 0.004} {
 		ps = append(ps, quickParams(rate, uint64(i+1)))
 	}
-	seq, err := Run(1, ps)
+	seq, err := run(1, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(8, ps)
+	par, err := run(8, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +58,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestRunOrderPreserved(t *testing.T) {
 	rates := []float64{0.0005, 0.004}
 	ps := []engine.Params{quickParams(rates[0], 1), quickParams(rates[1], 1)}
-	rs, err := Run(2, ps)
+	rs, err := run(2, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +77,12 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	bad2 := quickParams(0.001, 1)
 	bad2.Cfg.ClockGHz = -1 // invalid, different message
 	ps := []engine.Params{good, bad, bad2, good}
-	_, err := Run(4, ps)
+	_, idx, err := RunIndexed(4, ps)
 	if err == nil {
 		t.Fatal("invalid config did not fail")
+	}
+	if idx != 1 {
+		t.Fatalf("error reported at index %d, want 1", idx)
 	}
 	wantErr := func() string {
 		_, e := engine.Run(bad)
@@ -81,46 +90,6 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	}()
 	if err.Error() != wantErr {
 		t.Fatalf("got error %q, want lowest-index error %q", err, wantErr)
-	}
-}
-
-func TestDeriveSeedStableAndDistinct(t *testing.T) {
-	if DeriveSeed(7, 0) != DeriveSeed(7, 0) {
-		t.Fatal("DeriveSeed not stable")
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < 100; i++ {
-		s := DeriveSeed(7, i)
-		if seen[s] {
-			t.Fatalf("seed collision at replica %d", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(7, 0) == DeriveSeed(8, 0) {
-		t.Fatal("different bases share replica seeds")
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	base := quickParams(0.001, 42)
-	reps := Replicate(base, 3)
-	if len(reps) != 3 {
-		t.Fatalf("%d replicas", len(reps))
-	}
-	for i, r := range reps {
-		if r.Cfg.Seed != DeriveSeed(42, i) {
-			t.Fatalf("replica %d seed %d", i, r.Cfg.Seed)
-		}
-		if r.Traffic != base.Traffic {
-			t.Fatal("replica traffic differs")
-		}
-	}
-	rs, err := Run(0, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].AvgLatency == rs[1].AvgLatency && rs[1].AvgLatency == rs[2].AvgLatency {
-		t.Fatal("derived seeds produced identical runs")
 	}
 }
 
@@ -135,13 +104,6 @@ func TestRunEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestShardedRunsUnderPool nests intra-run sharding inside the runner's
-// inter-run parallelism: one faulty 4-chip configuration (distance-scaled
-// PER, a WI fail-stop, adaptive failover routing) runs at shard counts
-// 0/1/2/4 concurrently through the pool, and every sharded run must be
-// byte-identical to the serial one. Short-mode friendly so the CI race
-// job drives the sharded engine's barrier, mailboxes and deferred-replay
-// logs under the race detector.
 // TestFastForwardRunsUnderPool nests the event-horizon fast-forward inside
 // the runner's inter-run parallelism: a skip-heavy phased application
 // workload runs serial and sharded, with fast-forward on and off,
@@ -167,7 +129,7 @@ func TestFastForwardRunsUnderPool(t *testing.T) {
 			})
 		}
 	}
-	rs, err := Run(len(ps), ps)
+	rs, err := run(len(ps), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +155,13 @@ func TestFastForwardRunsUnderPool(t *testing.T) {
 	}
 }
 
+// TestShardedRunsUnderPool nests intra-run sharding inside the runner's
+// inter-run parallelism: one faulty 4-chip configuration (distance-scaled
+// PER, a WI fail-stop, adaptive failover routing) runs at shard counts
+// 0/1/2/4 concurrently through the pool, and every sharded run must be
+// byte-identical to the serial one. Short-mode friendly so the CI race
+// job drives the sharded engine's barrier, mailboxes and deferred-replay
+// logs under the race detector.
 func TestShardedRunsUnderPool(t *testing.T) {
 	base := config.MustXCYM(4, 4, config.ArchHybrid)
 	base.WarmupCycles = 100
@@ -215,7 +184,7 @@ func TestShardedRunsUnderPool(t *testing.T) {
 			Traffic: engine.TrafficSpec{Kind: engine.TrafficUniform, Rate: 1.0, MemFraction: 0.2, PacketFlits: 16},
 		})
 	}
-	rs, err := Run(len(ps), ps)
+	rs, err := run(len(ps), ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,22 @@ package figures
 
 import (
 	"wimc/internal/config"
-	"wimc/internal/engine"
+	"wimc/internal/spec"
 )
 
-// ablationTraffic is the common moderate-load workload for ablations.
-func ablationTraffic(rate float64) engine.TrafficSpec {
-	return engine.TrafficSpec{
-		Kind:        engine.TrafficUniform,
-		Rate:        rate,
-		MemFraction: 0.2,
+// variants returns the whole-configuration axis of the 4C4M wireless
+// preset under each adjustment in turn.
+func variants(o Opts, name string, adjust ...func(*config.Config)) (spec.Axis, error) {
+	base, err := preset(o, 4, config.ArchWireless)
+	if err != nil {
+		return spec.Axis{}, err
 	}
+	cfgs := make([]config.Config, len(adjust))
+	for i, a := range adjust {
+		cfgs[i] = base
+		a(&cfgs[i])
+	}
+	return whole(name, cfgs...), nil
 }
 
 // AblationMAC compares the paper's control-packet MAC against the
@@ -27,26 +33,27 @@ func AblationMAC(o Opts) (*Table, error) {
 			"paper §III.D: partial-packet control MAC avoids whole-packet buffering in the WIs",
 		},
 	}
-	macs := []config.MACMode{config.MACControlPacket, config.MACToken}
-	var ps []engine.Params
-	for _, mac := range macs {
-		cfg := xcym(4, config.ArchWireless, o)
-		cfg.Channel = config.ChannelExclusive
-		cfg.WirelessChannels = 1 // the literal single shared medium
-		cfg.MAC = mac
-		if mac == config.MACToken {
-			cfg.TXBufferFlits = cfg.PacketFlits // whole packets must fit
+	exclusive := func(mac config.MACMode) func(*config.Config) {
+		return func(cfg *config.Config) {
+			cfg.Channel = config.ChannelExclusive
+			cfg.WirelessChannels = 1 // the literal single shared medium
+			cfg.MAC = mac
+			if mac == config.MACToken {
+				cfg.TXBufferFlits = cfg.PacketFlits // whole packets must fit
+			}
 		}
-		ps = append(ps, engine.Params{Cfg: cfg, Traffic: ablationTraffic(0.0003)})
 	}
-	rs, err := runBatch(o, ps)
+	macs, err := variants(o, "mac", exclusive(config.MACControlPacket), exclusive(config.MACToken))
 	if err != nil {
 		return nil, err
 	}
-	for i, mac := range macs {
-		r := rs[i]
+	pts, rs, err := grid(o, uniform(0.0003, 0.2), macs)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			string(mac),
+			string(pts[i].Config.MAC),
 			f("%.0f", r.AvgLatency),
 			f("%.3f", r.BandwidthPerCoreGbps),
 			f("%d", r.ControlPackets),
@@ -69,24 +76,22 @@ func AblationChannel(o Opts) (*Table, error) {
 			"the paper's reported multi-Gbps per-core bandwidth is unreachable on a single shared 16 Gbps channel",
 		},
 	}
-	channels := []config.ChannelMode{config.ChannelCrossbar, config.ChannelExclusive}
-	var ps []engine.Params
-	for _, ch := range channels {
-		cfg := xcym(4, config.ArchWireless, o)
-		cfg.Channel = ch
-		if ch == config.ChannelExclusive {
+	channels, err := variants(o, "channel",
+		func(cfg *config.Config) { cfg.Channel = config.ChannelCrossbar },
+		func(cfg *config.Config) {
+			cfg.Channel = config.ChannelExclusive
 			cfg.WirelessChannels = 1 // the literal single shared medium
-		}
-		ps = append(ps, saturation(cfg, 0.2))
-	}
-	rs, err := runBatch(o, ps)
+		})
 	if err != nil {
 		return nil, err
 	}
-	for i, ch := range channels {
-		r := rs[i]
+	pts, rs, err := grid(o, uniform(1.0, 0.2), channels)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			string(ch),
+			string(pts[i].Config.Channel),
 			f("%.3f", r.BandwidthPerCoreGbps),
 			f("%.0f", r.AvgLatency),
 			f("%.1f", r.AvgPacketEnergyNJ),
@@ -107,29 +112,19 @@ func AblationRouting(o Opts) (*Table, error) {
 			"a single tree forces all inter-WI traffic through the root WI, defeating one-hop wireless links",
 		},
 	}
-	type cell struct {
-		arch config.Architecture
-		mode config.RoutingMode
-	}
-	var cells []cell
-	var ps []engine.Params
-	for _, arch := range []config.Architecture{config.ArchInterposer, config.ArchWireless} {
-		for _, mode := range []config.RoutingMode{config.RouteShortest, config.RouteTree} {
-			cfg := xcym(4, arch, o)
-			cfg.Routing = mode
-			cells = append(cells, cell{arch, mode})
-			ps = append(ps, engine.Params{Cfg: cfg, Traffic: ablationTraffic(0.001)})
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, versus, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		r := rs[i]
+	modes := fieldAxis(spec.ConfigPoint, "routing_mode", []config.RoutingMode{config.RouteShortest, config.RouteTree})
+	pts, rs, err := grid(o, uniform(0.001, 0.2), sys, modes)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			string(c.arch),
-			string(c.mode),
+			string(pts[i].Config.Arch),
+			string(pts[i].Config.Routing),
 			f("%.0f", r.AvgLatency),
 			f("%.3f", r.BandwidthPerCoreGbps),
 			f("%.2f", r.AvgHops),
@@ -147,21 +142,19 @@ func AblationSleep(o Opts) (*Table, error) {
 		Title:  "Sleepy transceivers vs always-on receivers (4C4M wireless, moderate load)",
 		Header: []string{"sleep", "wi_awake_fraction", "wi_static_nj", "total_static_uj"},
 	}
-	modes := []bool{true, false}
-	var ps []engine.Params
-	for _, sleep := range modes {
-		cfg := xcym(4, config.ArchWireless, o)
-		cfg.SleepEnabled = sleep
-		ps = append(ps, engine.Params{Cfg: cfg, Traffic: ablationTraffic(0.001)})
-	}
-	rs, err := runBatch(o, ps)
+	sleep, err := variants(o, "sleep",
+		func(cfg *config.Config) { cfg.SleepEnabled = true },
+		func(cfg *config.Config) { cfg.SleepEnabled = false })
 	if err != nil {
 		return nil, err
 	}
-	for i, sleep := range modes {
-		r := rs[i]
+	pts, rs, err := grid(o, uniform(0.001, 0.2), sleep)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			f("%v", sleep),
+			f("%v", pts[i].Config.SleepEnabled),
 			f("%.3f", r.WIAwakeFraction),
 			f("%.1f", r.WIStaticPJ/1e3),
 			f("%.3f", r.StaticPJ/1e6),
@@ -179,24 +172,20 @@ func AblationDensity(o Opts) (*Table, error) {
 		Title:  "WI deployment density, 1C4M wireless (64-core chip, moderate load)",
 		Header: []string{"cores_per_wi", "wis_on_chip", "avg_latency", "bw_per_core_gbps", "avg_hops"},
 	}
-	densities := []int{64, 32, 16, 8}
-	var ps []engine.Params
-	wisOnChip := make([]int, len(densities))
-	for i, density := range densities {
-		cfg := xcym(1, config.ArchWireless, o)
-		cfg.CoresPerWI = density
-		wisOnChip[i] = cfg.Cores() / density
-		ps = append(ps, engine.Params{Cfg: cfg, Traffic: ablationTraffic(0.002)})
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{1}, []config.Architecture{config.ArchWireless}, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, density := range densities {
-		r := rs[i]
+	densities := fieldAxis(spec.ConfigPoint, "cores_per_wi", []int{64, 32, 16, 8})
+	pts, rs, err := grid(o, uniform(0.002, 0.2), sys, densities)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
+		cfg := pts[i].Config
 		t.Rows = append(t.Rows, []string{
-			f("%d", density),
-			f("%d", wisOnChip[i]),
+			f("%d", cfg.CoresPerWI),
+			f("%d", cfg.Cores()/cfg.CoresPerWI),
 			f("%.0f", r.AvgLatency),
 			f("%.3f", r.BandwidthPerCoreGbps),
 			f("%.2f", r.AvgHops),

@@ -2,7 +2,7 @@ package figures
 
 import (
 	"wimc/internal/config"
-	"wimc/internal/engine"
+	"wimc/internal/spec"
 )
 
 // defaultChannelKs is the sub-channel ladder of the channel sweep.
@@ -59,46 +59,19 @@ func ChannelSweep(o Opts) (*Table, error) {
 	for _, k := range ks {
 		t.Header = append(t.Header, f("pj_bit_k%d", k))
 	}
-	var ps []engine.Params
-	var cfgs []config.Config
-	for _, chips := range sizes {
-		for _, k := range ks {
-			cfg, err := config.XCYM(chips, config.DefaultStacks(chips), config.ArchWireless)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Channel = config.ChannelExclusive
-			cfg.ChannelAssign = assign
-			cfg.WirelessChannels = k
-			o.apply(&cfg)
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			cfgs = append(cfgs, cfg)
-			p := saturation(cfg, 0.2)
-			p.Traffic.PacketFlits = channelSweepPacketFlits
-			ps = append(ps, p)
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, sizes, []config.Architecture{config.ArchWireless}, func(cfg *config.Config) {
+		cfg.Channel = config.ChannelExclusive
+		cfg.ChannelAssign = assign
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, chips := range sizes {
-		cfg := cfgs[i*len(ks)]
-		row := []string{
-			f("%dC%dM", chips, cfg.MemStacks),
-			f("%d", cfg.Cores()),
-		}
-		bitsPerPacket := float64(channelSweepPacketFlits * cfg.FlitBits)
-		for ki := range ks {
-			row = append(row, f("%.4f", rs[i*len(ks)+ki].BandwidthPerCoreGbps))
-		}
-		for ki := range ks {
-			r := rs[i*len(ks)+ki]
-			row = append(row, f("%.1f", r.AvgPacketEnergyNJ*1000/bitsPerPacket))
-		}
-		t.Rows = append(t.Rows, row)
+	tr := uniform(1.0, 0.2)
+	tr.PacketFlits = channelSweepPacketFlits
+	pts, rs, err := grid(o, tr, sys, fieldAxis(spec.ConfigPoint, "wireless_channels", ks))
+	if err != nil {
+		return nil, err
 	}
+	sizeRows(t, pts, rs, len(ks), bw("%.4f"), pjBitCell)
 	return t, nil
 }

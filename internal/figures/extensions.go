@@ -2,7 +2,7 @@ package figures
 
 import (
 	"wimc/internal/config"
-	"wimc/internal/engine"
+	"wimc/internal/spec"
 )
 
 // fourArchs is the extended architecture set (paper's three plus hybrid).
@@ -23,20 +23,19 @@ func ExtensionHybrid(o Opts) (*Table, error) {
 			"extension experiment: not part of the paper's evaluation",
 		},
 	}
-	var ps []engine.Params
-	for _, arch := range fourArchs {
-		ps = append(ps,
-			saturation(xcym(4, arch, o), 0.2),
-			uniform(xcym(4, arch, o), 0.0005, 0.2))
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, fourArchs, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, arch := range fourArchs {
-		sat, low := rs[2*i], rs[2*i+1]
+	loads := fieldAxis(spec.TrafficPoint, "rate", []float64{1.0, 0.0005})
+	pts, rs, err := grid(o, uniform(0, 0.2), sys, loads)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(rs); i += 2 {
+		sat, low := rs[i], rs[i+1]
 		t.Rows = append(t.Rows, []string{
-			string(arch),
+			string(pts[i].Config.Arch),
 			f("%.3f", sat.BandwidthPerCoreGbps),
 			f("%.1f", sat.AvgPacketEnergyNJ),
 			f("%.0f", low.AvgLatency),
@@ -57,26 +56,19 @@ func ExtensionReadRoundTrip(o Opts) (*Table, error) {
 			"extension experiment: the paper models one-way traffic only",
 		},
 	}
-	var ps []engine.Params
-	for _, arch := range fourArchs {
-		ps = append(ps, engine.Params{
-			Cfg: xcym(4, arch, o),
-			Traffic: engine.TrafficSpec{
-				Kind:            engine.TrafficUniform,
-				Rate:            0.0005,
-				MemFraction:     0.5,
-				MemReadFraction: 1.0,
-			},
-		})
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, fourArchs, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, arch := range fourArchs {
-		r := rs[i]
+	reads := uniform(0.0005, 0.5)
+	reads.MemReadFraction = 1.0
+	pts, rs, err := grid(o, reads, sys)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		t.Rows = append(t.Rows, []string{
-			string(arch),
+			string(pts[i].Config.Arch),
 			f("%.0f", r.AvgReadRoundTrip),
 			f("%d", r.MemReplies),
 		})

@@ -65,11 +65,10 @@ func FaultSweep(o Opts) (*Table, error) {
 		t.Header = append(t.Header, f("pj_bit_%s", v.name))
 	}
 	t.Header = append(t.Header, "drops_kill25", "retransmits_per10", "failover_kill25")
-	var ps []engine.Params
 	var cfgs []config.Config
 	for _, chips := range sizes {
 		for _, v := range faultVariants {
-			cfg, err := config.XCYM(chips, config.DefaultStacks(chips), config.ArchHybrid)
+			cfg, err := preset(o, chips, config.ArchHybrid)
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +77,6 @@ func FaultSweep(o Opts) (*Table, error) {
 			cfg.WirelessChannels = 4
 			cfg.MACPolicyMode = config.PolicySkipEmpty
 			cfg.RouteSelectMode = config.SelectAdaptive
-			o.apply(&cfg)
 			cfg.WirelessPER = v.per
 			if v.per > 0 {
 				cfg.WirelessRetryLimit = 8
@@ -97,39 +95,23 @@ func FaultSweep(o Opts) (*Table, error) {
 					})
 				}
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
 			cfgs = append(cfgs, cfg)
-			p := saturation(cfg, 0.2)
-			p.Traffic.PacketFlits = channelSweepPacketFlits
-			ps = append(ps, p)
 		}
 	}
-	rs, err := runBatch(o, ps)
+	tr := uniform(1.0, 0.2)
+	tr.PacketFlits = channelSweepPacketFlits
+	pts, rs, err := grid(o, tr, whole("system", cfgs...))
 	if err != nil {
 		return nil, err
 	}
 	stride := len(faultVariants)
-	for i, chips := range sizes {
-		cfg := cfgs[i*stride]
-		row := []string{
-			f("%dC%dM", chips, cfg.MemStacks),
-			f("%d", cfg.Cores()),
-		}
-		bitsPerPacket := float64(channelSweepPacketFlits * cfg.FlitBits)
+	sizeRows(t, pts, rs, stride, bw("%.4f"), pjBitCell)
+	for i := range t.Rows {
 		cell := func(vi int) *engine.Result { return rs[i*stride+vi] }
-		for vi := range faultVariants {
-			row = append(row, f("%.4f", cell(vi).BandwidthPerCoreGbps))
-		}
-		for vi := range faultVariants {
-			row = append(row, f("%.1f", cell(vi).AvgPacketEnergyNJ*1000/bitsPerPacket))
-		}
-		row = append(row,
+		t.Rows[i] = append(t.Rows[i],
 			f("%d", cell(4).FaultDrops),
 			f("%d", cell(2).Retransmits),
 			f("%d", cell(4).FaultFailovers))
-		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

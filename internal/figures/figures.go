@@ -8,7 +8,7 @@ import (
 
 	"wimc/internal/config"
 	"wimc/internal/engine"
-	"wimc/internal/exp"
+	"wimc/internal/spec"
 	"wimc/internal/store"
 )
 
@@ -107,12 +107,6 @@ type Opts struct {
 	// Cached and uncached tables are byte-identical (the cache stores the
 	// exact Result and its key covers every Result-determining input).
 	Store *store.Store
-	// EveryCycle disables the engine's event-horizon fast-forward for
-	// every run of the figure (the benchmark reference; tables are
-	// byte-identical either way). It bypasses Store: the cache key does
-	// not cover the execution mode, and the mode's only observable
-	// difference is the idle_cycles_skipped telemetry.
-	EveryCycle bool
 }
 
 func (o Opts) apply(cfg *config.Config) {
@@ -128,67 +122,131 @@ func (o Opts) apply(cfg *config.Config) {
 	}
 }
 
-// applyApp lengthens windows for application traffic, whose phase dwell
-// times are thousands of cycles.
+// applyApp lengthens the windows, after apply, for application traffic,
+// whose phase dwell times are thousands of cycles.
 func (o Opts) applyApp(cfg *config.Config) {
-	cfg.WarmupCycles = 2000
-	cfg.MeasureCycles = 20000
+	cfg.WarmupCycles, cfg.MeasureCycles = 2000, 20000
 	if o.Quick {
-		cfg.WarmupCycles = 500
-		cfg.MeasureCycles = 5000
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	if o.Shards != 0 {
-		cfg.EngineShards = o.Shards
+		cfg.WarmupCycles, cfg.MeasureCycles = 500, 5000
 	}
 }
 
-func xcym(chips int, arch config.Architecture, o Opts) config.Config {
-	cfg := config.MustXCYM(chips, 4, arch)
+// grid runs the spec a figure is made of: the default configuration and
+// traffic as the base, then the axes, first axis outermost. Every point
+// goes through store.RunSpec, so a figure is cached, keyed and expanded
+// exactly like a spec file; a nil o.Store runs every point. Points and
+// Results come back in expansion order.
+func grid(o Opts, traffic engine.TrafficSpec, axes ...spec.Axis) ([]spec.Point, []*engine.Result, error) {
+	s := spec.New("", config.Default(), traffic)
+	s.Axes = axes
+	pts, rs, _, err := store.RunSpec(o.Store, o.Workers, s, nil)
+	return pts, rs, err
+}
+
+// preset returns the XCYM preset of chips chips and arch with
+// DefaultStacks(chips) memory stacks and o's overrides.
+func preset(o Opts, chips int, arch config.Architecture) (config.Config, error) {
+	cfg, err := config.XCYM(chips, config.DefaultStacks(chips), arch)
+	if err != nil {
+		return cfg, err
+	}
 	o.apply(&cfg)
-	return cfg
+	return cfg, nil
 }
 
-// runBatch executes independent runs through the parallel experiment
-// runner, preserving input order (every generator funnels through here).
-// With Opts.Store set the batch goes through the result cache instead;
-// either way the output is byte-identical.
-func runBatch(o Opts, ps []engine.Params) ([]*engine.Result, error) {
-	if o.EveryCycle {
-		for i := range ps {
-			ps[i].EveryCycle = true
+// whole returns an axis whose points each carry a whole configuration.
+// Wherever the architecture or the chip count varies, a point must carry
+// the whole configuration: XCYM derives the name and clamps
+// wireless_channels per preset, so a partial patch would run a different
+// system under a different key.
+func whole(name string, cfgs ...config.Config) spec.Axis {
+	axis := spec.Axis{Name: name}
+	for _, cfg := range cfgs {
+		axis.Points = append(axis.Points, spec.ConfigPoint(cfg.Name, cfg))
+	}
+	return axis
+}
+
+// systems returns the whole-configuration "system" axis of every (chips,
+// arch) preset, chip count outermost, each adjusted by adjust (if any).
+func systems(o Opts, chips []int, archs []config.Architecture, adjust func(*config.Config)) (spec.Axis, error) {
+	var cfgs []config.Config
+	for _, n := range chips {
+		for _, arch := range archs {
+			cfg, err := preset(o, n, arch)
+			if err != nil {
+				return spec.Axis{}, err
+			}
+			if adjust != nil {
+				adjust(&cfg)
+			}
+			cfgs = append(cfgs, cfg)
 		}
-	} else if o.Store != nil {
-		rs, _, err := store.RunParams(o.Store, o.Workers, ps, nil)
-		return rs, err
 	}
-	return exp.Run(o.Workers, ps)
+	return whole("system", cfgs...), nil
 }
 
-// saturation is the maximum-load uniform workload of the Fig. 2/4/5
+// fieldAxis returns an axis sweeping one field over values: point is
+// spec.ConfigPoint for a configuration field, spec.TrafficPoint for a
+// traffic field.
+func fieldAxis[T any](point func(string, any) spec.AxisPoint, name string, values []T) spec.Axis {
+	axis := spec.Axis{Name: name}
+	for _, v := range values {
+		axis.Points = append(axis.Points, point(f("%s=%v", name, v), map[string]any{name: v}))
+	}
+	return axis
+}
+
+// uniform is uniform random traffic at rate packets/core/cycle with
+// memory share mem; rate 1.0 is the saturation load of the Fig. 2/4/5
 // methodology.
-func saturation(cfg config.Config, mem float64) engine.Params {
-	return engine.Params{
-		Cfg: cfg,
-		Traffic: engine.TrafficSpec{
-			Kind:        engine.TrafficUniform,
-			Rate:        1.0,
-			MemFraction: mem,
-		},
+func uniform(rate, mem float64) engine.TrafficSpec {
+	return engine.TrafficSpec{Kind: engine.TrafficUniform, Rate: rate, MemFraction: mem}
+}
+
+// pjBit returns a point's packet energy per bit in pJ: the Result's mean
+// packet energy over the point's packet size (the traffic's packet_flits,
+// else the configuration's) in bits.
+func pjBit(pt spec.Point, r *engine.Result) float64 {
+	flits := pt.Traffic.PacketFlits
+	if flits == 0 {
+		flits = pt.Config.PacketFlits
+	}
+	bits := float64(flits * pt.Config.FlitBits)
+	if bits == 0 {
+		return 0
+	}
+	return r.AvgPacketEnergyNJ * 1000 / bits
+}
+
+// metric renders a point's cells in a size table (nil for none).
+type metric func(pt spec.Point, r *engine.Result) []string
+
+// bw renders the saturation bandwidth per core.
+func bw(format string) metric {
+	return func(_ spec.Point, r *engine.Result) []string {
+		return []string{f(format, r.BandwidthPerCoreGbps)}
 	}
 }
 
-// uniform is a uniform-random workload at the given load.
-func uniform(cfg config.Config, rate, mem float64) engine.Params {
-	return engine.Params{
-		Cfg: cfg,
-		Traffic: engine.TrafficSpec{
-			Kind:        engine.TrafficUniform,
-			Rate:        rate,
-			MemFraction: mem,
-		},
+// pjBitCell renders pjBit.
+func pjBitCell(pt spec.Point, r *engine.Result) []string {
+	return []string{f("%.1f", pjBit(pt, r))}
+}
+
+// sizeRows appends one row per system size to t, each size owning inner
+// consecutive points: the "<chips>C<stacks>M" label and core count, then
+// each metric over the size's points in order (metric outermost).
+func sizeRows(t *Table, pts []spec.Point, rs []*engine.Result, inner int, metrics ...metric) {
+	for i := 0; i < len(pts); i += inner {
+		cfg := pts[i].Config
+		row := []string{f("%dC%dM", cfg.Chips(), cfg.MemStacks), f("%d", cfg.Cores())}
+		for _, m := range metrics {
+			for j := i; j < i+inner; j++ {
+				row = append(row, m(pts[j], rs[j])...)
+			}
+		}
+		t.Rows = append(t.Rows, row)
 	}
 }
 

@@ -3,6 +3,7 @@ package figures
 import (
 	"wimc/internal/config"
 	"wimc/internal/engine"
+	"wimc/internal/spec"
 )
 
 // defaultHybridKs is the sub-channel ladder of the hybrid sweep: the
@@ -58,72 +59,45 @@ func HybridSweep(o Opts) (*Table, error) {
 	for _, k := range ks {
 		t.Header = append(t.Header, f("spill_k%d", k))
 	}
-	var ps []engine.Params
-	var cfgs []config.Config
-	for _, chips := range sizes {
-		for _, k := range ks {
-			for _, sel := range hybridSelects {
-				cfg, err := config.XCYM(chips, config.DefaultStacks(chips), config.ArchHybrid)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Channel = config.ChannelExclusive
-				cfg.WirelessChannels = k
-				if k == 1 {
-					cfg.ChannelAssign = config.AssignSingle
-				} else {
-					cfg.ChannelAssign = config.AssignSpatialReuse
-				}
-				cfg.MACPolicyMode = config.PolicySkipEmpty
-				cfg.RouteSelectMode = sel
-				o.apply(&cfg)
-				if err := cfg.Validate(); err != nil {
-					return nil, err
-				}
-				cfgs = append(cfgs, cfg)
-				p := saturation(cfg, 0.2)
-				p.Traffic.PacketFlits = channelSweepPacketFlits
-				ps = append(ps, p)
-			}
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, sizes, []config.Architecture{config.ArchHybrid}, func(cfg *config.Config) {
+		cfg.Channel = config.ChannelExclusive
+		cfg.MACPolicyMode = config.PolicySkipEmpty
+	})
 	if err != nil {
 		return nil, err
 	}
-	stride := len(ks) * len(hybridSelects)
-	for i, chips := range sizes {
-		cfg := cfgs[i*stride]
-		row := []string{
-			f("%dC%dM", chips, cfg.MemStacks),
-			f("%d", cfg.Cores()),
+	kAxis := spec.Axis{Name: "K"}
+	for _, k := range ks {
+		assign := config.AssignSpatialReuse
+		if k == 1 {
+			assign = config.AssignSingle
 		}
-		bitsPerPacket := float64(channelSweepPacketFlits * cfg.FlitBits)
-		cell := func(ki, si int) *engine.Result { return rs[i*stride+ki*len(hybridSelects)+si] }
-		for ki := range ks {
-			row = append(row,
-				f("%.4f", cell(ki, 0).BandwidthPerCoreGbps),
-				f("%.4f", cell(ki, 1).BandwidthPerCoreGbps))
-		}
-		for ki := range ks {
-			row = append(row,
-				f("%.1f", cell(ki, 0).AvgPacketEnergyNJ*1000/bitsPerPacket),
-				f("%.1f", cell(ki, 1).AvgPacketEnergyNJ*1000/bitsPerPacket))
-		}
-		for ki := range ks {
-			a := cell(ki, 1)
-			total := int64(0)
-			//lint:detorder-safe integer sum over the map's values is commutative; order cannot change the total
-			for _, n := range a.RouteClassPackets {
-				total += n
-			}
-			spill := 0.0
-			if total > 0 {
-				spill = float64(a.RouteClassPackets["wired-only"]) / float64(total)
-			}
-			row = append(row, f("%.3f", spill))
-		}
-		t.Rows = append(t.Rows, row)
+		kAxis.Points = append(kAxis.Points, spec.ConfigPoint(f("K=%d", k),
+			map[string]any{"wireless_channels": k, "channel_assignment": assign}))
 	}
+	tr := uniform(1.0, 0.2)
+	tr.PacketFlits = channelSweepPacketFlits
+	pts, rs, err := grid(o, tr, sys, kAxis, fieldAxis(spec.ConfigPoint, "route_select", hybridSelects))
+	if err != nil {
+		return nil, err
+	}
+	// spill is the share of an adaptive run's packets classified wired-only
+	// at injection.
+	spill := func(pt spec.Point, r *engine.Result) []string {
+		if pt.Config.RouteSelectMode != config.SelectAdaptive {
+			return nil
+		}
+		total := int64(0)
+		//lint:detorder-safe integer sum over the map's values is commutative; order cannot change the total
+		for _, n := range r.RouteClassPackets {
+			total += n
+		}
+		share := 0.0
+		if total > 0 {
+			share = float64(r.RouteClassPackets["wired-only"]) / float64(total)
+		}
+		return []string{f("%.3f", share)}
+	}
+	sizeRows(t, pts, rs, len(ks)*len(hybridSelects), bw("%.4f"), pjBitCell, spill)
 	return t, nil
 }

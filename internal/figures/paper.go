@@ -3,6 +3,7 @@ package figures
 import (
 	"wimc/internal/config"
 	"wimc/internal/engine"
+	"wimc/internal/spec"
 	"wimc/internal/traffic"
 )
 
@@ -10,6 +11,9 @@ import (
 var threeArchs = []config.Architecture{
 	config.ArchSubstrate, config.ArchInterposer, config.ArchWireless,
 }
+
+// versus is the wireless-over-interposer pair of Figs. 4–6.
+var versus = []config.Architecture{config.ArchInterposer, config.ArchWireless}
 
 // Fig2 regenerates Figure 2: peak achievable bandwidth per core and average
 // packet energy for the three 4C4M architectures under uniform random
@@ -23,22 +27,21 @@ func Fig2(o Opts) (*Table, error) {
 			"paper shape: Wireless > Interposer > Substrate on bandwidth; Wireless < Interposer < Substrate on energy",
 		},
 	}
-	ps := make([]engine.Params, len(threeArchs))
-	for i, arch := range threeArchs {
-		ps[i] = saturation(xcym(4, arch, o), 0.2)
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, threeArchs, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, arch := range threeArchs {
-		r := rs[i]
+	pts, rs, err := grid(o, uniform(1.0, 0.2), sys)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
 		hops := r.AvgHops
 		if r.MeasuredPackets == 0 {
 			hops = r.AvgDeliveredHops // saturated: report delivered sample
 		}
 		t.Rows = append(t.Rows, []string{
-			string(arch),
+			string(pts[i].Config.Arch),
 			f("%.3f", r.BandwidthPerCoreGbps),
 			f("%.1f", r.AvgPacketEnergyNJ),
 			f("%.2f", hops),
@@ -63,20 +66,17 @@ func Fig3(o Opts) (*Table, error) {
 			"latency sample censors packets still in flight at window end (paper methodology: fixed 10k-cycle runs)",
 		},
 	}
-	var ps []engine.Params
-	for _, load := range loads {
-		for _, arch := range threeArchs {
-			ps = append(ps, uniform(xcym(4, arch, o), load, 0.2))
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, threeArchs, nil)
 	if err != nil {
 		return nil, err
 	}
-	for li, load := range loads {
-		row := []string{f("%.4f", load)}
-		for ai := range threeArchs {
-			r := rs[li*len(threeArchs)+ai]
+	pts, rs, err := grid(o, uniform(0, 0.2), fieldAxis(spec.TrafficPoint, "rate", loads), sys)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(rs); i += len(threeArchs) {
+		row := []string{f("%.4f", pts[i].Traffic.Rate)}
+		for _, r := range rs[i : i+len(threeArchs)] {
 			lat := r.AvgLatency
 			if r.MeasuredPackets == 0 {
 				lat = r.AvgDeliveredLatency // saturated: report delivered sample
@@ -103,19 +103,17 @@ func Fig4(o Opts) (*Table, error) {
 		},
 	}
 	offchip := map[int]string{1: "20%", 4: "80%", 8: "90%"}
-	chipCounts := []int{1, 4, 8}
-	var ps []engine.Params
-	for _, chips := range chipCounts {
-		ps = append(ps,
-			saturation(xcym(chips, config.ArchInterposer, o), 0.2),
-			saturation(xcym(chips, config.ArchWireless, o), 0.2))
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{1, 4, 8}, versus, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, chips := range chipCounts {
-		ri, rw := rs[2*i], rs[2*i+1]
+	pts, rs, err := grid(o, uniform(1.0, 0.2), sys)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(rs); i += 2 {
+		ri, rw := rs[i], rs[i+1]
+		chips := pts[i].Config.Chips()
 		t.Rows = append(t.Rows, []string{
 			f("%dC4M", chips),
 			offchip[chips],
@@ -140,21 +138,19 @@ func Fig5(o Opts) (*Table, error) {
 			"paper: gains flatten asymptotically near ~10% bandwidth / ~35% energy",
 		},
 	}
-	mems := []float64{0.2, 0.4, 0.6, 0.8}
-	var ps []engine.Params
-	for _, mem := range mems {
-		ps = append(ps,
-			saturation(xcym(4, config.ArchInterposer, o), mem),
-			saturation(xcym(4, config.ArchWireless, o), mem))
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, []int{4}, versus, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, mem := range mems {
-		ri, rw := rs[2*i], rs[2*i+1]
+	mems := fieldAxis(spec.TrafficPoint, "mem_fraction", []float64{0.2, 0.4, 0.6, 0.8})
+	pts, rs, err := grid(o, uniform(1.0, 0), mems, sys)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(rs); i += 2 {
+		ri, rw := rs[i], rs[i+1]
 		t.Rows = append(t.Rows, []string{
-			f("%.0f%%", mem*100),
+			f("%.0f%%", pts[i].Traffic.MemFraction*100),
 			f("%+.1f", gainPct(rw.BandwidthPerCoreGbps, ri.BandwidthPerCoreGbps)),
 			f("%+.1f", reductionPct(ri.AvgPacketEnergyNJ, rw.AvgPacketEnergyNJ)),
 			f("%.3f", rw.BandwidthPerCoreGbps),
@@ -177,25 +173,19 @@ func Fig6(o Opts) (*Table, error) {
 			"paper: all applications favor wireless; average ≈54% latency, ≈45% energy",
 		},
 	}
-	apps := traffic.AppNames()
-	var ps []engine.Params
-	for _, app := range apps {
-		cfgI := config.MustXCYM(4, 4, config.ArchInterposer)
-		cfgW := config.MustXCYM(4, 4, config.ArchWireless)
-		o.applyApp(&cfgI)
-		o.applyApp(&cfgW)
-		ts := engine.TrafficSpec{Kind: engine.TrafficApp, App: app}
-		ps = append(ps,
-			engine.Params{Cfg: cfgI, Traffic: ts},
-			engine.Params{Cfg: cfgW, Traffic: ts})
+	sys, err := systems(o, []int{4}, versus, o.applyApp)
+	if err != nil {
+		return nil, err
 	}
-	rs, err := runBatch(o, ps)
+	apps := fieldAxis(spec.TrafficPoint, "app", traffic.AppNames())
+	pts, rs, err := grid(o, engine.TrafficSpec{Kind: engine.TrafficApp}, apps, sys)
 	if err != nil {
 		return nil, err
 	}
 	var latSum, enSum float64
-	for i, app := range apps {
-		ri, rw := rs[2*i], rs[2*i+1]
+	for i := 0; i < len(rs); i += 2 {
+		ri, rw := rs[i], rs[i+1]
+		app := pts[i].Traffic.App
 		latGain := reductionPct(ri.AvgLatency, rw.AvgLatency)
 		enGain := reductionPct(ri.AvgPacketEnergyNJ, rw.AvgPacketEnergyNJ)
 		latSum += latGain
@@ -207,10 +197,11 @@ func Fig6(o Opts) (*Table, error) {
 			f("%+.1f", enGain),
 		})
 	}
+	n := float64(len(t.Rows))
 	t.Rows = append(t.Rows, []string{
 		"AVERAGE", "",
-		f("%+.1f", latSum/float64(len(apps))),
-		f("%+.1f", enSum/float64(len(apps))),
+		f("%+.1f", latSum/n),
+		f("%+.1f", enSum/n),
 	})
 	return t, nil
 }

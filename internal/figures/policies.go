@@ -3,6 +3,7 @@ package figures
 import (
 	"wimc/internal/config"
 	"wimc/internal/engine"
+	"wimc/internal/spec"
 )
 
 // defaultPolicies is the arbitration-policy ladder of the policy sweep.
@@ -59,49 +60,21 @@ func PolicySweep(o Opts) (*Table, error) {
 	for _, pol := range policies {
 		t.Header = append(t.Header, f("p50_%s", pol), f("p95_%s", pol), f("p99_%s", pol))
 	}
-	var ps []engine.Params
-	var cfgs []config.Config
-	for _, chips := range sizes {
-		for _, pol := range policies {
-			cfg, err := config.XCYM(chips, config.DefaultStacks(chips), config.ArchWireless)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Channel = config.ChannelExclusive
-			cfg.ChannelAssign = config.AssignSpatialReuse
-			cfg.WirelessChannels = policySweepChannels
-			cfg.MACPolicyMode = pol
-			o.apply(&cfg)
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			cfgs = append(cfgs, cfg)
-			ps = append(ps, saturation(cfg, 0.2))
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, sizes, []config.Architecture{config.ArchWireless}, func(cfg *config.Config) {
+		cfg.Channel = config.ChannelExclusive
+		cfg.ChannelAssign = config.AssignSpatialReuse
+		cfg.WirelessChannels = policySweepChannels
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, chips := range sizes {
-		cfg := cfgs[i*len(policies)]
-		row := []string{
-			f("%dC%dM", chips, cfg.MemStacks),
-			f("%d", cfg.Cores()),
-		}
-		bitsPerPacket := float64(cfg.PacketFlits * cfg.FlitBits)
-		for pi := range policies {
-			row = append(row, f("%.4f", rs[i*len(policies)+pi].BandwidthPerCoreGbps))
-		}
-		for pi := range policies {
-			r := rs[i*len(policies)+pi]
-			row = append(row, f("%.1f", r.AvgPacketEnergyNJ*1000/bitsPerPacket))
-		}
-		for pi := range policies {
-			r := rs[i*len(policies)+pi]
-			row = append(row, f("%d", r.P50Latency), f("%d", r.P95Latency), f("%d", r.P99Latency))
-		}
-		t.Rows = append(t.Rows, row)
+	pts, rs, err := grid(o, uniform(1.0, 0.2), sys, fieldAxis(spec.ConfigPoint, "mac_policy", policies))
+	if err != nil {
+		return nil, err
 	}
+	percentiles := func(_ spec.Point, r *engine.Result) []string {
+		return []string{f("%d", r.P50Latency), f("%d", r.P95Latency), f("%d", r.P99Latency)}
+	}
+	sizeRows(t, pts, rs, len(policies), bw("%.4f"), pjBitCell, percentiles)
 	return t, nil
 }

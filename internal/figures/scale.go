@@ -1,10 +1,5 @@
 package figures
 
-import (
-	"wimc/internal/config"
-	"wimc/internal/engine"
-)
-
 // defaultScaleSizes is the system-size ladder of the scale sweep: the
 // paper's 4-chip design point, its 8-chip limit, and the generalized
 // 16/32/64-chip grids the paper never reached (arXiv:2501.17567-class
@@ -41,38 +36,14 @@ func ScaleSweep(o Opts) (*Table, error) {
 			"stacks scale with chips (16C16M, 32C32M, 64C64M); bw in Gbps/core, energy in pJ/bit",
 		},
 	}
-	var ps []engine.Params
-	var cfgs []config.Config
-	for _, chips := range sizes {
-		for _, arch := range threeArchs {
-			cfg, err := config.XCYM(chips, config.DefaultStacks(chips), arch)
-			if err != nil {
-				return nil, err
-			}
-			o.apply(&cfg)
-			cfgs = append(cfgs, cfg)
-			ps = append(ps, saturation(cfg, 0.2))
-		}
-	}
-	rs, err := runBatch(o, ps)
+	sys, err := systems(o, sizes, threeArchs, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, chips := range sizes {
-		cfg := cfgs[i*len(threeArchs)]
-		row := []string{
-			f("%dC%dM", chips, cfg.MemStacks),
-			f("%d", cfg.Cores()),
-		}
-		bitsPerPacket := float64(cfg.PacketFlits * cfg.FlitBits)
-		for ai := range threeArchs {
-			row = append(row, f("%.3f", rs[i*len(threeArchs)+ai].BandwidthPerCoreGbps))
-		}
-		for ai := range threeArchs {
-			r := rs[i*len(threeArchs)+ai]
-			row = append(row, f("%.1f", r.AvgPacketEnergyNJ*1000/bitsPerPacket))
-		}
-		t.Rows = append(t.Rows, row)
+	pts, rs, err := grid(o, uniform(1.0, 0.2), sys)
+	if err != nil {
+		return nil, err
 	}
+	sizeRows(t, pts, rs, len(threeArchs), bw("%.3f"), pjBitCell)
 	return t, nil
 }

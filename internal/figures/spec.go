@@ -48,22 +48,13 @@ func FromSpec(sp *spec.Spec, o Opts) (*Table, error) {
 	}
 	if o.Store != nil {
 		t.Notes = append(t.Notes,
-			f("store %s: %d cached, %d ran, %d uncacheable", o.Store.Dir(), stats.Hits, stats.Misses, stats.Skipped))
+			f("store %s: %d cached, %d ran", o.Store.Dir(), stats.Hits, stats.Misses))
 	}
 	for i, pt := range pts {
 		r := rs[i]
 		label := strings.Join(pt.Labels, "/")
 		if label == "" {
 			label = pt.Config.Name
-		}
-		flits := pt.Traffic.PacketFlits
-		if flits == 0 {
-			flits = pt.Config.PacketFlits
-		}
-		bitsPerPacket := float64(flits * pt.Config.FlitBits)
-		pjBit := 0.0
-		if bitsPerPacket > 0 {
-			pjBit = r.AvgPacketEnergyNJ * 1000 / bitsPerPacket
 		}
 		t.Rows = append(t.Rows, []string{
 			label,
@@ -72,7 +63,7 @@ func FromSpec(sp *spec.Spec, o Opts) (*Table, error) {
 			f("%.4f", r.AcceptedFlitsPerCore),
 			f("%.1f", r.AvgLatency),
 			f("%d", r.P95Latency),
-			f("%.2f", pjBit),
+			f("%.2f", pjBit(pt, r)),
 			f("%d", r.DeliveredPackets),
 		})
 	}

@@ -63,7 +63,7 @@ func TestFromSpecCachedEquivalence(t *testing.T) {
 	// The warm pass must be served entirely from the store.
 	found := false
 	for _, n := range warm.Notes {
-		if n == f("store %s: 2 cached, 0 ran, 0 uncacheable", st.Dir()) {
+		if n == f("store %s: 2 cached, 0 ran", st.Dir()) {
 			found = true
 		}
 	}
@@ -72,10 +72,11 @@ func TestFromSpecCachedEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunBatchStoreEquivalence: the named figure generators produce
-// byte-identical tables with and without a store (runBatch funnels every
-// generator through the cache when one is set).
-func TestRunBatchStoreEquivalence(t *testing.T) {
+// TestFigureStoreEquivalence: the named figure generators produce
+// byte-identical tables with and without a store (every figure's grid
+// runs through store.RunSpec, which serves and fills the cache when one
+// is set).
+func TestFigureStoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs")
 	}

@@ -20,8 +20,9 @@ const MaxPoints = 1 << 16
 // Spec is a canonical, serializable description of one experiment: a base
 // configuration, a workload, and an axis grid whose cartesian product
 // expands deterministically into simulation points. It is the one wire and
-// cache format shared by wimc.Sweep, the figure generators, wimcbench
-// -spec and the wimcd experiment service.
+// cache format, and the one way a grid of simulations runs: wimc.Sweep,
+// every named figure of internal/figures, wimcbench -spec and the wimcd
+// experiment service all build a Spec, expand it and run the points.
 type Spec struct {
 	// Name is a free-form label for reports; it does not enter Hash.
 	Name string `json:"name,omitempty"`
@@ -118,10 +119,15 @@ func (s *Spec) MarshalPretty() ([]byte, error) {
 }
 
 // NumPoints returns the size of the expanded grid without expanding it.
+// Past MaxPoints the product saturates at MaxPoints+1, so no number of
+// axes can overflow it.
 func (s *Spec) NumPoints() int {
 	n := 1
 	for _, a := range s.Axes {
 		n *= len(a.Points)
+		if n > MaxPoints {
+			return MaxPoints + 1
+		}
 	}
 	return n
 }
@@ -139,7 +145,7 @@ func (s *Spec) Expand() ([]Point, error) {
 	}
 	total := s.NumPoints()
 	if total > MaxPoints {
-		return nil, fmt.Errorf("spec: grid expands to %d points, limit %d", total, MaxPoints)
+		return nil, fmt.Errorf("spec: grid expands to more than the limit of %d points", MaxPoints)
 	}
 	if s.Workers < 0 {
 		return nil, fmt.Errorf("spec: workers must be >= 0, got %d", s.Workers)

@@ -109,6 +109,34 @@ func TestExpandRejectsEmptyAxisAndOversizedGrid(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsOverflowingGrid: a grid whose point count overflows
+// int gets the MaxPoints error. With an unchecked product, 63 two-point
+// axes wrapped to -2^63 and panicked in make, and 64 wrapped to 0 and
+// expanded to no points with no error.
+func TestExpandRejectsOverflowingGrid(t *testing.T) {
+	for _, n := range []int{63, 64} {
+		s, err := Parse([]byte(doublingAxes(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumPoints(); got <= MaxPoints {
+			t.Errorf("%d two-point axes: NumPoints = %d, want > %d", n, got, MaxPoints)
+		}
+		if pts, err := s.Expand(); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%d two-point axes: expanded to %d points, err %v; want the limit error", n, len(pts), err)
+		}
+		if _, err := s.Hash(); err == nil {
+			t.Errorf("%d two-point axes: Hash succeeded", n)
+		}
+	}
+}
+
+// doublingAxes returns a spec document with n axes of two no-op points.
+func doublingAxes(n int) string {
+	axis := `{"points": [{"patch": {}}, {"patch": {}}]}`
+	return `{"axes": [` + strings.Repeat(axis+",", n-1) + axis + `]}`
+}
+
 // TestParseFieldOrderInsensitive pins half of the Hash contract: the same
 // experiment written with JSON fields in any order hashes identically.
 func TestParseFieldOrderInsensitive(t *testing.T) {

@@ -167,10 +167,6 @@ func (s *Store) Len() (int, error) {
 type Stats struct {
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
-	// Skipped counts parameters that cannot be cached (trace writers,
-	// reference scheduling paths); they ran but were neither looked up nor
-	// stored.
-	Skipped int `json:"skipped,omitempty"`
 }
 
 // Observer receives each batch entry as it completes: cached entries
@@ -179,40 +175,31 @@ type Stats struct {
 // must be thread-safe.
 type Observer func(i int, r *engine.Result, cached bool)
 
-// cacheable reports whether p's Result is determined by (Cfg, Traffic)
-// alone — the reference scheduling paths and trace writers are not
-// addressed by PointKey and must always execute.
-func cacheable(p engine.Params) bool {
-	return p.Trace == nil && !p.FullTick && !p.LegacySingleChannel && !p.SingleClassTable
-}
-
-// RunParams executes a batch through the cache: cached entries are served
-// from st, the rest run on the internal/exp pool (workers semantics as
-// exp.Run) and are stored as they complete, so even an interrupted batch
-// keeps its finished points. A nil st runs everything (all misses,
-// nothing stored). Results are in input order and byte-identical to an
-// uncached exp.Run of the same batch.
-func RunParams(st *Store, workers int, ps []engine.Params, obs Observer) ([]*engine.Result, Stats, error) {
-	results := make([]*engine.Result, len(ps))
+// RunPoints executes expanded spec points through the cache: cached
+// entries are served from st, the rest run on the internal/exp pool
+// (workers semantics as exp.RunIndexed) and are stored as they complete,
+// so even an interrupted batch keeps its finished points. Each key is
+// computed from the point's Config and Traffic rather than taken from
+// Point.Key, so a hand-built Point cannot file its Result under another
+// point's key. A nil st runs everything (all misses, nothing stored).
+// Results are in input order and byte-identical to uncached runs of the
+// same points.
+func RunPoints(st *Store, workers int, pts []spec.Point, obs Observer) ([]*engine.Result, Stats, error) {
+	results := make([]*engine.Result, len(pts))
 	var stats Stats
-	keys := make([]string, len(ps))
+	keys := make([]string, len(pts))
 	var missIdx []int
-	for i, p := range ps {
-		if !cacheable(p) {
-			stats.Skipped++
-			missIdx = append(missIdx, i)
-			continue
-		}
+	for i, pt := range pts {
 		if st == nil {
 			missIdx = append(missIdx, i)
 			continue
 		}
-		key, err := spec.PointKey(p.Cfg, p.Traffic)
+		key, err := spec.PointKey(pt.Config, pt.Traffic)
 		if err != nil {
-			return nil, stats, fmt.Errorf("store: batch entry %d (%s): %w", i, p.Cfg.Name, err)
+			return nil, stats, fmt.Errorf("store: point %d (%s): %w", i, pt.Config.Name, err)
 		}
 		keys[i] = key
-		r, ok, err := s0Get(st, key)
+		r, ok, err := st.Get(key)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -231,13 +218,13 @@ func RunParams(st *Store, workers int, ps []engine.Params, obs Observer) ([]*eng
 	}
 	missParams := make([]engine.Params, len(missIdx))
 	for j, i := range missIdx {
-		missParams[j] = ps[i]
+		missParams[j] = pts[i].Params()
 	}
 	var putMu sync.Mutex
 	var putErr error
 	rs, j, err := exp.RunIndexedObserved(workers, missParams, func(j int, r *engine.Result) {
 		i := missIdx[j]
-		if st != nil && keys[i] != "" {
+		if st != nil {
 			if err := st.Put(keys[i], r); err != nil {
 				putMu.Lock()
 				if putErr == nil {
@@ -252,7 +239,7 @@ func RunParams(st *Store, workers int, ps []engine.Params, obs Observer) ([]*eng
 	})
 	if err != nil {
 		i := missIdx[j]
-		return nil, stats, fmt.Errorf("store: batch entry %d (%s): %w", i, ps[i].Cfg.Name, err)
+		return nil, stats, fmt.Errorf("store: point %d (%s): %w", i, pts[i].Config.Name, err)
 	}
 	if putErr != nil {
 		return nil, stats, putErr
@@ -262,24 +249,6 @@ func RunParams(st *Store, workers int, ps []engine.Params, obs Observer) ([]*eng
 	}
 	stats.Misses = len(missIdx)
 	return results, stats, nil
-}
-
-// s0Get is Get tolerating a nil store.
-func s0Get(st *Store, key string) (*engine.Result, bool, error) {
-	if st == nil {
-		return nil, false, nil
-	}
-	return st.Get(key)
-}
-
-// RunPoints executes expanded spec points through the cache (see
-// RunParams); point keys are taken as computed by the expansion.
-func RunPoints(st *Store, workers int, pts []spec.Point, obs Observer) ([]*engine.Result, Stats, error) {
-	ps := make([]engine.Params, len(pts))
-	for i, pt := range pts {
-		ps[i] = pt.Params()
-	}
-	return RunParams(st, workers, ps, obs)
 }
 
 // RunSpec expands sp and executes it through the cache. Workers is taken

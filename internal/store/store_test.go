@@ -123,7 +123,7 @@ func TestRunSpecCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldStats.Hits != 0 || coldStats.Misses != len(cold) || coldStats.Skipped != 0 {
+	if coldStats.Hits != 0 || coldStats.Misses != len(cold) {
 		t.Fatalf("cold stats = %+v, want 0 hits / %d misses", coldStats, len(cold))
 	}
 	n, err := st.Len()
@@ -177,8 +177,8 @@ func TestRunSpecPartialWarm(t *testing.T) {
 	}
 }
 
-// TestRunParamsNilStore: no store means every point runs and nothing is
-// cached — identical results, all misses.
+// TestRunParamsNilStore: RunPoints with no store runs every point and
+// caches nothing — identical results, all misses.
 func TestRunParamsNilStore(t *testing.T) {
 	pts, err := quickSpec().Expand()
 	if err != nil {
@@ -198,27 +198,31 @@ func TestRunParamsNilStore(t *testing.T) {
 	}
 }
 
-// TestRunParamsSkipsUncacheable: reference-path knobs (FullTick etc.) are
-// outside the point identity, so those entries always execute and are never
-// stored.
-func TestRunParamsSkipsUncacheable(t *testing.T) {
+// TestRunPointsKeysFromInputs: RunPoints files each Result under the key
+// of the point's own Config and Traffic, not under a stale or forged
+// Point.Key, so one point cannot overwrite another's cache entry.
+func TestRunPointsKeysFromInputs(t *testing.T) {
 	st := openTemp(t)
 	pts, err := quickSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := []engine.Params{{Cfg: pts[0].Config, Traffic: pts[0].Traffic, FullTick: true}}
-	for range []int{0, 1} { // run twice: the second pass must still execute
-		_, stats, err := RunParams(st, 1, ps, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Skipped != 1 || stats.Hits != 0 || stats.Misses != 1 {
-			t.Fatalf("uncacheable stats = %+v, want 1 skipped / 1 miss", stats)
-		}
+	want := pts[1].Key
+	pts[1].Key = pts[0].Key
+	rs, _, err := RunPoints(st, 0, pts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, _ := st.Len(); n != 0 {
-		t.Fatalf("uncacheable entry was stored (%d entries)", n)
+	for i, key := range []string{pts[0].Key, want} {
+		got, ok, err := st.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("point %d not stored under its own key: ok=%v err=%v", i, ok, err)
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(rs[i])
+		if string(gb) != string(wb) {
+			t.Fatalf("key of point %d holds another point's Result", i)
+		}
 	}
 }
 

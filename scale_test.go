@@ -72,20 +72,12 @@ func TestLargePresetResultDeterminism(t *testing.T) {
 	}
 }
 
-// TestScaleSweepPublicAPI drives the public sweep across two sizes and
-// checks ordering and plausibility.
+// TestScaleSweepPublicAPI drives a size × architecture sweep through the
+// public Sweep, one whole-configuration axis point per system, and checks
+// ordering and plausibility.
 func TestScaleSweepPublicAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation runs")
-	}
-	pts, err := wimc.ScaleSweep([]int{4, 16},
-		[]wimc.Architecture{wimc.ArchInterposer, wimc.ArchWireless},
-		wimc.TrafficSpec{Kind: wimc.TrafficUniform, MemFraction: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("%d points, want 4", len(pts))
 	}
 	want := []struct {
 		chips int
@@ -94,27 +86,40 @@ func TestScaleSweepPublicAPI(t *testing.T) {
 		{4, wimc.ArchInterposer}, {4, wimc.ArchWireless},
 		{16, wimc.ArchInterposer}, {16, wimc.ArchWireless},
 	}
+	sys := wimc.Axis{Name: "system"}
+	for _, w := range want {
+		cfg := wimc.MustXCYM(w.chips, wimc.DefaultStacks(w.chips), w.arch)
+		sys.Points = append(sys.Points, wimc.ConfigAxisPoint(cfg.Name, cfg))
+	}
+	s := wimc.NewSpec("scale", wimc.Default(),
+		wimc.TrafficSpec{Kind: wimc.TrafficUniform, Rate: 1.0, MemFraction: 0.2})
+	s.Axes = []wimc.Axis{sys}
+	pts, err := wimc.Sweep(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 4 {
+		t.Fatalf("%d points, want 4", len(pts))
+	}
 	for i, p := range pts {
-		if p.Chips != want[i].chips || p.Arch != want[i].arch {
-			t.Fatalf("point %d = %dC/%s, want %dC/%s", i, p.Chips, p.Arch, want[i].chips, want[i].arch)
+		if p.Config.Chips() != want[i].chips || p.Config.Arch != want[i].arch {
+			t.Fatalf("point %d = %dC/%s, want %dC/%s", i, p.Config.Chips(), p.Config.Arch, want[i].chips, want[i].arch)
 		}
 		if p.Result == nil || p.Result.BandwidthPerCoreGbps <= 0 {
 			t.Fatalf("point %d has no saturation bandwidth", i)
 		}
 	}
-	if pts[2].Stacks != 16 {
-		t.Fatalf("16C stacks = %d, want 16", pts[2].Stacks)
+	if pts[2].Config.MemStacks != 16 {
+		t.Fatalf("16C stacks = %d, want 16", pts[2].Config.MemStacks)
 	}
 }
 
+// TestScaleSweepRejectsEmpty: a sweep axis with no points is an error, not
+// an empty result.
 func TestScaleSweepRejectsEmpty(t *testing.T) {
-	if _, err := wimc.ScaleSweep(nil, []wimc.Architecture{wimc.ArchWireless}, wimc.TrafficSpec{}); err == nil {
-		t.Fatal("empty sizes accepted")
-	}
-	if _, err := wimc.ScaleSweep([]int{4}, nil, wimc.TrafficSpec{}); err == nil {
-		t.Fatal("empty archs accepted")
-	}
-	if _, err := wimc.ScaleSweep([]int{-1}, []wimc.Architecture{wimc.ArchWireless}, wimc.TrafficSpec{}); err == nil {
-		t.Fatal("invalid size accepted")
+	s := wimc.NewSpec("empty", wimc.Default(), wimc.TrafficSpec{Kind: wimc.TrafficUniform, Rate: 1.0})
+	s.Axes = []wimc.Axis{{Name: "system"}}
+	if _, err := wimc.Sweep(s); err == nil {
+		t.Fatal("empty axis accepted")
 	}
 }

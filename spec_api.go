@@ -70,12 +70,8 @@ type SweepPoint struct {
 // results are byte-identical for every worker count (internal/exp's
 // determinism contract).
 //
-// Sweep is the single entry point the legacy sweep helpers (LoadSweep,
-// ScaleSweep, ChannelSweep, HybridSweep, PolicySweep) now wrap: anything
-// they can run, a Spec can describe — and a Spec can also cross axes they
-// never could (see examples/specs). Sweep always recomputes; for cached,
-// incremental execution submit the same spec to a wimcd daemon or run it
-// through wimcbench -spec -store.
+// Sweep always recomputes; for cached, incremental execution submit the
+// same spec to a wimcd daemon or run it through wimcbench -spec -store.
 func Sweep(s *Spec) ([]SweepPoint, error) {
 	pts, err := s.Expand()
 	if err != nil {

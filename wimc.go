@@ -182,8 +182,8 @@ func Default() Config { return config.Default() }
 // 4x4-core chips, one wireless interface per chip — to multichip-system
 // scales the paper never evaluated (XCYM(64, 64, arch) is a 1024-core
 // package). Large presets build through the sharded topology constructor
-// and run under the active-set scheduler; see ScaleSweep for the
-// throughput/energy-versus-size methodology.
+// and run under the active-set scheduler; examples/scale sweeps them with
+// Sweep for the throughput/energy-versus-size methodology.
 func XCYM(chips, stacks int, arch Architecture) (Config, error) {
 	return config.XCYM(chips, stacks, arch)
 }
@@ -224,22 +224,12 @@ func Run(cfg Config, traffic TrafficSpec) (*Result, error) {
 	return engine.Run(engine.Params{Cfg: cfg, Traffic: traffic})
 }
 
-// NewTraced is New with a packet-level delivery trace: one JSON line per
-// delivered packet (id, endpoints, class, timing, hops, energy) is written
-// to w during the run.
-func NewTraced(cfg Config, traffic TrafficSpec, w io.Writer) (*System, error) {
-	eng, err := engine.New(engine.Params{Cfg: cfg, Traffic: traffic, Trace: w})
-	if err != nil {
-		return nil, err
-	}
-	return &System{eng: eng}, nil
-}
-
 // Options are run options beyond the configuration and workload. The zero
 // value is the default behavior of New.
 type Options struct {
-	// Trace, when non-nil, receives the packet-level delivery trace (one
-	// JSON line per delivered packet), as in NewTraced.
+	// Trace, when non-nil, receives the packet-level delivery trace: one
+	// JSON line per delivered packet (id, endpoints, class, timing, hops,
+	// energy), written during the run.
 	Trace io.Writer
 	// EveryCycle disables the engine's event-horizon fast-forward and
 	// steps every cycle of the run. Results are byte-identical either way

@@ -1,6 +1,8 @@
 package wimc_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"wimc"
@@ -47,17 +49,26 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestLoadSweep: a traffic rate axis keeps its order through Sweep, and
+// latency rises with load.
 func TestLoadSweep(t *testing.T) {
-	pts, err := wimc.LoadSweep(quickCfg(wimc.ArchWireless),
-		wimc.TrafficSpec{Kind: wimc.TrafficUniform, MemFraction: 0.2},
-		[]float64{0.0005, 0.002})
+	loads := []float64{0.0005, 0.002}
+	axis := wimc.Axis{Name: "load"}
+	for _, l := range loads {
+		axis.Points = append(axis.Points,
+			wimc.TrafficAxisPoint(fmt.Sprintf("load=%v", l), map[string]any{"rate": l}))
+	}
+	s := wimc.NewSpec("load", quickCfg(wimc.ArchWireless),
+		wimc.TrafficSpec{Kind: wimc.TrafficUniform, MemFraction: 0.2})
+	s.Axes = []wimc.Axis{axis}
+	pts, err := wimc.Sweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
-	if pts[0].Load != 0.0005 || pts[1].Load != 0.002 {
+	if pts[0].Traffic.Rate != 0.0005 || pts[1].Traffic.Rate != 0.002 {
 		t.Fatal("loads not preserved in order")
 	}
 	// Latency grows with load.
@@ -65,8 +76,40 @@ func TestLoadSweep(t *testing.T) {
 		t.Fatalf("latency not increasing: %.1f then %.1f",
 			pts[0].Result.AvgLatency, pts[1].Result.AvgLatency)
 	}
-	if _, err := wimc.LoadSweep(quickCfg(wimc.ArchWireless), wimc.TrafficSpec{}, nil); err == nil {
-		t.Fatal("empty sweep accepted")
+}
+
+// TestSweepPerSpecWorkers: Workers is carried per spec, so two specs with
+// different parallelism produce identical results without touching
+// process-global state.
+func TestSweepPerSpecWorkers(t *testing.T) {
+	mk := func(workers int) *wimc.Spec {
+		s := wimc.NewSpec("workers-test", quickCfg(wimc.ArchWireless),
+			wimc.TrafficSpec{Kind: wimc.TrafficUniform, Rate: 0.002, MemFraction: 0.2})
+		s.Axes = []wimc.Axis{{Name: "seed", Points: []wimc.AxisPoint{
+			wimc.ConfigAxisPoint("seed=1", map[string]any{"seed": 1}),
+			wimc.ConfigAxisPoint("seed=2", map[string]any{"seed": 2}),
+			wimc.ConfigAxisPoint("seed=3", map[string]any{"seed": 3}),
+		}}}
+		s.Workers = workers
+		return s
+	}
+	seq, err := wimc.Sweep(mk(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := wimc.Sweep(mk(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seq {
+		if seq[i].Key != par[i].Key {
+			t.Fatalf("point %d key differs across worker counts", i)
+		}
+		a, _ := json.Marshal(seq[i].Result)
+		b, _ := json.Marshal(par[i].Result)
+		if string(a) != string(b) {
+			t.Fatalf("point %d differs across per-spec worker counts:\n%s\n%s", i, a, b)
+		}
 	}
 }
 
