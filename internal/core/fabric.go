@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wimc/internal/config"
 	"wimc/internal/energy"
@@ -51,6 +52,12 @@ type Fabric struct {
 	txTotal         int
 	lastLaunch      sim.Cycle
 	launchedScratch []bool
+
+	// headIdx is the crossbar launch's per-destination head index, rebuilt
+	// by every crossbar Launch (see indexHeads): row d, (len(wis)+63)/64
+	// words long, has bit s set when some TX queue of WI s has its head
+	// flit addressed to WI d.
+	headIdx []uint64
 
 	// Exclusive-channel fabric: chanRate is the per-sub-channel token rate,
 	// subs the sub-channels (built on first use from the configured channel
@@ -614,6 +621,16 @@ func (fb *Fabric) Launch(now sim.Cycle) {
 // multi-channel transceivers of Chang et al. [6]) — this is the "physical
 // bandwidth of the wireless interconnections remains constant regardless of
 // the number of chips" property the paper's §IV.C argument relies on.
+//
+// Each destination visits only the sources its head index row names (see
+// indexHeads), in the round-robin order of a scan over every WI. The scan
+// would skip every other source without touching state — launchableQueue
+// returns -1 before any reservation when no queue head addresses dst — up
+// to an egress TokenBucket refill, which is lazy-exact. The index stays
+// valid for the whole Launch: a source's queue heads change only when it
+// transmits (or the fault model drops its head packet inside transmit),
+// and a source that transmitted is marked launched and never visited
+// again.
 func (fb *Fabric) launchCrossbar(now sim.Cycle) {
 	n := len(fb.wis)
 	budget := fb.crossbarBudget()
@@ -621,24 +638,61 @@ func (fb *Fabric) launchCrossbar(now sim.Cycle) {
 	for i := range launched {
 		launched[i] = false
 	}
+	heads := fb.indexHeads()
+	words := len(heads) / n
 	dstIdx := fb.rrDst - 1
 	for di := 0; di < n && budget > 0; di++ {
 		dstIdx++
 		if dstIdx >= n {
 			dstIdx = 0
 		}
-		dst := fb.wis[dstIdx]
-		srcIdx := dst.rrSrc - 1
-		for k := 0; k < n; k++ {
-			srcIdx++
-			if srcIdx >= n {
-				srcIdx = 0
+		if fb.launchTo(now, fb.wis[dstIdx], heads[dstIdx*words:(dstIdx+1)*words], launched) {
+			budget--
+		}
+	}
+	fb.rrDst = (fb.rrDst + 1) % n
+}
+
+// indexHeads rebuilds and returns the head index: for every destination
+// WI, the bitset of source WIs with a TX queue head addressed to it, in
+// O(WIs × VCs). Launch runs in the engine's serial phase, so no sharded
+// Accept writes a queue meanwhile.
+func (fb *Fabric) indexHeads() []uint64 {
+	n := len(fb.wis)
+	words := (n + 63) / 64
+	if len(fb.headIdx) != n*words {
+		fb.headIdx = make([]uint64, n*words)
+	} else {
+		clear(fb.headIdx)
+	}
+	for _, src := range fb.wis {
+		if src.txLen == 0 {
+			continue
+		}
+		bit := uint64(1) << (uint(src.Index) & 63)
+		col := src.Index >> 6
+		for _, queue := range src.txVC {
+			if len(queue) > 0 {
+				fb.headIdx[queue[0].dest.Index*words+col] |= bit
 			}
-			src := fb.wis[srcIdx]
-			if src == dst || launched[src.Index] || src.txLen == 0 {
-				continue
-			}
-			if !src.egress.CanSpendAt(now) {
+		}
+	}
+	return fb.headIdx
+}
+
+// launchTo admits at most one source to dst, visiting the sources set in
+// row (dst's head index row) from dst.rrSrc upward and then wrapping, and
+// reports whether one transmitted.
+func (fb *Fabric) launchTo(now sim.Cycle, dst *WI, row []uint64, launched []bool) bool {
+	n := len(fb.wis)
+	for pass := 0; pass < 2; pass++ {
+		lo, hi := dst.rrSrc, n
+		if pass == 1 {
+			lo, hi = 0, dst.rrSrc
+		}
+		for i := nextBit(row, lo, hi); i >= 0; i = nextBit(row, i+1, hi) {
+			src := fb.wis[i]
+			if launched[i] || !src.egress.CanSpendAt(now) {
 				continue
 			}
 			q := fb.launchableQueue(src, dst)
@@ -646,13 +700,27 @@ func (fb *Fabric) launchCrossbar(now sim.Cycle) {
 				continue
 			}
 			fb.transmit(now, src, q)
-			launched[src.Index] = true
-			dst.rrSrc = (src.Index + 1) % n
-			budget--
-			break
+			launched[i] = true
+			dst.rrSrc = (i + 1) % n
+			return true
 		}
 	}
-	fb.rrDst = (fb.rrDst + 1) % n
+	return false
+}
+
+// nextBit returns the lowest index in [lo, hi) whose bit is set in row, or
+// -1.
+func nextBit(row []uint64, lo, hi int) int {
+	for lo < hi {
+		if w := row[lo>>6] >> (uint(lo) & 63); w != 0 {
+			if i := lo + bits.TrailingZeros64(w); i < hi {
+				return i
+			}
+			return -1
+		}
+		lo = (lo | 63) + 1
+	}
+	return -1
 }
 
 // crossbarBudget returns the crossbar's per-cycle concurrent-launch cap:

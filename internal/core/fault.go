@@ -419,7 +419,7 @@ func (fb *Fabric) dropRetryExhausted(now sim.Cycle, w *WI, q int) {
 		w.sw.ReturnCredit(w.outPort, q)
 	}
 	queue[0].dest.releaseRxVC(p.ID)
-	w.txVC[q] = queue[k:]
+	w.dropFront(q, k)
 	fb.RetryExhausted++
 	fb.registerDrop(now, p, w, "retry-exhausted", sawTail)
 	if w.txLen == 0 && w.sub != nil {

@@ -156,7 +156,7 @@ func (w *WI) SetShardLog(log *[]ShardOp) { w.shardOps = log }
 // switch's wireless output port.
 func (w *WI) popTx(q int) txEntry {
 	e := w.txVC[q][0]
-	w.txVC[q] = w.txVC[q][1:]
+	w.dropFront(q, 1)
 	w.fb.txTotal--
 	w.txLen--
 	if w.txLen == 0 && w.sub != nil {
@@ -164,6 +164,18 @@ func (w *WI) popTx(q int) txEntry {
 	}
 	w.sw.ReturnCredit(w.outPort, q)
 	return e
+}
+
+// dropFront removes the first k entries of TX queue q by copying the rest
+// down, so the queue keeps its backing array: reslicing from the front
+// would shrink its capacity until Accept's append reallocated it, every
+// few flits for the whole run. Vacated slots are zeroed so the queue pins
+// no packet.
+func (w *WI) dropFront(q, k int) {
+	queue := w.txVC[q]
+	n := copy(queue, queue[k:])
+	clear(queue[n:])
+	w.txVC[q] = queue[:n]
 }
 
 // ReturnCredit implements noc.CreditSink for the wireless input port: the

@@ -558,37 +558,56 @@ func TestPipelineInvariantsEveryCycleSaturated(t *testing.T) {
 
 // TestActiveSetMatchesFullTickAtSaturation exercises the schedulers where
 // every component stays busy (saturation) and where drain empties the
-// system, with conservation checked on both paths.
+// system, with conservation checked on both paths. The 16-chip saturated
+// packages are where parking engages: most switches and NIs hold work
+// they cannot move (the wireless medium or the mesh is the bottleneck),
+// so a lost wake-up stalls a parked component and diverges from FullTick,
+// which ticks everything. The active-set run also goes through two shards.
 func TestActiveSetMatchesFullTickAtSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	cfg := config.MustXCYM(4, 4, config.ArchWireless)
-	cfg.WarmupCycles = 100
-	cfg.MeasureCycles = 600
-	cfg.DrainCycles = 30000
 	tr := TrafficSpec{Kind: TrafficUniform, Rate: 1.0, MemFraction: 0.2}
-
-	run := func(fullTick bool) (*Result, *Engine) {
-		e, err := New(Params{Cfg: cfg, Traffic: tr, FullTick: fullTick})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.CheckFlitConservation(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.CheckPipelineInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return r, e
-	}
-	ra, _ := run(false)
-	rb, _ := run(true)
-	if resultJSON(t, ra) != resultJSON(t, rb) {
-		t.Fatalf("saturated active-set run diverged from full-tick:\n%+v\n%+v", ra, rb)
+	for _, tc := range []struct {
+		chips, stacks int
+		arch          config.Architecture
+		drain         int64
+	}{
+		{4, 4, config.ArchWireless, 30000},
+		{16, 16, config.ArchWireless, 20000},
+		{16, 16, config.ArchInterposer, 20000},
+	} {
+		t.Run(fmt.Sprintf("%dC%dM/%s", tc.chips, tc.stacks, tc.arch), func(t *testing.T) {
+			cfg := config.MustXCYM(tc.chips, tc.stacks, tc.arch)
+			cfg.WarmupCycles = 100
+			cfg.MeasureCycles = 600
+			cfg.DrainCycles = tc.drain
+			run := func(fullTick bool, shards int) string {
+				c := cfg
+				c.EngineShards = shards
+				e, err := New(Params{Cfg: c, Traffic: tr, FullTick: fullTick})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.CheckFlitConservation(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.CheckPipelineInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				return resultJSON(t, r)
+			}
+			reference := run(true, 0)
+			for _, shards := range []int{0, 2} {
+				if got := run(false, shards); got != reference {
+					t.Fatalf("saturated active-set run (engine_shards=%d) diverged from full-tick:\nactive:    %s\nreference: %s",
+						shards, got, reference)
+				}
+			}
+		})
 	}
 }

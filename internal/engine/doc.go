@@ -53,6 +53,64 @@
 // with no active-set or shard code, so TestActiveSetMatchesFullTick
 // compares the shard loop against an independent one.
 //
+// # Active sets: park and wake
+//
+// Each shard keeps one activity set per component kind (switches, links,
+// NIs), and each sweep visits only the active members, in ascending index
+// order: a strict subsequence of ticking every component, so a skipped
+// component must be one whose tick would be a no-op. A component is active
+// while it can act. A switch or NI that holds work but cannot act until a
+// flit or a credit reaches it is parked instead: still a member of its
+// set, but outside the bitmap the sweeps iterate (sim.ActiveSet.Park).
+// Links never park; a busy link always has a flit or a credit coming due.
+//
+//   - The RC sweep, the last of the three switch sweeps, removes a switch
+//     with no buffered flit and parks one that is noc.Switch.Stalled: no
+//     head waits for route computation, no active VC with a buffered flit
+//     holds an output VC with credit, and no VC allocation is pending.
+//   - The NI sweep removes a drained NI and parks one that is
+//     noc.Endpoint.Stalled: nothing is in flight to the switch or the sink,
+//     no queued packet can bind a VC, and every bound VC is out of credits.
+//   - Every event that can end a stall passes through one method, and that
+//     method wakes the component with ActiveSet.Add: Switch.Receive (a
+//     flit arrives), Switch.ReturnCredit (the first credit back on a held
+//     VC whose holder has a flit buffered), Endpoint.Offer (a packet to
+//     bind), Endpoint.Accept (a flit to consume) and Endpoint.ReturnCredit
+//     (a credit on a bound VC).
+//
+// Parking keeps the output byte-identical, for three reasons:
+//
+//  1. A parked component's tick is a provable no-op. Stalled is exactly
+//     the state in which TickSAST, TickVA and TickRC, or Endpoint.Tick,
+//     return without changing anything, and only the waking events change
+//     what Stalled reads. A switch frees an output VC only in its own
+//     traversal, and a link's token bucket, the one input that changes
+//     with time alone, is read only for a VC that could be nominated.
+//  2. Membership stays fixed during the three pipeline sweeps, so a woken
+//     switch first ticks in the same SA/ST sweep where FullTick's loop
+//     would first find work for it. Credits reach a switch only from
+//     mailbox drains (before the sweeps), link delivery (after them), NI
+//     ticks (P2), Fabric.ApplyFaults and Fabric.Launch (S0) and, during a
+//     traversal, the fault model's consumeDroppedFlit, which returns the
+//     credit to the traversing switch itself, already active. Flits reach a switch only
+//     from mailbox drains, link delivery, wireless delivery (S1) and NI
+//     ticks. An NI is woken by switch traversals (P1) and by the serial S2
+//     phase, never from inside the NI sweep.
+//  3. Sharded, every wake either writes the waking shard's own set or runs
+//     in a serial phase. NIs and WIs sit with their switch, the shard that
+//     owns a boundary link's source switch drains the link's credits, and
+//     Launch and wireless delivery are serial.
+//
+// The quiescence probe of the fast-forward counts parked members as work:
+// an ActiveSet is Empty only with no active and no parked member. Active ∪
+// parked is exactly the set of components holding work — switches with a
+// buffered flit, NIs that are not drained — which is the membership the
+// probe tested before parking existed, so no fast-forward decision
+// changes. CheckShardInvariants and CheckPipelineInvariants recompute both
+// facts, and the saturated determinism tests call them every cycle: a
+// component outside its active set is empty, drained or stalled, and a
+// member is parked exactly when it holds work and is not active.
+//
 // Picking a shard count: shards split rows, so they only help when the
 // per-cycle pipeline work dominates the serial phases — large grids
 // (16+ chips) at moderate-to-high load. Small or idle systems are faster
@@ -62,8 +120,9 @@
 //
 // # Event-horizon fast-forward
 //
-// When the system is quiescent — every shard's active sets empty and
-// every boundary mailbox quiet — no component can change state
+// When the system is quiescent — every shard's activity sets empty, with
+// no active and no parked member, and every boundary mailbox quiet — no
+// component can change state
 // until some scheduled future event fires. Run computes that event
 // horizon, a conservative lower bound on the earliest cycle anything can
 // happen, and jumps e.now there, skipping the inert cycles entirely

@@ -261,13 +261,14 @@ func (e *Engine) stepFullTick() {
 }
 
 // quiescent reports whether the network is provably inert: every shard's
-// active sets are empty and every boundary link is quiet, including its
-// mailbox parity buffers (boundary links live outside the activity sets).
-// With quiescent true, a step can only act through the horizon sources:
-// fabric launch/delivery, scheduled fault events, due DRAM replies,
-// traffic generation and the watchdog. The probe runs at the serial point
-// after step returns (post-barrier when sharded), so every shard
-// trivially agrees on it — and on the horizon computed from it.
+// activity sets are empty, with no active and no parked member (a parked
+// switch or NI still holds work; see doc.go), and every boundary link is
+// quiet, including its mailbox parity buffers (boundary links live outside
+// the activity sets). With quiescent true, a step can only act through the
+// horizon sources: fabric launch/delivery, scheduled fault events, due
+// DRAM replies, traffic generation and the watchdog. The probe runs at the
+// serial point after step returns (post-barrier when sharded), so every
+// shard trivially agrees on it — and on the horizon computed from it.
 func (e *Engine) quiescent() bool {
 	for _, s := range e.shards {
 		if !s.swActive.Empty() || !s.linkActive.Empty() || !s.epActive.Empty() {
@@ -359,7 +360,9 @@ func (e *Engine) issueReplies(now sim.Cycle) {
 	}
 }
 
-// generate polls the traffic source for every core.
+// generate polls the traffic source for every core. A packet the core's
+// NI would refuse is counted and its ID burned without being built: at
+// saturation almost every generated packet is refused.
 func (e *Engine) generate(now sim.Cycle) {
 	for i, coreID := range e.world.Cores {
 		g, ok := e.source.NextFor(now, i)
@@ -367,6 +370,10 @@ func (e *Engine) generate(now sim.Cycle) {
 			continue
 		}
 		e.nextPkt++
+		ep := e.endpoints[coreID]
+		if ep.RefuseIfFull() {
+			continue
+		}
 		cl := noc.ClassCoreToCore
 		if g.Mem {
 			cl = noc.ClassCoreToMem
@@ -379,9 +386,7 @@ func (e *Engine) generate(now sim.Cycle) {
 		p.Class = cl
 		p.CreatedAt = now
 		p.Read = g.Read
-		if !e.endpoints[coreID].Offer(p) {
-			e.pool.Put(p) // refused: the ID stays burned, the packet recycles
-		}
+		ep.Offer(p) // cannot refuse: the queue had room above
 	}
 }
 
@@ -577,13 +582,19 @@ func Run(p Params) (*Result, error) {
 // CheckPipelineInvariants recomputes every switch's incrementally
 // maintained pipeline state (ready/rcReady/starved VC masks, buffered and
 // waiting counters, the VA-pending flag) from its VC buffers and credits,
-// plus the wireless fabric's MAC protocol
-// state (announce accounting, active-turn queues — see
+// the park/wake invariants of every shard's activity sets (see
+// checkMembership), plus the wireless fabric's MAC protocol state
+// (announce accounting, active-turn queues — see
 // core.Fabric.CheckMACInvariants), and reports the first drift (test and
 // validation hook; call after Run or between runs).
 func (e *Engine) CheckPipelineInvariants() error {
 	for _, s := range e.switches {
 		if err := s.CheckPipelineInvariants(); err != nil {
+			return err
+		}
+	}
+	for _, s := range e.shards {
+		if err := e.checkMembership(s); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"wimc/internal/core"
@@ -275,9 +276,12 @@ func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 	for _, l := range s.outBound {
 		l.DrainCreditInbox(now)
 	}
-	// No switch joins or leaves the set during the three pipeline phases
-	// (traversed flits land in link/WI/endpoint queues, never directly in
-	// another switch), so the three sweeps see identical membership.
+	// No switch joins or leaves the active set during the three pipeline
+	// phases (traversed flits land in link/WI/endpoint queues, never
+	// directly in another switch, and a traversal returns credits only to
+	// links, NIs, WIs and — through a fault-model drop — the traversing
+	// switch itself), so the three sweeps see identical membership. The RC
+	// sweep then removes empty switches and parks stalled ones (doc.go).
 	for it := s.swActive.Iter(); ; {
 		i, ok := it.Next()
 		if !ok {
@@ -301,6 +305,8 @@ func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 		sw.TickRC(now)
 		if sw.BufferedFlits() == 0 {
 			s.swActive.Remove(i)
+		} else if sw.Stalled() {
+			s.swActive.Park(i)
 		}
 	}
 	for it := s.linkActive.Iter(); ; {
@@ -323,7 +329,7 @@ func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 }
 
 // tickShardEndpoints is one shard's NI phase: tick its active endpoints
-// in ascending index order.
+// in ascending index order, then drop drained ones and park stalled ones.
 func (e *Engine) tickShardEndpoints(s *shard, now sim.Cycle) {
 	for it := s.epActive.Iter(); ; {
 		i, ok := it.Next()
@@ -334,6 +340,8 @@ func (e *Engine) tickShardEndpoints(s *shard, now sim.Cycle) {
 		ep.Tick(now)
 		if ep.Drained() {
 			s.epActive.Remove(i)
+		} else if ep.Stalled() {
+			s.epActive.Park(i)
 		}
 	}
 }
@@ -386,9 +394,11 @@ func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 }
 
 // CheckShardInvariants checks the incrementally maintained state owned by
-// shard si: the pipeline invariants of its switches and the MAC protocol
-// invariants of its wireless sub-channels. Safe to call concurrently from
-// distinct shards (test hook for per-shard, per-cycle validation).
+// shard si: the pipeline invariants of its switches, the park/wake
+// invariants of its activity sets (see checkMembership) and the MAC
+// protocol invariants of its wireless sub-channels. Safe to call
+// concurrently from distinct shards (test hook for per-shard, per-cycle
+// validation).
 func (e *Engine) CheckShardInvariants(si int) error {
 	s := e.shards[si]
 	for _, i := range s.switchIdx {
@@ -396,11 +406,55 @@ func (e *Engine) CheckShardInvariants(si int) error {
 			return err
 		}
 	}
+	if err := e.checkMembership(s); err != nil {
+		return err
+	}
 	if e.fabric != nil {
 		for _, ci := range s.subs {
 			if err := e.fabric.CheckSubChannel(ci); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// checkMembership recomputes the park/wake invariants of shard s's switch
+// and endpoint activity sets from component state:
+//
+//	not active ⇒ switch empty or Stalled;  NI Drained or Stalled
+//	parked     ⇔ holds work (buffered flits; not Drained) and not active
+//
+// The first says no component that could act is missing from the sweeps
+// (a dropped wake shows here the cycle after it was lost); the second that
+// active ∪ parked is exactly the set of components holding work, the
+// membership the quiescence probe relies on. Valid at every step boundary
+// on both scheduling paths: FullTick never parks, and there every holder
+// is active because a component joins on the event that gives it work.
+func (e *Engine) checkMembership(s *shard) error {
+	for _, i := range s.switchIdx {
+		sw := e.switches[i]
+		active, parked := s.swActive.Contains(i), s.swActive.Parked(i)
+		holds := sw.BufferedFlits() > 0
+		if !active && holds && !sw.Stalled() {
+			return fmt.Errorf("engine: switch %d holds %d flits and can act, but is not active", i, sw.BufferedFlits())
+		}
+		if parked != (holds && !active) {
+			return fmt.Errorf("engine: switch %d parked=%v, active=%v, buffered=%d", i, parked, active, sw.BufferedFlits())
+		}
+	}
+	for i, ep := range e.endpoints {
+		// An NI belongs to the shard owning its host switch.
+		if _, owned := slices.BinarySearch(s.switchIdx, int(e.graph.Endpoints[i].Switch)); !owned {
+			continue
+		}
+		active, parked := s.epActive.Contains(i), s.epActive.Parked(i)
+		holds := !ep.Drained()
+		if !active && holds && !ep.Stalled() {
+			return fmt.Errorf("engine: endpoint %d holds work and can act, but is not active", i)
+		}
+		if parked != (holds && !active) {
+			return fmt.Errorf("engine: endpoint %d parked=%v, active=%v, drained=%v", i, parked, active, !holds)
 		}
 	}
 	return nil

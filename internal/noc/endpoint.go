@@ -35,7 +35,7 @@ type Endpoint struct {
 	vcSeq    []int32   // next flit sequence per VC
 	credits  []int     // credits toward the switch input port, per VC
 	rrVC     int
-	bound    int // count of non-nil vcPkt entries (active-set predicate)
+	bound    int // count of non-nil vcPkt entries
 	toSwitch sim.Queue[timedFlit]
 
 	// Ejection.
@@ -98,7 +98,8 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 }
 
 // SetActivity registers the endpoint in the engine's endpoint activity set
-// under index id; the endpoint adds itself whenever it gains work.
+// under index id; the endpoint adds itself whenever it gains work or a
+// credit reaches one of its bound VCs.
 func (e *Endpoint) SetActivity(set *sim.ActiveSet, id int) {
 	e.active, e.activeID = set, id
 }
@@ -119,13 +120,24 @@ func (e *Endpoint) SetInjectionHook(f func(now sim.Cycle, p *Packet)) { e.inject
 // Offer enqueues a packet generated by the traffic source. It reports
 // false (and counts a refusal) when the source queue is full.
 func (e *Endpoint) Offer(p *Packet) bool {
-	e.Generated++
-	if len(e.queue) >= e.queueCap {
-		e.Refused++
+	if e.RefuseIfFull() {
 		return false
 	}
+	e.Generated++
 	e.queue = append(e.queue, p)
 	e.active.Add(e.activeID)
+	return true
+}
+
+// RefuseIfFull counts a generated packet as refused and reports true when
+// the source queue is full — the refusal Offer would make — so a traffic
+// source need not build a packet that would only be dropped.
+func (e *Endpoint) RefuseIfFull() bool {
+	if len(e.queue) < e.queueCap {
+		return false
+	}
+	e.Generated++
+	e.Refused++
 	return true
 }
 
@@ -133,8 +145,16 @@ func (e *Endpoint) Offer(p *Packet) bool {
 func (e *Endpoint) QueueLen() int { return len(e.queue) }
 
 // ReturnCredit implements CreditSink for the switch input port fed by this
-// NI (the switch freed one buffer slot of VC vc).
-func (e *Endpoint) ReturnCredit(_ sim.Cycle, vc int) { e.credits[vc]++ }
+// NI (the switch freed one buffer slot of VC vc). A credit for a bound VC
+// can let a parked NI send again, so it wakes the NI (see Stalled); a
+// credit for a free VC cannot, because binding a packet needs an Offer,
+// which wakes the NI itself.
+func (e *Endpoint) ReturnCredit(_ sim.Cycle, vc int) {
+	e.credits[vc]++
+	if e.vcPkt[vc] != nil {
+		e.active.Add(e.activeID)
+	}
+}
 
 // CanAccept implements Conduit for the switch ejection port.
 func (e *Endpoint) CanAccept(sim.Cycle) bool { return true }
@@ -248,10 +268,36 @@ func (e *Endpoint) InFlightFlits() int {
 }
 
 // Drained reports whether the NI holds no queued, in-flight or partially
-// injected packets. It doubles as the active-set predicate: Tick is a
-// provable no-op while the endpoint is drained.
+// injected packets. The NI holds work, and belongs to its activity set,
+// only while it is not drained; Tick is a provable no-op while it is.
 func (e *Endpoint) Drained() bool {
 	return len(e.queue) == 0 && e.InFlightFlits() == 0 && e.bound == 0
+}
+
+// Stalled reports whether the NI holds work but Tick cannot act: nothing
+// is in flight toward the switch or the sink, no queued packet can bind
+// (the queue is empty or every injection VC is bound), and every bound VC
+// is out of credits. Tick is then a provable no-op, and only three events
+// can end the state, each of which wakes the NI through its activity set:
+// Offer (a packet to bind), Accept (a flit to consume) and ReturnCredit on
+// a bound VC (a flit to send). The engine parks a stalled NI outside its
+// active set.
+func (e *Endpoint) Stalled() bool {
+	if !e.toSwitch.Empty() || !e.toSink.Empty() {
+		return false
+	}
+	if len(e.queue) == 0 && e.bound == 0 {
+		return false // drained: holds no work
+	}
+	if len(e.queue) > 0 && e.bound < len(e.vcPkt) {
+		return false // a queued packet can bind
+	}
+	for vc, p := range e.vcPkt {
+		if p != nil && e.credits[vc] > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 var (

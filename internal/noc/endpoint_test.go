@@ -3,20 +3,31 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+
+	"wimc/internal/sim"
 )
 
+// TestOfferRefusesWhenFull also pins RefuseIfFull, the generator's
+// shortcut, to Offer's accounting: it refuses, and counts, exactly when
+// Offer would.
 func TestOfferRefusesWhenFull(t *testing.T) {
 	o := defaultPipeOpts()
 	o.queueCap = 2
 	p := newPipe(t, o)
+	if p.src.RefuseIfFull() || p.src.Generated != 0 {
+		t.Fatal("RefuseIfFull refused, or counted, with room in the queue")
+	}
 	if !p.src.Offer(mkPacket(1, 4)) || !p.src.Offer(mkPacket(2, 4)) {
 		t.Fatal("offers within capacity refused")
 	}
 	if p.src.Offer(mkPacket(3, 4)) {
 		t.Fatal("offer beyond capacity accepted")
 	}
-	if p.src.Generated != 3 || p.src.Refused != 1 {
-		t.Fatalf("counters %d/%d, want 3/1", p.src.Generated, p.src.Refused)
+	if !p.src.RefuseIfFull() {
+		t.Fatal("RefuseIfFull did not refuse with the queue full")
+	}
+	if p.src.Generated != 4 || p.src.Refused != 2 {
+		t.Fatalf("counters %d/%d, want 4/2", p.src.Generated, p.src.Refused)
 	}
 	if p.src.QueueLen() != 2 {
 		t.Fatalf("queue length %d", p.src.QueueLen())
@@ -119,5 +130,61 @@ func TestLocalLatencyFloor(t *testing.T) {
 	ep := NewEndpoint(0, sw, in, out, 0, 0, energyClassSwitch(), 32, 4, nil, m)
 	if ep.localLatency != 1 {
 		t.Fatalf("local latency floor = %d", ep.localLatency)
+	}
+}
+
+// TestEndpointStalledAndCreditWake drives the source NI alone (the switch
+// never ticks, so no credit comes back unless the test returns it) until
+// its only bound VC is out of credits: Stalled must hold exactly then, a
+// credit for a free VC must not wake the parked NI, and a credit for the
+// bound VC must.
+func TestEndpointStalledAndCreditWake(t *testing.T) {
+	p := newPipe(t, defaultPipeOpts()) // 4 VCs, 4 credits each
+	set := sim.NewActiveSet(1)
+	p.src.SetActivity(set, 0)
+	if p.src.Stalled() {
+		t.Fatal("drained NI reported stalled")
+	}
+	p.src.Offer(mkPacket(1, 8)) // binds VC 0
+	p.src.Offer(mkPacket(2, 1)) // binds VC 1, sends its only flit, unbinds
+	if !set.Contains(0) {
+		t.Fatal("Offer did not add the NI to its activity set")
+	}
+	if p.src.Stalled() {
+		t.Fatal("NI with a bindable queued packet reported stalled")
+	}
+	for p.src.FlitsSent < 5 {
+		if p.now > 20 {
+			t.Fatal("NI never sent five flits")
+		}
+		if p.src.Stalled() {
+			t.Fatalf("cycle %d: NI stalled with flits in flight or credits left", p.now)
+		}
+		p.src.Tick(p.now)
+		p.now++
+	}
+	p.src.Tick(p.now) // hand the last flit to the switch
+	p.now++
+	if !p.src.Stalled() {
+		t.Fatalf("bound VC 0 out of credits, nothing in flight: not stalled (credits %v)", p.src.credits)
+	}
+	set.Park(0)
+	p.src.Tick(p.now) // a stalled NI's tick is a no-op
+	if p.src.FlitsSent != 5 || !p.src.Stalled() {
+		t.Fatal("a stalled NI's tick sent a flit")
+	}
+	p.src.ReturnCredit(p.now, 1) // packet 2's credit: VC 1 is free
+	if !set.Parked(0) {
+		t.Fatal("a credit for a free VC woke the NI")
+	}
+	if !p.src.Stalled() {
+		t.Fatal("a credit for a free VC ended the stall")
+	}
+	p.src.ReturnCredit(p.now, 0)
+	if !set.Contains(0) || set.Parked(0) {
+		t.Fatal("a credit for the bound VC did not wake the parked NI")
+	}
+	if p.src.Stalled() {
+		t.Fatal("NI with credit on its bound VC reported stalled")
 	}
 }

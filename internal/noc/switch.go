@@ -136,8 +136,8 @@ type Switch struct {
 	nominated []nomination
 
 	// buffered counts flits across all input VC buffers. The switch's three
-	// pipeline ticks are provably no-ops while it is zero, which is the
-	// active-set scheduling predicate.
+	// pipeline ticks are provably no-ops while it is zero, or while the
+	// switch is Stalled.
 	buffered int
 	// waiting counts input VCs in vcWaitVC state; TickVA is a no-op while
 	// it is zero.
@@ -269,7 +269,8 @@ func (s *Switch) vcRange(phase uint8) (lo, hi int) {
 }
 
 // SetActivity registers the switch in the engine's switch activity set
-// under index id; the switch adds itself whenever a flit arrives.
+// under index id; the switch adds itself whenever a flit arrives or a
+// credit lets a buffered flit move again.
 func (s *Switch) SetActivity(set *sim.ActiveSet, id int) {
 	s.active, s.activeID = set, id
 }
@@ -316,7 +317,8 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 
 // ReturnCredit restores one downstream credit to output port port, VC vc.
 // The first credit back on a held VC makes its holder an SA candidate
-// again.
+// again; when the holder has a flit buffered, that is a wake-up, so the
+// switch rejoins its active set (see Stalled).
 func (s *Switch) ReturnCredit(port, vc int) {
 	op := s.out[port]
 	ovc := &op.vcs[vc]
@@ -325,7 +327,12 @@ func (s *Switch) ReturnCredit(port, vc int) {
 		panic(fmt.Sprintf("noc: switch %d out port %d vc %d credit overflow", s.ID, port, vc))
 	}
 	if ovc.credits == 1 && ovc.holderPort >= 0 {
-		s.in[ovc.holderPort].starved &^= 1 << uint(ovc.holderVC)
+		ip := s.in[ovc.holderPort]
+		bit := uint64(1) << uint(ovc.holderVC)
+		ip.starved &^= bit
+		if ip.ready&bit != 0 {
+			s.active.Add(s.activeID)
+		}
 	}
 }
 
@@ -611,9 +618,32 @@ func (s *Switch) TickRC(now sim.Cycle) {
 	}
 }
 
-// BufferedFlits returns the total flits currently buffered. It is the
-// active-set predicate: the switch needs ticking only while it is nonzero.
+// BufferedFlits returns the total flits currently buffered. The switch
+// holds work, and belongs to its activity set, only while it is nonzero.
 func (s *Switch) BufferedFlits() int { return s.buffered }
+
+// Stalled reports whether the switch holds flits but none of its pipeline
+// stages can act: no input VC has a head waiting for route computation
+// (rcReady), no active VC with a buffered flit holds an output VC with
+// credit (ready &^ starved), and no VA pass is pending while a VC waits.
+// In that state TickSAST, TickVA and TickRC all return without changing
+// anything, and only two events can end it, both of which wake the switch
+// through its activity set: Receive (a flit arrives) and ReturnCredit (the
+// first credit back on a held VC whose holder has a flit buffered). An
+// output VC is freed only by this switch's own traversal, so a stalled
+// switch never needs to wake for VA. The engine parks a stalled switch
+// outside its active set.
+func (s *Switch) Stalled() bool {
+	if s.buffered == 0 || (s.vaPending && s.waiting > 0) {
+		return false
+	}
+	for _, ip := range s.in {
+		if ip.rcReady|(ip.ready&^ip.starved) != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // CountBufferedFlits recomputes the buffered total from the VC buffers
 // (invariant check for tests; must equal BufferedFlits).

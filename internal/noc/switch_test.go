@@ -519,3 +519,87 @@ func TestIneligibleWaiterKeepsVAPending(t *testing.T) {
 		t.Fatalf("head routed at cycle 5 not granted at cycle 6 (state %d)", vc.state)
 	}
 }
+
+// TestSwitchStalledAndCreditWake walks one switch through the stalled
+// state: buffered flits whose only VC holds an output VC with no credit
+// and nothing to route or allocate. Stalled must hold exactly then, and
+// the first credit back on the held VC must wake a parked switch — but
+// only while the holder has a flit to send. Only sw0 is ticked, so no
+// credit comes back unless the test returns it.
+func TestSwitchStalledAndCreditWake(t *testing.T) {
+	o := defaultPipeOpts()
+	o.depth = 2 // two credits toward sw1
+	p := newPipe(t, o)
+	set := sim.NewActiveSet(1)
+	p.sw0.SetActivity(set, 0)
+	tick := func() {
+		p.sw0.TickSAST(p.now)
+		p.sw0.TickVA(p.now)
+		p.sw0.TickRC(p.now)
+		p.now++
+	}
+	if p.sw0.Stalled() {
+		t.Fatal("empty switch reported stalled")
+	}
+	a := mkPacket(1, 6)
+	p.sw0.Receive(0, 0, FlitAt(a, 0))
+	if !set.Contains(0) {
+		t.Fatal("Receive did not add the switch to its activity set")
+	}
+	if p.sw0.Stalled() {
+		t.Fatal("switch with a head waiting for RC reported stalled")
+	}
+	p.sw0.TickRC(p.now)
+	if p.sw0.Stalled() {
+		t.Fatal("switch with a routed head and VA pending reported stalled")
+	}
+	p.sw0.Receive(0, 0, FlitAt(a, 1))
+	for p.link.InFlight() < 2 {
+		if p.now > 10 {
+			t.Fatal("first two flits never traversed")
+		}
+		tick()
+	}
+	ovc := int(p.sw0.in[0].vcs[0].outVC)
+
+	// Empty input, output VC starved: not stalled (nothing held), and a
+	// credit back must not wake the switch, since no flit can move.
+	if p.sw0.Stalled() {
+		t.Fatal("switch with no buffered flit reported stalled")
+	}
+	set.Park(0)
+	p.sw0.ReturnCredit(0, ovc)
+	if set.Contains(0) || !set.Parked(0) {
+		t.Fatal("a credit for a holder with an empty buffer woke the switch")
+	}
+	tick() // flit 2 cannot arrive yet; the credit is spent by nothing
+	set.Remove(0)
+
+	p.sw0.Receive(0, 0, FlitAt(a, 2))
+	tick() // the returned credit carries flit 2 across; the VC starves again
+	p.sw0.Receive(0, 0, FlitAt(a, 3))
+	if !p.sw0.Stalled() {
+		t.Fatalf("flit buffered behind a starved output VC, not stalled (starved %b ready %b)",
+			p.sw0.in[0].starved, p.sw0.in[0].ready)
+	}
+	set.Park(0)
+	before := p.link.InFlight()
+	tick() // a parked switch's tick is a no-op: nothing may move
+	if p.link.InFlight() != before || !p.sw0.Stalled() {
+		t.Fatal("a stalled switch's tick moved a flit")
+	}
+	p.sw0.ReturnCredit(0, ovc)
+	if !set.Contains(0) || set.Parked(0) {
+		t.Fatal("the first credit back on a held VC with a flit buffered did not wake the parked switch")
+	}
+	if p.sw0.Stalled() {
+		t.Fatal("switch with a nominable VC reported stalled")
+	}
+	tick()
+	if p.link.InFlight() != before+1 {
+		t.Fatal("woken switch did not send its flit")
+	}
+	if err := p.sw0.CheckPipelineInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -165,42 +165,66 @@ func Validatef(format string, args ...any) error {
 }
 
 // ActiveSet is a bitmap over component indices used by the engine's
-// active-set scheduler: a component is a member while ticking it could do
-// work, and the cycle loop visits only members. Iteration is always in
-// ascending index order, which makes an active-set sweep a strict
+// active-set scheduler: a component is active while ticking it could do
+// work, and the cycle loop visits only active members. Iteration is always
+// in ascending index order, which makes an active-set sweep a strict
 // subsequence of the full slice sweep — the property that keeps active-set
 // scheduling cycle-identical to ticking everything (skipped components are
 // provably no-ops, and visited ones run in the same order, so even
 // floating-point accumulation is unchanged).
 //
+// A second bitmap holds parked members: components that hold work but
+// cannot act until some event (a flit or a credit) reaches them. Park moves
+// a member out of the iterated set; Add — the event's wake-up — makes it
+// active again; Remove drops it from both. A set is Empty only when it has
+// neither active nor parked members, so a parked component still counts
+// as pending work.
+//
 // All methods are nil-safe no-ops on a nil receiver so components built
 // outside an engine (unit tests, harnesses) need no activity wiring.
 type ActiveSet struct {
-	words []uint64
+	words  []uint64
+	parked []uint64
 }
 
 // NewActiveSet returns a set able to hold indices [0, n).
 func NewActiveSet(n int) *ActiveSet {
-	return &ActiveSet{words: make([]uint64, (n+63)/64)}
+	w := (n + 63) / 64
+	return &ActiveSet{words: make([]uint64, w), parked: make([]uint64, w)}
 }
 
-// Add marks index i active (idempotent).
+// Add marks index i active, waking it if it was parked (idempotent).
 func (s *ActiveSet) Add(i int) {
 	if s == nil {
 		return
 	}
-	s.words[i>>6] |= 1 << (uint(i) & 63)
+	bit := uint64(1) << (uint(i) & 63)
+	s.words[i>>6] |= bit
+	s.parked[i>>6] &^= bit
 }
 
-// Remove marks index i inactive (idempotent).
+// Park moves index i from the active bitmap to the parked one: it stays a
+// member but iteration no longer visits it (idempotent).
+func (s *ActiveSet) Park(i int) {
+	if s == nil {
+		return
+	}
+	bit := uint64(1) << (uint(i) & 63)
+	s.words[i>>6] &^= bit
+	s.parked[i>>6] |= bit
+}
+
+// Remove drops index i from the set, active or parked (idempotent).
 func (s *ActiveSet) Remove(i int) {
 	if s == nil {
 		return
 	}
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
+	bit := uint64(1) << (uint(i) & 63)
+	s.words[i>>6] &^= bit
+	s.parked[i>>6] &^= bit
 }
 
-// Contains reports membership of index i.
+// Contains reports whether index i is active.
 func (s *ActiveSet) Contains(i int) bool {
 	if s == nil {
 		return false
@@ -208,21 +232,30 @@ func (s *ActiveSet) Contains(i int) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Empty reports whether no index is active. It is O(words) with no
-// popcount, so the engine's quiescence probe can run every cycle.
+// Parked reports whether index i is parked.
+func (s *ActiveSet) Parked(i int) bool {
+	if s == nil {
+		return false
+	}
+	return s.parked[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// Empty reports whether the set has no member, active or parked. It is
+// O(words) with no popcount, so the engine's quiescence probe can run
+// every cycle.
 func (s *ActiveSet) Empty() bool {
 	if s == nil {
 		return true
 	}
-	for _, w := range s.words {
-		if w != 0 {
+	for i, w := range s.words {
+		if w|s.parked[i] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Len returns the number of active indices.
+// Len returns the number of active indices (parked ones excluded).
 func (s *ActiveSet) Len() int {
 	if s == nil {
 		return 0
@@ -235,10 +268,11 @@ func (s *ActiveSet) Len() int {
 }
 
 // Iter returns an allocation-free iterator over the active indices in
-// ascending order. Each word is snapshotted as the iterator reaches it:
-// removing the current or any already-visited index during iteration is
-// safe; indices added during iteration may or may not be visited in the
-// same pass. A nil set yields an empty iterator.
+// ascending order; parked members are not visited. Each word is
+// snapshotted as the iterator reaches it: removing or parking the current
+// or any already-visited index during iteration is safe; indices added
+// during iteration may or may not be visited in the same pass. A nil set
+// yields an empty iterator.
 func (s *ActiveSet) Iter() ActiveIter {
 	if s == nil {
 		return ActiveIter{}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,11 +237,71 @@ func TestActiveSetRemoveDuringIteration(t *testing.T) {
 	}
 }
 
+// TestActiveSetParkWake pins the parked bitmap: a parked member leaves
+// iteration but keeps the set non-empty, Add wakes it back into ascending
+// iteration, and Remove clears it whether active or parked.
+func TestActiveSetParkWake(t *testing.T) {
+	s := NewActiveSet(200)
+	for _, i := range []int{3, 64, 70, 199} {
+		s.Add(i)
+	}
+	iterate := func() []int {
+		var got []int
+		for it := s.Iter(); ; {
+			i, ok := it.Next()
+			if !ok {
+				return got
+			}
+			got = append(got, i)
+		}
+	}
+	s.Park(64)
+	s.Park(199)
+	s.Park(199) // idempotent
+	if s.Contains(64) || !s.Parked(64) || s.Parked(3) || s.Len() != 2 {
+		t.Fatalf("after park: active(64)=%v parked(64)=%v parked(3)=%v len=%d",
+			s.Contains(64), s.Parked(64), s.Parked(3), s.Len())
+	}
+	if got := iterate(); !slices.Equal(got, []int{3, 70}) {
+		t.Fatalf("iteration visited %v, want the active members [3 70] only", got)
+	}
+
+	s.Add(64) // wake
+	if !s.Contains(64) || s.Parked(64) {
+		t.Fatal("Add did not wake a parked member")
+	}
+	if got := iterate(); !slices.Equal(got, []int{3, 64, 70}) {
+		t.Fatalf("iteration after wake visited %v, want [3 64 70]", got)
+	}
+
+	// Parking the current member during iteration is as safe as removing it.
+	for it := s.Iter(); ; {
+		i, ok := it.Next()
+		if !ok {
+			break
+		}
+		s.Park(i)
+	}
+	if s.Len() != 0 || s.Empty() {
+		t.Fatalf("every member parked: len %d, empty %v; want 0 active and a non-empty set", s.Len(), s.Empty())
+	}
+	for _, i := range []int{3, 64, 70, 199} {
+		s.Remove(i)
+		if s.Parked(i) || s.Contains(i) {
+			t.Fatalf("Remove left %d parked=%v active=%v", i, s.Parked(i), s.Contains(i))
+		}
+	}
+	if !s.Empty() {
+		t.Fatal("set not empty after removing every parked member")
+	}
+}
+
 func TestActiveSetNilSafe(t *testing.T) {
 	var s *ActiveSet
 	s.Add(5)
+	s.Park(5)
 	s.Remove(5)
-	if s.Contains(5) || s.Len() != 0 {
+	if s.Contains(5) || s.Parked(5) || s.Len() != 0 || !s.Empty() {
 		t.Fatal("nil set must behave as empty")
 	}
 	it := s.Iter()
