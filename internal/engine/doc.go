@@ -111,6 +111,25 @@
 // component outside its active set is empty, drained or stalled, and a
 // member is parked exactly when it holds work and is not active.
 //
+// # Room flags
+//
+// Traffic generation (generate, in the serial S2 phase) polls the source
+// once per cycle with one room flag per core, Engine.room, instead of
+// asking each core's NI whether its source queue can take a packet; a core
+// whose flag is clear only draws, and its packets are counted as generated
+// and refused without being built. Each core's NI keeps its flag equal to
+// len(queue) < queueCap (noc.Endpoint.SetRoomFlag): Offer clears it when
+// the queue fills, and Tick sets it when it binds a packet out of the
+// queue. The ownership rule: a flag is written only by its owner NI,
+// during the NI phase P2 (Tick, on the NI's shard) or inside generate
+// (Offer), and read only inside generate, after the P2 barrier. So a read
+// never races a write, and the flags generate reads are the queue states
+// the per-core Offers of the one-shard loop would have found — an Offer
+// to one core cannot change another core's queue. Each flag is its own
+// byte, so shards writing neighboring flags never write the same memory.
+// checkMembership recomputes every owned NI's flag from its queue, so the
+// saturated determinism tests check the rule every cycle.
+//
 // Picking a shard count: shards split rows, so they only help when the
 // per-cycle pipeline work dominates the serial phases — large grids
 // (16+ chips) at moderate-to-high load. Small or idle systems are faster

@@ -127,6 +127,16 @@ type Engine struct {
 	nextPkt  uint64
 	now      sim.Cycle
 
+	// room holds one flag per core, kept by the core's NI equal to "the
+	// source queue has room" (noc.Endpoint.SetRoomFlag; see doc.go for who
+	// writes it when). gens is generate's packet buffer, grown to the most
+	// packets one cycle has offered and reused, and genRefused counts the
+	// generated packets of full cores, which no NI sees (results adds them
+	// to Generated and Refused).
+	room       []bool
+	gens       []traffic.Gen
+	genRefused int64
+
 	genStop sim.Cycle // cycle after which traffic generation ceases
 
 	// Pending DRAM read replies: a min-heap keyed by (readyAt, seq) so the
@@ -494,6 +504,10 @@ func (e *Engine) build() error {
 		e.world.CoreGY = append(e.world.CoreGY, node.GY)
 	}
 	e.world.MemChannels = append(e.world.MemChannels, g.MemChannels...)
+	e.room = make([]bool, len(e.world.Cores))
+	for i, id := range e.world.Cores {
+		e.endpoints[id].SetRoomFlag(&e.room[i])
+	}
 	return nil
 }
 

@@ -360,34 +360,33 @@ func (e *Engine) issueReplies(now sim.Cycle) {
 	}
 }
 
-// generate polls the traffic source for every core. A packet the core's
-// NI would refuse is counted and its ID burned without being built: at
-// saturation almost every generated packet is refused.
+// generate polls the traffic source once for every core and offers the
+// packets of the cores whose source queue has room. A generated packet of
+// a full core was drawn but is never built: it burns its ID and counts as
+// generated and refused, as if its NI had refused it. At saturation that
+// is almost every packet.
 func (e *Engine) generate(now sim.Cycle) {
-	for i, coreID := range e.world.Cores {
-		g, ok := e.source.NextFor(now, i)
-		if !ok {
-			continue
-		}
-		e.nextPkt++
-		ep := e.endpoints[coreID]
-		if ep.RefuseIfFull() {
-			continue
-		}
+	gens, n := e.source.Generate(now, e.room, e.gens[:0])
+	e.gens = gens
+	for i := range gens {
+		g := &gens[i]
 		cl := noc.ClassCoreToCore
 		if g.Mem {
 			cl = noc.ClassCoreToMem
 		}
+		coreID := e.world.Cores[g.Core]
 		p := e.pool.Get()
-		p.ID = e.nextPkt
+		p.ID = e.nextPkt + uint64(g.Seq) + 1
 		p.Src = coreID
 		p.Dst = g.Dst
 		p.NumFlits = g.Flits
 		p.Class = cl
 		p.CreatedAt = now
 		p.Read = g.Read
-		ep.Offer(p) // cannot refuse: the queue had room above
+		e.endpoints[coreID].Offer(p) // cannot refuse: its room flag was set
 	}
+	e.nextPkt += uint64(n)
+	e.genRefused += int64(n - len(gens))
 }
 
 // results finalizes static energy and assembles the Result.
@@ -412,7 +411,8 @@ func (e *Engine) results() (*Result, error) {
 		wiStatic = e.meter.StaticPJ() - before
 	}
 
-	var gen, ref, inj, del int64
+	gen, ref := e.genRefused, e.genRefused
+	var inj, del int64
 	for _, ep := range e.endpoints {
 		gen += ep.Generated
 		ref += ep.Refused

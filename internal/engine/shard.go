@@ -420,7 +420,8 @@ func (e *Engine) CheckShardInvariants(si int) error {
 }
 
 // checkMembership recomputes the park/wake invariants of shard s's switch
-// and endpoint activity sets from component state:
+// and endpoint activity sets from component state, and each owned core
+// NI's room flag (noc.Endpoint.CheckRoomFlag):
 //
 //	not active ⇒ switch empty or Stalled;  NI Drained or Stalled
 //	parked     ⇔ holds work (buffered flits; not Drained) and not active
@@ -455,6 +456,9 @@ func (e *Engine) checkMembership(s *shard) error {
 		}
 		if parked != (holds && !active) {
 			return fmt.Errorf("engine: endpoint %d parked=%v, active=%v, drained=%v", i, parked, active, !holds)
+		}
+		if err := ep.CheckRoomFlag(); err != nil {
+			return err
 		}
 	}
 	return nil

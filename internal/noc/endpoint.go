@@ -57,6 +57,10 @@ type Endpoint struct {
 	active   *sim.ActiveSet
 	activeID int
 
+	// room, when non-nil, is kept equal to "the source queue has room"
+	// (see SetRoomFlag).
+	room *bool
+
 	// Counters.
 	Generated     int64 // packets offered by the traffic source
 	Refused       int64 // packets dropped because the source queue was full
@@ -117,28 +121,41 @@ func (e *Endpoint) SetClassifier(f func(now sim.Cycle, p *Packet)) { e.classify 
 // the engine's liveness watchdog is active).
 func (e *Endpoint) SetInjectionHook(f func(now sim.Cycle, p *Packet)) { e.injected = f }
 
+// SetRoomFlag hands the NI a flag to keep equal to len(queue) < queueCap
+// from now on: Offer clears it when the queue fills, and Tick sets it when
+// it binds a packet out of the queue. The engine's traffic generator reads
+// the flags of every core at once, so a core whose queue is full costs it
+// no call into the NI.
+func (e *Endpoint) SetRoomFlag(room *bool) {
+	e.room = room
+	*room = len(e.queue) < e.queueCap
+}
+
 // Offer enqueues a packet generated by the traffic source. It reports
 // false (and counts a refusal) when the source queue is full.
 func (e *Endpoint) Offer(p *Packet) bool {
-	if e.RefuseIfFull() {
+	e.Generated++
+	if len(e.queue) >= e.queueCap {
+		e.Refused++
 		return false
 	}
-	e.Generated++
 	e.queue = append(e.queue, p)
+	if e.room != nil && len(e.queue) >= e.queueCap {
+		*e.room = false
+	}
 	e.active.Add(e.activeID)
 	return true
 }
 
-// RefuseIfFull counts a generated packet as refused and reports true when
-// the source queue is full — the refusal Offer would make — so a traffic
-// source need not build a packet that would only be dropped.
-func (e *Endpoint) RefuseIfFull() bool {
-	if len(e.queue) < e.queueCap {
-		return false
+// CheckRoomFlag reports an error unless the room flag, when set, equals
+// whether the source queue has room (test hook for the engine's per-cycle
+// invariant checks).
+func (e *Endpoint) CheckRoomFlag() error {
+	if e.room != nil && *e.room != (len(e.queue) < e.queueCap) {
+		return fmt.Errorf("noc: endpoint %d room flag %v with %d of %d packets queued",
+			e.ID, *e.room, len(e.queue), e.queueCap)
 	}
-	e.Generated++
-	e.Refused++
-	return true
+	return nil
 }
 
 // QueueLen returns the source-queue occupancy.
@@ -214,6 +231,9 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 				e.bound++
 				copy(e.queue, e.queue[1:])
 				e.queue = e.queue[:len(e.queue)-1]
+				if e.room != nil {
+					*e.room = true
+				}
 				break
 			}
 		}

@@ -7,30 +7,56 @@ import (
 	"wimc/internal/sim"
 )
 
-// TestOfferRefusesWhenFull also pins RefuseIfFull, the generator's
-// shortcut, to Offer's accounting: it refuses, and counts, exactly when
-// Offer would.
+// TestOfferRefusesWhenFull pins Offer's accounting and the room flag the
+// traffic generator reads instead of offering to a full queue: the flag is
+// set exactly while the queue has room, cleared by the Offer that fills the
+// queue and set again by the Tick that binds a packet out of it.
 func TestOfferRefusesWhenFull(t *testing.T) {
 	o := defaultPipeOpts()
 	o.queueCap = 2
+	o.vcs = 1
 	p := newPipe(t, o)
-	if p.src.RefuseIfFull() || p.src.Generated != 0 {
-		t.Fatal("RefuseIfFull refused, or counted, with room in the queue")
+	var room bool
+	p.src.SetRoomFlag(&room)
+	if !room {
+		t.Fatal("room flag clear with the queue empty")
 	}
-	if !p.src.Offer(mkPacket(1, 4)) || !p.src.Offer(mkPacket(2, 4)) {
+	if !p.src.Offer(mkPacket(1, 4)) || !room {
+		t.Fatal("first offer refused, or it cleared the room flag")
+	}
+	if !p.src.Offer(mkPacket(2, 4)) {
 		t.Fatal("offers within capacity refused")
+	}
+	if room {
+		t.Fatal("room flag still set with the queue full")
 	}
 	if p.src.Offer(mkPacket(3, 4)) {
 		t.Fatal("offer beyond capacity accepted")
 	}
-	if !p.src.RefuseIfFull() {
-		t.Fatal("RefuseIfFull did not refuse with the queue full")
-	}
-	if p.src.Generated != 4 || p.src.Refused != 2 {
-		t.Fatalf("counters %d/%d, want 4/2", p.src.Generated, p.src.Refused)
+	if p.src.Generated != 3 || p.src.Refused != 1 {
+		t.Fatalf("counters %d/%d, want 3/1", p.src.Generated, p.src.Refused)
 	}
 	if p.src.QueueLen() != 2 {
 		t.Fatalf("queue length %d", p.src.QueueLen())
+	}
+	// The one injection VC takes the head packet on the first tick and holds
+	// it until its four flits are sent: room again, for one packet.
+	p.step()
+	if !room || p.src.QueueLen() != 1 {
+		t.Fatalf("after one tick: room %v, queue %d; want true, 1", room, p.src.QueueLen())
+	}
+	if !p.src.Offer(mkPacket(4, 4)) || room {
+		t.Fatal("refilling offer refused, or the room flag survived it")
+	}
+	for i := 0; i < 3; i++ {
+		p.step()
+		if err := p.src.CheckRoomFlag(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+	}
+	room = !room
+	if p.src.CheckRoomFlag() == nil {
+		t.Fatal("CheckRoomFlag accepted a flag that disagrees with the queue")
 	}
 }
 

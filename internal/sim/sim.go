@@ -35,14 +35,255 @@ const Never Cycle = 1<<63 - 1
 // Rand is the deterministic random source used throughout a simulation.
 // All randomness in a run derives from a single seed so that identical
 // configurations replay identically.
+//
+// A Rand yields exactly the stream of
+// rand.New(rand.NewSource(int64(seed))) from math/rand: each method of the
+// same name returns the same value after the same draws. It is a concrete
+// copy of that stream rather than a wrapper, so a draw is a direct call
+// (Uint64 an inlined array read) instead of two interface calls, and a hot
+// loop can draw through a Stream without any call. math/rand's source is the
+// additive lagged Fibonacci generator x[n] = x[n-607] + x[n-273] (mod
+// 2^64), so its first 607 outputs determine every later one: NewRand takes
+// them from the math/rand source itself (no copy of its seed table), and
+// refill advances the recurrence a block of 607 outputs at a time. Go keeps
+// math/rand's seeded streams stable across releases; TestRandMatchesMathRand
+// pins the copy against it.
 type Rand struct {
-	*rand.Rand
+	buf  [randLag]uint64 // the current block of outputs; buf[pos:] are next
+	pos  int
 	seed uint64
+	// exp draws the rare ExpFloat64 through math/rand over this stream,
+	// built on first use.
+	exp *rand.Rand
 }
+
+// The lags of math/rand's generator.
+const (
+	randLag = 607
+	randTap = 273
+)
 
 // NewRand returns a Rand seeded with seed.
 func NewRand(seed uint64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewSource(int64(seed))), seed: seed}
+	r := &Rand{seed: seed}
+	src := rand.NewSource(int64(seed)).(rand.Source64)
+	for i := range r.buf {
+		r.buf[i] = src.Uint64()
+	}
+	return r
+}
+
+// refill replaces the block of the last 607 outputs with the next 607: in
+// place, each new output adds the one 607 back (the old value in its slot)
+// to the one 273 back (for the first 273 slots an old value further up the
+// block, after that a new value already written). It stays out of line so
+// that every inlined Uint64 carries a call, not the loops.
+//
+//go:noinline
+func (r *Rand) refill() {
+	b := &r.buf
+	for i := 0; i < randTap; i++ {
+		b[i] += b[i+randLag-randTap]
+	}
+	for i := randTap; i < randLag; i++ {
+		b[i] += b[i-randTap]
+	}
+	r.pos = 0
+}
+
+// Uint64 returns a pseudo-random 64-bit value.
+func (r *Rand) Uint64() uint64 {
+	if r.pos >= randLag {
+		r.refill()
+	}
+	v := r.buf[r.pos]
+	r.pos++
+	return v
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (r *Rand) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+
+// Float64 returns a pseudo-random number in [0, 1). Like math/rand it
+// divides a 63-bit draw by 2^63 and redraws when that rounds to 1.
+func (r *Rand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// int63n is math/rand's Int63n for n > 0.
+func (r *Rand) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
+
+// Intn returns a pseudo-random number in [0, n). It panics if n <= 0.
+// Like math/rand it draws through Int31n (Below) when n < 2^31 and through
+// Int63n otherwise.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return r.Below(NewBound(n))
+	}
+	return int(r.int63n(int64(n)))
+}
+
+// ExpFloat64 returns an exponentially distributed number with rate 1,
+// drawn by math/rand's ziggurat from this stream.
+func (r *Rand) ExpFloat64() float64 {
+	if r.exp == nil {
+		r.exp = rand.New(randSource{r})
+	}
+	return r.exp.ExpFloat64()
+}
+
+// randSource lets math/rand draw from a Rand's stream.
+type randSource struct{ r *Rand }
+
+func (s randSource) Int63() int64   { return s.r.Int63() }
+func (s randSource) Uint64() uint64 { return s.r.Uint64() }
+func (s randSource) Seed(int64)     { panic("sim: a Rand cannot be reseeded") }
+
+// float1At is the smallest 63-bit draw that Float64 would turn into 1 (and
+// redraw): float64 spaces values 2^10 apart just below 2^63, so every draw
+// within 2^9 of it rounds up.
+const float1At = 1<<63 - 1<<9
+
+// Threshold is a probability p in integer form: Chance(t) makes the draws
+// Float64() < p makes and returns the same answer without the conversion.
+type Threshold uint64
+
+// NewThreshold returns the Threshold of p: the smallest 63-bit draw whose
+// Float64 value is at least p, found by binary search on the monotone
+// conversion. Every p <= 0 (and NaN) maps to 0, never hit, and every p > 1
+// to 2^63, always hit.
+func NewThreshold(p float64) Threshold {
+	if !(p > 0) {
+		return 0
+	}
+	lo, hi := uint64(0), uint64(1<<63)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return Threshold(lo)
+}
+
+// Chance reports Float64() < p for t = NewThreshold(p), making the same
+// draws.
+func (r *Rand) Chance(t Threshold) bool {
+	v := r.Uint64() & (1<<63 - 1)
+	for v >= float1At {
+		v = r.Uint64() & (1<<63 - 1)
+	}
+	return v < uint64(t)
+}
+
+// Bound is a range size n in [1, 2^31) in precomputed form for Below,
+// which draws as math/rand's Int31n(n) does — 31 bits, redrawn above the
+// same rejection bound — and takes the remainder by multiply-shift.
+type Bound struct {
+	n   uint64
+	max uint32 // Int31n's rejection bound: larger draws are redrawn
+	m   uint64 // ceil(2^64/n): v%n is the high word of (m*v mod 2^64)*n
+}
+
+// NewBound precomputes n. It panics unless 0 < n < 2^31.
+func NewBound(n int) Bound {
+	if n <= 0 || n > 1<<31-1 {
+		panic(fmt.Sprintf("sim: bound %d outside [1, 2^31)", n))
+	}
+	return Bound{
+		n:   uint64(n),
+		max: uint32(1<<31 - 1 - (1<<31)%uint32(n)),
+		m:   ^uint64(0)/uint64(n) + 1,
+	}
+}
+
+// Below returns a pseudo-random number in [0, n) for b = NewBound(n): the
+// value and the draws of math/rand's Int31n(n).
+func (r *Rand) Below(b Bound) int {
+	v := uint32(r.Uint64()>>32) & (1<<31 - 1)
+	for v > b.max {
+		v = uint32(r.Uint64()>>32) & (1<<31 - 1)
+	}
+	hi, _ := bits.Mul64(b.m*uint64(v), b.n)
+	return int(hi)
+}
+
+// Stream is the unread rest of a Rand's current block: a read position
+// that a loop making many draws holds in a local variable, where it can
+// stay in registers. Rand's own methods keep the position in the Rand and
+// must refill the block when it runs out, which keeps them from inlining;
+// Stream's draw methods never refill, so they inline. Each makes the draw
+// the Rand method of the same name makes, from the next output, and
+// returns the rest of the stream — or reports ok false, consuming nothing,
+// when it cannot decide from what it holds: the stream is empty, or its
+// next output is one the Rand method would reject and redraw. The caller
+// then makes that one draw with ChanceFrom or BelowFrom, which run the
+// Rand method. A loop takes the stream with Rand.Stream, always continues
+// from the last stream returned, and hands it back with Rand.SetStream
+// before anything else draws from the Rand.
+type Stream []uint64
+
+// Stream returns r's read position as a Stream.
+func (r *Rand) Stream() Stream { return r.buf[r.pos:] }
+
+// SetStream moves r's read position to s, the last stream returned by a
+// draw that began from r.Stream.
+func (r *Rand) SetStream(s Stream) { r.pos = randLag - len(s) }
+
+// Chance is Rand.Chance from the stream.
+func (s Stream) Chance(t Threshold) (hit bool, rest Stream, ok bool) {
+	if len(s) == 0 || s[0]&(1<<63-1) >= float1At {
+		return false, s, false
+	}
+	return s[0]&(1<<63-1) < uint64(t), s[1:], true
+}
+
+// Below is Rand.Below from the stream.
+func (s Stream) Below(b Bound) (v int, rest Stream, ok bool) {
+	if len(s) == 0 {
+		return 0, s, false
+	}
+	w := uint32(s[0]>>32) & (1<<31 - 1)
+	if w > b.max {
+		return 0, s, false
+	}
+	hi, _ := bits.Mul64(b.m*uint64(w), b.n)
+	return int(hi), s[1:], true
+}
+
+// ChanceFrom makes the Chance draw that s could not: it runs Rand.Chance
+// from s and returns the result and the stream after it.
+func (r *Rand) ChanceFrom(s Stream, t Threshold) (bool, Stream) {
+	r.SetStream(s)
+	hit := r.Chance(t)
+	return hit, r.Stream()
+}
+
+// BelowFrom makes the Below draw that s could not: it runs Rand.Below from
+// s and returns the result and the stream after it.
+func (r *Rand) BelowFrom(s Stream, b Bound) (int, Stream) {
+	r.SetStream(s)
+	v := r.Below(b)
+	return v, r.Stream()
 }
 
 // Seed returns the seed this source was created with.

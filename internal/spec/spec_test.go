@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -343,5 +344,51 @@ func TestGoldenExampleSpecFile(t *testing.T) {
 	const golden = "58b6b95c0686ac4190f3250d98fcf4483d117989786ad1672987a113db94bf83"
 	if h != golden {
 		t.Errorf("hybrid_policy.json hash %s, committed golden %s", h, golden)
+	}
+}
+
+// TestOneCorePackageRejectedNotPanicking: a one-core package is a valid
+// configuration, but a workload that can address another core has no core
+// to address. The spec must still expand, and engine.New must return an
+// error — a panic from the first generated packet would end a daemon that
+// runs submitted specs. Memory-only uniform traffic needs no other core
+// and runs.
+func TestOneCorePackageRejectedNotPanicking(t *testing.T) {
+	const base = `{"name": "one-core",
+	  "config": {"chips_x": 1, "chips_y": 1, "cores_x": 1, "cores_y": 1, "cores_per_wi": 1,
+	             "warmup_cycles": 50, "measure_cycles": 2000},
+	  "axes": [
+	    {"name": "arch", "points": [
+	      {"patch": {"config": {"arch": "wireless"}}},
+	      {"patch": {"config": {"arch": "interposer"}}},
+	      {"patch": {"config": {"arch": "substrate"}}}]},
+	    {"name": "traffic", "points": [%s]}]}`
+	run := func(points string) []Point {
+		t.Helper()
+		s, err := Parse([]byte(fmt.Sprintf(base, points)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	for _, p := range run(`{"patch": {"traffic": {"kind": "uniform", "rate": 0.5, "mem_fraction": 0.2}}},
+	      {"patch": {"traffic": {"kind": "hotspot", "rate": 0.5, "mem_fraction": 0.2, "hotspot_fraction": 0.5}}},
+	      {"patch": {"traffic": {"kind": "app", "app": "canneal"}}}`) {
+		if _, err := engine.New(p.Params()); err == nil {
+			t.Errorf("%s: engine.New accepted a one-core package with core-to-core traffic", p.Labels)
+		}
+	}
+	for _, p := range run(`{"patch": {"traffic": {"kind": "uniform", "rate": 0.5, "mem_fraction": 1}}}`) {
+		r, err := engine.Run(p.Params())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Labels, err)
+		}
+		if r.DeliveredPackets == 0 {
+			t.Fatalf("%s: memory-only traffic delivered nothing", p.Labels)
+		}
 	}
 }

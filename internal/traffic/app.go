@@ -137,6 +137,9 @@ func NewApp(name string, w World, rng *sim.Rand) (*App, error) {
 	if len(w.MemChannels) == 0 {
 		return nil, fmt.Errorf("traffic: application traffic requires memory channels")
 	}
+	if len(w.Cores) < 2 {
+		return nil, fmt.Errorf("traffic: application traffic addresses other cores, but the world has one core")
+	}
 	a := &App{profile: p, world: w, rng: rng}
 	a.scheduleShift(0)
 	return a, nil
@@ -155,10 +158,11 @@ func (a *App) scheduleShift(now sim.Cycle) {
 	a.nextShift = now + sim.Cycle(d)
 }
 
-// NextFor implements Source. The phase machine advances when core 0 is
-// polled (one deterministic advance per cycle).
-func (a *App) NextFor(now sim.Cycle, core int) (Gen, bool) {
-	if core == 0 && now >= a.nextShift {
+// Generate implements Source. The phase machine advances first, once per
+// cycle (as the poll of core 0 did), and a silent phase returns before any
+// core draws.
+func (a *App) Generate(now sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
+	if now >= a.nextShift {
 		a.phase = (a.phase + 1) % len(a.profile.Phases)
 		a.scheduleShift(now)
 	}
@@ -168,8 +172,26 @@ func (a *App) NextFor(now sim.Cycle, core int) (Gen, bool) {
 		// Provably silent phase: no packet and, crucially, no RNG draw —
 		// this is what lets NextEventCycle promise the phase boundary as a
 		// skip horizon without perturbing the random stream.
-		return Gen{}, false
+		return out, 0
 	}
+	n := 0
+	for core, open := range room {
+		g, fired := a.draw(core, ph, rate)
+		if !fired {
+			continue
+		}
+		if open {
+			g.Core, g.Seq = core, n
+			out = append(out, g)
+		}
+		n++
+	}
+	return out, n
+}
+
+// draw makes one core's draws for a cycle of phase ph at injection rate
+// rate and returns its packet, if it generates one.
+func (a *App) draw(core int, ph PhaseSpec, rate float64) (Gen, bool) {
 	if a.rng.Float64() >= rate {
 		return Gen{}, false
 	}
@@ -225,7 +247,7 @@ func (a *App) NextFor(now sim.Cycle, core int) (Gen, bool) {
 
 // NextEventCycle implements Source. During a phase with a non-zero
 // effective rate every poll draws from the RNG, so no cycle may be
-// skipped. During a silent phase (effective rate exactly 0) NextFor
+// skipped. During a silent phase (effective rate exactly 0) Generate
 // returns early without touching the RNG, and the phase machine cannot
 // advance before a.nextShift — so the next cycle this source can act is
 // the phase boundary itself.

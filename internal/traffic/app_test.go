@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wimc/internal/sim"
@@ -91,12 +92,11 @@ func TestAppGeneratesMixedSizes(t *testing.T) {
 	}
 	sizes := map[int]int{}
 	var memN, total int
+	room := openRoom(w)
+	var gens []Gen
 	for now := sim.Cycle(0); now < 200000; now++ {
-		for c := range w.Cores {
-			g, ok := a.NextFor(now, c)
-			if !ok {
-				continue
-			}
+		gens, _ = a.Generate(now, room, gens[:0])
+		for _, g := range gens {
 			total++
 			sizes[g.Flits]++
 			if g.Mem {
@@ -129,12 +129,12 @@ func TestAppPhasesModulateRate(t *testing.T) {
 	const win = 2000
 	var rates []float64
 	count := 0
+	room := openRoom(w)
+	var gens []Gen
 	for now := sim.Cycle(0); now < 40*win; now++ {
-		for c := range w.Cores {
-			if _, ok := a.NextFor(now, c); ok {
-				count++
-			}
-		}
+		var n int
+		gens, n = a.Generate(now, room, gens[:0])
+		count += n
 		if (now+1)%win == 0 {
 			rates = append(rates, float64(count))
 			count = 0
@@ -157,14 +157,13 @@ func TestAppBarrierTargetsMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawBarrier := false
+	room := openRoom(w)
+	var gens []Gen
 	for now := sim.Cycle(0); now < 300000 && !sawBarrier; now++ {
-		for c := range w.Cores {
-			g, ok := a.NextFor(now, c)
-			if !ok {
-				continue
-			}
+		gens, _ = a.Generate(now, room, gens[:0])
+		for _, g := range gens {
 			if a.profile.Phases[a.phase].Barrier {
-				if c == 0 {
+				if g.Core == 0 {
 					t.Fatal("master core generated barrier traffic")
 				}
 				if g.Dst != w.Cores[0] {
@@ -189,12 +188,15 @@ func TestAppLocalBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, remote := 0, 0
+	room := openRoom(w)
+	var gens []Gen
 	for now := sim.Cycle(0); now < 400000; now++ {
-		for c := range w.Cores {
-			g, ok := a.NextFor(now, c)
-			if !ok || g.Mem {
+		gens, _ = a.Generate(now, room, gens[:0])
+		for _, g := range gens {
+			if g.Mem {
 				continue
 			}
+			c := g.Core
 			if a.profile.Phases[a.phase].Barrier {
 				continue
 			}
@@ -227,13 +229,14 @@ func TestAppDeterministic(t *testing.T) {
 		return a
 	}
 	a, b := mk(), mk()
+	room := openRoom(w)
+	var ga, gb []Gen
 	for now := sim.Cycle(0); now < 20000; now++ {
-		for c := range w.Cores {
-			ga, oka := a.NextFor(now, c)
-			gb, okb := b.NextFor(now, c)
-			if oka != okb || ga != gb {
-				t.Fatalf("app sources diverged at cycle %d", now)
-			}
+		var na, nb int
+		ga, na = a.Generate(now, room, ga[:0])
+		gb, nb = b.Generate(now, room, gb[:0])
+		if na != nb || !slices.Equal(ga, gb) {
+			t.Fatalf("app sources diverged at cycle %d", now)
 		}
 	}
 }

@@ -8,6 +8,27 @@
 //
 // Application traffic (§IV.D) substitutes SynFull traces with per-app
 // Markov phase models; see app.go.
+//
+// # The per-cycle contract
+//
+// The engine polls a Source once per cycle through Generate, handing it one
+// room flag per core: whether that core's NI source queue can take a
+// packet. A source visits the cores in index order and makes, for each,
+// exactly the draws of one per-core poll of its pattern, in the pattern's
+// order. For Uniform and Hotspot that is the injection draw; for a core
+// that fires, the memory draw (when the memory fraction is not 0); for a
+// memory packet, the channel draw and the read draw (when reads are on);
+// otherwise the destination draw and Hotspot's redirect draw. Each bounded
+// draw includes Intn's rejection redraws. The permutation patterns make
+// the injection draw only; App advances its phase machine once, before the
+// first core, and makes no draw at all in a silent phase. Which draws a
+// core makes never depends on its room flag: a core whose queue is full
+// draws exactly as one with room and emits nothing, so the random stream,
+// and with it every later packet, is the same whether or not the queues
+// fill. Each emitted Gen carries its core and its ordinal among the
+// packets generated this cycle, counting those of full cores, so the
+// engine numbers packets as if each generated packet had been offered in
+// core order.
 package traffic
 
 import (
@@ -52,6 +73,8 @@ func (w World) coreIndexAt(gx, gy int) int {
 
 // Gen is one generated packet request.
 type Gen struct {
+	Core  int // source core index (into World.Cores)
+	Seq   int // ordinal among this cycle's generated packets, full cores' included
 	Dst   sim.EndpointID
 	Flits int
 	Mem   bool // destination is a memory channel
@@ -61,8 +84,13 @@ type Gen struct {
 // Source generates traffic for cores. Implementations are deterministic
 // functions of their seed.
 type Source interface {
-	// NextFor returns the packet generated by core index i this cycle.
-	NextFor(now sim.Cycle, core int) (Gen, bool)
+	// Generate polls every core once for cycle now, under the per-cycle
+	// contract of the package comment. room holds one flag per core
+	// (len(room) == len(World.Cores)). Generate appends to out, in core
+	// order, the packets of the cores whose flag is set, and returns out
+	// and the number of packets generated this cycle, those of cores
+	// without room included.
+	Generate(now sim.Cycle, room []bool, out []Gen) ([]Gen, int)
 	// NextEventCycle returns a conservative lower bound on the next cycle
 	// (strictly after now) at which polling this source could either emit a
 	// packet or mutate source state (RNG draws included — a draw is state).
@@ -82,12 +110,15 @@ type Source interface {
 // system.
 type Uniform struct {
 	world    World
-	rate     float64
 	mem      float64
 	read     float64 // fraction of memory packets that are read requests
 	flits    int
 	reqFlits int
 	rng      *sim.Rand
+
+	// The draws in integer form (see sim.Threshold and sim.Bound).
+	rateT, memT, readT sim.Threshold
+	chans, others      sim.Bound // MemChannels; the other cores
 }
 
 // NewUniform constructs the uniform-random pattern.
@@ -95,8 +126,8 @@ func NewUniform(w World, rate, memFraction float64, flits int, rng *sim.Rand) (*
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("traffic: rate must be in [0,1], got %v", rate)
+	if err := validRate(rate); err != nil {
+		return nil, err
 	}
 	if memFraction < 0 || memFraction > 1 {
 		return nil, fmt.Errorf("traffic: memory fraction must be in [0,1], got %v", memFraction)
@@ -104,7 +135,18 @@ func NewUniform(w World, rate, memFraction float64, flits int, rng *sim.Rand) (*
 	if memFraction > 0 && len(w.MemChannels) == 0 {
 		return nil, fmt.Errorf("traffic: memory fraction %v but no memory channels", memFraction)
 	}
-	return &Uniform{world: w, rate: rate, mem: memFraction, flits: flits, reqFlits: flits, rng: rng}, nil
+	if memFraction < 1 && len(w.Cores) < 2 {
+		return nil, fmt.Errorf("traffic: memory fraction %v < 1 addresses other cores, but the world has one core", memFraction)
+	}
+	u := &Uniform{world: w, mem: memFraction, flits: flits, reqFlits: flits, rng: rng,
+		rateT: sim.NewThreshold(rate), memT: sim.NewThreshold(memFraction)}
+	if len(w.MemChannels) > 0 {
+		u.chans = sim.NewBound(len(w.MemChannels))
+	}
+	if len(w.Cores) > 1 {
+		u.others = sim.NewBound(len(w.Cores) - 1)
+	}
+	return u, nil
 }
 
 // SetReads makes readFraction of memory packets read requests of
@@ -117,6 +159,7 @@ func (u *Uniform) SetReads(readFraction float64, requestFlits int) error {
 		return fmt.Errorf("traffic: request flits must be >= 1, got %d", requestFlits)
 	}
 	u.read = readFraction
+	u.readT = sim.NewThreshold(readFraction)
 	u.reqFlits = requestFlits
 	return nil
 }
@@ -128,33 +171,81 @@ func (u *Uniform) Name() string { return "uniform" }
 // RNG every poll, so no cycle may be skipped.
 func (u *Uniform) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
 
-// NextFor implements Source.
-func (u *Uniform) NextFor(_ sim.Cycle, core int) (Gen, bool) {
-	if u.rng.Float64() >= u.rate {
-		return Gen{}, false
-	}
-	if u.mem > 0 && u.rng.Float64() < u.mem {
-		ch := u.world.MemChannels[u.rng.Intn(len(u.world.MemChannels))]
-		g := Gen{Dst: ch, Flits: u.flits, Mem: true}
-		if u.read > 0 && u.rng.Float64() < u.read {
-			g.Read = true
-			g.Flits = u.reqFlits
+// Generate implements Source.
+func (u *Uniform) Generate(_ sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
+	return u.generate(room, out, -1, 0)
+}
+
+// generate is the Uniform per-cycle loop, shared with Hotspot: when hot is
+// a core index, every packet of another core that addresses a core is
+// redirected to hot with probability hotT, a draw made after its
+// destination draw. It draws through a local sim.Stream (see there for the
+// ok/From pattern), and a core without room only draws.
+func (u *Uniform) generate(room []bool, out []Gen, hot int, hotT sim.Threshold) ([]Gen, int) {
+	r := u.rng
+	s := r.Stream()
+	n := 0
+	for core, open := range room {
+		var fire, isMem, read, redirect, ok bool
+		var dst int
+		if fire, s, ok = s.Chance(u.rateT); !ok {
+			fire, s = r.ChanceFrom(s, u.rateT)
 		}
-		return g, true
+		if !fire {
+			continue
+		}
+		n++
+		if u.mem > 0 {
+			if isMem, s, ok = s.Chance(u.memT); !ok {
+				isMem, s = r.ChanceFrom(s, u.memT)
+			}
+		}
+		if isMem {
+			if dst, s, ok = s.Below(u.chans); !ok {
+				dst, s = r.BelowFrom(s, u.chans)
+			}
+			if u.read > 0 {
+				if read, s, ok = s.Chance(u.readT); !ok {
+					read, s = r.ChanceFrom(s, u.readT)
+				}
+			}
+			if open {
+				g := Gen{Core: core, Seq: n - 1, Dst: u.world.MemChannels[dst], Flits: u.flits, Mem: true}
+				if read {
+					g.Read = true
+					g.Flits = u.reqFlits
+				}
+				out = append(out, g)
+			}
+			continue
+		}
+		if dst, s, ok = s.Below(u.others); !ok {
+			dst, s = r.BelowFrom(s, u.others)
+		}
+		if hot >= 0 && core != hot {
+			if redirect, s, ok = s.Chance(hotT); !ok {
+				redirect, s = r.ChanceFrom(s, hotT)
+			}
+		}
+		if !open {
+			continue
+		}
+		// Skip the source core without a branch: dst+1 when dst >= core.
+		dst -= (core - 1 - dst) >> 63
+		if redirect {
+			dst = hot
+		}
+		out = append(out, Gen{Core: core, Seq: n - 1, Dst: u.world.Cores[dst], Flits: u.flits})
 	}
-	n := len(u.world.Cores)
-	other := u.rng.Intn(n - 1)
-	if other >= core {
-		other++
-	}
-	return Gen{Dst: u.world.Cores[other], Flits: u.flits}, true
+	r.SetStream(s)
+	return out, n
 }
 
 // Hotspot sends a fraction of traffic to one hot core, the rest uniformly.
 type Hotspot struct {
-	inner    *Uniform
-	hot      int
-	fraction float64
+	inner *Uniform
+	hot   int
+	hotT  sim.Threshold // the redirect probability
 }
 
 // NewHotspot constructs a hotspot pattern over the uniform base.
@@ -169,7 +260,7 @@ func NewHotspot(w World, rate, memFraction, hotFraction float64, hot, flits int,
 	if err != nil {
 		return nil, err
 	}
-	return &Hotspot{inner: u, hot: hot, fraction: hotFraction}, nil
+	return &Hotspot{inner: u, hot: hot, hotT: sim.NewThreshold(hotFraction)}, nil
 }
 
 // Name implements Source.
@@ -178,94 +269,104 @@ func (h *Hotspot) Name() string { return "hotspot" }
 // NextEventCycle implements Source (memoryless: every poll draws).
 func (h *Hotspot) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
 
-// NextFor implements Source.
-func (h *Hotspot) NextFor(now sim.Cycle, core int) (Gen, bool) {
-	g, ok := h.inner.NextFor(now, core)
-	if !ok {
-		return Gen{}, false
-	}
-	if !g.Mem && core != h.hot && h.inner.rng.Float64() < h.fraction {
-		g.Dst = h.inner.world.Cores[h.hot]
-	}
-	return g, true
+// Generate implements Source.
+func (h *Hotspot) Generate(_ sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
+	return h.inner.generate(room, out, h.hot, h.hotT)
 }
 
-// Transpose sends from (x, y) to (y, x) on the global core grid.
-type Transpose struct {
-	world World
-	rate  float64
+// permutation is the shared body of the permutation patterns: each core
+// fires with probability rate and addresses its fixed partner, and a core
+// that is its own partner draws and generates nothing.
+type permutation struct {
+	cores []sim.EndpointID
+	dst   []int // partner core per source core
+	rateT sim.Threshold
 	flits int
 	rng   *sim.Rand
-	dst   []int // precomputed destination core per source core
 }
+
+func newPermutation(w World, rate float64, flits int, rng *sim.Rand) (permutation, error) {
+	if err := w.Validate(); err != nil {
+		return permutation{}, err
+	}
+	if err := validRate(rate); err != nil {
+		return permutation{}, err
+	}
+	return permutation{cores: w.Cores, dst: make([]int, len(w.Cores)),
+		rateT: sim.NewThreshold(rate), flits: flits, rng: rng}, nil
+}
+
+// NextEventCycle implements Source (memoryless: every poll draws).
+func (p *permutation) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
+
+// Generate implements Source.
+func (p *permutation) Generate(_ sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
+	n := 0
+	for core, open := range room {
+		if !p.rng.Chance(p.rateT) {
+			continue
+		}
+		d := p.dst[core]
+		if d == core {
+			continue
+		}
+		if open {
+			out = append(out, Gen{Core: core, Seq: n, Dst: p.cores[d], Flits: p.flits})
+		}
+		n++
+	}
+	return out, n
+}
+
+// Transpose sends from (x, y) to (y, x) on the global core grid; diagonal
+// cores stay silent.
+type Transpose struct{ permutation }
 
 // NewTranspose constructs the transpose permutation pattern.
 func NewTranspose(w World, rate float64, flits int, rng *sim.Rand) (*Transpose, error) {
-	if err := w.Validate(); err != nil {
+	p, err := newPermutation(w, rate, flits, rng)
+	if err != nil {
 		return nil, err
 	}
-	t := &Transpose{world: w, rate: rate, flits: flits, rng: rng, dst: make([]int, len(w.Cores))}
 	for i := range w.Cores {
 		j := w.coreIndexAt(w.CoreGY[i], w.CoreGX[i])
 		if j < 0 {
 			return nil, fmt.Errorf("traffic: transpose needs a square global grid (%dx%d)",
 				w.GlobalCols, w.GlobalRows)
 		}
-		t.dst[i] = j
+		p.dst[i] = j
 	}
-	return t, nil
+	return &Transpose{p}, nil
 }
 
 // Name implements Source.
 func (t *Transpose) Name() string { return "transpose" }
 
-// NextEventCycle implements Source (memoryless: every poll draws).
-func (t *Transpose) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
-
-// NextFor implements Source.
-func (t *Transpose) NextFor(_ sim.Cycle, core int) (Gen, bool) {
-	if t.rng.Float64() >= t.rate {
-		return Gen{}, false
-	}
-	d := t.dst[core]
-	if d == core {
-		return Gen{}, false // diagonal cores stay silent under transpose
-	}
-	return Gen{Dst: t.world.Cores[d], Flits: t.flits}, true
-}
-
-// BitComplement sends from core i to core (n-1-i).
-type BitComplement struct {
-	world World
-	rate  float64
-	flits int
-	rng   *sim.Rand
-}
+// BitComplement sends from core i to core (n-1-i); the middle core of an
+// odd count stays silent.
+type BitComplement struct{ permutation }
 
 // NewBitComplement constructs the bit-complement permutation pattern.
 func NewBitComplement(w World, rate float64, flits int, rng *sim.Rand) (*BitComplement, error) {
-	if err := w.Validate(); err != nil {
+	p, err := newPermutation(w, rate, flits, rng)
+	if err != nil {
 		return nil, err
 	}
-	return &BitComplement{world: w, rate: rate, flits: flits, rng: rng}, nil
+	for i := range p.dst {
+		p.dst[i] = len(p.dst) - 1 - i
+	}
+	return &BitComplement{p}, nil
 }
 
 // Name implements Source.
 func (b *BitComplement) Name() string { return "bit-complement" }
 
-// NextEventCycle implements Source (memoryless: every poll draws).
-func (b *BitComplement) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
-
-// NextFor implements Source.
-func (b *BitComplement) NextFor(_ sim.Cycle, core int) (Gen, bool) {
-	if b.rng.Float64() >= b.rate {
-		return Gen{}, false
+// validRate checks an injection rate.
+func validRate(rate float64) error {
+	if rate < 0 || rate > 1 {
+		return fmt.Errorf("traffic: rate must be in [0,1], got %v", rate)
 	}
-	d := len(b.world.Cores) - 1 - core
-	if d == core {
-		return Gen{}, false
-	}
-	return Gen{Dst: b.world.Cores[d], Flits: b.flits}, true
+	return nil
 }
 
 var (

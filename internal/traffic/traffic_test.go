@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,22 @@ func testWorld() World {
 	return w
 }
 
+// openRoom returns room flags with every core's source queue open.
+func openRoom(w World) []bool {
+	room := make([]bool, len(w.Cores))
+	for i := range room {
+		room[i] = true
+	}
+	return room
+}
+
+// onlyRoom returns room flags with only core c's source queue open.
+func onlyRoom(w World, c int) []bool {
+	room := make([]bool, len(w.Cores))
+	room[c] = true
+	return room
+}
+
 func TestWorldValidate(t *testing.T) {
 	if err := (World{}).Validate(); err == nil {
 		t.Fatal("empty world accepted")
@@ -50,12 +67,19 @@ func TestUniformRateAndMix(t *testing.T) {
 	}
 	const cycles = 4000
 	gen, mem := 0, 0
+	room := openRoom(w)
+	var gens []Gen
 	for now := sim.Cycle(0); now < cycles; now++ {
-		for c := range w.Cores {
-			g, ok := u.NextFor(now, c)
-			if !ok {
-				continue
+		var n int
+		gens, n = u.Generate(now, room, gens[:0])
+		if n != len(gens) {
+			t.Fatalf("generated %d packets but emitted %d with every queue open", n, len(gens))
+		}
+		for i, g := range gens {
+			if g.Seq != i || (i > 0 && g.Core <= gens[i-1].Core) {
+				t.Fatalf("packet %d: core %d, ordinal %d out of order", i, g.Core, g.Seq)
 			}
+			c := g.Core
 			gen++
 			if g.Mem {
 				mem++
@@ -94,12 +118,15 @@ func TestUniformDestinationSpread(t *testing.T) {
 	u, _ := NewUniform(w, 1.0, 0, 8, sim.NewRand(3))
 	counts := make(map[sim.EndpointID]int)
 	const draws = 30000
+	room := onlyRoom(w, 0)
+	var gens []Gen
 	for i := 0; i < draws; i++ {
-		g, ok := u.NextFor(0, 0)
-		if !ok {
-			t.Fatal("rate-1 generator skipped")
+		var n int
+		gens, n = u.Generate(sim.Cycle(i), room, gens[:0])
+		if n != len(w.Cores) || len(gens) != 1 || gens[0].Core != 0 {
+			t.Fatalf("rate-1 cycle generated %d and emitted %v; want every core, core 0 only", n, gens)
 		}
-		counts[g.Dst]++
+		counts[gens[0].Dst]++
 	}
 	if len(counts) != 63 {
 		t.Fatalf("covered %d destinations, want 63", len(counts))
@@ -142,12 +169,14 @@ func TestHotspotBias(t *testing.T) {
 	}
 	hot := 0
 	const draws = 20000
+	room := onlyRoom(w, 3)
+	var gens []Gen
 	for i := 0; i < draws; i++ {
-		g, ok := h.NextFor(0, 3)
-		if !ok {
+		gens, _ = h.Generate(sim.Cycle(i), room, gens[:0])
+		if len(gens) != 1 {
 			t.Fatal("skip at rate 1")
 		}
-		if g.Dst == w.Cores[7] {
+		if gens[0].Dst == w.Cores[7] {
 			hot++
 		}
 	}
@@ -170,8 +199,16 @@ func TestTransposePermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gens, n := tr.Generate(0, openRoom(w), nil)
+	if n != len(gens) || n != len(w.Cores)-8 {
+		t.Fatalf("generated %d, emitted %d; want the %d off-diagonal cores", n, len(gens), len(w.Cores)-8)
+	}
+	byCore := map[int]Gen{}
+	for _, g := range gens {
+		byCore[g.Core] = g
+	}
 	for c := range w.Cores {
-		g, ok := tr.NextFor(0, c)
+		g, ok := byCore[c]
 		gx, gy := w.CoreGX[c], w.CoreGY[c]
 		if gx == gy {
 			if ok {
@@ -195,13 +232,60 @@ func TestBitComplement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ok := b.NextFor(0, 0)
-	if !ok || g.Dst != w.Cores[63] {
-		t.Fatalf("complement of 0 = %v, want 63", g.Dst)
+	gens, n := b.Generate(0, openRoom(w), nil)
+	if n != len(w.Cores) || len(gens) != n {
+		t.Fatalf("generated %d, emitted %d at rate 1; want %d", n, len(gens), len(w.Cores))
 	}
-	g, ok = b.NextFor(0, 10)
-	if !ok || g.Dst != w.Cores[53] {
-		t.Fatalf("complement of 10 = %v, want 53", g.Dst)
+	for _, g := range gens {
+		if want := w.Cores[len(w.Cores)-1-g.Core]; g.Dst != want {
+			t.Fatalf("complement of %d = %v, want %v", g.Core, g.Dst, want)
+		}
+	}
+}
+
+func TestPermutationRateValidation(t *testing.T) {
+	w := testWorld()
+	for _, rate := range []float64{-2, -0.1, 1.5} {
+		if _, err := NewTranspose(w, rate, 8, sim.NewRand(1)); err == nil {
+			t.Errorf("transpose accepted rate %v", rate)
+		}
+		if _, err := NewBitComplement(w, rate, 8, sim.NewRand(1)); err == nil {
+			t.Errorf("bit-complement accepted rate %v", rate)
+		}
+	}
+}
+
+// TestOneCoreWorld: a one-core world has no other core to address, so a
+// pattern that can address one must refuse it at construction rather than
+// panic on its first packet; patterns that never address another core run.
+func TestOneCoreWorld(t *testing.T) {
+	w := squareWorld(1, 4)
+	rng := sim.NewRand(1)
+	if _, err := NewUniform(w, 0.5, 0.5, 8, rng); err == nil {
+		t.Error("uniform with core traffic accepted a one-core world")
+	}
+	if _, err := NewHotspot(w, 0.5, 0.2, 0.5, 0, 8, rng); err == nil {
+		t.Error("hotspot with core traffic accepted a one-core world")
+	}
+	if _, err := NewApp("canneal", w, rng); err == nil {
+		t.Error("application traffic accepted a one-core world")
+	}
+	u, err := NewUniform(w, 1, 1, 8, rng)
+	if err != nil {
+		t.Fatalf("memory-only uniform rejected a one-core world: %v", err)
+	}
+	tr, err := NewTranspose(w, 1, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBitComplement(w, 1, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Source{u, tr, b} {
+		for now := sim.Cycle(0); now < 100; now++ {
+			s.Generate(now, openRoom(w), nil)
+		}
 	}
 }
 
@@ -212,25 +296,43 @@ func TestSourcesDeterministic(t *testing.T) {
 		return s
 	}
 	a, b := mk(), mk()
+	room := openRoom(w)
+	var ga, gb []Gen
 	for now := sim.Cycle(0); now < 500; now++ {
-		for c := range w.Cores {
-			ga, oka := a.NextFor(now, c)
-			gb, okb := b.NextFor(now, c)
-			if oka != okb || ga != gb {
-				t.Fatalf("sources diverged at cycle %d core %d", now, c)
-			}
+		var na, nb int
+		ga, na = a.Generate(now, room, ga[:0])
+		gb, nb = b.Generate(now, room, gb[:0])
+		if na != nb || !slices.Equal(ga, gb) {
+			t.Fatalf("sources diverged at cycle %d", now)
 		}
 	}
 }
 
-// TestUniformNeverSelfAddresses is a property test over arbitrary cores.
+// TestUniformNeverSelfAddresses is a property test over arbitrary room
+// masks: at rate 1 every core generates, only the open ones emit, and no
+// packet addresses its own source.
 func TestUniformNeverSelfAddresses(t *testing.T) {
 	w := testWorld()
 	u, _ := NewUniform(w, 1.0, 0.2, 8, sim.NewRand(17))
-	check := func(core16 uint16) bool {
-		c := int(core16) % len(w.Cores)
-		g, ok := u.NextFor(0, c)
-		return ok && (g.Mem || g.Dst != w.Cores[c])
+	room := make([]bool, len(w.Cores))
+	check := func(mask uint64) bool {
+		open := 0
+		for i := range room {
+			room[i] = mask>>uint(i)&1 != 0
+			if room[i] {
+				open++
+			}
+		}
+		gens, n := u.Generate(0, room, nil)
+		if n != len(w.Cores) || len(gens) != open {
+			return false
+		}
+		for _, g := range gens {
+			if !room[g.Core] || (!g.Mem && g.Dst == w.Cores[g.Core]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
