@@ -110,7 +110,7 @@ func BenchmarkSystemConstruction(b *testing.B) {
 }
 
 // BenchmarkLargeSystemConstruction measures construction of the 64-chip,
-// 1024-core generalized preset: sharded topology build, parallel
+// 1024-core generalized preset: topology build, parallel
 // per-destination routing tables and the memoized deadlock verification.
 func BenchmarkLargeSystemConstruction(b *testing.B) {
 	cfg := wimc.MustXCYM(64, 64, wimc.ArchWireless)

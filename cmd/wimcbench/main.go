@@ -8,7 +8,7 @@
 // Usage:
 //
 //	wimcbench [-fig all|fig2|fig3|fig4|fig5|fig6|mac|channel|routing|sleep|density|hybrid|readrt|scale|channels|policies|hybridsweep|faults]
-//	          [-quick] [-seed N] [-csv DIR] [-parallel=false] [-workers N] [-shards N]
+//	          [-quick] [-seed N] [-csv DIR] [-workers N] [-shards N]
 //	          [-scale-sizes 4,16,64] [-channel-ks 1,2,4,8]
 //	          [-channel-assign spatial-reuse|static-partition] [-mac-policies rotate,skip-empty,...]
 //	          [-check BASELINE.json] [-check-out OUT.json] [-check-threshold 15]
@@ -81,8 +81,7 @@ func run() int {
 		quick          = flag.Bool("quick", false, "shortened simulation windows")
 		seed           = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
 		csv            = flag.String("csv", "", "directory to write CSV files into")
-		parallel       = flag.Bool("parallel", true, "fan independent runs out across cores (results identical either way)")
-		workers        = flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
+		workers        = flag.Int("workers", 0, "worker-pool size for independent runs (0 = GOMAXPROCS, 1 = sequential; results identical either way)")
 		scaleSizes     = flag.String("scale-sizes", "", "comma-separated chip counts for the scale/channel/policy/hybrid sweeps (default 4,8,16,32,64; quick 4,16,64)")
 		channelKs      = flag.String("channel-ks", "", "comma-separated sub-channel counts for the channel sweep (default 1,2,4,8) and the hybrid sweep (default 1,4,8)")
 		channelAssign  = flag.String("channel-assign", "", "WI-to-sub-channel assignment for the channel sweep (spatial-reuse, static-partition; default spatial-reuse)")
@@ -162,9 +161,6 @@ func run() int {
 		ChannelAssign: config.ChannelAssignment(*channelAssign),
 		Policies:      policies,
 		Shards:        *shards,
-	}
-	if !*parallel {
-		opts.Workers = 1
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)

@@ -28,11 +28,11 @@ func ExampleRun() {
 	// true
 }
 
-// ExampleRun_largeSystem simulates a 16-chip, 256-core package — twice the
-// paper's largest system — built by the sharded topology constructor and
-// run under the active-set scheduler. Any chip count works: XCYM
-// generalizes beyond the paper's 1/4/8-chip presets to near-square grids
-// of 4x4-core chips with proportionally scaled memory stacks.
+// ExampleRun_largeSystem simulates a 16-chip, 256-core package, twice the
+// paper's largest system, under the active-set scheduler. Any chip count
+// works: XCYM generalizes beyond the paper's 1/4/8-chip presets to
+// near-square grids of 4x4-core chips with proportionally scaled memory
+// stacks.
 func ExampleRun_largeSystem() {
 	cfg := wimc.MustXCYM(16, 16, wimc.ArchWireless)
 	cfg.MeasureCycles = 2000 // shortened for the example

@@ -1,8 +1,7 @@
 // Sweep system size well beyond the paper's 8-chip limit: saturation
 // throughput and energy per bit for the three architectures at 4, 16 and
-// 64 chips (256 and 1024 cores use the generalized XCYM grids, built by
-// the sharded topology constructor and run under the active-set
-// scheduler).
+// 64 chips (256 and 1024 cores use the generalized XCYM grids, run under
+// the active-set scheduler).
 //
 //	go run ./examples/scale
 package main

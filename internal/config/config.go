@@ -624,9 +624,12 @@ func (c Config) Validate() error {
 	}
 	// Physical-layer constants (deadknob cleanup: these were settable but
 	// never sanity-checked). Energy and power constants must be
-	// non-negative; per-technology line rates must be positive; the chip
-	// edge sets WI placement distances and the fault model's distance
-	// scaling, so it must be positive too.
+	// non-negative; per-technology line rates must be positive. The chip
+	// edge must be positive too, although nothing outside this package
+	// reads it: WI placement picks the minimum-average-distance switch over
+	// grid coordinates, and the fault model scales PER by squared grid
+	// distance. It stays a Config field until the next engine.Version
+	// bump, because removing it changes every store key and spec hash.
 	for _, fk := range []struct {
 		name string
 		v    float64

@@ -210,8 +210,8 @@ func determinismParams() []Params {
 	wired.WarmupCycles = 200
 	wired.MeasureCycles = 1500
 
-	// A generalized large preset: 256 cores through the sharded topology
-	// builder, parallel routing-table fill and the active-set scheduler.
+	// A generalized large preset: 256 cores through the topology builder,
+	// parallel routing-table fill and the active-set scheduler.
 	large := config.MustXCYM(16, 16, config.ArchWireless)
 	large.WarmupCycles = 100
 	large.MeasureCycles = 600

@@ -82,11 +82,12 @@ type Params struct {
 	// builds and installs every class table but always picks class 0) and
 	// this path. Models static selection only (New rejects "adaptive").
 	SingleClassTable bool
-	// BuildWorkers bounds the worker pool used for topology and
-	// routing-table construction: <= 0 means runtime.GOMAXPROCS(0), 1
-	// forces sequential construction. The built system is byte-identical
-	// for every value; the experiment runner sets 1 when its own pool
-	// already spans the cores (nested parallelism would oversubscribe).
+	// BuildWorkers bounds the worker pool used for routing-table
+	// construction: <= 0 means runtime.GOMAXPROCS(0), 1 forces a
+	// sequential build. Topology construction is always one sequential
+	// pass. The built system is byte-identical for every value; the
+	// experiment runner sets 1 when its own pool already spans the cores
+	// (nested parallelism would oversubscribe).
 	BuildWorkers int
 }
 
@@ -266,7 +267,7 @@ func New(p Params) (*Engine, error) {
 	if p.SingleClassTable && cfg.FaultModelActive() {
 		return nil, fmt.Errorf("engine: the single-class reference table has no wired-only failover class; wireless_per / fault_schedule require the multi-class build")
 	}
-	g, err := topo.BuildWorkers(cfg, p.BuildWorkers)
+	g, err := topo.Build(cfg)
 	if err != nil {
 		return nil, err
 	}

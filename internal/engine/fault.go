@@ -77,31 +77,36 @@ func (wd *watchdog) onInjected(now sim.Cycle, p *noc.Packet) {
 // remove stops tracking a packet (delivered, or dropped by the fault model).
 func (wd *watchdog) remove(id uint64) { delete(wd.live, id) }
 
+// oldest returns the oldest live entry, dropping the dead entries ahead of
+// it and compacting the deque once at least half of it (and 1024 entries)
+// is dead. ok is false when no live packet is tracked.
+func (wd *watchdog) oldest() (e watchEntry, ok bool) {
+	for wd.head < len(wd.q) {
+		e = wd.q[wd.head]
+		if wd.live[e.id] {
+			return e, true
+		}
+		wd.head++
+		if wd.head >= 1024 && wd.head*2 >= len(wd.q) {
+			wd.q = append(wd.q[:0], wd.q[wd.head:]...)
+			wd.head = 0
+		}
+	}
+	return watchEntry{}, false
+}
+
 // check verifies the oldest live packet is within the age bound. The first
 // violation is retained (and re-reported on later calls).
 func (wd *watchdog) check(now sim.Cycle) error {
 	if wd.err != nil {
 		return wd.err
 	}
-	for wd.head < len(wd.q) {
-		e := wd.q[wd.head]
-		if !wd.live[e.id] {
-			wd.head++
-			if wd.head >= 1024 && wd.head*2 >= len(wd.q) {
-				wd.q = append(wd.q[:0], wd.q[wd.head:]...)
-				wd.head = 0
-			}
-			continue
-		}
-		if now-e.at > wd.bound {
-			wd.err = fmt.Errorf(
-				"engine: liveness watchdog: packet %d injected at cycle %d still in network at cycle %d (max age %d)",
-				e.id, e.at, now, wd.bound)
-			return wd.err
-		}
-		break
+	if e, ok := wd.oldest(); ok && now-e.at > wd.bound {
+		wd.err = fmt.Errorf(
+			"engine: liveness watchdog: packet %d injected at cycle %d still in network at cycle %d (max age %d)",
+			e.id, e.at, now, wd.bound)
 	}
-	return nil
+	return wd.err
 }
 
 // deadline returns the first future cycle at which check would report a
@@ -111,16 +116,7 @@ func (wd *watchdog) check(now sim.Cycle) error {
 // a wedged packet trips the watchdog at the identical cycle the
 // every-cycle loop would have reported it.
 func (wd *watchdog) deadline() sim.Cycle {
-	for wd.head < len(wd.q) {
-		e := wd.q[wd.head]
-		if !wd.live[e.id] {
-			wd.head++
-			if wd.head >= 1024 && wd.head*2 >= len(wd.q) {
-				wd.q = append(wd.q[:0], wd.q[wd.head:]...)
-				wd.head = 0
-			}
-			continue
-		}
+	if e, ok := wd.oldest(); ok {
 		return e.at + wd.bound + 1
 	}
 	return sim.Never

@@ -116,8 +116,7 @@ func (b *shardBarrier) stop() {
 }
 
 // shardBands splits rows [0, n) into k contiguous half-open bands covering
-// every row exactly once, earlier bands taking the remainder (the same
-// split rule as topology construction).
+// every row exactly once, earlier bands taking the remainder.
 func shardBands(n, k int) [][2]int {
 	if k > n {
 		k = n

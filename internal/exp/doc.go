@@ -1,10 +1,9 @@
 // Package exp is the parallel experiment runner of the wimc simulator: it
 // fans independent engine runs out across a bounded worker pool while
 // keeping every observable output identical to a sequential loop. The pool
-// itself lives in the internal/exp/pool subpackage so that packages below
-// the engine (internal/topo's sharded graph construction, internal/route's
-// per-destination table fills) share the same primitive without an import
-// cycle.
+// itself lives in the internal/exp/pool subpackage so that a package below
+// the engine (internal/route's per-destination table fills) shares the
+// same primitive without an import cycle.
 //
 // # Determinism contract
 //

@@ -34,12 +34,12 @@ func RunIndexedObserved(workers int, params []engine.Params, observe func(i int,
 		return []*engine.Result{}, -1, nil
 	}
 	// Split the caller's worker budget (GOMAXPROCS when unbounded) between
-	// the pool and each run's inner topology/routing construction, so the
+	// the pool and each run's inner routing-table construction, so the
 	// batch as a whole never exceeds the budget: a core-spanning pool
 	// leaves construction sequential, while a pool narrower than the
 	// budget (few or large runs) hands each run the leftover parallelism.
-	// Results are unchanged in every case: construction is worker-count
-	// invariant.
+	// Results are unchanged in every case: the route tables are
+	// worker-count invariant.
 	budget := workers
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)

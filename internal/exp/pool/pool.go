@@ -1,8 +1,8 @@
 // Package pool provides the bounded, deterministic parallel-for that backs
-// both the experiment runner (internal/exp) and sharded construction of
-// large topologies and routing tables (internal/topo, internal/route). It
-// lives below internal/exp so packages the engine depends on can share the
-// worker pool without an import cycle.
+// both the experiment runner (internal/exp) and the per-destination
+// routing-table fills (internal/route). It lives below internal/exp so
+// packages the engine depends on can share the worker pool without an
+// import cycle.
 //
 // # Determinism contract
 //

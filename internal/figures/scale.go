@@ -15,8 +15,7 @@ var quickScaleSizes = []int{4, 16, 64}
 // paper's own evaluation envelope (its largest system is 8 chips + 4
 // stacks). Each size is an XCYM preset with proportionally scaled memory
 // stacks, run at maximum load under uniform random traffic with 20% memory
-// accesses (the Fig. 2 methodology), through the sharded topology builder
-// and the active-set scheduler.
+// accesses (the Fig. 2 methodology), run under the active-set scheduler.
 func ScaleSweep(o Opts) (*Table, error) {
 	sizes := o.ScaleSizes
 	if len(sizes) == 0 {

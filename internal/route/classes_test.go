@@ -48,7 +48,7 @@ func TestBuildClassesSingleOutsideHybrid(t *testing.T) {
 
 // TestClassZeroMatchesSingleTableBuild: the class-0 table must be
 // byte-identical to the single table Build produces (the static-selection
-// equivalence at the table level).
+// equivalence at the table level), path costs included.
 func TestClassZeroMatchesSingleTableBuild(t *testing.T) {
 	for _, arch := range []config.Architecture{config.ArchWireless, config.ArchHybrid} {
 		cfg := config.MustXCYM(4, 4, arch)
@@ -65,7 +65,7 @@ func TestClassZeroMatchesSingleTableBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(single.Next, ct.Primary().Next) ||
-			!reflect.DeepEqual(single.Dist, ct.Primary().Dist) {
+			!reflect.DeepEqual(pathCost(t, g, single), pathCost(t, g, ct.Primary())) {
 			t.Fatalf("%s: class-0 table differs from the single-table build", arch)
 		}
 	}
@@ -75,11 +75,12 @@ func TestClassZeroMatchesSingleTableBuild(t *testing.T) {
 // the wireless fabric, and wired routes can only be as long or longer than
 // the full-graph shortest paths.
 func TestWiredOnlyClassAvoidsWireless(t *testing.T) {
-	_, ct := buildClassGraph(t, 4, config.ArchHybrid)
+	g, ct := buildClassGraph(t, 4, config.ArchHybrid)
 	primary, wired := ct.Primary(), ct.Classes[ClassWiredOnly]
 	if wired == nil {
 		t.Fatal("hybrid graph built no wired-only class")
 	}
+	primaryCost, wiredCost := pathCost(t, g, primary), pathCost(t, g, wired)
 	n := len(wired.Next)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -96,9 +97,9 @@ func TestWiredOnlyClassAvoidsWireless(t *testing.T) {
 					t.Fatalf("wired-only route %d->%d crosses wireless at %d->%d", s, d, p[i-1], p[i])
 				}
 			}
-			if wired.Dist[s][d] < primary.Dist[s][d] {
-				t.Fatalf("wired-only dist %d->%d = %d below full-graph %d",
-					s, d, wired.Dist[s][d], primary.Dist[s][d])
+			if wiredCost[s][d] < primaryCost[s][d] {
+				t.Fatalf("wired-only cost %d->%d = %d below full-graph %d",
+					s, d, wiredCost[s][d], primaryCost[s][d])
 			}
 		}
 	}
@@ -156,7 +157,7 @@ func TestBuildClassesWorkerInvariance(t *testing.T) {
 			if a == nil {
 				continue
 			}
-			if !reflect.DeepEqual(a.Next, b.Next) || !reflect.DeepEqual(a.Dist, b.Dist) {
+			if a.Root != b.Root || !reflect.DeepEqual(a.Next, b.Next) {
 				t.Fatalf("workers=%d: class %d tables differ from sequential build", workers, c)
 			}
 		}

@@ -13,10 +13,12 @@ import (
 )
 
 // tableDigests pins the class tables of every preset the route package
-// ships: SHA-256 over each class table's Next, Dist, Root and all-pairs
-// IsWireless relation, then TxWI (see digestClassTables). Any change to
-// table construction that moves one entry fails here; a deliberate change
-// must say so and recompute the digests.
+// ships: SHA-256 over each class table's Next, its path costs, Root and
+// all-pairs IsWireless relation, then TxWI (see digestClassTables). The
+// tables store no path costs: pathCost derives them from Next, and they
+// equal the distances the builders minimize. Any change to table
+// construction that moves one entry fails here; a deliberate change must
+// say so and recompute the digests.
 var tableDigests = map[string]string{
 	"1C/substrate/shortest":   "6d087c5d2a1d8657d44c1229a20b78fa69f348e42f48a50d6c2a49e43dcbadbd",
 	"1C/interposer/shortest":  "3f5c09b25616abb337d5e242ceebacb4d3a71955dae2ba5cfafc076a13fae00b",
@@ -57,8 +59,8 @@ var tableDigests = map[string]string{
 }
 
 // digestClassTables hashes everything BuildClasses produces that the engine
-// and the deadlock check read.
-func digestClassTables(ct *ClassTables) string {
+// and the deadlock check read, plus each table's path costs.
+func digestClassTables(t *testing.T, g *topo.Graph, ct *ClassTables) string {
 	h := sha256.New()
 	var buf []byte
 	flush := func() {
@@ -66,20 +68,21 @@ func digestClassTables(ct *ClassTables) string {
 		buf = buf[:0]
 	}
 	put := func(v int32) { buf = binary.LittleEndian.AppendUint32(buf, uint32(v)) }
-	for _, t := range ct.Classes {
-		if t == nil {
+	for _, tb := range ct.Classes {
+		if tb == nil {
 			put(-1)
 			continue
 		}
-		n := len(t.Next)
+		cost := pathCost(t, g, tb)
+		n := len(tb.Next)
 		put(int32(n))
-		put(int32(t.Root))
+		put(int32(tb.Root))
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				put(int32(t.Next[s][d]))
-				put(t.Dist[s][d])
+				put(int32(tb.Next[s][d]))
+				put(cost[s][d])
 				w := int32(0)
-				if t.IsWireless(sim.SwitchID(s), sim.SwitchID(d)) {
+				if tb.IsWireless(sim.SwitchID(s), sim.SwitchID(d)) {
 					w = 1
 				}
 				put(w)
@@ -137,7 +140,7 @@ func TestRouteTableDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got, want := digestClassTables(ct), tableDigests[name]; got != want {
+		if got, want := digestClassTables(t, g, ct), tableDigests[name]; got != want {
 			t.Errorf("%s: table digest %s, want %s", name, got, want)
 		}
 	}

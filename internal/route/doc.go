@@ -98,6 +98,10 @@
 //     one choice per destination, computed once.
 //   - Destinations are filled in blocks of 16 columns, so each table row
 //     is written as one contiguous run.
+//   - A table stores only Next per pair. Path costs live only in the
+//     builders' working arrays: they are routing weights (a wireless hop
+//     costs wireless_hop_weight, not its latency), which no latency model
+//     can use, and the tests derive them from Next.
 //   - The deadlock check numbers the directed links in (u, v) order and
 //     names a channel link*3+class, so the CDG lives in dense slices and
 //     ascending channel IDs are ascending (u, v, class) triples. The DFS

@@ -21,7 +21,14 @@ import (
 // deadlock checker verifies the composite. Memory stacks hang off a single
 // wide-I/O edge, never carry transit traffic, and therefore cannot
 // participate in any cycle.
-func (t *Tables) buildSubstrateHier(g *topo.Graph, adj [][]arc) error {
+//
+// The construction checks neither for route loops nor for hops over
+// missing links. Both production callers of a builder, engine.New and
+// wimctopo, run the channel-dependency walk (CheckDeadlockFreeUnion,
+// CheckDeadlockFree) over the result, and it reports both faults:
+// "route: routing loop from s to d" and "route: hop u->v toward d is not a
+// link".
+func (t *Tables) buildSubstrateHier(g *topo.Graph) error {
 	n := g.SwitchCount()
 	cfg := g.Cfg
 
@@ -168,59 +175,13 @@ func (t *Tables) buildSubstrateHier(g *topo.Graph, adj [][]arc) error {
 	// above is read-only by now, so each source row of the table fills
 	// independently on the worker pool.
 	t.Next = newTable(n, sim.NoSwitch)
-	t.Dist = newDist(n)
-	if _, err := pool.ForEach(t.workers, n, func(s int) error {
+	_, err := pool.ForEach(t.workers, n, func(s int) error {
 		for d := 0; d < n; d++ {
 			nh, err := next(sim.SwitchID(s), sim.SwitchID(d))
 			if err != nil {
 				return err
 			}
 			t.Next[s][d] = nh
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return t.fillHierDist(n, adj)
-}
-
-// fillHierDist computes distances by walking the committed routes. The
-// routes are memoryless — Dist[s][d] = w(s, Next[s][d]) + Dist[Next[s][d]][d]
-// — so each destination's column is filled by one memoized chain walk
-// (O(n) per destination instead of O(n × path length)), and destinations
-// fan out across the worker pool.
-func (t *Tables) fillHierDist(n int, adj [][]arc) error {
-	weight := make(map[[2]sim.SwitchID]int32, 4*n)
-	for s := range adj {
-		for _, a := range adj[s] {
-			weight[[2]sim.SwitchID{sim.SwitchID(s), a.to}] = a.weight
-		}
-	}
-	_, err := pool.ForEach(t.workers, n, func(d int) error {
-		done := make([]bool, n)
-		done[d] = true
-		var chain []sim.SwitchID
-		for s := 0; s < n; s++ {
-			cur := sim.SwitchID(s)
-			chain = chain[:0]
-			for !done[cur] {
-				if len(chain) > n {
-					return fmt.Errorf("route: substrate route loop %d->%d", s, d)
-				}
-				chain = append(chain, cur)
-				cur = t.Next[cur][d]
-			}
-			// Unwind: every suffix distance is now known.
-			for i := len(chain) - 1; i >= 0; i-- {
-				u := chain[i]
-				nh := t.Next[u][d]
-				w, ok := weight[[2]sim.SwitchID{u, nh}]
-				if !ok {
-					return fmt.Errorf("route: substrate route %d->%d uses missing arc %d->%d", s, d, u, nh)
-				}
-				t.Dist[u][d] = w + t.Dist[nh][d]
-				done[u] = true
-			}
 		}
 		return nil
 	})

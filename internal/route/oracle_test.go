@@ -192,8 +192,9 @@ func checkAgainstOracle(t *testing.T, cfg config.Config) {
 			continue
 		}
 		next, dist := oracleShortest(t, oracleAdjacency(g, RouteClass(c) == ClassWirelessPreferred), transit)
+		cost := pathCost(t, g, tb)
 		for s := range next {
-			if !slices.Equal(tb.Next[s], next[s]) || !slices.Equal(tb.Dist[s], dist[s]) {
+			if !slices.Equal(tb.Next[s], next[s]) || !slices.Equal(cost[s], dist[s]) {
 				t.Fatalf("%s class %d: row %d differs from the oracle", name, c, s)
 			}
 		}

@@ -20,8 +20,6 @@ type Tables struct {
 	Mode config.RoutingMode
 	// Next[s][d] is the next switch on the route from s to d; Next[d][d] = d.
 	Next [][]sim.SwitchID
-	// Dist[s][d] is the routed path cost (sum of hop weights).
-	Dist [][]int32
 	// Root is the tree root in RouteTree mode, or sim.NoSwitch.
 	Root sim.SwitchID
 	// wireless[s] reports whether s hosts a WI of the wireless full graph
@@ -100,7 +98,7 @@ func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, err
 		if g.Cfg.Arch == config.ArchSubstrate {
 			// Single serial links around the chip ring deadlock under
 			// unrestricted minimal routing; use chip-level dimension order.
-			err = t.buildSubstrateHier(g, rg.adj)
+			err = t.buildSubstrateHier(g)
 		} else {
 			err = t.buildShortest(rg)
 		}
@@ -215,14 +213,13 @@ type spScratch struct {
 // buildShortest fills the tables with per-source shortest paths: for every
 // destination d a reverse Dijkstra yields dist(·, d); the next hop from s is
 // the first neighbor (in tie-break order) on a shortest path. Destinations
-// are independent — each fills only its own column of Next/Dist — so
+// are independent — each fills only its own column of Next — so
 // blocks of them fan out across the worker pool; the tables, and the error
 // of a failed build (lowest destination, then lowest source), are
 // identical for any worker count.
 func (t *Tables) buildShortest(rg *routeGraph) error {
 	n := len(rg.adj)
 	t.Next = newTable(n, sim.NoSwitch)
-	t.Dist = newDist(n)
 	scratch := sync.Pool{New: func() any {
 		sc := &spScratch{}
 		for j := range sc.dist {
@@ -241,10 +238,9 @@ func (t *Tables) buildShortest(rg *routeGraph) error {
 		}
 		var errs [destBlock]error
 		for s := 0; s < n; s++ {
-			nextRow, distRow := t.Next[s], t.Dist[s]
+			nextRow := t.Next[s]
 			for d := d0; d < d1; d++ {
 				dist := sc.dist[d-d0]
-				distRow[d] = dist[s]
 				if s == d {
 					nextRow[d] = sim.SwitchID(d)
 					continue
@@ -300,7 +296,7 @@ func (t *Tables) buildTree(g *topo.Graph, rg *routeGraph) error {
 	}
 	t.Root = root
 
-	parent, distRoot := rg.spTree(root)
+	parent, _ := rg.spTree(root)
 	for s := 0; s < n; s++ {
 		if s != int(root) && parent[s] == sim.NoSwitch {
 			return fmt.Errorf("route: tree mode: switch %d unreachable from root %d", s, root)
@@ -314,13 +310,11 @@ func (t *Tables) buildTree(g *topo.Graph, rg *routeGraph) error {
 	}
 
 	t.Next = newTable(n, sim.NoSwitch)
-	t.Dist = newDist(n)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			ss, dd := sim.SwitchID(s), sim.SwitchID(d)
 			if ss == dd {
 				t.Next[s][d] = dd
-				t.Dist[s][d] = 0
 				continue
 			}
 			if isAncestor(ss, dd) {
@@ -333,19 +327,9 @@ func (t *Tables) buildTree(g *topo.Graph, rg *routeGraph) error {
 			} else {
 				t.Next[s][d] = parent[s]
 			}
-			// Path cost via the lowest common ancestor.
-			l := lca(ss, dd, parent, isAncestor)
-			t.Dist[s][d] = distRoot[s] + distRoot[d] - 2*distRoot[l]
 		}
 	}
 	return nil
-}
-
-func lca(a, b sim.SwitchID, parent []sim.SwitchID, isAncestor func(a, b sim.SwitchID) bool) sim.SwitchID {
-	for !isAncestor(a, b) {
-		a = parent[a]
-	}
-	return a
 }
 
 const unreachable = int32(math.MaxInt32 / 4)
@@ -579,15 +563,6 @@ func newTable(n int, fill sim.SwitchID) [][]sim.SwitchID {
 	for i := range flat {
 		flat[i] = fill
 	}
-	for i := range t {
-		t[i] = flat[i*n : (i+1)*n]
-	}
-	return t
-}
-
-func newDist(n int) [][]int32 {
-	t := make([][]int32, n)
-	flat := make([]int32, n*n)
 	for i := range t {
 		t[i] = flat[i*n : (i+1)*n]
 	}

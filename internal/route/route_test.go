@@ -180,13 +180,15 @@ func TestTreeModeRoutesFollowOneTree(t *testing.T) {
 
 func TestTreeDistMatchesPathCost(t *testing.T) {
 	g, tb := buildTables(t, 4, config.ArchWireless, config.RouteTree)
-	// Dist is symmetric for tree routing on an undirected graph.
+	// Route cost is symmetric for tree routing on an undirected graph: the
+	// route d->s is the route s->d reversed.
+	cost := pathCost(t, g, tb)
 	n := g.SwitchCount()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if tb.Dist[s][d] != tb.Dist[d][s] {
-				t.Fatalf("tree dist asymmetric: %d->%d %d vs %d",
-					s, d, tb.Dist[s][d], tb.Dist[d][s])
+			if cost[s][d] != cost[d][s] {
+				t.Fatalf("tree cost asymmetric: %d->%d %d vs %d",
+					s, d, cost[s][d], cost[d][s])
 			}
 		}
 	}
@@ -196,13 +198,14 @@ func TestShortestDistTriangle(t *testing.T) {
 	// Shortest-path distances satisfy d(s,d) <= d(s,m) + d(m,d) for
 	// transit-capable m.
 	g, tb := buildTables(t, 4, config.ArchWireless, config.RouteShortest)
+	cost := pathCost(t, g, tb)
 	n := g.SwitchCount()
 	check := func(s16, m16, d16 uint16) bool {
 		s, m, d := int(s16)%n, int(m16)%n, int(d16)%n
 		if g.Nodes[m].Kind == topo.KindMemLogic {
 			return true
 		}
-		return tb.Dist[s][d] <= tb.Dist[s][m]+tb.Dist[m][d]
+		return cost[s][d] <= cost[s][m]+cost[m][d]
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -210,8 +213,10 @@ func TestShortestDistTriangle(t *testing.T) {
 }
 
 func TestNextHopDecreasesDistance(t *testing.T) {
-	// Property: following Next strictly decreases Dist (loop freedom).
+	// Property: following Next strictly decreases the route cost (loop
+	// freedom; pathCost itself fails on a loop).
 	g, tb := buildTables(t, 8, config.ArchWireless, config.RouteShortest)
+	cost := pathCost(t, g, tb)
 	n := g.SwitchCount()
 	check := func(s16, d16 uint16) bool {
 		s, d := int(s16)%n, int(d16)%n
@@ -219,12 +224,11 @@ func TestNextHopDecreasesDistance(t *testing.T) {
 			return true
 		}
 		nxt := tb.Next[s][d]
-		return tb.Dist[nxt][d] < tb.Dist[s][d]
+		return cost[nxt][d] < cost[s][d]
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	_ = g
 }
 
 func TestDeterministicRebuild(t *testing.T) {
@@ -318,7 +322,7 @@ func TestSubstrateInterChipIsChipLevelTree(t *testing.T) {
 }
 
 func TestHopCountUnreachableReturnsMinusOne(t *testing.T) {
-	tb := &Tables{Next: newTable(2, sim.NoSwitch), Dist: newDist(2)}
+	tb := &Tables{Next: newTable(2, sim.NoSwitch)}
 	tb.Next[0][0] = 0
 	tb.Next[1][1] = 1
 	if got := tb.HopCount(0, 1); got != -1 {
@@ -363,7 +367,7 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 				}
 				for s := range ref.Next {
 					for d := range ref.Next[s] {
-						if tb.Next[s][d] != ref.Next[s][d] || tb.Dist[s][d] != ref.Dist[s][d] {
+						if tb.Next[s][d] != ref.Next[s][d] {
 							t.Fatalf("%s/%s: table entry (%d,%d) differs with %d workers",
 								arch, mode, s, d, workers)
 						}

@@ -8,21 +8,13 @@ import (
 	"wimc/internal/sim"
 )
 
-// Build constructs the topology graph for the configured architecture,
-// sharding construction across runtime.GOMAXPROCS(0) workers (see shard.go;
-// the result is byte-identical to a sequential build).
+// Build validates cfg and constructs the topology graph for its
+// architecture in one sequential pass.
 func Build(cfg config.Config) (*Graph, error) {
-	return BuildWorkers(cfg, 0)
-}
-
-// BuildWorkers is Build with an explicit worker-pool bound: <= 0 means
-// runtime.GOMAXPROCS(0), 1 forces a fully sequential build. The built graph
-// is byte-identical for every worker count.
-func BuildWorkers(cfg config.Config, workers int) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{cfg: cfg, g: &Graph{Cfg: cfg}, workers: workers}
+	b := &builder{cfg: cfg, g: &Graph{Cfg: cfg}}
 	b.coreSwitches()
 	b.meshEdges()
 	switch cfg.Arch {
@@ -48,10 +40,14 @@ func BuildWorkers(cfg config.Config, workers int) (*Graph, error) {
 	return b.g, nil
 }
 
+// BuildWorkers is Build. The worker bound is ignored: construction is one
+// sequential pass. The alias remains only because the benchmark module
+// (bench/) calls it.
+func BuildWorkers(cfg config.Config, _ int) (*Graph, error) { return Build(cfg) }
+
 type builder struct {
-	cfg     config.Config
-	g       *Graph
-	workers int
+	cfg config.Config
+	g   *Graph
 }
 
 // globalCols and globalRows give the full core-mesh extent across chips.
@@ -68,56 +64,45 @@ func (b *builder) chipOf(gx, gy int) int {
 	return (gy/b.cfg.CoresY)*b.cfg.ChipsX + gx/b.cfg.CoresX
 }
 
-// coreSwitches creates the mesh switch of every core, sharded by global-row
-// band. A node's ID is its index, so shards write disjoint ranges of the
-// preallocated slice directly.
+// coreSwitches creates the mesh switch of every core in row-major order,
+// so a node's ID is its index.
 func (b *builder) coreSwitches() {
 	cols, rows := b.globalCols(), b.globalRows()
-	b.g.Nodes = make([]Node, cols*rows, cols*rows+b.cfg.MemStacks)
-	rb := bands(rows, b.shards(rows))
-	b.parallel(len(rb), func(k int) {
-		for gy := rb[k][0]; gy < rb[k][1]; gy++ {
-			for gx := 0; gx < cols; gx++ {
-				b.g.Nodes[gy*cols+gx] = Node{
-					ID:    b.coreSwitchID(gx, gy),
-					Kind:  KindCore,
-					Chip:  b.chipOf(gx, gy),
-					Stack: -1,
-					GX:    gx,
-					GY:    gy,
-					WI:    -1,
-				}
-			}
+	b.g.Nodes = make([]Node, 0, cols*rows+b.cfg.MemStacks)
+	for gy := 0; gy < rows; gy++ {
+		for gx := 0; gx < cols; gx++ {
+			b.g.Nodes = append(b.g.Nodes, Node{
+				ID:    b.coreSwitchID(gx, gy),
+				Kind:  KindCore,
+				Chip:  b.chipOf(gx, gy),
+				Stack: -1,
+				GX:    gx,
+				GY:    gy,
+				WI:    -1,
+			})
 		}
-	})
+	}
 }
 
 // meshEdges wires the intra-chip mesh: single-cycle links between adjacent
 // switches of the same chip (paper: "all intra-chip wired links are
-// considered to be single-cycle links"). Rows shard into bands whose edge
-// slices concatenate back into exact row-major order.
+// considered to be single-cycle links"), in row-major order.
 func (b *builder) meshEdges() {
 	cfg := b.cfg
 	cols, rows := b.globalCols(), b.globalRows()
-	rb := bands(rows, b.shards(rows))
-	parts := make([][]Edge, len(rb))
-	b.parallel(len(rb), func(k int) {
-		es := make([]Edge, 0, 2*cols*(rb[k][1]-rb[k][0]))
-		for gy := rb[k][0]; gy < rb[k][1]; gy++ {
-			for gx := 0; gx < cols; gx++ {
-				if gx+1 < cols && b.chipOf(gx, gy) == b.chipOf(gx+1, gy) {
-					es = append(es, b.edge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx+1, gy),
-						EdgeMesh, cfg.MeshLatency, sim.RateOne, cfg.MeshPJPerBit))
-				}
-				if gy+1 < rows && b.chipOf(gx, gy) == b.chipOf(gx, gy+1) {
-					es = append(es, b.edge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx, gy+1),
-						EdgeMesh, cfg.MeshLatency, sim.RateOne, cfg.MeshPJPerBit))
-				}
+	b.g.Edges = make([]Edge, 0, 2*cols*rows)
+	for gy := 0; gy < rows; gy++ {
+		for gx := 0; gx < cols; gx++ {
+			if gx+1 < cols && b.chipOf(gx, gy) == b.chipOf(gx+1, gy) {
+				b.addEdge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx+1, gy),
+					EdgeMesh, cfg.MeshLatency, sim.RateOne, cfg.MeshPJPerBit)
+			}
+			if gy+1 < rows && b.chipOf(gx, gy) == b.chipOf(gx, gy+1) {
+				b.addEdge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx, gy+1),
+					EdgeMesh, cfg.MeshLatency, sim.RateOne, cfg.MeshPJPerBit)
 			}
 		}
-		parts[k] = es
-	})
-	b.stitch(parts)
+	}
 }
 
 // serialEdges wires the substrate architecture: a single high-speed serial
@@ -151,18 +136,13 @@ func (b *builder) serialEdges() {
 // across chip boundaries by joining facing boundary switch pairs with
 // µbump-limited interposer links (paper §IV.A.2, after Jerger et al. [2]).
 // InterposerBoundaryFr < 1 thins each boundary to an evenly spaced subset,
-// modeling a tighter µbump budget. Chip rows shard independently; the
-// horizontal-boundary section precedes the vertical one, as in a
-// sequential build.
+// modeling a tighter µbump budget (Validate keeps it in (0,1]). Every
+// horizontal boundary precedes every vertical one.
 func (b *builder) interposerEdges() {
 	cfg := b.cfg
 	rate := sim.RateFromGbps(cfg.InterposerGbps, cfg.FlitBits, cfg.ClockGHz)
-	fr := cfg.InterposerBoundaryFr
-	if fr <= 0 || fr > 1 {
-		fr = 1
-	}
 	take := func(n int) map[int]bool {
-		k := int(float64(n)*fr + 0.5)
+		k := int(float64(n)*cfg.InterposerBoundaryFr + 0.5)
 		if k < 1 {
 			k = 1
 		}
@@ -172,45 +152,35 @@ func (b *builder) interposerEdges() {
 		}
 		return sel
 	}
-	// Horizontal boundaries, sharded by chip row.
-	horiz := make([][]Edge, cfg.ChipsY)
-	b.parallel(cfg.ChipsY, func(cy int) {
-		var es []Edge
+	// Horizontal boundaries.
+	sel := take(cfg.CoresY)
+	for cy := 0; cy < cfg.ChipsY; cy++ {
 		for cx := 0; cx+1 < cfg.ChipsX; cx++ {
-			sel := take(cfg.CoresY)
 			for ly := 0; ly < cfg.CoresY; ly++ {
 				if !sel[ly] {
 					continue
 				}
 				gy := cy*cfg.CoresY + ly
 				gx := cx*cfg.CoresX + cfg.CoresX - 1
-				es = append(es, b.edge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx+1, gy),
-					EdgeInterposer, cfg.InterposerLatency, rate, cfg.InterposerPJPerBit))
+				b.addEdge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx+1, gy),
+					EdgeInterposer, cfg.InterposerLatency, rate, cfg.InterposerPJPerBit)
 			}
 		}
-		horiz[cy] = es
-	})
-	b.stitch(horiz)
-	// Vertical boundaries, sharded by upper chip row.
-	if cfg.ChipsY > 1 {
-		vert := make([][]Edge, cfg.ChipsY-1)
-		b.parallel(cfg.ChipsY-1, func(cy int) {
-			var es []Edge
-			for cx := 0; cx < cfg.ChipsX; cx++ {
-				sel := take(cfg.CoresX)
-				for lx := 0; lx < cfg.CoresX; lx++ {
-					if !sel[lx] {
-						continue
-					}
-					gx := cx*cfg.CoresX + lx
-					gy := cy*cfg.CoresY + cfg.CoresY - 1
-					es = append(es, b.edge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx, gy+1),
-						EdgeInterposer, cfg.InterposerLatency, rate, cfg.InterposerPJPerBit))
+	}
+	// Vertical boundaries.
+	sel = take(cfg.CoresX)
+	for cy := 0; cy+1 < cfg.ChipsY; cy++ {
+		for cx := 0; cx < cfg.ChipsX; cx++ {
+			for lx := 0; lx < cfg.CoresX; lx++ {
+				if !sel[lx] {
+					continue
 				}
+				gx := cx*cfg.CoresX + lx
+				gy := cy*cfg.CoresY + cfg.CoresY - 1
+				b.addEdge(b.coreSwitchID(gx, gy), b.coreSwitchID(gx, gy+1),
+					EdgeInterposer, cfg.InterposerLatency, rate, cfg.InterposerPJPerBit)
 			}
-			vert[cy] = es
-		})
-		b.stitch(vert)
+		}
 	}
 }
 
@@ -322,16 +292,9 @@ func (b *builder) coreEndpoints() {
 	}
 }
 
-// edge constructs one edge record (shard-local; appended via stitch).
-func (b *builder) edge(a, bb sim.SwitchID, k EdgeKind, lat int, rate sim.Rate, pj float64) Edge {
-	if lat < 1 {
-		lat = 1
-	}
-	return Edge{A: a, B: bb, Kind: k, Latency: lat, Rate: rate, PJPerBit: pj}
-}
-
+// addEdge appends one edge; a latency below one cycle counts as one.
 func (b *builder) addEdge(a, bb sim.SwitchID, k EdgeKind, lat int, rate sim.Rate, pj float64) {
-	b.g.Edges = append(b.g.Edges, b.edge(a, bb, k, lat, rate, pj))
+	b.g.Edges = append(b.g.Edges, Edge{A: a, B: bb, Kind: k, Latency: max(lat, 1), Rate: rate, PJPerBit: pj})
 }
 
 // check validates structural invariants of the built graph.

@@ -10,21 +10,18 @@ import (
 // each chip is partitioned into clusters of CoresPerWI switches and one WI
 // is placed at the minimum-average-distance (MAD) switch of each cluster
 // (paper §III.A, after Yuan et al. [15]); every memory stack's logic die
-// also carries one WI. The MAD searches shard by chip; registration — which
-// assigns the WI numbering (MAC turn sequence), chip-major then stack
-// order — replays sequentially in chip order.
+// also carries one WI. Registration order is the WI numbering (MAC turn
+// sequence): chip-major, clusters row-major within a chip, then stacks.
 func (b *builder) placeWIs() error {
 	cfg := b.cfg
 	tw, th, err := clusterDims(cfg.CoresX, cfg.CoresY, cfg.CoresPerWI)
 	if err != nil {
 		return err
 	}
-	chips := cfg.Chips()
-	centers := make([][]sim.SwitchID, chips)
-	b.parallel(chips, func(chip int) {
+	members := make([]sim.SwitchID, 0, tw*th)
+	for chip := 0; chip < cfg.Chips(); chip++ {
 		cx0 := (chip % cfg.ChipsX) * cfg.CoresX
 		cy0 := (chip / cfg.ChipsX) * cfg.CoresY
-		members := make([]sim.SwitchID, 0, tw*th)
 		for ty := 0; ty < cfg.CoresY/th; ty++ {
 			for tx := 0; tx < cfg.CoresX/tw; tx++ {
 				members = members[:0]
@@ -34,13 +31,8 @@ func (b *builder) placeWIs() error {
 							b.coreSwitchID(cx0+tx*tw+lx, cy0+ty*th+ly))
 					}
 				}
-				centers[chip] = append(centers[chip], b.madCenter(members))
+				b.registerWI(b.madCenter(members))
 			}
-		}
-	})
-	for _, cs := range centers {
-		for _, c := range cs {
-			b.registerWI(c)
 		}
 	}
 	for _, n := range b.g.Nodes {

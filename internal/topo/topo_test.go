@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"wimc/internal/config"
@@ -388,47 +386,6 @@ func TestBuildRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestBuildWorkerCountInvariance is the sharded-construction determinism
-// proof: building the same configuration with 1, 2, 3, 8 and GOMAXPROCS
-// workers must produce byte-identical graphs (nodes, edges, endpoints, WI
-// numbering — everything), for paper-sized and large generalized presets
-// across all architectures.
-func TestBuildWorkerCountInvariance(t *testing.T) {
-	presets := []struct{ chips, stacks int }{
-		{4, 4}, {8, 4}, {16, 16}, {32, 32},
-	}
-	archs := []config.Architecture{
-		config.ArchSubstrate, config.ArchInterposer, config.ArchWireless, config.ArchHybrid,
-	}
-	for _, p := range presets {
-		for _, arch := range archs {
-			cfg := config.MustXCYM(p.chips, p.stacks, arch)
-			ref, err := BuildWorkers(cfg, 1)
-			if err != nil {
-				t.Fatalf("BuildWorkers(%dC, %s, 1): %v", p.chips, arch, err)
-			}
-			refJSON, err := json.Marshal(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{0, 2, 3, 8} {
-				g, err := BuildWorkers(cfg, workers)
-				if err != nil {
-					t.Fatalf("BuildWorkers(%dC, %s, %d): %v", p.chips, arch, workers, err)
-				}
-				got, err := json.Marshal(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(refJSON, got) {
-					t.Fatalf("%dC%dM/%s: %d-worker build differs from sequential build",
-						p.chips, p.stacks, arch, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestLargePresetInventory pins the derived inventory of the generalized
 // presets: cores, stacks, WI count and the absence of cross-chip wires in
 // the wireless system hold at 16/32/64 chips exactly as at paper scale.
@@ -458,38 +415,6 @@ func TestLargePresetInventory(t *testing.T) {
 		gi := buildCfg(t, config.MustXCYM(chips, stacks, config.ArchInterposer))
 		if got, want := countEdges(gi, EdgeWideIO), stacks*4; got != want {
 			t.Errorf("%dC interposer wide-IO edges = %d, want %d", chips, got, want)
-		}
-	}
-}
-
-func TestShardRandStableAndPerShard(t *testing.T) {
-	a := ShardRand(7, 0)
-	b := ShardRand(7, 0)
-	if a.Seed() != b.Seed() || a.Intn(1<<30) != b.Intn(1<<30) {
-		t.Fatal("ShardRand not stable for equal (seed, shard)")
-	}
-	if ShardRand(7, 0).Seed() == ShardRand(7, 1).Seed() {
-		t.Fatal("distinct shards share a stream")
-	}
-	if ShardRand(7, 0).Seed() == ShardRand(8, 0).Seed() {
-		t.Fatal("distinct base seeds share a stream")
-	}
-}
-
-func TestBands(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{10, 3}, {1, 4}, {7, 7}, {64, 5}} {
-		bs := bands(tc.n, tc.k)
-		covered := 0
-		prev := 0
-		for _, b := range bs {
-			if b[0] != prev || b[1] < b[0] {
-				t.Fatalf("bands(%d,%d) = %v: not contiguous", tc.n, tc.k, bs)
-			}
-			covered += b[1] - b[0]
-			prev = b[1]
-		}
-		if covered != tc.n || prev != tc.n {
-			t.Fatalf("bands(%d,%d) = %v: covers %d", tc.n, tc.k, bs, covered)
 		}
 	}
 }

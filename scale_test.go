@@ -16,8 +16,7 @@ func largeCfg(chips int, arch wimc.Architecture) wimc.Config {
 }
 
 // TestLargePresetsRun: the generalized 16/32/64-chip presets validate,
-// build (sharded topology constructor, parallel routing tables, deadlock
-// verification) and carry traffic under the active-set scheduler in every
+// build (topology, parallel routing tables, deadlock verification) and carry traffic under the active-set scheduler in every
 // architecture.
 func TestLargePresetsRun(t *testing.T) {
 	chipCounts := []int{16, 32, 64}
@@ -49,7 +48,7 @@ func TestLargePresetsRun(t *testing.T) {
 }
 
 // TestLargePresetResultDeterminism: repeated runs of a 32-chip system — the
-// whole pipeline from sharded topology build to active-set simulation —
+// whole pipeline from topology build to active-set simulation —
 // produce byte-identical Result JSON.
 func TestLargePresetResultDeterminism(t *testing.T) {
 	cfg := largeCfg(32, wimc.ArchWireless)

@@ -181,9 +181,9 @@ func Default() Config { return config.Default() }
 // any other count generalizes the 4C4M design point — a near-square grid of
 // 4x4-core chips, one wireless interface per chip — to multichip-system
 // scales the paper never evaluated (XCYM(64, 64, arch) is a 1024-core
-// package). Large presets build through the sharded topology constructor
-// and run under the active-set scheduler; examples/scale sweeps them with
-// Sweep for the throughput/energy-versus-size methodology.
+// package). Large presets build like small ones, and run under the
+// active-set scheduler; examples/scale sweeps them with Sweep for the
+// throughput/energy-versus-size methodology.
 func XCYM(chips, stacks int, arch Architecture) (Config, error) {
 	return config.XCYM(chips, stacks, arch)
 }
