@@ -216,6 +216,33 @@ func determinismParams() []Params {
 	large.WarmupCycles = 100
 	large.MeasureCycles = 600
 
+	// Loaded exclusive fabrics: the low-rate entries above deliver a
+	// handful of packets each, so these run every turn machine at rate
+	// 1.0 with 16-flit packets, where turns announce, stall, retain and
+	// rotate under contention.
+	loaded := func(name string, mac config.MACMode, assign config.ChannelAssignment, k int,
+		policy config.MACPolicy) config.Config {
+		c := config.MustXCYM(4, 4, config.ArchWireless)
+		c.Name = name
+		c.WarmupCycles = 100
+		c.MeasureCycles = 800
+		c.Channel = config.ChannelExclusive
+		c.MAC = mac
+		if mac == config.MACToken {
+			c.TXBufferFlits = c.PacketFlits
+		}
+		c.ChannelAssign = assign
+		c.WirelessChannels = k
+		c.MACPolicyMode = policy
+		return c
+	}
+	rotateLoaded := loaded("rotate-loaded", config.MACControlPacket, config.AssignSpatialReuse, 2, config.PolicyRotate)
+	tokenRotateLoaded := loaded("token-rotate-loaded", config.MACToken, config.AssignStaticPartition, 2, config.PolicyRotate)
+	drainAwareLoaded := loaded("drain-aware-loaded", config.MACControlPacket, config.AssignSpatialReuse, 2, config.PolicyDrainAware)
+	tokenWeightedLoaded := loaded("token-weighted-loaded", config.MACToken, config.AssignStaticPartition, 2, config.PolicyWeighted)
+	skipEmptyLoaded := loaded("skip-empty-loaded", config.MACControlPacket, config.AssignSingle, 1, config.PolicySkipEmpty)
+	saturated := TrafficSpec{Kind: TrafficUniform, Rate: 1.0, MemFraction: 0.2, PacketFlits: 16}
+
 	return []Params{
 		{Cfg: large, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: wireless, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
@@ -236,6 +263,11 @@ func determinismParams() []Params {
 		{Cfg: wired, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: phased, Traffic: TrafficSpec{Kind: TrafficApp, App: "collective"}},
 		{Cfg: longOutage, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.0005, MemFraction: 0.2}},
+		{Cfg: rotateLoaded, Traffic: saturated},
+		{Cfg: tokenRotateLoaded, Traffic: saturated},
+		{Cfg: drainAwareLoaded, Traffic: saturated},
+		{Cfg: tokenWeightedLoaded, Traffic: saturated},
+		{Cfg: skipEmptyLoaded, Traffic: saturated},
 	}
 }
 

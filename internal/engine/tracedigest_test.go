@@ -62,10 +62,11 @@ func traceDigestCases() []struct {
 	}
 }
 
-// readTraceDigests parses traceDigestFile into name → hex digest.
-func readTraceDigests(t *testing.T) map[string]string {
+// readDigests parses a digest file of "<hex digest>  <name>" lines into
+// name → hex digest.
+func readDigests(t *testing.T, file string) map[string]string {
 	t.Helper()
-	f, err := os.Open(traceDigestFile)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func readTraceDigests(t *testing.T) map[string]string {
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) != 2 {
-			t.Fatalf("%s: malformed line %q", traceDigestFile, sc.Text())
+			t.Fatalf("%s: malformed line %q", file, sc.Text())
 		}
 		out[fields[1]] = fields[0]
 	}
@@ -90,7 +91,7 @@ func readTraceDigests(t *testing.T) map[string]string {
 // deliberate behavior change must say so and rewrite the file with the
 // digests this test logs.
 func TestTraceDigests(t *testing.T) {
-	want := readTraceDigests(t)
+	want := readDigests(t, traceDigestFile)
 	for _, tc := range traceDigestCases() {
 		for _, shards := range tc.shards {
 			p := tc.p
