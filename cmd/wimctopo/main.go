@@ -1,6 +1,8 @@
 // Command wimctopo inspects the topology and routing of a multichip
 // configuration: switch/edge inventory, wireless interface placement,
-// per-class hop statistics and the deadlock-freedom verdict.
+// per-class hop statistics and the deadlock-freedom verdict. It builds the
+// route classes engine.New builds and checks their union, so a package
+// wimctopo passes is one the engine accepts.
 //
 // Usage:
 //
@@ -40,10 +42,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, err := route.Build(g)
+	ct, err := route.BuildClasses(g, 0)
 	if err != nil {
 		fatal(err)
 	}
+	t := ct.Primary()
 
 	fmt.Printf("%s — %d switches, %d endpoints (%d cores, %d DRAM channels)\n",
 		cfg.Name, g.SwitchCount(), g.EndpointCount(), len(g.Cores), len(g.MemChannels))
@@ -77,12 +80,22 @@ func main() {
 	ccHops, cmHops, wireless := hopStats(g, t)
 	fmt.Printf("  avg hops: core-core %.2f, core-memory %.2f; routes using wireless: %.1f%%\n",
 		ccHops, cmHops, wireless*100)
+	if ct.MultiClass() {
+		cc, cm, _ := hopStats(g, ct.Class(route.ClassWiredOnly))
+		fmt.Printf("  wired-only class avg hops: core-core %.2f, core-memory %.2f\n", cc, cm)
+	}
 
-	if err := route.CheckDeadlockFree(g, t); err != nil {
+	// The union check: flits of every class share the channels, so a
+	// cycle may cross class tables (route.CheckDeadlockFreeUnion).
+	if err := route.CheckDeadlockFreeUnion(g, ct.Tables()...); err != nil {
 		fmt.Printf("  deadlock check: FAILED: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("  deadlock check: channel dependency graph is acyclic")
+	if n := len(ct.Tables()); n > 1 {
+		fmt.Printf("  deadlock check: union channel dependency graph of %d route classes is acyclic\n", n)
+	} else {
+		fmt.Println("  deadlock check: channel dependency graph is acyclic")
+	}
 
 	if *paths {
 		dumpPaths(g, t)

@@ -51,19 +51,23 @@
 //
 // The pre-sub-channel single-channel MAC is retained verbatim in
 // mac_legacy.go as a reference path (engine Params.LegacySingleChannel),
-// and the engine's equivalence regression asserts the K=1 fabric is
-// byte-identical to it for both MAC protocols.
+// and the engine's equivalence regression asserts the K=1 rotate fabric is
+// byte-identical to it for both MAC protocols — two different turn
+// machines, since the legacy MAC advances a fixed index.
 //
 // # Turn arbitration policies
 //
-// Within a sub-channel, config.MACPolicyMode selects how turns are
-// arbitrated among the member WIs (policy.go):
+// Every sub-channel runs one turn machine (policy.go): an O(1)
+// doubly-linked active-turn queue whose head is granted the next turn,
+// with the holder re-enqueued at the tail when its turn closes while it
+// still wants turns. config.MACPolicyMode selects who stays queued and
+// what a turn may announce or retain:
 //
-//   - rotate: the paper's fixed round-robin over every member, idle or
-//     not — the default, byte-identical to the pre-policy fabric (pinned
-//     by the legacy-equivalence and determinism regressions).
-//   - skip-empty: each sub-channel keeps an O(1) doubly-linked
-//     active-turn queue holding exactly the members with buffered TX
+//   - rotate: the queue keeps every member, idle or not, so turns follow
+//     the paper's fixed round-robin — the default, byte-identical to the
+//     pre-policy fabric (pinned by the legacy-equivalence regression, the
+//     determinism matrix and the engine's Result/trace corpus).
+//   - skip-empty: the queue holds exactly the members with buffered TX
 //     flits (enqueued on first flit arrival in WI.Accept, re-enqueued at
 //     the tail after a turn while backlogged). Idle WIs are never granted
 //     turns and an idle channel broadcasts nothing — with the whole
@@ -88,8 +92,8 @@
 //     every queued member's wait (the starvation-bound test proves the
 //     window).
 //
-// Fabric.CheckMACInvariants recomputes the announce accounting and
-// turn-queue consistency from the underlying queues — the fabric-side
+// Fabric.CheckMACInvariants recomputes the announce accounting and every
+// policy's turn-queue consistency from the underlying queues — the fabric-side
 // sibling of noc.Switch.CheckPipelineInvariants — and the engine folds it
 // into its every-cycle invariant check; the historical "nothing announced
 // remains" fallthrough is a counted AnnounceUnderflows violation, never a
@@ -117,9 +121,11 @@
 //     outage windows (the channel freezes; a delay, never a loss) and
 //     permanent fail-stop WI deaths at exact cycles. A dead WI is excised
 //     from its sub-channel's turn machinery — uncommitted queued packets
-//     drop with credits returned, committed wormholes drain, survivors
-//     keep arbitrating (the starvation test pins this) — and later
-//     arrivals at the dead transceiver drop at acceptance.
+//     drop with credits returned, committed wormholes drain, and once
+//     drained it leaves the queue (or, under rotate, passes to the tail
+//     unserved) while survivors keep arbitrating (the starvation test pins
+//     this) — and later arrivals at the dead transceiver drop at
+//     acceptance.
 //
 // Every dropped flit is counted in DroppedFlits so flit conservation
 // holds with loss; FaultNotice callbacks surface drop/retransmit/wi-fail

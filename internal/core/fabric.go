@@ -62,22 +62,25 @@ type Fabric struct {
 	// Exclusive-channel fabric: chanRate is the per-sub-channel token rate,
 	// subs the sub-channels (built on first use from the configured channel
 	// assignment) and chOf the transmit sub-channel of each WI index.
-	// legacy, when non-nil, swaps in the retained pre-sub-channel MAC (the
-	// K=1 equivalence reference path).
+	// legacy, when non-nil, swaps in the retained pre-sub-channel MAC, the
+	// reference TestLegacyExclusiveEquivalence compares the K=1 fabric
+	// against.
 	chanRate sim.Rate
 	subs     []*subChannel
 	chOf     []int
 	legacy   *legacyMAC
 
-	// Work-conserving arbitration (config.MACPolicyMode != PolicyRotate):
-	// turnQueue enables the per-sub-channel active-turn queues, weighted
-	// the deficit accounting of the weighted policy, and busySubs counts
-	// sub-channels currently mid-turn (not phaseIdle) — with turn queues
-	// an exclusive fabric with no buffered flits and no open turns
-	// provably does nothing, so LaunchNeeded can skip it.
-	turnQueue bool
-	weighted  bool
-	busySubs  int
+	// Turn arbitration (config.MACPolicyMode, see policy.go): every policy
+	// grants turns from the sub-channels' active-turn queues. rotate keeps
+	// every member queued, idle or not, so an idle sub-channel still opens
+	// a turn (a control broadcast or a token pass) every time it frees;
+	// weighted gives fresh grants a deficit budget. busySubs counts
+	// sub-channels currently mid-turn (not phaseIdle): without rotate, a
+	// fabric with no buffered flits and no open turn provably does
+	// nothing, so LaunchNeeded can skip it.
+	rotate   bool
+	weighted bool
+	busySubs int
 
 	// faults is the deterministic fault model (see fault.go), nil — with
 	// zero cost and zero rng draws — unless config.FaultModelActive.
@@ -139,17 +142,22 @@ type subChannel struct {
 	tokenPktID    uint64 // token MAC: packet granted this turn
 	tokenQueue    int    // token MAC: TX queue holding the granted packet
 
-	// Active-turn queue (work-conserving policies): an intrusive doubly
-	// linked list over member slots holding exactly the members with
-	// buffered TX flits, so turn selection skips idle WIs in O(1). qHead /
-	// qTail are member slots, -1 when empty.
+	// Active-turn queue: an intrusive doubly linked list over member slots
+	// whose head is granted the next turn. It holds the members that want
+	// turns (Fabric.wantsTurn): under rotate every member, in rotation
+	// order; under the other policies exactly the members with buffered TX
+	// flits, so turn selection skips idle WIs in O(1). A holder keeps its
+	// place until its turn closes. qHead / qTail are member slots, -1 when
+	// empty.
 	qNext, qPrev []int
 	inQueue      []bool
 	qHead, qTail int
 
-	// Weighted (deficit round-robin) state: the current holder's remaining
-	// transmission budget and the flits it moved this turn (retention
-	// requires forward progress, which bounds starvation).
+	// Deficit round-robin state: the holder's remaining transmission
+	// budget (only weighted grants one; under every other policy it stays
+	// non-positive, so the holder is requeued after every turn) and the
+	// flits it moved this turn (retention requires forward progress, which
+	// bounds starvation).
 	deficit int
 	turnTx  int
 
@@ -160,8 +168,8 @@ type subChannel struct {
 
 	// backlogged counts members with buffered TX flits (0↔1 txLen
 	// transitions) — the sub-channel contention signal of the adaptive
-	// route selector, equal to the turn-queue length under the queue
-	// policies and meaningful under the rotation too.
+	// route selector, equal to the turn-queue length under every policy
+	// but rotate, whose queue holds every member.
 	backlogged int
 }
 
@@ -199,6 +207,43 @@ func (sub *subChannel) dequeue(slot int) {
 		sub.qTail = prev
 	}
 	sub.qNext[slot], sub.qPrev[slot] = -1, -1
+}
+
+// wantsTurn reports whether member w belongs in its sub-channel's turn
+// queue: always under rotate, otherwise while it holds TX flits.
+func (fb *Fabric) wantsTurn(w *WI) bool { return fb.rotate || w.txLen > 0 }
+
+// txAdded applies the fabric-global half of one flit entering w's TX
+// queues (WI.Accept, directly or through ReplayShardOps): the txTotal
+// launch predicate and, when first reports that the flit made w
+// backlogged, its sub-channel's contention counter and turn queue.
+func (fb *Fabric) txAdded(w *WI, first bool) {
+	fb.txTotal++
+	if first && w.sub != nil {
+		w.sub.backlogged++
+		w.sub.enqueue(w.subSlot)
+	}
+}
+
+// txRemoved takes n flits off w's TX queue q after a transmission or a
+// fault drop (the caller removes the entries): their credits return to
+// the host switch and, when w drains, it leaves its sub-channel's
+// contention counter and, unless it still wants turns or holds the open
+// turn (requeueTurn settles the holder when the turn closes), the turn
+// queue.
+func (fb *Fabric) txRemoved(w *WI, q, n int) {
+	fb.txTotal -= n
+	w.txLen -= n
+	for i := 0; i < n; i++ {
+		w.sw.ReturnCredit(w.outPort, q)
+	}
+	if w.txLen > 0 || w.sub == nil {
+		return
+	}
+	w.sub.backlogged--
+	if !fb.wantsTurn(w) && !w.holdsTurn() {
+		w.sub.dequeue(w.subSlot)
+	}
 }
 
 // NewFabric constructs the wireless fabric. WIs are added afterwards with
@@ -311,30 +356,22 @@ func (fb *Fabric) ensureChannels() {
 		w.sub = sub
 		w.subSlot = len(sub.members)
 		sub.members = append(sub.members, w)
-		if w.txLen > 0 {
-			// Flits buffered before the first Launch (bare harnesses): seed
-			// the contention counter the WI-side transitions maintain.
-			sub.backlogged++
-		}
 	}
-	// Work-conserving policies: build the active-turn queues, seeding them
-	// with any member that buffered flits before the first Launch (bare
-	// harnesses; the engine always launches before flits can arrive).
-	fb.turnQueue = fb.cfg.MACPolicyMode != config.PolicyRotate && fb.cfg.MACPolicyMode != ""
+	// Build the turn queues in member order. Flits buffered before the
+	// first Launch (bare harnesses; the engine always launches before
+	// flits can arrive) seed the contention counters and queues that the
+	// TX-occupancy transitions maintain from here on.
+	fb.rotate = fb.cfg.MACPolicyMode == config.PolicyRotate || fb.cfg.MACPolicyMode == ""
 	fb.weighted = fb.cfg.MACPolicyMode == config.PolicyWeighted
-	if fb.turnQueue {
-		for _, sub := range fb.subs {
-			n := len(sub.members)
-			sub.qNext = make([]int, n)
-			sub.qPrev = make([]int, n)
-			sub.inQueue = make([]bool, n)
-			for i := range sub.qNext {
-				sub.qNext[i], sub.qPrev[i] = -1, -1
+	for _, sub := range fb.subs {
+		n := len(sub.members)
+		sub.qNext, sub.qPrev, sub.inQueue = make([]int, n), make([]int, n), make([]bool, n)
+		for slot, w := range sub.members {
+			if w.txLen > 0 {
+				sub.backlogged++
 			}
-			for slot, w := range sub.members {
-				if w.txLen > 0 {
-					sub.enqueue(slot)
-				}
+			if fb.wantsTurn(w) {
+				sub.enqueue(slot)
 			}
 		}
 	}
@@ -430,8 +467,8 @@ func (fb *Fabric) SubChannelMembers() [][]int {
 // TurnQueueDepth returns how many WIs are waiting for MAC service on w's
 // transmit sub-channel and that sub-channel's member count — the
 // MAC-contention signal of the adaptive route selector. The depth is the
-// backlogged-member count (equal to the active-turn-queue length under the
-// work-conserving policies, and what the rotation effectively serves), kept
+// backlogged-member count (equal to the active-turn-queue length under
+// every policy but rotate, and what the rotation effectively serves), kept
 // O(1) by the txLen transition counters. The crossbar model has no turn
 // schedule and reports (0, 0), as does the retained legacy single-channel
 // MAC (the engine rejects adaptive selection on it).
@@ -455,10 +492,10 @@ func (fb *Fabric) WIBySwitch(id sim.SwitchID) (*WI, bool) {
 // LaunchNeeded reports whether Launch can make progress or mutate protocol
 // state this cycle. The rotating exclusive MAC runs its turn machinery
 // (and spends control-packet energy) continuously, so it must be ticked
-// every cycle; under the work-conserving policies an exclusive fabric with
-// no buffered TX flits and no open turn provably does nothing (turns are
-// granted only to queued members, and a queued member holds flits), so —
-// like the crossbar — idle cycles are settled in O(1) by CatchUp. The
+// every cycle; under the other policies an exclusive fabric with no
+// buffered TX flits and no open turn provably does nothing (turns are
+// granted only to queued members, and there a queued member holds flits),
+// so — like the crossbar — idle cycles are settled in O(1) by CatchUp. The
 // crossbar only arbitrates when some WI has a flit buffered; an idle
 // crossbar Launch would merely rotate rrDst and count sleep cycles, which
 // CatchUp reproduces when the fabric wakes.
@@ -467,7 +504,7 @@ func (fb *Fabric) LaunchNeeded() bool {
 		return false
 	}
 	if fb.cfg.Channel == config.ChannelExclusive {
-		if fb.legacy == nil && fb.subs != nil && fb.turnQueue {
+		if fb.legacy == nil && fb.subs != nil && !fb.rotate {
 			return fb.txTotal > 0 || fb.busySubs > 0
 		}
 		return true
@@ -497,8 +534,8 @@ func (fb *Fabric) NextLaunchCycle(now sim.Cycle) sim.Cycle {
 		}
 		return sim.Never
 	}
-	if fb.legacy != nil || fb.subs == nil || !fb.turnQueue {
-		// The legacy and plain-rotation MACs run their turn machinery (and
+	if fb.legacy != nil || fb.subs == nil || fb.rotate {
+		// The legacy MAC and the rotation run their turn machinery (and
 		// spend control-packet energy) every cycle; never skip them.
 		return now + 1
 	}

@@ -45,9 +45,11 @@ package core
 // fail-stop lands on packet boundaries — but every flit a dead transceiver
 // sends or receives marks its packet Faulted, and the statistics collector
 // counts Faulted deliveries as casualties, not goodput. Survivor WIs keep
-// arbitrating: the turn-queue policies drop the dead member when its
-// committed backlog drains, and the rotation skips dead-and-drained
-// members outright.
+// arbitrating: a dead member holds turns only while committed flits
+// remain. The policies that queue only backlogged members dequeue it when
+// its backlog drains; rotate, whose queue keeps every member, moves it to
+// the tail unserved whenever it comes up (selectTurn), so the survivors'
+// rotation order does not change.
 //
 // # Outages
 //
@@ -238,7 +240,7 @@ func (fb *Fabric) killWI(now sim.Cycle, idx int) {
 	if fs.onFault != nil {
 		fs.onFault(now, FaultNotice{Kind: "wi-fail", WI: idx})
 	}
-	if sub := w.sub; sub != nil && sub.phase != phaseIdle && sub.members[sub.turn] == w {
+	if sub := w.sub; w.holdsTurn() {
 		// The token MAC cannot re-grant a partially transmitted packet, so
 		// a committed token turn stays open and drains; every other open
 		// turn is cancelled (the control-packet MAC re-announces committed
@@ -266,11 +268,8 @@ func (fb *Fabric) killWI(now sim.Cycle, idx int) {
 // from a clean slate.
 func (fb *Fabric) dropUncommitted(now sim.Cycle, w *WI, q int) {
 	queue := w.txVC[q]
-	if len(queue) == 0 {
-		return
-	}
 	keep := 0
-	if !queue[0].f.IsHead() {
+	if len(queue) > 0 && !queue[0].f.IsHead() {
 		id := queue[0].f.Pkt.ID
 		for keep < len(queue) && queue[keep].f.Pkt.ID == id {
 			keep++
@@ -285,41 +284,37 @@ func (fb *Fabric) dropUncommitted(now sim.Cycle, w *WI, q int) {
 			e.reserved = false
 		}
 	}
-	dropped := queue[keep:]
-	if len(dropped) == 0 {
-		return
-	}
 	w.txVC[q] = queue[:keep]
-	for i := 0; i < len(dropped); {
-		p := dropped[i].f.Pkt
-		sawTail := false
-		j := i
-		for j < len(dropped) && dropped[j].f.Pkt == p {
-			e := &dropped[j]
-			if e.f.IsTail() {
-				sawTail = true
-			}
-			if e.reserved {
-				if vc := e.dest.rxVCFor(p.ID); vc >= 0 {
-					e.dest.space[vc]++
-				}
-			}
-			fb.DroppedFlits++
-			fb.txTotal--
-			w.txLen--
-			w.sw.ReturnCredit(w.outPort, q)
+	for i := keep; i < len(queue); {
+		j := i + 1
+		for j < len(queue) && queue[j].f.Pkt == queue[i].f.Pkt {
 			j++
 		}
-		dropped[i].dest.releaseRxVC(p.ID)
-		fb.registerDrop(now, p, w, "wi-fail", sawTail)
+		fb.dropPacket(now, w, q, queue[i:j], "wi-fail")
 		i = j
 	}
-	if w.txLen == 0 && w.sub != nil {
-		w.sub.backlogged--
-		if fb.turnQueue && !(w.sub.phase != phaseIdle && w.sub.members[w.sub.turn] == w) {
-			w.sub.dequeue(w.subSlot)
+}
+
+// dropPacket abandons run, the entries of one packet that the caller cuts
+// out of w's TX queue q: their receive reservations, the packet's receive
+// VC and their switch credits are returned, they count as dropped flits,
+// and the packet is registered as dropped for reason.
+func (fb *Fabric) dropPacket(now sim.Cycle, w *WI, q int, run []txEntry, reason string) {
+	p := run[0].f.Pkt
+	sawTail := false
+	for i := range run {
+		e := &run[i]
+		sawTail = sawTail || e.f.IsTail()
+		if e.reserved {
+			if vc := e.dest.rxVCFor(p.ID); vc >= 0 {
+				e.dest.space[vc]++
+			}
 		}
 	}
+	fb.DroppedFlits += int64(len(run))
+	fb.txRemoved(w, q, len(run))
+	run[0].dest.releaseRxVC(p.ID)
+	fb.registerDrop(now, p, w, reason, sawTail)
 }
 
 // registerDrop counts one abandoned packet and registers it for straggler
@@ -381,15 +376,11 @@ func (fb *Fabric) faultCorrupt(now sim.Cycle, src *WI, q int, e *txEntry) {
 func (fb *Fabric) dropRetryExhausted(now sim.Cycle, w *WI, q int) {
 	queue := w.txVC[q]
 	p := queue[0].f.Pkt
-	k := 0
-	sawTail := false
+	k := 1
 	for k < len(queue) && queue[k].f.Pkt == p {
-		if queue[k].f.IsTail() {
-			sawTail = true
-		}
 		k++
 	}
-	if sub := w.sub; sub != nil && sub.phase != phaseIdle && sub.members[sub.turn] == w {
+	if sub := w.sub; w.holdsTurn() {
 		if fb.cfg.MAC == config.MACToken {
 			if sub.tokenPktID == p.ID {
 				sub.announceLeft = 0 // launchSub closes the turn this cycle
@@ -406,28 +397,9 @@ func (fb *Fabric) dropRetryExhausted(now sim.Cycle, w *WI, q int) {
 			w.announced[q] = rem
 		}
 	}
-	for i := 0; i < k; i++ {
-		e := &queue[i]
-		if e.reserved {
-			if vc := e.dest.rxVCFor(p.ID); vc >= 0 {
-				e.dest.space[vc]++
-			}
-		}
-		fb.DroppedFlits++
-		fb.txTotal--
-		w.txLen--
-		w.sw.ReturnCredit(w.outPort, q)
-	}
-	queue[0].dest.releaseRxVC(p.ID)
-	w.dropFront(q, k)
 	fb.RetryExhausted++
-	fb.registerDrop(now, p, w, "retry-exhausted", sawTail)
-	if w.txLen == 0 && w.sub != nil {
-		w.sub.backlogged--
-		if fb.turnQueue && !(w.sub.phase != phaseIdle && w.sub.members[w.sub.turn] == w) {
-			w.sub.dequeue(w.subSlot)
-		}
-	}
+	fb.dropPacket(now, w, q, queue[:k], "retry-exhausted")
+	w.dropFront(q, k)
 }
 
 // acceptFaulted consumes flits the fault model removes at the transceiver:

@@ -24,8 +24,11 @@ import (
 // reservation machinery is shared, so concurrent channels never overrun a
 // receiver. Sub-channels are served in ascending channel index every
 // cycle, which keeps energy accumulation deterministic and makes the K=1
-// fabric cycle-identical to the retained legacy single-channel MAC
-// (mac_legacy.go, asserted by the engine's equivalence regression).
+// rotate fabric cycle-identical to the retained legacy single-channel MAC
+// (mac_legacy.go), although the two reach each turn by different
+// machines: the legacy MAC advances a fixed index, this one requeues the
+// holder of a queue that keeps every member (policy.go). The engine's
+// TestLegacyExclusiveEquivalence asserts it for both MAC protocols.
 func (fb *Fabric) launchExclusive(now sim.Cycle) {
 	anyControl := false
 	for _, sub := range fb.subs {
@@ -115,11 +118,7 @@ func (fb *Fabric) startTurn(sub *subChannel, now sim.Cycle) {
 
 	switch fb.cfg.MAC {
 	case config.MACControlPacket:
-		if fb.cfg.MACPolicyMode == config.PolicyDrainAware {
-			fb.announceDrainAware(sub, src, now)
-		} else {
-			fb.announceControlPacket(sub, src)
-		}
+		fb.announceControlPacket(sub, src, now)
 		sub.controlLeft = fb.cfg.ControlFlits
 		fb.ControlPackets++
 		// Control broadcast energy (protocol overhead, not packet-attributed).
@@ -148,13 +147,17 @@ func (fb *Fabric) startTurn(sub *subChannel, now sim.Cycle) {
 
 // announceControlPacket reserves receive space for the longest announceable
 // prefix of every TX queue, within the 3-tuple budget (one tuple per
-// distinct (destination, packet) pair, at most one per output VC).
-func (fb *Fabric) announceControlPacket(sub *subChannel, src *WI) {
+// distinct (destination, packet) pair, at most one per output VC). Under
+// the drain-aware policy a queue's scan that stops at the receive window,
+// or reserves the whole queue while the packet's tail is still in flight
+// from the host switch, goes on to announce that packet's remaining flits
+// without reservations (extendAnnouncement, policy.go).
+func (fb *Fabric) announceControlPacket(sub *subChannel, src *WI, now sim.Cycle) {
+	drainAware := fb.cfg.MACPolicyMode == config.PolicyDrainAware
 	tuples := make(map[uint64]bool, fb.cfg.VCs)
-	for q := range src.txVC {
-	queue:
-		for i := range src.txVC[q] {
-			e := &src.txVC[q][i]
+	for q, queue := range src.txVC {
+		for i := range queue {
+			e := &queue[i]
 			f := e.f
 			if !tuples[f.Pkt.ID] && len(tuples) >= fb.cfg.VCs {
 				break // 3-tuple budget exhausted for this control packet
@@ -163,7 +166,7 @@ func (fb *Fabric) announceControlPacket(sub *subChannel, src *WI) {
 			if f.IsHead() {
 				vc = e.dest.allocRxVC(f.Pkt.ID)
 				if vc < 0 {
-					break queue // destination has no free VC
+					break // destination has no free VC
 				}
 			} else {
 				vc = e.dest.rxVCFor(f.Pkt.ID)
@@ -173,7 +176,13 @@ func (fb *Fabric) announceControlPacket(sub *subChannel, src *WI) {
 				}
 			}
 			if e.dest.space[vc] <= 0 {
-				break queue // announce only what the receiver can hold
+				// Announce only what the receiver can hold; drain-aware, the
+				// rest of this packet against the receiver's drain.
+				if drainAware {
+					fb.extendAnnouncement(sub, src, q, e.dest, f.Pkt.ID, tuples,
+						int(f.Pkt.NumFlits)-int(f.Seq), now)
+				}
+				break
 			}
 			e.dest.space[vc]--
 			e.reserved = true
@@ -181,6 +190,13 @@ func (fb *Fabric) announceControlPacket(sub *subChannel, src *WI) {
 			sub.announceDests[e.dest.Index] = true
 			src.announced[q]++
 			sub.announceLeft++
+			if drainAware && !f.IsTail() && i == len(queue)-1 {
+				// Whole queue reserved but the packet's tail is still in
+				// flight from the host switch: announce the remainder so the
+				// transfer can finish within this turn while flits stream in.
+				fb.extendAnnouncement(sub, src, q, e.dest, f.Pkt.ID, tuples,
+					int(f.Pkt.NumFlits)-int(f.Seq)-1, now)
+			}
 		}
 	}
 }
@@ -236,9 +252,7 @@ func (fb *Fabric) dataStepControlPacket(sub *subChannel, now sim.Cycle, src *WI)
 			src.announced[q]--
 			sub.announceLeft--
 			sub.turnTx++
-			if fb.weighted {
-				sub.deficit--
-			}
+			sub.deficit--
 		}
 		src.rrTx = (q + 1) % nq
 		return
@@ -277,30 +291,19 @@ func (fb *Fabric) dataStepToken(sub *subChannel, now sim.Cycle, src *WI) {
 	if fb.transmit(now, src, q) {
 		sub.announceLeft--
 		sub.turnTx++
-		if fb.weighted {
-			sub.deficit--
-		}
+		sub.deficit--
 	}
 }
 
-// advanceTurn closes the current turn and hands the sub-channel to the
-// next member under the configured arbitration policy: the fixed rotation,
-// the active-turn queue (skip-empty / drain-aware), or deficit round-robin
-// retention (weighted). See policy.go for the queue mechanics.
+// advanceTurn closes the current turn. The holder keeps the head of the
+// active-turn queue only while it has deficit budget (which only weighted
+// grants), backlog and made forward progress this turn — a fruitless turn
+// always rotates, which bounds every queued member's wait; otherwise it is
+// requeued and the next selectTurn grants the new head (policy.go).
 func (fb *Fabric) advanceTurn(sub *subChannel) {
-	switch fb.cfg.MACPolicyMode {
-	case config.PolicySkipEmpty, config.PolicyDrainAware:
+	if sub.deficit <= 0 || sub.members[sub.turn].txLen == 0 || sub.turnTx == 0 {
+		sub.deficit = 0
 		fb.requeueTurn(sub)
-	case config.PolicyWeighted:
-		// Retain the holder while it has budget, backlog and made forward
-		// progress this turn (a fruitless turn always rotates, which
-		// bounds every queued member's wait).
-		if sub.deficit <= 0 || sub.members[sub.turn].txLen == 0 || sub.turnTx == 0 {
-			sub.deficit = 0
-			fb.requeueTurn(sub)
-		}
-	default: // PolicyRotate
-		sub.turn = (sub.turn + 1) % len(sub.members)
 	}
 	sub.phase = phaseIdle
 	sub.announceLeft = 0

@@ -7,26 +7,30 @@ import (
 	"wimc/internal/sim"
 )
 
-// This file implements the work-conserving MAC arbitration policies
-// (config.MACPolicyMode) layered on the per-sub-channel exclusive MAC:
+// This file implements the turn machine shared by every MAC arbitration
+// policy (config.MACPolicyMode) of the per-sub-channel exclusive MAC. Each
+// sub-channel grants its next turn to the head of an O(1) active-turn
+// queue, and a holder whose turn closes goes back to the tail while it
+// still wants turns (Fabric.wantsTurn). The policies differ only in who
+// stays queued and in what a turn may announce or retain:
 //
-//   - skip-empty: turns are granted from an O(1) active-turn queue holding
-//     exactly the members with buffered TX flits (enqueued on first flit
-//     arrival, WI.Accept), so idle WIs are skipped without scanning and an
-//     idle channel broadcasts nothing.
-//   - drain-aware: control-packet announcements size receive reservations
+//   - rotate: the queue keeps every member, idle ones included, so turns
+//     go round the members in fixed order and an idle member's turn is a
+//     bare control broadcast (or token pass) — the paper's round-robin.
+//     With faults active, dead-and-drained heads move to the tail
+//     unserved, so survivors keep their rotation order.
+//   - skip-empty: the queue holds exactly the members with buffered TX
+//     flits (enqueued on first flit arrival, WI.Accept), so idle WIs are
+//     skipped without scanning and an idle channel broadcasts nothing.
+//   - drain-aware: skip-empty, plus control-packet announcements sized
 //     against the destination's live drain estimate, letting a turn holder
 //     announce a packet's remaining flits beyond the instantaneous receive
 //     window (and beyond its own TX buffer); unreserved announcements
 //     reserve lazily at transmit time, and a stalled turn is cancelled
 //     after a bounded wait so the channel is never held hostage.
-//   - weighted: deficit round-robin on the active-turn queue — a granted
-//     member accrues a budget proportional to its TX backlog and retains
+//   - weighted: skip-empty with deficit round-robin — a granted member
+//     accrues a budget proportional to its TX backlog and retains
 //     consecutive turns while it has budget, backlog and forward progress.
-//
-// PolicyRotate takes none of these paths; the rotating MAC in mac.go is
-// byte-identical to the pre-policy fabric (the engine's equivalence and
-// determinism regressions pin it).
 
 // drainWindowCycles is the sampling window of the per-WI drain-rate
 // estimate: a destination counts returned credits per window, and the
@@ -43,57 +47,43 @@ const drainWindowCycles = 64
 // MAC's bounded stalls.
 const drainStallLimit = drainWindowCycles
 
-// selectTurn picks the member whose turn starts next, reporting false when
-// the sub-channel should stay idle. The rotating policy always grants
-// sub.turn (advanceTurn already rotated it); the work-conserving policies
-// grant the head of the active-turn queue, so a channel with no backlogged
-// member spends nothing.
+// selectTurn grants the head of the active-turn queue, reporting false
+// when the sub-channel should stay idle: nothing is queued, so a channel
+// with no member wanting turns spends nothing, or every queued member is
+// fail-stopped with nothing left to drain. A dead member keeps its turns
+// only while committed flits remain; once drained it moves to the tail
+// unserved, so the zone keeps arbitrating among survivors in unchanged
+// order (only rotate queues idle members, so only rotate meets one). A
+// fresh weighted grant budgets the member's backlog, bounded by its TX
+// buffer capacity, which bounds how long it can hold the channel.
 func (fb *Fabric) selectTurn(sub *subChannel) bool {
-	switch fb.cfg.MACPolicyMode {
-	case config.PolicySkipEmpty, config.PolicyDrainAware:
-		if sub.qHead < 0 {
+	for range sub.members {
+		head := sub.qHead
+		if head < 0 {
 			return false
 		}
-		sub.turn = sub.qHead
-		return true
-	case config.PolicyWeighted:
-		if sub.qHead < 0 {
-			return false
+		w := sub.members[head]
+		if fs := fb.faults; fs != nil && fs.dead[w.Index] && w.txLen == 0 {
+			sub.dequeue(head)
+			sub.enqueue(head)
+			continue
 		}
-		sub.turn = sub.qHead
-		if sub.deficit <= 0 {
-			// Fresh grant: budget proportional to the member's backlog
-			// (bounded by its TX buffer capacity, which bounds how long it
-			// can hold the channel).
-			sub.deficit = sub.members[sub.turn].txLen
-		}
-		return true
-	default: // PolicyRotate
-		if fs := fb.faults; fs != nil {
-			// Excise fail-stopped members from the fixed rotation: a dead
-			// member keeps its turn only while committed flits remain to
-			// drain; dead-and-drained members are skipped so the zone keeps
-			// arbitrating among survivors.
-			for range sub.members {
-				w := sub.members[sub.turn]
-				if !fs.dead[w.Index] || w.txLen > 0 {
-					return true
-				}
-				sub.turn = (sub.turn + 1) % len(sub.members)
-			}
-			return false
+		sub.turn = head
+		if fb.weighted && sub.deficit <= 0 {
+			sub.deficit = w.txLen
 		}
 		return true
 	}
+	return false
 }
 
-// requeueTurn removes the finished holder from the active-turn queue and
-// re-enqueues it at the tail when it still has backlog (so a backlogged
-// member waits at most one full queue round for its next turn).
+// requeueTurn removes the finished holder from the head of the queue and
+// re-enqueues it at the tail while it still wants turns, so a queued
+// member waits at most one full queue round for its next turn.
 func (fb *Fabric) requeueTurn(sub *subChannel) {
 	slot := sub.turn
 	sub.dequeue(slot)
-	if sub.members[slot].txLen > 0 {
+	if fb.wantsTurn(sub.members[slot]) {
 		sub.enqueue(slot)
 	}
 }
@@ -126,69 +116,13 @@ func (fb *Fabric) cyclesPerFlit() sim.Cycle {
 	return cpf
 }
 
-// announceDrainAware reserves the longest instantaneous prefix of every TX
-// queue exactly like announceControlPacket, then — when a queue's scan
-// stopped at the receive window, or drained the whole queue while the
-// packet's tail is still in flight from the host switch — keeps announcing
-// that packet's remaining flits without reservations, sized against the
-// destination's drain estimate. Unreserved flits reserve lazily in
-// dataStepDrainAware as credits return.
-func (fb *Fabric) announceDrainAware(sub *subChannel, src *WI, now sim.Cycle) {
-	tuples := make(map[uint64]bool, fb.cfg.VCs)
-	for q := range src.txVC {
-		queue := src.txVC[q]
-	scan:
-		for i := range queue {
-			e := &queue[i]
-			f := e.f
-			if !tuples[f.Pkt.ID] && len(tuples) >= fb.cfg.VCs {
-				break // 3-tuple budget exhausted for this control packet
-			}
-			var vc int
-			if f.IsHead() {
-				vc = e.dest.allocRxVC(f.Pkt.ID)
-				if vc < 0 {
-					break scan // destination has no free VC
-				}
-			} else {
-				vc = e.dest.rxVCFor(f.Pkt.ID)
-				if vc < 0 {
-					panic(fmt.Sprintf("core: WI %d announcing body flit of pkt %d with no rx VC",
-						src.Index, f.Pkt.ID))
-				}
-			}
-			if e.dest.space[vc] <= 0 {
-				// Receive window exhausted mid-packet: announce the rest of
-				// this packet against the receiver's drain instead.
-				fb.extendAnnouncement(sub, src, q, e.dest, f.Pkt.ID, tuples,
-					int(f.Pkt.NumFlits)-int(f.Seq), now)
-				break scan
-			}
-			e.dest.space[vc]--
-			e.reserved = true
-			tuples[f.Pkt.ID] = true
-			sub.announceDests[e.dest.Index] = true
-			src.announced[q]++
-			sub.announceLeft++
-			if f.IsTail() {
-				continue // packet complete; the scan moves to the next one
-			}
-			if i == len(queue)-1 {
-				// Whole queue reserved but the packet's tail is still in
-				// flight from the host switch: announce the remainder so the
-				// transfer can finish within this turn while flits stream in.
-				fb.extendAnnouncement(sub, src, q, e.dest, f.Pkt.ID, tuples,
-					int(f.Pkt.NumFlits)-int(f.Seq)-1, now)
-			}
-		}
-	}
-}
-
 // extendAnnouncement announces up to remaining unreserved flits of one
 // packet on TX queue q, admitting the k-th extra flit only while the
-// destination's drain estimate over the turn's transmit horizon covers it.
-// The 3-tuple already carries the packet's flit count, so the extension
-// costs no extra control space.
+// destination's drain estimate over the turn's transmit horizon covers it
+// (the drain-aware half of announceControlPacket; dataStepDrainAware
+// reserves the flits lazily as credits return). The 3-tuple already
+// carries the packet's flit count, so the extension costs no extra control
+// space.
 func (fb *Fabric) extendAnnouncement(sub *subChannel, src *WI, q int, dst *WI,
 	pktID uint64, tuples map[uint64]bool, remaining int, now sim.Cycle) {
 	if remaining <= 0 {
@@ -252,9 +186,6 @@ func (fb *Fabric) dataStepDrainAware(sub *subChannel, now sim.Cycle, src *WI) {
 			src.announced[q]--
 			sub.announceLeft--
 			sub.turnTx++
-			if fb.weighted {
-				sub.deficit--
-			}
 		}
 		src.rrTx = (q + 1) % nq
 		sub.drainStall = 0
@@ -309,7 +240,8 @@ func (fb *Fabric) cancelTurnRemainder(sub *subChannel, src *WI) {
 //	announceLeft == Σ announced[q] of the turn holder (control-packet MAC)
 //	phaseIdle ⇒ announceLeft == 0
 //	backlogged counter == #members holding TX flits (selector load signal)
-//	turn-queue membership ⇔ member has buffered TX flits (queue policies)
+//	turn-queue membership ⇔ member wants turns (every member under rotate,
+//	    else buffered TX flits), or holds the open turn
 //	queue links form a consistent doubly-linked list
 func (fb *Fabric) CheckMACInvariants() error {
 	if fb.AnnounceUnderflows > 0 {
@@ -347,10 +279,9 @@ func (fb *Fabric) CheckMACInvariants() error {
 
 // CheckSubChannel checks the per-sub-channel share of the MAC invariants
 // for sub-channel ci alone: turn-phase/announce lockstep, the backlogged
-// counter, and (under the queue policies) turn-queue consistency. Every
-// piece of state it reads is owned by the sub-channel or its member WIs,
-// so the sharded engine calls it concurrently from the shard that owns
-// the sub-channel.
+// counter, and turn-queue consistency. Every piece of state it reads is
+// owned by the sub-channel or its member WIs, so the sharded engine calls
+// it concurrently from the shard that owns the sub-channel.
 func (fb *Fabric) CheckSubChannel(ci int) error {
 	sub := fb.subs[ci]
 	if sub.phase == phaseIdle && sub.announceLeft != 0 {
@@ -372,9 +303,6 @@ func (fb *Fabric) CheckSubChannel(ci int) error {
 		return fmt.Errorf("core: sub-channel %d backlogged counter %d, %d members hold TX flits",
 			ci, sub.backlogged, backlogged)
 	}
-	if !fb.turnQueue {
-		return nil
-	}
 	reach := 0
 	for slot := sub.qHead; slot >= 0; slot = sub.qNext[slot] {
 		if !sub.inQueue[slot] {
@@ -392,11 +320,11 @@ func (fb *Fabric) CheckSubChannel(ci int) error {
 		holder = sub.turn
 	}
 	for slot, w := range sub.members {
-		// A mid-turn drain-aware holder may have drained its TX buffer
-		// while announced flits are still in flight from its switch; it
-		// stays queued until its turn closes. Every other member is
-		// queued exactly while it holds TX flits.
-		if sub.inQueue[slot] != (w.txLen > 0) && !(slot == holder && sub.inQueue[slot]) {
+		// A mid-turn holder stays queued until its turn closes, even once
+		// its TX buffer drained (a drain-aware holder waits on announced
+		// flits still in flight from its switch). Every other member is
+		// queued exactly while it wants turns.
+		if sub.inQueue[slot] != fb.wantsTurn(w) && !(slot == holder && sub.inQueue[slot]) {
 			return fmt.Errorf("core: sub-channel %d slot %d (WI %d) queued=%v with %d TX flits",
 				ci, slot, w.Index, sub.inQueue[slot], w.txLen)
 		}

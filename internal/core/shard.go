@@ -64,13 +64,7 @@ func (fb *Fabric) ReplayShardOps(now sim.Cycle, ops []ShardOp) {
 		op := &ops[i]
 		switch op.Kind {
 		case OpAccept:
-			fb.txTotal++
-			if op.First && op.W.sub != nil {
-				op.W.sub.backlogged++
-				if fb.turnQueue {
-					op.W.sub.enqueue(op.W.subSlot)
-				}
-			}
+			fb.txAdded(op.W, op.First)
 		case OpDrop:
 			fb.Drops++
 			if fs := fb.faults; fs != nil && fs.onFault != nil {

@@ -136,16 +136,7 @@ func (w *WI) Accept(now sim.Cycle, f noc.Flit, next sim.SwitchID) {
 		*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpAccept, First: w.txLen == 1})
 		return
 	}
-	w.fb.txTotal++
-	if w.txLen == 1 && w.sub != nil {
-		// The WI turned backlogged: feed the sub-channel contention
-		// counter the adaptive route selector reads, and — under the
-		// work-conserving policies — join the turn queue in O(1).
-		w.sub.backlogged++
-		if w.fb.turnQueue {
-			w.sub.enqueue(w.subSlot)
-		}
-	}
+	w.fb.txAdded(w, w.txLen == 1)
 }
 
 // SetShardLog points the WI at its owning shard's deferred-operation log
@@ -157,13 +148,13 @@ func (w *WI) SetShardLog(log *[]ShardOp) { w.shardOps = log }
 func (w *WI) popTx(q int) txEntry {
 	e := w.txVC[q][0]
 	w.dropFront(q, 1)
-	w.fb.txTotal--
-	w.txLen--
-	if w.txLen == 0 && w.sub != nil {
-		w.sub.backlogged--
-	}
-	w.sw.ReturnCredit(w.outPort, q)
+	w.fb.txRemoved(w, q, 1)
 	return e
+}
+
+// holdsTurn reports whether w holds its sub-channel's open turn.
+func (w *WI) holdsTurn() bool {
+	return w.sub != nil && w.sub.phase != phaseIdle && w.sub.members[w.sub.turn] == w
 }
 
 // dropFront removes the first k entries of TX queue q by copying the rest

@@ -24,6 +24,9 @@ func exclusiveK(assign config.ChannelAssignment, k int) config.Config {
 // Result JSON to the retained pre-change single-channel path
 // (Params.LegacySingleChannel) — for both MAC protocols and for every
 // channel assignment, since all of them degenerate to one group at K=1.
+// The two reach each rotate turn by different machines: the legacy MAC
+// advances a fixed index, the sub-channel MAC requeues the holder of a
+// turn queue that keeps every member.
 func TestLegacyExclusiveEquivalence(t *testing.T) {
 	assigns := []config.ChannelAssignment{
 		config.AssignSingle, config.AssignStaticPartition, config.AssignSpatialReuse,

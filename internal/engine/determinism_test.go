@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wimc/internal/config"
+	"wimc/internal/core"
 )
 
 // resultJSON canonicalizes a Result for byte comparison. The fast-forward
@@ -192,9 +193,10 @@ func determinismParams() []Params {
 	longOutage.Channel = config.ChannelExclusive
 	longOutage.ChannelAssign = config.AssignStaticPartition
 	longOutage.WirelessChannels = 2
-	// The rotate policy burns control energy every turn and therefore can
-	// never fast-forward; the turn-queue policies go idle when nothing is
-	// queued, which is what lets the frozen outage window skip.
+	// The rotate policy keeps every member queued and burns control energy
+	// every turn, so it never fast-forwards; the other policies go idle
+	// when nothing is queued, which is what lets the frozen outage window
+	// skip.
 	longOutage.MACPolicyMode = config.PolicySkipEmpty
 	// Deep TX buffers park the whole outage backlog inside the WIs: with
 	// the stock 16-flit buffers the backlog wormholes back into the mesh
@@ -467,6 +469,49 @@ func TestShardInvariantsEveryCycle(t *testing.T) {
 	}
 	if err := e.CheckFlitConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardInvariantsCheckEverySubChannel pins the ownership half of
+// TestShardInvariantsEveryCycle on its fault-free 16-chip, four-sub-channel
+// engine: after the first step, drift planted in any one sub-channel's
+// contention counter (a replayed accept that no flit backs) must be
+// reported by exactly one shard's CheckShardInvariants. A sub-channel no
+// shard owns would pass every per-shard check unexamined.
+func TestShardInvariantsCheckEverySubChannel(t *testing.T) {
+	cfg := config.MustXCYM(16, 8, config.ArchWireless)
+	cfg.Channel = config.ChannelExclusive
+	cfg.ChannelAssign = config.AssignSpatialReuse
+	cfg.WirelessChannels = 4
+	cfg.MACPolicyMode = config.PolicySkipEmpty
+	cfg.EngineShards = 4
+	tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.01, MemFraction: 0.3}
+	for ci := 0; ci < cfg.WirelessChannels; ci++ {
+		e, err := New(Params{Cfg: cfg, Traffic: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.step()
+		e.stopShards()
+		if n := e.fabric.SubChannels(); n != cfg.WirelessChannels {
+			t.Fatalf("%d sub-channels after the first step, want %d", n, cfg.WirelessChannels)
+		}
+		for si := 0; si < e.NumShards(); si++ {
+			if err := e.CheckShardInvariants(si); err != nil {
+				t.Fatalf("healthy engine, shard %d: %v", si, err)
+			}
+		}
+		w := e.fabric.WIs()[e.fabric.SubChannelMembers()[ci][0]]
+		e.fabric.ReplayShardOps(e.now, []core.ShardOp{{W: w, Kind: core.OpAccept, First: true}})
+		reported := 0
+		for si := 0; si < e.NumShards(); si++ {
+			if e.CheckShardInvariants(si) != nil {
+				reported++
+			}
+		}
+		if reported != 1 {
+			t.Errorf("drift in sub-channel %d reported by %d shards, want exactly 1", ci, reported)
+		}
 	}
 }
 

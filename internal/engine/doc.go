@@ -157,9 +157,10 @@
 //   - the memory reply heap's earliest readyAt,
 //   - core.Fabric.NextLaunchCycle / NextDeliveryCycle / NextFaultCycle —
 //     the MAC's next possible turn start (rotate burns control energy
-//     every turn and therefore always returns now+1; turn-queue policies
-//     with empty queues return the earliest outage end), in-flight
-//     wireless arrivals, and the fault schedule's next event,
+//     every turn and therefore always returns now+1; the other policies,
+//     whose turn queues hold only backlogged WIs, return the earliest
+//     outage end when their queues are empty), in-flight wireless
+//     arrivals, and the fault schedule's next event,
 //   - the liveness watchdog's deadline, so a wedged packet still trips
 //     the age bound at the identical cycle.
 //

@@ -65,8 +65,6 @@ type shard struct {
 	outBound []*noc.Link
 	inBound  []*noc.Link
 
-	subs []int // owned wireless sub-channels (invariant checking)
-
 	ops    []core.ShardOp // deferred fabric-global ops (P1 → S1)
 	events []epEvent      // deferred NI hooks (P2 → S2)
 }
@@ -223,19 +221,10 @@ func (e *Engine) buildShards() {
 	}
 
 	// Sharded, wireless interfaces log their deferred fabric-global ops
-	// into the shard owning their host switch. Sub-channels are owned (for
-	// invariant checking) by the shard of their first member's switch.
-	if e.fabric != nil {
-		if sharded {
-			for _, w := range e.fabric.WIs() {
-				w.SetShardLog(&e.shards[swShard[w.SwitchID]].ops)
-			}
-		}
-		for ci := 0; ci < e.fabric.SubChannels(); ci++ {
-			if host, ok := e.fabric.SubChannelHostSwitch(ci); ok {
-				s := e.shards[swShard[host]]
-				s.subs = append(s.subs, ci)
-			}
+	// into the shard owning their host switch.
+	if e.fabric != nil && sharded {
+		for _, w := range e.fabric.WIs() {
+			w.SetShardLog(&e.shards[swShard[w.SwitchID]].ops)
 		}
 	}
 
@@ -395,9 +384,11 @@ func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 // CheckShardInvariants checks the incrementally maintained state owned by
 // shard si: the pipeline invariants of its switches, the park/wake
 // invariants of its activity sets (see checkMembership) and the MAC
-// protocol invariants of its wireless sub-channels. Safe to call
-// concurrently from distinct shards (test hook for per-shard, per-cycle
-// validation).
+// protocol invariants of its wireless sub-channels. A sub-channel belongs
+// to the shard owning its first member's host switch, resolved here
+// because the fabric builds its sub-channels on the first Launch, after
+// buildShards. Safe to call concurrently from distinct shards (test hook
+// for per-shard, per-cycle validation).
 func (e *Engine) CheckShardInvariants(si int) error {
 	s := e.shards[si]
 	for _, i := range s.switchIdx {
@@ -409,13 +400,21 @@ func (e *Engine) CheckShardInvariants(si int) error {
 		return err
 	}
 	if e.fabric != nil {
-		for _, ci := range s.subs {
-			if err := e.fabric.CheckSubChannel(ci); err != nil {
-				return err
+		for ci := 0; ci < e.fabric.SubChannels(); ci++ {
+			if host, ok := e.fabric.SubChannelHostSwitch(ci); ok && s.owns(host) {
+				if err := e.fabric.CheckSubChannel(ci); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// owns reports whether switch id belongs to shard s.
+func (s *shard) owns(id sim.SwitchID) bool {
+	_, ok := slices.BinarySearch(s.switchIdx, int(id))
+	return ok
 }
 
 // checkMembership recomputes the park/wake invariants of shard s's switch
@@ -445,7 +444,7 @@ func (e *Engine) checkMembership(s *shard) error {
 	}
 	for i, ep := range e.endpoints {
 		// An NI belongs to the shard owning its host switch.
-		if _, owned := slices.BinarySearch(s.switchIdx, int(e.graph.Endpoints[i].Switch)); !owned {
+		if !s.owns(e.graph.Endpoints[i].Switch) {
 			continue
 		}
 		active, parked := s.epActive.Contains(i), s.epActive.Parked(i)

@@ -8,11 +8,20 @@ import (
 	"wimc/internal/topo"
 )
 
-// CheckDeadlockFree verifies that the routing function cannot deadlock under
-// wormhole switching by building the channel dependency graph (CDG) and
-// checking it for cycles (Dally & Seitz). A channel is a directed
-// switch-to-switch hop; channel (u→v) depends on (v→w) whenever some route
-// traverses u→v→w consecutively. Acyclic CDG ⇒ deadlock-free routing.
+// CheckDeadlockFreeUnion verifies that the routing functions of tables
+// cannot deadlock under wormhole switching by building the channel
+// dependency graph (CDG) and checking it for cycles (Dally & Seitz). A
+// channel is a directed switch-to-switch hop; channel (u→v) depends on
+// (v→w) whenever some route traverses u→v→w consecutively. Acyclic CDG ⇒
+// deadlock-free routing.
+//
+// Several tables share one physical network in the multi-class case, where
+// flits routed by different class tables occupy the same channels
+// concurrently and a hold-and-wait chain may cross tables. Every table's
+// routes are walked into ONE channel dependency graph and the union must
+// be acyclic; per-table acyclicity alone would not rule out a cycle
+// assembled from dependencies of different classes. A single table is the
+// one-class case.
 //
 // On wireless topologies the check models the simulator's VC phase classes:
 // virtual channels are partitioned between pre-wireless and post-wireless
@@ -34,17 +43,6 @@ import (
 // which bounds the total work per destination by the state count — O(n)
 // rather than O(n × path length) — and keeps the check affordable at
 // 64-chip scale.
-func CheckDeadlockFree(g *topo.Graph, t *Tables) error {
-	return CheckDeadlockFreeUnion(g, t)
-}
-
-// CheckDeadlockFreeUnion verifies deadlock freedom over the union of
-// several routing functions sharing one physical network — the multi-class
-// case, where flits routed by different class tables occupy the same
-// channels concurrently and a hold-and-wait chain may cross tables. Every
-// table's routes are walked into ONE channel dependency graph and the
-// union must be acyclic; per-table acyclicity alone would not rule out a
-// cycle assembled from dependencies of different classes.
 func CheckDeadlockFreeUnion(g *topo.Graph, tables ...*Tables) error {
 	n := g.SwitchCount()
 	lt := newLinkTable(g)

@@ -39,7 +39,7 @@ func TestDeadlockCheckFindsRingCycle(t *testing.T) {
 		{16, "route: channel dependency cycle through hop 35->36 (class 0)"},
 	} {
 		g, tb := substrateShortest(t, tc.chips)
-		err := CheckDeadlockFree(g, tb)
+		err := CheckDeadlockFreeUnion(g, tb)
 		if err == nil || err.Error() != tc.want {
 			t.Fatalf("%dC substrate shortest: got %v, want %q", tc.chips, err, tc.want)
 		}
@@ -67,7 +67,7 @@ func TestDeadlockCheckFindsRoutingLoop(t *testing.T) {
 		b := tb.Next[0][d]
 		tb.Next[b][d] = 0
 		want := fmt.Sprintf("route: routing loop from 0 to %d", d)
-		if err := CheckDeadlockFree(g, tb); err == nil || err.Error() != want {
+		if err := CheckDeadlockFreeUnion(g, tb); err == nil || err.Error() != want {
 			t.Fatalf("%s: got %v, want %q", arch, err, want)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDeadlockCheckFindsMissingHop(t *testing.T) {
 		g, tb, d := corruptedTables(t, arch)
 		tb.Next[0][d] = sim.NoSwitch
 		want := fmt.Sprintf("route: no progress from 0 toward %d", d)
-		if err := CheckDeadlockFree(g, tb); err == nil || err.Error() != want {
+		if err := CheckDeadlockFreeUnion(g, tb); err == nil || err.Error() != want {
 			t.Fatalf("%s: got %v, want %q", arch, err, want)
 		}
 	}
@@ -91,7 +91,7 @@ func TestDeadlockCheckRejectsNonLink(t *testing.T) {
 	far := tb.Next[tb.Next[0][d]][d]
 	tb.Next[0][d] = far
 	want := fmt.Sprintf("route: hop 0->%d toward %d is not a link", far, d)
-	if err := CheckDeadlockFree(g, tb); err == nil || err.Error() != want {
+	if err := CheckDeadlockFreeUnion(g, tb); err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %q", err, want)
 	}
 }

@@ -24,8 +24,8 @@ import (
 //
 // The construction checks neither for route loops nor for hops over
 // missing links. Both production callers of a builder, engine.New and
-// wimctopo, run the channel-dependency walk (CheckDeadlockFreeUnion,
-// CheckDeadlockFree) over the result, and it reports both faults:
+// wimctopo, run the channel-dependency walk (CheckDeadlockFreeUnion) over
+// the result, and it reports both faults:
 // "route: routing loop from s to d" and "route: hop u->v toward d is not a
 // link".
 func (t *Tables) buildSubstrateHier(g *topo.Graph) error {

@@ -44,7 +44,7 @@ func everyPreset(t *testing.T, fn func(t *testing.T, g *topo.Graph, tb *Tables))
 
 func TestAllPresetsDeadlockFree(t *testing.T) {
 	everyPreset(t, func(t *testing.T, g *topo.Graph, tb *Tables) {
-		if err := CheckDeadlockFree(g, tb); err != nil {
+		if err := CheckDeadlockFreeUnion(g, tb); err != nil {
 			t.Fatal(err)
 		}
 	})
