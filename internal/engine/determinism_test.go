@@ -245,6 +245,20 @@ func determinismParams() []Params {
 	skipEmptyLoaded := loaded("skip-empty-loaded", config.MACControlPacket, config.AssignSingle, 1, config.PolicySkipEmpty)
 	saturated := TrafficSpec{Kind: TrafficUniform, Rate: 1.0, MemFraction: 0.2, PacketFlits: 16}
 
+	// Loaded crossbars: the low-rate BER and 16-chip entries above deliver
+	// a few dozen packets, so these run the flit-error retransmission path
+	// and the 16-chip crossbar at the same saturated load.
+	berLoaded := config.MustXCYM(4, 4, config.ArchWireless)
+	berLoaded.Name = "ber-loaded"
+	berLoaded.WarmupCycles = 100
+	berLoaded.MeasureCycles = 800
+	berLoaded.WirelessBER = 0.001
+
+	crossbar16Loaded := config.MustXCYM(16, 16, config.ArchWireless)
+	crossbar16Loaded.Name = "crossbar16-loaded"
+	crossbar16Loaded.WarmupCycles = 100
+	crossbar16Loaded.MeasureCycles = 600
+
 	return []Params{
 		{Cfg: large, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: wireless, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
@@ -270,6 +284,8 @@ func determinismParams() []Params {
 		{Cfg: drainAwareLoaded, Traffic: saturated},
 		{Cfg: tokenWeightedLoaded, Traffic: saturated},
 		{Cfg: skipEmptyLoaded, Traffic: saturated},
+		{Cfg: berLoaded, Traffic: saturated},
+		{Cfg: crossbar16Loaded, Traffic: saturated},
 	}
 }
 
