@@ -293,6 +293,9 @@ func (fb *Fabric) dropUncommitted(now sim.Cycle, w *WI, q int) {
 		fb.dropPacket(now, w, q, queue[i:j], "wi-fail")
 		i = j
 	}
+	// Zero the dropped slots so the dead WI's queue pins no packet; only
+	// after the loop, because dropPacket reads the runs.
+	clear(queue[keep:])
 }
 
 // dropPacket abandons run, the entries of one packet that the caller cuts

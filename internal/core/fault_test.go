@@ -96,6 +96,45 @@ func TestKillWIDropsQueuedAndRefusesNew(t *testing.T) {
 	}
 }
 
+// TestKillWIClearsDroppedTxSlots queues two packets at WI 0 without ever
+// launching, kills it, and requires the dropped entries to leave the TX
+// queues' backing arrays: a dead WI must not pin the packets it dropped.
+func TestKillWIClearsDroppedTxSlots(t *testing.T) {
+	cfg := testConfig()
+	cfg.FaultSchedule = []config.FaultEvent{{Cycle: 1000, Kind: config.FaultWIFail, WI: 0}}
+	r := newRig(t, 3, cfg)
+	r.fabric.InitFaults()
+	r.send(t, 1, 0, 1, 4)
+	r.send(t, 2, 0, 2, 4)
+	// Switches and NIs only: the flits reach WI 0's TX queues and stay.
+	for ; r.now < 40; r.now++ {
+		for _, sw := range r.switches {
+			sw.TickSAST(r.now)
+		}
+		for _, sw := range r.switches {
+			sw.TickVA(r.now)
+		}
+		for _, sw := range r.switches {
+			sw.TickRC(r.now)
+		}
+		for _, ep := range r.endpoints {
+			ep.Tick(r.now)
+		}
+	}
+	w := r.wis[0]
+	if w.txLen != 8 {
+		t.Fatalf("WI 0 holds %d TX flits before the kill, want both 4-flit packets", w.txLen)
+	}
+	r.fabric.killWI(r.now, 0)
+	for q, queue := range w.txVC {
+		for i, e := range queue[:cap(queue)] {
+			if i >= len(queue) && e.f.Pkt != nil {
+				t.Fatalf("queue %d slot %d still holds packet %d after the kill", q, i, e.f.Pkt.ID)
+			}
+		}
+	}
+}
+
 // TestSurvivorLivenessAfterExcision is the starvation check: with one
 // member of a sub-channel fail-stopped, every survivor in that zone must
 // keep winning turns — traffic injected at each survivor after the kill
