@@ -11,7 +11,6 @@
 //	          [-quick] [-seed N] [-csv DIR] [-workers N] [-shards N]
 //	          [-scale-sizes 4,16,64] [-channel-ks 1,2,4,8]
 //	          [-channel-assign spatial-reuse|static-partition] [-mac-policies rotate,skip-empty,...]
-//	          [-check BASELINE.json] [-check-out OUT.json] [-check-threshold 15]
 //	          [-spec FILE.json] [-store DIR]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -77,23 +76,20 @@ func main() {
 
 func run() int {
 	var (
-		fig            = flag.String("fig", "all", "experiment to run (all, fig2..fig6, mac, channel, routing, sleep, density, hybrid, readrt, scale, channels, policies, hybridsweep, faults)")
-		quick          = flag.Bool("quick", false, "shortened simulation windows")
-		seed           = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
-		csv            = flag.String("csv", "", "directory to write CSV files into")
-		workers        = flag.Int("workers", 0, "worker-pool size for independent runs (0 = GOMAXPROCS, 1 = sequential; results identical either way)")
-		scaleSizes     = flag.String("scale-sizes", "", "comma-separated chip counts for the scale/channel/policy/hybrid sweeps (default 4,8,16,32,64; quick 4,16,64)")
-		channelKs      = flag.String("channel-ks", "", "comma-separated sub-channel counts for the channel sweep (default 1,2,4,8) and the hybrid sweep (default 1,4,8)")
-		channelAssign  = flag.String("channel-assign", "", "WI-to-sub-channel assignment for the channel sweep (spatial-reuse, static-partition; default spatial-reuse)")
-		macPolicies    = flag.String("mac-policies", "", "comma-separated arbitration policies for the policy sweep (default rotate,skip-empty,drain-aware,weighted)")
-		checkBaseline  = flag.String("check", "", "bench-regression gate: run the quick throughput bench and fail if cycles/s regresses vs this baseline JSON")
-		checkOut       = flag.String("check-out", "bench_check.json", "where -check writes its measurement JSON")
-		checkThreshold = flag.Float64("check-threshold", 15, "allowed cycles/s regression in percent for -check")
-		shards         = flag.Int("shards", 0, "worker shards per simulation tick (0 = serial engine; results are byte-identical at any shard count)")
-		specFile       = flag.String("spec", "", "run a canonical experiment spec file instead of a named figure")
-		storeDir       = flag.String("store", "", "content-addressed result cache directory (cached points are served, fresh ones stored)")
-		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
-		memProfile     = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
+		fig           = flag.String("fig", "all", "experiment to run (all, fig2..fig6, mac, channel, routing, sleep, density, hybrid, readrt, scale, channels, policies, hybridsweep, faults)")
+		quick         = flag.Bool("quick", false, "shortened simulation windows")
+		seed          = flag.Uint64("seed", 0, "override RNG seed (0 = default)")
+		csv           = flag.String("csv", "", "directory to write CSV files into")
+		workers       = flag.Int("workers", 0, "worker-pool size for independent runs (0 = GOMAXPROCS, 1 = sequential; results identical either way)")
+		scaleSizes    = flag.String("scale-sizes", "", "comma-separated chip counts for the scale/channel/policy/hybrid sweeps (default 4,8,16,32,64; quick 4,16,64)")
+		channelKs     = flag.String("channel-ks", "", "comma-separated sub-channel counts for the channel sweep (default 1,2,4,8) and the hybrid sweep (default 1,4,8)")
+		channelAssign = flag.String("channel-assign", "", "WI-to-sub-channel assignment for the channel sweep (spatial-reuse, static-partition; default spatial-reuse)")
+		macPolicies   = flag.String("mac-policies", "", "comma-separated arbitration policies for the policy sweep (default rotate,skip-empty,drain-aware,weighted)")
+		shards        = flag.Int("shards", 0, "worker shards per simulation tick (0 = serial engine; results are byte-identical at any shard count)")
+		specFile      = flag.String("spec", "", "run a canonical experiment spec file instead of a named figure")
+		storeDir      = flag.String("store", "", "content-addressed result cache directory (cached points are served, fresh ones stored)")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+		memProfile    = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -122,10 +118,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "wimcbench: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *checkBaseline != "" {
-		return runCheck(*checkBaseline, *checkOut, *checkThreshold)
 	}
 
 	sizes, err := parseSizes(*scaleSizes)
