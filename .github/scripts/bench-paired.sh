@@ -22,12 +22,7 @@ pairs=5
 seconds=10
 
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	rm -rf "$tmp"
-	git -C "$root" worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"; git -C "$root" worktree prune' EXIT
 
 git worktree add -q --detach "$tmp/base" "$base"
 rm -rf "$tmp/base/bench"

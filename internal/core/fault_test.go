@@ -127,9 +127,9 @@ func TestKillWIClearsDroppedTxSlots(t *testing.T) {
 	}
 	r.fabric.killWI(r.now, 0)
 	for q, queue := range w.txVC {
-		for i, e := range queue[:cap(queue)] {
-			if i >= len(queue) && e.f.Pkt != nil {
-				t.Fatalf("queue %d slot %d still holds packet %d after the kill", q, i, e.f.Pkt.ID)
+		for i, e := range queue[len(queue):cap(queue)] {
+			if e.f.Pkt != nil {
+				t.Fatalf("queue %d slot %d still holds packet %d after the kill", q, len(queue)+i, e.f.Pkt.ID)
 			}
 		}
 	}
