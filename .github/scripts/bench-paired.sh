@@ -49,8 +49,7 @@ for w in "${workloads[@]}"; do
 		done
 	done
 	jq -r --arg w "$w" --slurpfile b "$w.base.jsonl" --slurpfile h "$w.head.jsonl" '
-		def median: sort | if length % 2 == 1 then .[length / 2 | floor]
-			else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+		def median: sort | .[length / 2 | floor]; # pairs is odd
 		.end_to_end[] | .name as $m
 		| ([$b[].metrics[$m].value] | median) as $bm
 		| ([$h[].metrics[$m].value] | median) as $hm
