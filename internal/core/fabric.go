@@ -304,6 +304,7 @@ func (fb *Fabric) AddWI(sw *noc.Switch, gx, gy int) *WI {
 	}
 	// Output credits equal the per-VC TX queue depth.
 	w.outPort = sw.AddOutputPort(w, fb.cfg.TXBufferFlits)
+	sw.SetWIPort(w.outPort)
 	w.inPort = sw.AddInputPort(w)
 	fb.wis = append(fb.wis, w)
 	fb.wiOf[sw.ID] = w

@@ -62,18 +62,16 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 		sw.SetOutputConduit(out, ep)
 		r.endpoints = append(r.endpoints, ep)
 	}
-	// Forwarding: endpoint j local on switch j, reached from switch i != j
-	// through the wireless port.
-	for i, sw := range r.switches {
-		fwd := make([]noc.PortHop, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				fwd[j] = noc.PortHop{Port: 1, Next: sim.NoSwitch} // out port 1 = ejection
-			} else {
-				fwd[j] = noc.PortHop{Port: int16(r.wis[i].OutPort()), Next: sim.SwitchID(j)}
-			}
-		}
-		sw.SetForwarding(fwd)
+	// Routing: endpoint j is hosted by switch j, and every switch reaches
+	// every other in one hop; with no wired edge, that hop leaves through
+	// the WI port AddWI recorded.
+	host := make([]sim.SwitchID, n)
+	row := make([]sim.SwitchID, n)
+	for j := range host {
+		host[j], row[j] = sim.SwitchID(j), sim.SwitchID(j)
+	}
+	for _, sw := range r.switches {
+		sw.SetRoutes(host, row)
 	}
 	return r
 }

@@ -27,7 +27,8 @@ func TestTxQueueReusesBackingArray(t *testing.T) {
 	w := fb.AddWI(sw, 0, 0)
 	fb.AddWI(noc.NewSwitch(1, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m), 1, 0)
 	in := sw.AddInputPort(nil)
-	sw.SetForwarding([]noc.PortHop{{Port: int16(w.OutPort()), Next: 1}})
+	// Endpoint 0 is hosted by switch 1, one wireless hop away.
+	sw.SetRoutes([]sim.SwitchID{1}, []sim.SwitchID{1, 1})
 
 	// One endless wormhole: after its head is routed and granted an output
 	// VC, every body flit crosses with one Receive and one TickSAST.

@@ -109,10 +109,6 @@ type Engine struct {
 	// wd is the liveness watchdog, non-nil exactly while the fault model
 	// is active (it doubles as the engine's faults-active flag).
 	wd *watchdog
-	// outToward lists, per switch, the wired output port feeding each
-	// neighbor (the forwarding fill and the selector's wired-headroom
-	// probe look ports up through portToward).
-	outToward [][]wiredPort
 	// classPackets counts packets classified at injection per route class
 	// (reported for adaptive runs).
 	classPackets [route.NumClasses]int64
@@ -309,9 +305,7 @@ func New(p Params) (*Engine, error) {
 	}
 	e.coll = stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, cfg.FlitBits)
 	e.genStop = cfg.WarmupCycles + cfg.MeasureCycles
-	if err := e.build(); err != nil {
-		return nil, err
-	}
+	e.build()
 	if err := e.buildTraffic(p.Traffic); err != nil {
 		return nil, err
 	}
@@ -349,9 +343,10 @@ func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 	}
 }
 
-// build instantiates switches, links, endpoints, the wireless fabric and
-// forwarding tables from the topology graph.
-func (e *Engine) build() error {
+// build instantiates switches, links, endpoints and the wireless fabric
+// from the topology graph, and hands each switch its rows of the route
+// tables.
+func (e *Engine) build() {
 	cfg := e.cfg
 	g := e.graph
 
@@ -365,8 +360,8 @@ func (e *Engine) build() error {
 		e.switches[i] = sw
 	}
 
-	// Wired links: two directed links per topology edge.
-	e.outToward = make([][]wiredPort, g.SwitchCount())
+	// Wired links: two directed links per topology edge. Connect records
+	// each link's port as its source switch's wired port toward the target.
 	addDirected := func(a, b sim.SwitchID, ed topo.Edge) {
 		l := noc.NewLink(classOf(ed.Kind), ed.Latency, ed.Rate, ed.PJPerBit,
 			cfg.FlitBits, e.meter)
@@ -374,7 +369,6 @@ func (e *Engine) build() error {
 		outP := src.AddOutputPort(l, cfg.BufferDepth)
 		inP := dst.AddInputPort(l)
 		l.Connect(src, outP, dst, inP)
-		e.setPortToward(a, b, outP)
 		e.links = append(e.links, l)
 		e.linkEnds = append(e.linkEnds, [2]sim.SwitchID{a, b})
 	}
@@ -383,8 +377,8 @@ func (e *Engine) build() error {
 		addDirected(ed.B, ed.A, ed)
 	}
 
-	// Wireless fabric.
-	wiOutPort := make(map[sim.SwitchID]int, len(g.WISwitches))
+	// Wireless fabric. AddWI records each WI's output as its switch's WI
+	// port.
 	if g.HasWireless() {
 		e.fabric = core.NewFabric(cfg, e.meter, e.rng.Derive("wireless"))
 		if e.legacyMAC {
@@ -392,16 +386,14 @@ func (e *Engine) build() error {
 		}
 		for _, swID := range g.WISwitches {
 			n := g.Nodes[swID]
-			w := e.fabric.AddWI(e.switches[swID], n.GX, n.GY)
-			wiOutPort[swID] = w.OutPort()
+			e.fabric.AddWI(e.switches[swID], n.GX, n.GY)
 		}
 	}
 
 	// Endpoints. Each NI reports deliveries through e.deliverPacket
 	// (directly on one shard; through the per-shard event logs on more —
-	// see shard.go).
+	// see shard.go), and NewEndpoint records its switch's ejection port.
 	e.endpoints = make([]*noc.Endpoint, g.EndpointCount())
-	localOut := make([]int, g.EndpointCount())
 	for i, ep := range g.Endpoints {
 		sw := e.switches[ep.Switch]
 		inP := sw.AddInputPort(nil)
@@ -415,43 +407,27 @@ func (e *Engine) build() error {
 		sw.SetInputCredit(inP, ne)
 		sw.SetOutputConduit(outP, ne)
 		e.endpoints[i] = ne
-		localOut[i] = outP
 	}
 
-	// Forwarding tables (endpoint granularity), one per route class. A
-	// single-class system installs exactly the class-0 table; hybrid
-	// multi-class systems add the wired-only table, looked up per packet
-	// by its injection-time RouteClass.
-	for sIdx, sw := range e.switches {
-		s := sim.SwitchID(sIdx)
-		for ci, tbl := range e.tables.Classes {
-			if tbl == nil {
-				continue
+	// Routing: every switch routes from its own row of each class table,
+	// shared with the tables rather than copied, and one endpoint-to-host
+	// slice. A single-class system installs only the class-0 row; hybrid
+	// multi-class systems add the wired-only row, looked up per packet by
+	// its injection-time RouteClass. New's deadlock check walked every
+	// switch pair of every table, so each hop a switch can route is a
+	// wired edge or a wireless hop between two WIs (noc.Switch.Route).
+	host := make([]sim.SwitchID, g.EndpointCount())
+	for i, ep := range g.Endpoints {
+		host[i] = ep.Switch
+	}
+	for s, sw := range e.switches {
+		rows := make([][]sim.SwitchID, len(e.tables.Classes))
+		for c, t := range e.tables.Classes {
+			if t != nil {
+				rows[c] = t.Next[s]
 			}
-			fwd := make([]noc.PortHop, g.EndpointCount())
-			for eIdx, ep := range g.Endpoints {
-				if ep.Switch == s {
-					fwd[eIdx] = noc.PortHop{Port: int16(localOut[eIdx]), Next: sim.NoSwitch}
-					continue
-				}
-				next := tbl.Next[s][ep.Switch]
-				if next == sim.NoSwitch {
-					return fmt.Errorf("engine: class %d: no route from switch %d to endpoint %d", ci, s, ep.ID)
-				}
-				if p, ok := e.portToward(s, next); ok {
-					fwd[eIdx] = noc.PortHop{Port: int16(p), Next: next}
-				} else if tbl.IsWireless(s, next) {
-					p, ok := wiOutPort[s]
-					if !ok {
-						return fmt.Errorf("engine: switch %d routed onto wireless but has no WI", s)
-					}
-					fwd[eIdx] = noc.PortHop{Port: int16(p), Next: next}
-				} else {
-					return fmt.Errorf("engine: class %d: switch %d has no port toward %d", ci, s, next)
-				}
-			}
-			sw.SetForwardingClass(ci, fwd)
 		}
+		sw.SetRoutes(host, rows...)
 	}
 
 	// Route selector: adaptive hybrid runs classify each packet at
@@ -509,38 +485,6 @@ func (e *Engine) build() error {
 	for i, id := range e.world.Cores {
 		e.endpoints[id].SetRoomFlag(&e.room[i])
 	}
-	return nil
-}
-
-// wiredPort is one wired output port of a switch and the neighbor it feeds.
-type wiredPort struct {
-	to   sim.SwitchID
-	port int
-}
-
-// setPortToward records port as s's wired output toward next. A later
-// port toward the same neighbor replaces the earlier one.
-func (e *Engine) setPortToward(s, next sim.SwitchID, port int) {
-	ps := e.outToward[s]
-	for i := range ps {
-		if ps[i].to == next {
-			ps[i].port = port
-			return
-		}
-	}
-	e.outToward[s] = append(ps, wiredPort{to: next, port: port})
-}
-
-// portToward returns s's wired output port toward next, if a wired edge
-// joins them. A switch has a handful of wired neighbors, so a scan beats
-// any index.
-func (e *Engine) portToward(s, next sim.SwitchID) (int, bool) {
-	for _, p := range e.outToward[s] {
-		if p.to == next {
-			return p.port, true
-		}
-	}
-	return 0, false
 }
 
 // classOf maps topology edge kinds to energy classes.
@@ -633,7 +577,7 @@ func (e *Engine) loadProbe(txWI, src, dst sim.SwitchID) route.LoadSignals {
 	// route would take out of the source switch.
 	wired := e.tables.Classes[route.ClassWiredOnly]
 	if next := wired.Next[src][dst]; next != sim.NoSwitch && next != src {
-		if port, ok := e.portToward(src, next); ok {
+		if port, ok := e.switches[src].PortToward(next); ok {
 			s.WiredFreeCredits, s.WiredCreditCap = e.switches[src].Output(port).CreditOccupancy()
 		}
 	}

@@ -70,7 +70,8 @@ type Endpoint struct {
 	FlitsConsumed int64 // flits consumed from the switch
 }
 
-// NewEndpoint constructs an NI attached to sw. The engine wires inPort and
+// NewEndpoint constructs an NI attached to sw and records outPort as sw's
+// ejection port for id (see Switch.Route). The engine wires inPort and
 // outPort and sets the endpoint as the credit sink of inPort's upstream
 // side and the conduit of outPort.
 func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
@@ -98,6 +99,7 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 	for i := range e.credits {
 		e.credits[i] = sw.depth
 	}
+	sw.setEjectPort(id, outPort)
 	return e
 }
 

@@ -142,14 +142,16 @@ func (p *Packet) Latency() sim.Cycle { return p.DeliveredAt - p.CreatedAt }
 // NetworkLatency returns injection-to-delivery latency in cycles.
 func (p *Packet) NetworkLatency() sim.Cycle { return p.DeliveredAt - p.InjectedAt }
 
-// Flit is one flow-control unit in flight.
+// Flit is one flow-control unit in flight. The fields are ordered
+// largest first so a flit packs into 16 bytes; every VC buffer, link
+// queue and WI queue holds flits by value.
 type Flit struct {
-	Pkt  *Packet
-	Seq  int32
-	Kind FlitKind
+	Pkt *Packet
+	Seq int32
 	// VC is the virtual channel the flit occupies on the link it is
 	// currently traversing (assigned at switch traversal).
-	VC int16
+	VC   int16
+	Kind FlitKind
 	// Phase is the VC class of the flit: 0 before its wireless hop, 1
 	// after. Splitting the virtual channels by phase layers the channel
 	// dependency graph (pre-wireless mesh → wireless → post-wireless mesh),

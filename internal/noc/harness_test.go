@@ -81,16 +81,13 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	p.sw1.SetInputCredit(in1b, p.dst)
 	p.sw1.SetOutputConduit(eject1, p.dst)
 
-	// Forwarding: endpoint 0 local on sw0; endpoint 1 via the link from sw0,
-	// local on sw1.
-	p.sw0.SetForwarding([]PortHop{
-		{Port: int16(eject0), Next: sim.NoSwitch},
-		{Port: int16(out0), Next: 1},
-	})
-	p.sw1.SetForwarding([]PortHop{
-		{Port: 0, Next: sim.NoSwitch}, // unused: nothing routes back
-		{Port: int16(eject1), Next: sim.NoSwitch},
-	})
+	// Routing: endpoint 0 is hosted by sw0 and endpoint 1 by sw1, and each
+	// switch's next hop toward switch d is d (only sw0 -> sw1 is used).
+	// NewEndpoint recorded the ejection ports and Connect the link's port.
+	host := []sim.SwitchID{0, 1}
+	row := []sim.SwitchID{0, 1}
+	p.sw0.SetRoutes(host, row)
+	p.sw1.SetRoutes(host, row)
 	return p
 }
 

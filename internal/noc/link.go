@@ -67,10 +67,12 @@ func NewLink(class energy.Class, latency int, rate sim.Rate, pjPerBit float64,
 	}
 }
 
-// Connect attaches the link between src output-side and dst input-side.
+// Connect attaches the link between src output-side and dst input-side,
+// and records srcPort as src's wired output toward dst (see Switch.Route).
 func (l *Link) Connect(src *Switch, srcPort int, dst *Switch, dstPort int) {
 	l.src, l.srcPort = src, srcPort
 	l.dst, l.dstPort = dst, dstPort
+	src.setPortToward(dst.ID, srcPort)
 }
 
 // SetActivity registers the link in the engine's link activity set under

@@ -1,14 +1,12 @@
 package noc
 
-// flitRing is a fixed-capacity FIFO of flits backing one VC buffer.
+// flitRing is a fixed-capacity FIFO of flits backing one VC buffer. Its
+// capacity is len(buf); the VC rings of one input port share one slab
+// (see Switch.AddInputPort).
 type flitRing struct {
 	buf  []Flit
 	head int
 	n    int
-}
-
-func newFlitRing(capacity int) flitRing {
-	return flitRing{buf: make([]Flit, capacity)}
 }
 
 func (r *flitRing) len() int   { return r.n }

@@ -5,6 +5,10 @@ import (
 	"testing/quick"
 )
 
+func newFlitRing(capacity int) flitRing {
+	return flitRing{buf: make([]Flit, capacity)}
+}
+
 func TestRingBasics(t *testing.T) {
 	r := newFlitRing(3)
 	if r.len() != 0 || r.cap() != 3 || r.full() {

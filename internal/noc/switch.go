@@ -26,14 +26,6 @@ type CreditSink interface {
 	ReturnCredit(now sim.Cycle, vc int)
 }
 
-// PortHop is one forwarding-table entry: the output port toward a
-// destination endpoint and the next-hop switch (sim.NoSwitch for local
-// delivery).
-type PortHop struct {
-	Port int16
-	Next sim.SwitchID
-}
-
 // vcState tracks the wormhole state machine of one input VC.
 type vcState uint8
 
@@ -96,6 +88,9 @@ type OutputPort struct {
 // and invariant-check hook).
 func (op *OutputPort) Credits(vc int) int { return int(op.vcs[vc].credits) }
 
+// Conduit returns what the port feeds (test hook).
+func (op *OutputPort) Conduit() Conduit { return op.conduit }
+
 // CreditOccupancy returns the free downstream credits summed over the
 // port's VCs and the port's total credit capacity — the wired-headroom
 // load signal the adaptive route selector reads at injection time.
@@ -119,11 +114,21 @@ type Switch struct {
 	in  []*InputPort
 	out []*OutputPort
 
-	// fwd holds one forwarding table per route class, each indexed by
-	// destination endpoint ID. fwd[0] always exists; a packet whose
-	// RouteClass has no table here routes by class 0 (single-class
-	// systems never install more).
-	fwd [][]PortHop
+	// Routing state (see Route), set while the system is wired and only
+	// read afterwards:
+	//   - rows[c]: this switch's row of route class c's next-hop table, a
+	//     subslice of the table every switch shares. rows[0] always
+	//     exists; a packet whose RouteClass has no row routes by class 0.
+	//   - host: the switch each endpoint attaches to, one slice shared by
+	//     every switch.
+	//   - eject: the ejection port of each endpoint this switch hosts.
+	//   - toward: the wired output port toward each neighbour.
+	//   - wiPort: the output onto the wireless fabric, -1 without a WI.
+	rows   [][]sim.SwitchID
+	host   []sim.SwitchID
+	eject  []ejectPort
+	toward []wiredPort
+	wiPort int16
 
 	// phaseSplit partitions output VCs into two classes: flits in phase 0
 	// (pre-wireless) may only use VCs [0, V-postVCs), flits in phase 1
@@ -157,6 +162,18 @@ type Switch struct {
 	vaPortCnt []int16
 }
 
+// ejectPort is the ejection output port of one endpoint a switch hosts.
+type ejectPort struct {
+	ep   sim.EndpointID
+	port int16
+}
+
+// wiredPort is a switch's wired output port toward one neighbour.
+type wiredPort struct {
+	to   sim.SwitchID
+	port int16
+}
+
 // vaReq is one per-cycle VC-allocation request: an input VC in vcWaitVC
 // state and the output port it routed to.
 type vaReq struct {
@@ -187,15 +204,18 @@ func NewSwitch(id sim.SwitchID, vcs, depth, flitBits int, switchPJPerBit float64
 		flitBits: flitBits,
 		meter:    m,
 		switchPJ: switchPJPerBit * float64(flitBits),
+		wiPort:   -1,
 	}
 }
 
 // AddInputPort appends an input port whose freed buffer slots are returned
-// to credit. It returns the port index.
+// to credit. It returns the port index. The port's VC rings share one
+// slab of VCs × depth flits.
 func (s *Switch) AddInputPort(credit CreditSink) int {
 	p := &InputPort{vcs: make([]inputVC, s.vcCount), credit: credit}
+	slab := make([]Flit, s.vcCount*s.depth)
 	for i := range p.vcs {
-		p.vcs[i].buf = newFlitRing(s.depth)
+		p.vcs[i].buf = flitRing{buf: slab[i*s.depth : (i+1)*s.depth : (i+1)*s.depth]}
 	}
 	s.in = append(s.in, p)
 	return len(s.in) - 1
@@ -220,26 +240,80 @@ func (s *Switch) AddOutputPort(c Conduit, credits int) int {
 	return len(s.out) - 1
 }
 
-// SetForwarding installs the class-0 forwarding table (one entry per
-// endpoint) — the only table of a single-class system.
-func (s *Switch) SetForwarding(fwd []PortHop) { s.SetForwardingClass(0, fwd) }
-
-// SetForwardingClass installs the forwarding table of one route class.
-// Class 0 must be installed; higher classes are optional and looked up per
-// packet (a missing class falls back to class 0 in route computation).
-func (s *Switch) SetForwardingClass(class int, fwd []PortHop) {
-	for len(s.fwd) <= class {
-		s.fwd = append(s.fwd, nil)
-	}
-	s.fwd[class] = fwd
+// SetRoutes installs the switch's routing rows. host[ep] is the switch
+// endpoint ep attaches to, one slice shared by every switch. rows[c] is
+// this switch's row of route class c's next-hop table (Next[ID][d] is the
+// next switch toward switch d), also shared rather than copied. rows[0]
+// must be non-nil; a nil or missing higher class routes by class 0.
+func (s *Switch) SetRoutes(host []sim.SwitchID, rows ...[]sim.SwitchID) {
+	s.host, s.rows = host, rows
 }
 
-// forwardingFor returns the forwarding table routing packet p.
-func (s *Switch) forwardingFor(p *Packet) []PortHop {
-	if c := int(p.RouteClass); c < len(s.fwd) && s.fwd[c] != nil {
-		return s.fwd[c]
+// SetWIPort records port as the switch's output onto the wireless fabric.
+func (s *Switch) SetWIPort(port int) { s.wiPort = int16(port) }
+
+// setPortToward records port as the wired output toward neighbour next. A
+// later port toward the same neighbour replaces the earlier one.
+func (s *Switch) setPortToward(next sim.SwitchID, port int) {
+	for i := range s.toward {
+		if s.toward[i].to == next {
+			s.toward[i].port = int16(port)
+			return
+		}
 	}
-	return s.fwd[0]
+	s.toward = append(s.toward, wiredPort{to: next, port: int16(port)})
+}
+
+// PortToward returns the wired output port toward next, if a wired edge
+// joins them. A switch has a handful of wired neighbours, so a scan beats
+// any index.
+func (s *Switch) PortToward(next sim.SwitchID) (int, bool) {
+	for _, w := range s.toward {
+		if w.to == next {
+			return int(w.port), true
+		}
+	}
+	return 0, false
+}
+
+// setEjectPort records port as the ejection output of endpoint ep, which
+// this switch hosts.
+func (s *Switch) setEjectPort(ep sim.EndpointID, port int) {
+	s.eject = append(s.eject, ejectPort{ep: ep, port: int16(port)})
+}
+
+// Route returns the output port a packet of route class class takes
+// toward endpoint dst, and the next-hop switch (sim.NoSwitch when dst is
+// hosted here). A hosted endpoint gives its ejection port. Otherwise the
+// next hop is next := rows[class][host[dst]], reached over the wired port
+// toward next when a wired edge joins them, else over the WI port: a hop
+// between two WI switches that a wired edge also joins travels the wire.
+// The deadlock check at engine build has already rejected every table
+// with a hop that neither carries (route.CheckDeadlockFreeUnion).
+func (s *Switch) Route(class uint8, dst sim.EndpointID) (port int, next sim.SwitchID) {
+	host := s.host[dst]
+	if host == s.ID {
+		for _, e := range s.eject {
+			if e.ep == dst {
+				return int(e.port), sim.NoSwitch
+			}
+		}
+		panic(fmt.Sprintf("noc: switch %d hosts endpoint %d but has no ejection port for it", s.ID, dst))
+	}
+	row := s.rows[0]
+	if int(class) < len(s.rows) && s.rows[class] != nil {
+		row = s.rows[class]
+	}
+	next = row[host]
+	for _, w := range s.toward {
+		if w.to == next {
+			return int(w.port), next
+		}
+	}
+	if s.wiPort < 0 {
+		panic(fmt.Sprintf("noc: switch %d has no port toward switch %d", s.ID, next))
+	}
+	return int(s.wiPort), next
 }
 
 // SetPhaseSplit enables VC class partitioning by wireless phase, giving the
@@ -605,9 +679,9 @@ func (s *Switch) TickRC(now sim.Cycle) {
 			if !ok || !f.IsHead() {
 				continue
 			}
-			hop := s.forwardingFor(f.Pkt)[f.Pkt.Dst]
-			vc.outPort = hop.Port
-			vc.nextHop = hop.Next
+			port, next := s.Route(f.Pkt.RouteClass, f.Pkt.Dst)
+			vc.outPort = int16(port)
+			vc.nextHop = next
 			vc.phase = f.Phase
 			vc.state = vcWaitVC
 			vc.routedAt = now

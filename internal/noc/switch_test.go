@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wimc/internal/energy"
 	"wimc/internal/sim"
 )
 
@@ -233,6 +234,78 @@ func TestSwitchAccessors(t *testing.T) {
 	}
 	if p.sw0.BufferedFlits() != 0 {
 		t.Fatal("fresh switch buffers nonzero")
+	}
+}
+
+// TestSwitchRoute: a hosted endpoint leaves through its ejection port;
+// any other endpoint goes to its host's next hop in the packet's class row
+// (class 0 when the class has no row), over the wired port toward that hop
+// when a link joins them (the later of two such ports) and over the WI
+// port otherwise.
+func TestSwitchRoute(t *testing.T) {
+	m := mustMeter(t)
+	sw := NewSwitch(0, 2, 2, 32, 0, m)
+	one, two := NewSwitch(1, 2, 2, 32, 0, m), NewSwitch(2, 2, 2, 32, 0, m)
+	connect := func(to *Switch) (int, *Link) {
+		l := NewLink(energy.ClassLinkMesh, 1, sim.RateOne, 0, 32, m)
+		out := sw.AddOutputPort(l, 2)
+		l.Connect(sw, out, to, to.AddInputPort(l))
+		return out, l
+	}
+	connect(one)
+	toOne, _ := connect(one) // replaces the first port toward switch 1
+	toTwo, linkTwo := connect(two)
+	eject := sw.AddOutputPort(nil, 2)
+	ep := NewEndpoint(0, sw, sw.AddInputPort(nil), eject, 1, 0, energy.ClassLinkLocal, 32, 4, nil, m)
+	sw.SetOutputConduit(eject, ep)
+
+	// Endpoints 0..3 attach to switches 0..3, and endpoint 4 claims switch
+	// 0 without an NI. Class 0 reaches switch 3 through switch 2; class 1
+	// goes there directly, which only a WI can carry.
+	host := []sim.SwitchID{0, 1, 2, 3, 0}
+	sw.SetRoutes(host, []sim.SwitchID{0, 1, 2, 2}, []sim.SwitchID{0, 1, 1, 3})
+	mustPanic := func(what string, class uint8, dst sim.EndpointID) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		sw.Route(class, dst)
+	}
+	mustPanic("a hop with no port", 1, 3)
+	mustPanic("a hosted endpoint without an ejection port", 0, 4)
+
+	wi := sw.AddOutputPort(nil, 2)
+	sw.SetWIPort(wi)
+	for _, tc := range []struct {
+		class uint8
+		dst   sim.EndpointID
+		port  int
+		next  sim.SwitchID
+	}{
+		{0, 0, eject, sim.NoSwitch},
+		{1, 0, eject, sim.NoSwitch},
+		{0, 1, toOne, 1},
+		{0, 2, toTwo, 2},
+		{1, 2, toOne, 1},
+		{0, 3, toTwo, 2},
+		{1, 3, wi, 3},
+		{2, 3, toTwo, 2}, // no class-2 row: class 0
+	} {
+		if port, next := sw.Route(tc.class, tc.dst); port != tc.port || next != tc.next {
+			t.Fatalf("Route(%d, %d) = port %d, next %d; want port %d, next %d",
+				tc.class, tc.dst, port, next, tc.port, tc.next)
+		}
+	}
+	if port, ok := sw.PortToward(2); !ok || port != toTwo || sw.Output(port).Conduit() != Conduit(linkTwo) {
+		t.Fatalf("PortToward(2) = %d, %v; want the port feeding the link to switch 2", port, ok)
+	}
+	if _, ok := sw.PortToward(3); ok {
+		t.Fatal("PortToward(3) found a wired port, but no link joins switches 0 and 3")
+	}
+	if sw.Output(eject).Conduit() != Conduit(ep) {
+		t.Fatal("the ejection port does not feed the endpoint")
 	}
 }
 

@@ -110,44 +110,55 @@ func BuildClasses(g *topo.Graph, workers int) (*ClassTables, error) {
 // txWITable fills TxWI: for every destination column, the transmitting-WI
 // switch of each source is memoized along next-hop chains (routing is
 // memoryless, so the first wireless hop at or after a switch is shared by
-// every source routing through it) — O(n) per destination. Columns are
-// independent and fan out across the worker pool like the Dijkstra fills.
+// every source routing through it) — O(n) per destination. The columns
+// are read in the deadlock walk's tiles; tiles are independent and fan
+// out across the worker pool like the Dijkstra fills.
 func txWITable(g *topo.Graph, t *Tables, workers int) [][]sim.SwitchID {
 	n := g.SwitchCount()
 	tx := newTable(n, sim.NoSwitch)
-	_, _ = pool.ForEach(workers, n, func(d int) error {
-		// done[s] marks resolved entries of this column. sim.NoSwitch is a
-		// valid resolved value, so a separate marker is required.
+	tiles := (n + tileWidth - 1) / tileWidth
+	_, _ = pool.ForEach(workers, tiles, func(b int) error {
+		d0, d1 := b*tileWidth, min((b+1)*tileWidth, n)
+		tile := make([]sim.SwitchID, (d1-d0)*n)
+		columnTile(t.Next, d0, d1, tile)
+		// done[s] marks resolved entries of the current column. sim.NoSwitch
+		// is a valid resolved value, so a separate marker is required.
 		done := make([]bool, n)
-		done[d] = true
 		var chain []int32
-		for s := 0; s < n; s++ {
-			chain = chain[:0]
-			cur := sim.SwitchID(s)
-			for !done[cur] {
-				chain = append(chain, int32(cur))
-				done[cur] = true
-				nxt := t.Next[cur][d]
-				if nxt == sim.NoSwitch || nxt == cur {
-					// Defensive: an unroutable pair is reported by the
-					// table build and the deadlock walk; leave the chain's
-					// entries at NoSwitch instead of walking off the table.
-					break
-				}
-				if t.IsWireless(cur, nxt) {
-					// cur transmits: every switch on the chain so far routes
-					// its wireless hop through cur's WI.
-					for _, u := range chain {
-						tx[u][d] = cur
+		for d := d0; d < d1; d++ {
+			toward := tile[(d-d0)*n : (d-d0+1)*n]
+			clear(done)
+			done[d] = true
+			for s := 0; s < n; s++ {
+				chain = chain[:0]
+				cur := sim.SwitchID(s)
+				for !done[cur] {
+					chain = append(chain, int32(cur))
+					done[cur] = true
+					nxt := toward[cur]
+					if nxt == sim.NoSwitch || nxt == cur {
+						// Defensive: an unroutable pair is reported by the
+						// table build and the deadlock walk; leave the
+						// chain's entries at NoSwitch instead of walking
+						// off the table.
+						break
 					}
-					chain = chain[:0]
+					if t.IsWireless(cur, nxt) {
+						// cur transmits: every switch on the chain so far
+						// routes its wireless hop through cur's WI.
+						for _, u := range chain {
+							tx[u][d] = cur
+						}
+						chain = chain[:0]
+					}
+					cur = nxt
 				}
-				cur = nxt
-			}
-			// The suffix from cur is resolved; propagate its value (which
-			// may be NoSwitch — fully wired remainder) to the open chain.
-			for _, u := range chain {
-				tx[u][d] = tx[cur][d]
+				// The suffix from cur is resolved; propagate its value
+				// (which may be NoSwitch — fully wired remainder) to the
+				// open chain.
+				for _, u := range chain {
+					tx[u][d] = tx[cur][d]
+				}
 			}
 		}
 		return nil

@@ -2,8 +2,10 @@ package route
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
+	"wimc/internal/exp/pool"
 	"wimc/internal/sim"
 	"wimc/internal/topo"
 )
@@ -33,143 +35,234 @@ import (
 // change the packet's phase.
 //
 // All switch pairs are considered as source/destination, which over-covers
-// the actual endpoint-attached switches (conservative).
+// the actual endpoint-attached switches (conservative). Every first hop of
+// every pair is therefore checked to make progress over a link, which is
+// what lets a switch route without validating its table rows.
 //
-// The walk memoizes per destination: routing is memoryless, so the channel
-// sequence from an intermediate state (switch, wireless phase) toward d is
-// the same whichever source reached it, and an already-visited state means
-// its whole suffix is already in the dependency graph. One walk therefore
-// stops at the first visited state (recording only the dependency into it),
-// which bounds the total work per destination by the state count — O(n)
-// rather than O(n × path length) — and keeps the check affordable at
-// 64-chip scale.
+// The walk memoizes per (table, destination) epoch: routing is memoryless,
+// so the channel sequence from an intermediate state (switch, wireless
+// phase) toward d is the same whichever source reached it, and an
+// already-visited state means its whole suffix is already in the
+// dependency graph. One walk therefore stops at the first visited state,
+// recording only the dependency into it through the channel stored for
+// that state, and a source whose own state is visited is not walked at
+// all. That bounds the work per destination by the state count — O(n)
+// rather than O(n × path length).
+//
+// The epochs are split into contiguous chunks, one per worker of the pool
+// the first table was built with. Each chunk walks its own dependency
+// graph, and the chunks merge in epoch order, so every channel's
+// successors keep the order of their first insertion by a serial walk: the
+// cycle search, the cycle it reports and every error text are the same at
+// every worker count.
 func CheckDeadlockFreeUnion(g *topo.Graph, tables ...*Tables) error {
-	n := g.SwitchCount()
-	lt := newLinkTable(g)
-	// Channel ID: link*3 + class; class 0 = pre-wireless VC class,
-	// 1 = post-wireless VC class, 2 = wireless medium. Links are numbered
-	// in (u, v) order, so ascending channel IDs are ascending (u, v, class)
-	// triples.
+	d, err := buildCDG(g, tables)
+	if err != nil {
+		return err
+	}
+	return d.findCycle()
+}
+
+// cdg is a channel dependency graph over the channels of one linkTable.
+// Channel ID: link*3 + class; class 0 = pre-wireless VC class,
+// 1 = post-wireless VC class, 2 = wireless medium. Links are numbered in
+// (u, v) order, so ascending channel IDs are ascending (u, v, class)
+// triples.
+//
+// Each channel's successors form a list in first-insertion order, threaded
+// through depTo/depNext (-1 ends a list). Channel IDs carry no
+// destination, so the same (prev, next) channel pair recurs across epochs
+// and across class tables; a per-channel successor bitset keeps the CDG
+// free of parallel edges. The successors of a channel into v are channels
+// out of v, so its bitset spans v's links × 3 classes and is allocated on
+// the first dependency.
+type cdg struct {
+	lt       *linkTable
+	used     []bool
+	depHead  []int32
+	depTail  []int32
+	succOff  []int32
+	depTo    []int32
+	depNext  []int32
+	succBits []uint64
+}
+
+func newCDG(lt *linkTable) *cdg {
 	numChans := 3 * len(lt.ends)
-	used := make([]bool, numChans)
-
-	// deps: each channel's successors in first-insertion order, as linked
-	// lists threaded through depTo/depNext (-1 ends a list). Channel IDs
-	// carry no destination, so the same (prev, next) channel pair recurs
-	// across destination epochs and across class tables; a per-channel
-	// successor bitset keeps the CDG free of parallel edges. The
-	// successors of a channel into v are channels out of v, so its bitset
-	// spans v's links × 3 classes and is allocated on the first dependency.
-	depHead := make([]int32, numChans)
-	depTail := make([]int32, numChans)
-	succOff := make([]int32, numChans)
-	for c := range depHead {
-		depHead[c], depTail[c], succOff[c] = -1, -1, -1
+	d := &cdg{
+		lt:      lt,
+		used:    make([]bool, numChans),
+		depHead: make([]int32, numChans),
+		depTail: make([]int32, numChans),
+		succOff: make([]int32, numChans),
 	}
-	var depTo, depNext []int32
-	var succBits []uint64
-	addDep := func(prev, c int32) {
-		if prev < 0 {
-			return
-		}
-		v := lt.ends[prev/3][1]
-		if succOff[prev] < 0 {
-			succOff[prev] = int32(len(succBits))
-			words := (3*int(lt.first[v+1]-lt.first[v]) + 63) / 64
-			succBits = slices.Grow(succBits, words)[:len(succBits)+words]
-			clear(succBits[succOff[prev]:])
-		}
-		bit := (c/3-lt.first[v])*3 + c%3
-		word, mask := &succBits[succOff[prev]+bit/64], uint64(1)<<(bit%64)
-		if *word&mask != 0 {
-			return
-		}
-		*word |= mask
-		e := int32(len(depTo))
-		depTo = append(depTo, c)
-		depNext = append(depNext, -1)
-		if depTail[prev] < 0 {
-			depHead[prev] = e
-		} else {
-			depNext[depTail[prev]] = e
-		}
-		depTail[prev] = e
+	for c := range d.depHead {
+		d.depHead[c], d.depTail[c], d.succOff[c] = -1, -1, -1
 	}
+	return d
+}
 
-	// State key: switch*2 + phase, valid for the current destination epoch
-	// of the current table. walkStamp flags states of the in-progress walk
-	// so a routing loop is still detected (a visited-state break must mean
-	// "suffix reaches d").
+// add records that channel prev depends on channel c, unless it already
+// does; prev < 0 (a walk's first hop) records nothing.
+func (d *cdg) add(prev, c int32) {
+	if prev < 0 {
+		return
+	}
+	lt := d.lt
+	v := lt.ends[prev/3][1]
+	if d.succOff[prev] < 0 {
+		d.succOff[prev] = int32(len(d.succBits))
+		words := (3*int(lt.first[v+1]-lt.first[v]) + 63) / 64
+		d.succBits = slices.Grow(d.succBits, words)[:len(d.succBits)+words]
+		clear(d.succBits[d.succOff[prev]:])
+	}
+	bit := (c/3-lt.first[v])*3 + c%3
+	word, mask := &d.succBits[d.succOff[prev]+bit/64], uint64(1)<<(bit%64)
+	if *word&mask != 0 {
+		return
+	}
+	*word |= mask
+	e := int32(len(d.depTo))
+	d.depTo = append(d.depTo, c)
+	d.depNext = append(d.depNext, -1)
+	if d.depTail[prev] < 0 {
+		d.depHead[prev] = e
+	} else {
+		d.depNext[d.depTail[prev]] = e
+	}
+	d.depTail[prev] = e
+}
+
+// merge appends the dependencies of o, a graph walked over later epochs,
+// to d: each channel's successors in o's order, after d's own.
+func (d *cdg) merge(o *cdg) {
+	for c, h := range o.depHead {
+		d.used[c] = d.used[c] || o.used[c]
+		for e := h; e >= 0; e = o.depNext[e] {
+			d.add(int32(c), o.depTo[e])
+		}
+	}
+}
+
+// buildCDG walks every route of tables into one dependency graph, one
+// chunk of (table, destination) epochs per worker (see
+// CheckDeadlockFreeUnion). When chunks fail, the lowest chunk's first
+// error is the error a serial walk would have met first.
+func buildCDG(g *topo.Graph, tables []*Tables) (*cdg, error) {
+	lt := newLinkTable(g)
+	n := g.SwitchCount()
+	epochs := len(tables) * n
+	workers := 1
+	if len(tables) > 0 {
+		workers = tables[0].workers
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunks := max(1, min(workers, epochs))
+	parts := make([]*cdg, chunks)
+	_, err := pool.ForEach(chunks, chunks, func(k int) error {
+		parts[k] = newCDG(lt)
+		return parts[k].walk(tables, n, k*epochs/chunks, (k+1)*epochs/chunks)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range parts[1:] {
+		parts[0].merge(o)
+	}
+	return parts[0], nil
+}
+
+// walk adds the routes of epochs [lo, hi) to d. Epoch e walks table
+// tables[e/n] toward destination e%n from every source. The columns being
+// walked are read in tiles of tileWidth destinations.
+func (d *cdg) walk(tables []*Tables, n, lo, hi int) error {
+	lt := d.lt
+	// State key: switch*2 + phase. visited[st] holds the epoch (plus one)
+	// whose walks have recorded st's whole suffix, and chanOf[st] the
+	// channel st's hop occupies in that epoch. walkStamp flags states of
+	// the in-progress walk so a routing loop is still detected (a
+	// visited-state break must mean "suffix reaches d").
 	visited := make([]int32, 2*n)
+	chanOf := make([]int32, 2*n)
 	walkStamp := make([]int32, 2*n)
 	var walkSeq int32
 	var chain []int32
+	tile := make([]sim.SwitchID, tileWidth*n)
 
-	for ti, t := range tables {
-		// The walks toward d read column d of Next; transposed, that column
-		// is one contiguous row.
-		toward := transpose(t.Next)
-		for d := 0; d < n; d++ {
-			// Epochs must not collide across tables: each table's walk
-			// memoizes its own suffixes only.
-			epoch := int32(ti*n + d + 1)
-			nextToward := toward[d]
+	for e := lo; e < hi; {
+		t, d0 := tables[e/n], e%n
+		d1 := min(d0+tileWidth, n, d0+hi-e)
+		columnTile(t.Next, d0, d1, tile)
+		for dst := d0; dst < d1; dst++ {
+			epoch := int32(e + dst - d0 + 1)
+			toward := tile[(dst-d0)*n : (dst-d0+1)*n]
 			for s := 0; s < n; s++ {
-				if s == d {
-					continue
+				if s == dst || visited[2*s] == epoch {
+					continue // a source on a walked suffix adds nothing
 				}
 				walkSeq++
 				chain = chain[:0]
 				prevChan := int32(-1)
 				cur := sim.SwitchID(s)
 				phase := int32(0)
-				for cur != sim.SwitchID(d) {
-					nxt := nextToward[cur]
+				for cur != sim.SwitchID(dst) {
+					st := int32(cur)*2 + phase
+					if visited[st] == epoch {
+						// Suffix already walked; only the entry dependency
+						// is new.
+						d.add(prevChan, chanOf[st])
+						break
+					}
+					nxt := toward[cur]
 					if nxt == sim.NoSwitch || nxt == cur {
-						return fmt.Errorf("route: no progress from %d toward %d", cur, d)
+						return fmt.Errorf("route: no progress from %d toward %d", cur, dst)
 					}
 					c, wl, ok := lt.channel(t, cur, nxt, phase)
 					if !ok {
-						return fmt.Errorf("route: hop %d->%d toward %d is not a link", cur, nxt, d)
+						return fmt.Errorf("route: hop %d->%d toward %d is not a link", cur, nxt, dst)
 					}
-					addDep(prevChan, c)
-					st := int(cur)*2 + int(phase)
-					if visited[st] == epoch {
-						break // suffix already walked; only the entry dependency was new
-					}
+					d.add(prevChan, c)
 					if walkStamp[st] == walkSeq {
-						return fmt.Errorf("route: routing loop from %d to %d", s, d)
+						return fmt.Errorf("route: routing loop from %d to %d", s, dst)
 					}
 					walkStamp[st] = walkSeq
-					chain = append(chain, int32(st))
-					used[c] = true
+					chanOf[st] = c
+					chain = append(chain, st)
+					d.used[c] = true
 					if wl {
 						phase = 1
 					}
 					prevChan = c
 					cur = nxt
 				}
-				// The walk reached d (or a state that does): its states'
+				// The walk reached dst (or a state that does): its states'
 				// suffixes are now fully recorded.
 				for _, st := range chain {
 					visited[st] = epoch
 				}
 			}
 		}
+		e += d1 - d0
 	}
+	return nil
+}
 
-	// Iterative DFS cycle detection over the CDG, starting from the used
-	// channels in ascending order: with a cycle present, which cycle the
-	// DFS trips over first — and therefore the error text — depends on
-	// traversal order, so the order is fixed.
+// findCycle runs an iterative DFS over the graph, starting from the used
+// channels in ascending order and following each channel's successors in
+// insertion order: with a cycle present, which cycle the DFS trips over
+// first — and therefore the error text — depends on traversal order, so
+// the order is fixed.
+func (d *cdg) findCycle() error {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, numChans)
+	color := make([]uint8, len(d.used))
 	describe := func(c int32) string {
-		uv := lt.ends[c/3]
+		uv := d.lt.ends[c/3]
 		return fmt.Sprintf("%d->%d (class %d)", uv[0], uv[1], c%3)
 	}
 	type frame struct {
@@ -177,23 +270,23 @@ func CheckDeadlockFreeUnion(g *topo.Graph, tables ...*Tables) error {
 		next int32 // next dependency edge to follow, -1 when done
 	}
 	var stack []frame
-	for start := 0; start < numChans; start++ {
-		if !used[start] || color[start] != white {
+	for start := range d.used {
+		if !d.used[start] || color[start] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{c: int32(start), next: depHead[start]})
+		stack = append(stack[:0], frame{c: int32(start), next: d.depHead[start]})
 		color[start] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.next >= 0 {
-				nc := depTo[f.next]
-				f.next = depNext[f.next]
+				nc := d.depTo[f.next]
+				f.next = d.depNext[f.next]
 				switch color[nc] {
 				case gray:
 					return fmt.Errorf("route: channel dependency cycle through hop %s", describe(nc))
 				case white:
 					color[nc] = gray
-					stack = append(stack, frame{c: nc, next: depHead[nc]})
+					stack = append(stack, frame{c: nc, next: d.depHead[nc]})
 				}
 				continue
 			}
@@ -202,25 +295,6 @@ func CheckDeadlockFreeUnion(g *topo.Graph, tables ...*Tables) error {
 		}
 	}
 	return nil
-}
-
-// transpose returns the square table m with rows and columns swapped,
-// copying tile by tile so both sides stay cache-resident.
-func transpose(m [][]sim.SwitchID) [][]sim.SwitchID {
-	n := len(m)
-	out := newTable(n, 0)
-	const tile = 64
-	for r0 := 0; r0 < n; r0 += tile {
-		for c0 := 0; c0 < n; c0 += tile {
-			for r := r0; r < min(r0+tile, n); r++ {
-				row := m[r]
-				for c := c0; c < min(c0+tile, n); c++ {
-					out[c][r] = row[c]
-				}
-			}
-		}
-	}
-	return out
 }
 
 // linkTable numbers the directed links a deadlock walk can travel: every

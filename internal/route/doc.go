@@ -111,4 +111,23 @@
 //     how channels are stored. A per-channel successor bitset
 //     deduplicates dependencies, and a link lookup scans the handful of
 //     wired links of a switch or indexes the WI pair table directly.
+//   - The check walks each (table, destination) epoch's routes once per
+//     state. A source whose phase-0 state an earlier walk of the epoch
+//     has visited is skipped: its whole route is already recorded. A walk
+//     that reaches a visited state records the dependency into it with the
+//     channel stored for that state, without looking the hop up again.
+//   - The walks and txWITable read the destination columns of Next in
+//     tiles of 64: each row contributes one contiguous run of 64 entries,
+//     copied into 64 contiguous columns, instead of a read that strides a
+//     whole row per entry. Nothing the size of a table is copied.
+//   - The check splits the epochs into contiguous chunks, one per worker
+//     of the pool the tables were built with (Params.BuildWorkers in the
+//     engine). Each chunk builds its own successor lists, and the chunks
+//     merge in epoch order, each adding only successors not yet present.
+//     Every epoch's walk depends only on its table and destination, so a
+//     channel's merged successors are in the order a serial walk would
+//     first have inserted them: the DFS, the cycle it reports and the
+//     error text do not depend on the worker count. A walk error is the
+//     first one of the lowest failing chunk, which is the first one a
+//     serial walk would meet.
 package route

@@ -25,7 +25,9 @@ type Tables struct {
 	// wireless[s] reports whether s hosts a WI of the wireless full graph
 	// this table routes over; nil for a wired-only table.
 	wireless []bool
-	// workers bounds the pool used while the tables are built.
+	// workers bounds the pool used while the tables are built, and the
+	// one CheckDeadlockFreeUnion splits its walk across: <= 0 means
+	// runtime.GOMAXPROCS(0).
 	workers int
 }
 
@@ -567,4 +569,21 @@ func newTable(n int, fill sim.SwitchID) [][]sim.SwitchID {
 		t[i] = flat[i*n : (i+1)*n]
 	}
 	return t
+}
+
+// tileWidth is the number of destination columns one column tile holds.
+const tileWidth = 64
+
+// columnTile copies columns [d0, d1) of the square table next into tile,
+// column d as the contiguous run tile[(d-d0)*n : (d-d0+1)*n], so a walk
+// toward d reads its next hops in switch order. Each row is read as one
+// run of d1-d0 entries, where reading a column directly would stride a
+// whole row per entry. tile must hold (d1-d0)*n entries.
+func columnTile(next [][]sim.SwitchID, d0, d1 int, tile []sim.SwitchID) {
+	n := len(next)
+	for s, row := range next {
+		for j, v := range row[d0:d1] {
+			tile[j*n+s] = v
+		}
+	}
 }
