@@ -179,11 +179,11 @@ func buildCDG(g *topo.Graph, tables []*Tables) (*cdg, error) {
 // walked are read in tiles of tileWidth destinations.
 func (d *cdg) walk(tables []*Tables, n, lo, hi int) error {
 	lt := d.lt
-	// State key: switch*2 + phase. visited[st] holds the epoch (plus one)
-	// whose walks have recorded st's whole suffix, and chanOf[st] the
-	// channel st's hop occupies in that epoch. walkStamp flags states of
-	// the in-progress walk so a routing loop is still detected (a
-	// visited-state break must mean "suffix reaches d").
+	// State key: switch*2 + phase. visited[st] is the stamp (index + 1)
+	// of the epoch whose walks have recorded st's whole suffix, and
+	// chanOf[st] the channel st's hop occupies there. walkStamp flags
+	// states of the in-progress walk so a routing loop is still detected
+	// (a visited-state break must mean "suffix reaches d").
 	visited := make([]int32, 2*n)
 	chanOf := make([]int32, 2*n)
 	walkStamp := make([]int32, 2*n)
