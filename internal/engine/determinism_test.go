@@ -259,6 +259,19 @@ func determinismParams() []Params {
 	crossbar16Loaded.WarmupCycles = 100
 	crossbar16Loaded.MeasureCycles = 600
 
+	// A loaded hybrid under static route selection: both class tables
+	// are built and installed, no selector exists, and every packet rides
+	// class 0.
+	hybridStaticLoaded := config.MustXCYM(4, 4, config.ArchHybrid)
+	hybridStaticLoaded.Name = "hybrid-static-loaded"
+	hybridStaticLoaded.WarmupCycles = 100
+	hybridStaticLoaded.MeasureCycles = 800
+	hybridStaticLoaded.Channel = config.ChannelExclusive
+	hybridStaticLoaded.ChannelAssign = config.AssignSpatialReuse
+	hybridStaticLoaded.WirelessChannels = 4
+	hybridStaticLoaded.MACPolicyMode = config.PolicySkipEmpty
+	hybridStaticLoaded.RouteSelectMode = config.SelectStatic
+
 	return []Params{
 		{Cfg: large, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: wireless, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
@@ -286,6 +299,7 @@ func determinismParams() []Params {
 		{Cfg: skipEmptyLoaded, Traffic: saturated},
 		{Cfg: berLoaded, Traffic: saturated},
 		{Cfg: crossbar16Loaded, Traffic: saturated},
+		{Cfg: hybridStaticLoaded, Traffic: saturated},
 	}
 }
 
