@@ -70,30 +70,24 @@ func main() {
 		App:             *app,
 	}
 	opts := wimc.Options{EveryCycle: *everyCy}
-	var res *wimc.Result
+	var traceFile *os.File
 	if *traceTo != "" {
-		f, err := os.Create(*traceTo)
-		if err != nil {
+		if traceFile, err = os.Create(*traceTo); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		opts.Trace = f
-		sys, err := wimc.NewWithOptions(cfg, spec, opts)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = sys.Run(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	} else {
-		sys, err := wimc.NewWithOptions(cfg, spec, opts)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = sys.Run(); err != nil {
+		defer traceFile.Close()
+		opts.Trace = traceFile
+	}
+	sys, err := wimc.NewWithOptions(cfg, spec, opts)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		fatal(err)
+	}
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil {
 			fatal(err)
 		}
 	}

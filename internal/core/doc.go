@@ -50,8 +50,9 @@
 // link utilization.
 //
 // The pre-sub-channel single-channel MAC is retained verbatim in
-// mac_legacy.go as a reference path (engine Params.LegacySingleChannel),
-// and the engine's equivalence regression asserts the K=1 rotate fabric is
+// mac_legacy.go as a reference path (Fabric.SetLegacySingleChannel, which
+// the engine's tests reach through the unexported Params.legacyMAC), and
+// the engine's equivalence regression asserts the K=1 rotate fabric is
 // byte-identical to it for both MAC protocols — two different turn
 // machines, since the legacy MAC advances a fixed index.
 //

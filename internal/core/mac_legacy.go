@@ -11,7 +11,7 @@ import (
 // legacyMAC is the pre-sub-channel exclusive MAC state: one shared medium,
 // one global turn sequence over every WI. The implementation below is the
 // original single-channel MAC retained verbatim; it exists — like the
-// engine's FullTick reference scheduler — solely so the K=1 equivalence
+// engine's full-tick reference loop — solely so the K=1 equivalence
 // claim stays checkable forever: the per-sub-channel fabric with one
 // channel must produce byte-identical results to this path
 // (internal/engine/channels_test.go asserts it for both MAC protocols).

@@ -89,12 +89,6 @@ type txEntry struct {
 	tries    int  // fault model: corrupted transmissions of this head flit
 }
 
-// OutPort returns the wireless output port index on the host switch.
-func (w *WI) OutPort() int { return w.outPort }
-
-// InPort returns the wireless input port index on the host switch.
-func (w *WI) InPort() int { return w.inPort }
-
 // TxLen returns the total TX occupancy across queues.
 func (w *WI) TxLen() int { return w.txLen }
 

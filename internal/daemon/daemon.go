@@ -1,8 +1,9 @@
 // Package daemon implements the wimcd experiment service: an HTTP/JSON
-// server that accepts canonical experiment specs (internal/spec), schedules
-// their points on the deterministic internal/exp pool, streams per-point
-// progress as NDJSON, and serves every Result from a content-addressed
-// store (internal/store) so a re-submitted spec costs zero engine runs.
+// server that accepts canonical experiment specs (internal/spec), runs
+// their points through store.RunPoints on its deterministic worker pool,
+// streams per-point progress as NDJSON, and serves every Result from a
+// content-addressed store (internal/store) so a re-submitted spec costs
+// zero engine runs.
 //
 // The API surface (all under /v1):
 //

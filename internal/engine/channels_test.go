@@ -22,7 +22,7 @@ func exclusiveK(assign config.ChannelAssignment, k int) config.Config {
 // TestLegacyExclusiveEquivalence is the K=1 equivalence regression: on one
 // sub-channel the refactored per-sub-channel MAC must produce byte-identical
 // Result JSON to the retained pre-change single-channel path
-// (Params.LegacySingleChannel) — for both MAC protocols and for every
+// (Params.legacyMAC) — for both MAC protocols and for every
 // channel assignment, since all of them degenerate to one group at K=1.
 // The two reach each rotate turn by different machines: the legacy MAC
 // advances a fixed index, the sub-channel MAC requeues the holder of a
@@ -41,7 +41,7 @@ func TestLegacyExclusiveEquivalence(t *testing.T) {
 				}
 				tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.0004, MemFraction: 0.3, MemReadFraction: 0.5}
 				refactored := resultJSON(t, mustRun(t, Params{Cfg: cfg, Traffic: tr}))
-				legacy := resultJSON(t, mustRun(t, Params{Cfg: cfg, Traffic: tr, LegacySingleChannel: true}))
+				legacy := resultJSON(t, mustRun(t, Params{Cfg: cfg, Traffic: tr, legacyMAC: true}))
 				if refactored != legacy {
 					t.Fatalf("K=1 sub-channel MAC diverged from the pre-change exclusive path:\nnew:    %s\nlegacy: %s",
 						refactored, legacy)

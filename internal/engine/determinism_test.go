@@ -8,6 +8,7 @@ import (
 
 	"wimc/internal/config"
 	"wimc/internal/core"
+	"wimc/internal/exp/pool"
 )
 
 // resultJSON canonicalizes a Result for byte comparison. The fast-forward
@@ -331,11 +332,11 @@ func TestActiveSetMatchesFullTick(t *testing.T) {
 		p := p
 		t.Run(p.Cfg.Name+"/"+string(p.Cfg.Channel), func(t *testing.T) {
 			active := p
-			active.FullTick = false
+			active.fullTick = false
 			a := resultJSON(t, mustRun(t, active))
 			for _, shards := range []int{0, 4} {
 				reference := p
-				reference.FullTick = true
+				reference.fullTick = true
 				reference.Cfg.EngineShards = shards
 				b := resultJSON(t, mustRun(t, reference))
 				if a != b {
@@ -458,6 +459,55 @@ func TestFastForwardByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFastForwardRunsUnderPool nests the event-horizon fast-forward inside
+// run-level parallelism: a skip-heavy phased application workload runs
+// serial and sharded, with fast-forward on and off, concurrently on the
+// worker pool store.RunPoints runs its batches on (EveryCycle is not a
+// spec point field, so the runs go to the pool directly). Every
+// fast-forwarded run must skip a nonzero number of idle cycles and,
+// telemetry aside, stay byte-identical to its every-cycle twin.
+// Short-mode friendly so the CI race job drives the sharded skip decision
+// and resume path under the race detector.
+func TestFastForwardRunsUnderPool(t *testing.T) {
+	base := config.MustXCYM(4, 4, config.ArchWireless)
+	base.WarmupCycles = 100
+	base.MeasureCycles = 4000
+	base.DrainCycles = 500
+	shardCounts := []int{0, 1, 2, 4}
+	var ps []Params
+	for _, n := range shardCounts {
+		cfg := base
+		cfg.EngineShards = n
+		for _, everyCycle := range []bool{false, true} {
+			ps = append(ps, Params{
+				Cfg:        cfg,
+				Traffic:    TrafficSpec{Kind: TrafficApp, App: "collective"},
+				EveryCycle: everyCycle,
+			})
+		}
+	}
+	rs := make([]*Result, len(ps))
+	if _, err := pool.ForEach(len(ps), len(ps), func(i int) error {
+		var err error
+		rs[i], err = Run(ps[i])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range shardCounts {
+		ff, ec := rs[2*i], rs[2*i+1]
+		if ff.IdleCyclesSkipped == 0 {
+			t.Errorf("shards=%d: fast-forward run under the pool skipped no cycles", n)
+		}
+		if ec.IdleCyclesSkipped != 0 {
+			t.Errorf("shards=%d: every-cycle run reported %d skipped cycles", n, ec.IdleCyclesSkipped)
+		}
+		if a, b := resultJSON(t, ff), resultJSON(t, ec); a != b {
+			t.Errorf("shards=%d: fast-forward diverged from every-cycle under the pool:\n%s\n%s", n, a, b)
+		}
 	}
 }
 
@@ -610,7 +660,7 @@ func TestPipelineInvariantsEveryCycle(t *testing.T) {
 	cfg.MeasureCycles = 500
 	tr := TrafficSpec{Kind: TrafficUniform, Rate: 0.05, MemFraction: 0.3, MemReadFraction: 0.5}
 	for _, fullTick := range []bool{false, true} {
-		e, err := New(Params{Cfg: cfg, Traffic: tr, FullTick: fullTick})
+		e, err := New(Params{Cfg: cfg, Traffic: tr, fullTick: fullTick})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -692,7 +742,7 @@ func TestActiveSetMatchesFullTickAtSaturation(t *testing.T) {
 			run := func(fullTick bool, shards int) string {
 				c := cfg
 				c.EngineShards = shards
-				e, err := New(Params{Cfg: c, Traffic: tr, FullTick: fullTick})
+				e, err := New(Params{Cfg: c, Traffic: tr, fullTick: fullTick})
 				if err != nil {
 					t.Fatal(err)
 				}

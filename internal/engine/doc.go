@@ -48,10 +48,11 @@
 // preserves per-component order and the sorts restore the global sweep
 // order.
 //
-// Params.FullTick selects the separate reference loop, stepFullTick: it
-// forces one shard and ticks every switch, link and endpoint every cycle
-// with no active-set or shard code, so TestActiveSetMatchesFullTick
-// compares the shard loop against an independent one.
+// The unexported Params.fullTick, set only by this package's tests,
+// selects the separate reference loop, stepFullTick: it forces one shard
+// and ticks every switch, link and endpoint every cycle with no
+// active-set or shard code, so TestActiveSetMatchesFullTick compares the
+// shard loop against an independent one.
 //
 // # Active sets: park and wake
 //
@@ -87,7 +88,7 @@
 //     traversal, and a link's token bucket, the one input that changes
 //     with time alone, is read only for a VC that could be nominated.
 //  2. Membership stays fixed during the three pipeline sweeps, so a woken
-//     switch first ticks in the same SA/ST sweep where FullTick's loop
+//     switch first ticks in the same SA/ST sweep where the full-tick loop
 //     would first find work for it. Credits reach a switch only from
 //     mailbox drains (before the sweeps), link delivery (after them), NI
 //     ticks (P2), Fabric.ApplyFaults and Fabric.Launch (S0) and, during a
@@ -134,8 +135,8 @@
 // per-cycle pipeline work dominates the serial phases — large grids
 // (16+ chips) at moderate-to-high load. Small or idle systems are faster
 // on one shard, and EngineShards is clamped to the row count. Shards
-// compose with run-level parallelism (internal/exp's worker pool): shard a
-// single big run, pool many small ones.
+// compose with run-level parallelism (store.RunPoints' worker pool):
+// shard a single big run, pool many small ones.
 //
 // # Event-horizon fast-forward
 //
@@ -154,7 +155,8 @@
 //     emit. Memoryless random sources return now+1 (they might fire any
 //     cycle); phased application profiles return the next phase boundary
 //     while in a zero-rate phase. Clamped to the generation window.
-//   - the memory reply heap's earliest readyAt,
+//   - the earliest readyAt of the pending memory replies (the first, as
+//     they are kept in delivery order),
 //   - core.Fabric.NextLaunchCycle / NextDeliveryCycle / NextFaultCycle —
 //     the MAC's next possible turn start (rotate burns control energy
 //     every turn and therefore always returns now+1; the other policies,
@@ -179,5 +181,5 @@
 // so Run exits the drain loop immediately (Result.DrainCyclesUsed /
 // DrainCyclesConfigured record the early exit). Params.EveryCycle — the
 // wimcsim -every-cycle flag — disables the fast-forward and is the
-// benchmark reference path (FullTick implies it).
+// benchmark reference path (the full-tick reference loop implies it).
 package engine

@@ -50,45 +50,37 @@ type Params struct {
 	// (id, endpoints, class, timing, hops, energy) — a packet-level trace
 	// for debugging and external analysis.
 	Trace io.Writer
-	// FullTick disables active-set scheduling and ticks every switch, link
-	// and endpoint every cycle — the reference scheduling path, a separate
-	// loop that forces one shard. Results are cycle-identical either way
-	// (the determinism regression test asserts it); FullTick exists to keep
-	// that claim checkable forever. FullTick also implies EveryCycle.
-	FullTick bool
 	// EveryCycle disables the event-horizon fast-forward (Run ticks every
-	// simulated cycle) while keeping active-set scheduling — the reference
-	// path for the fast-forward equivalence regression, in the FullTick
-	// tradition. It exists as its own knob because FullTick forces one
-	// shard, while fast-forward identity must also be checkable under
-	// sharded execution. Results are byte-identical either way (after
-	// zeroing the idle_cycles_skipped / drain-exit telemetry, which is the
-	// only thing the skip path adds).
+	// simulated cycle) while keeping active-set scheduling and sharding —
+	// the reference path for the fast-forward equivalence regression and
+	// for wimcsim -every-cycle. Results are byte-identical either way
+	// (after zeroing the idle_cycles_skipped / drain-exit telemetry, which
+	// is the only thing the skip path adds).
 	EveryCycle bool
-	// LegacySingleChannel swaps the exclusive wireless fabric onto the
-	// retained pre-sub-channel MAC (one shared medium, one global turn
-	// sequence) — the reference path for the K=1 equivalence regression,
-	// mirroring FullTick. Only meaningful with channel_assignment "single"
-	// and wireless_channels 1; the legacy MAC models only the default
-	// "rotate" arbitration policy (New rejects other policies), exports no
-	// turn-queue load signals, and therefore also rejects route_select
-	// "adaptive".
-	LegacySingleChannel bool
-	// SingleClassTable builds only the class-0 forwarding table and
-	// installs it the pre-multi-class way — the reference path for the
-	// route-selector equivalence regression, in the FullTick /
-	// LegacySingleChannel tradition: TestStaticSelectorEquivalence asserts
-	// byte-identical Result JSON between a route_select "static" run (which
-	// builds and installs every class table but always picks class 0) and
-	// this path. Models static selection only (New rejects "adaptive").
-	SingleClassTable bool
 	// BuildWorkers bounds the worker pool used for routing-table
 	// construction: <= 0 means runtime.GOMAXPROCS(0), 1 forces a
 	// sequential build. Topology construction is always one sequential
-	// pass. The built system is byte-identical for every value; the
-	// experiment runner sets 1 when its own pool already spans the cores
+	// pass. The built system is byte-identical for every value;
+	// store.RunPoints sets 1 when its own pool already spans the cores
 	// (nested parallelism would oversubscribe).
 	BuildWorkers int
+
+	// The two reference machines that package tests compare against;
+	// nothing outside the package sets them.
+	//
+	// fullTick disables active-set scheduling and ticks every switch,
+	// link and endpoint every cycle in stepFullTick, a separate loop that
+	// forces one shard and implies EveryCycle. Results are cycle-identical
+	// either way (TestActiveSetMatchesFullTick).
+	fullTick bool
+	// legacyMAC swaps the exclusive wireless fabric onto the retained
+	// pre-sub-channel MAC (core/mac_legacy.go: one shared medium, one
+	// global turn sequence), the reference for the K=1 equivalence
+	// regression. Only meaningful with channel_assignment "single" and
+	// wireless_channels 1; it models only the "rotate" policy, exports no
+	// turn-queue load signals and has no fault hooks, so New rejects the
+	// other policies, route_select "adaptive" and the fault model.
+	legacyMAC bool
 }
 
 // Engine is an assembled simulation ready to run.
@@ -136,16 +128,12 @@ type Engine struct {
 
 	genStop sim.Cycle // cycle after which traffic generation ceases
 
-	// Pending DRAM read replies: a min-heap keyed by (readyAt, seq) so the
-	// cycle loop touches only due replies instead of scanning the whole
-	// slice. Because MemServiceCycles is constant within a run, readyAt is
-	// nondecreasing in insertion order and heap order equals the insertion
-	// order the pre-heap implementation used — reply packet IDs are
-	// byte-identical. retryScratch holds replies refused by a full source
-	// queue until they re-enter the heap for the next cycle.
-	replies      replyHeap
-	replySeq     uint64
-	retryScratch []pendingReply
+	// replies holds the pending DRAM read replies in delivery order. Every
+	// reply is due MemServiceCycles after its request's delivery, a
+	// constant within a run, so delivery order is due order: the due
+	// replies are always a prefix, and a reply refused by a full source
+	// queue keeps its place ahead of every later one.
+	replies []pendingReply
 
 	// fullTick hands every cycle to the reference everything-every-cycle
 	// loop (see stepFullTick); otherwise the shards' activity sets decide
@@ -186,57 +174,7 @@ type Engine struct {
 // pendingReply is a DRAM data response awaiting issue.
 type pendingReply struct {
 	readyAt sim.Cycle
-	seq     uint64 // insertion order, the heap tiebreak
 	request *noc.Packet
-}
-
-// replyHeap is a min-heap of pendingReply ordered by (readyAt, seq).
-type replyHeap []pendingReply
-
-func (h replyHeap) less(i, j int) bool {
-	if h[i].readyAt != h[j].readyAt {
-		return h[i].readyAt < h[j].readyAt
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *replyHeap) push(pr pendingReply) {
-	*h = append(*h, pr)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *replyHeap) pop() pendingReply {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = pendingReply{}
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
 }
 
 // New builds an engine from the parameters.
@@ -245,42 +183,24 @@ func New(p Params) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if p.LegacySingleChannel && cfg.MACPolicyMode != config.PolicyRotate {
+	if p.legacyMAC && cfg.MACPolicyMode != config.PolicyRotate {
 		return nil, fmt.Errorf("engine: the legacy single-channel MAC models only mac_policy %q, got %q",
 			config.PolicyRotate, cfg.MACPolicyMode)
 	}
-	if p.LegacySingleChannel && cfg.RouteSelectMode == config.SelectAdaptive {
+	if p.legacyMAC && cfg.RouteSelectMode == config.SelectAdaptive {
 		return nil, fmt.Errorf("engine: the legacy single-channel MAC exports no turn-queue load signals; route_select %q requires the sub-channel fabric",
 			config.SelectAdaptive)
 	}
-	if p.SingleClassTable && cfg.RouteSelectMode == config.SelectAdaptive {
-		return nil, fmt.Errorf("engine: the single-class reference table models only route_select %q, got %q",
-			config.SelectStatic, config.SelectAdaptive)
-	}
-	if p.LegacySingleChannel && cfg.FaultModelActive() {
+	if p.legacyMAC && cfg.FaultModelActive() {
 		return nil, fmt.Errorf("engine: the legacy single-channel MAC has no fault hooks; wireless_per / fault_schedule require the sub-channel fabric")
-	}
-	if p.SingleClassTable && cfg.FaultModelActive() {
-		return nil, fmt.Errorf("engine: the single-class reference table has no wired-only failover class; wireless_per / fault_schedule require the multi-class build")
 	}
 	g, err := topo.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var tables *route.ClassTables
-	if p.SingleClassTable {
-		// Reference path: exactly the pre-multi-class build, one table.
-		t, terr := route.BuildWorkers(g, p.BuildWorkers)
-		if terr != nil {
-			return nil, terr
-		}
-		tables = &route.ClassTables{}
-		tables.Classes[route.ClassWirelessPreferred] = t
-	} else {
-		tables, err = route.BuildClasses(g, p.BuildWorkers)
-		if err != nil {
-			return nil, err
-		}
+	tables, err := route.BuildClasses(g, p.BuildWorkers)
+	if err != nil {
+		return nil, err
 	}
 	// Flits of different route classes share the physical channels, so
 	// deadlock freedom must hold over the UNION of the class tables'
@@ -299,9 +219,9 @@ func New(p Params) (*Engine, error) {
 		meter:      meter,
 		rng:        sim.NewRand(cfg.Seed),
 		trace:      p.Trace,
-		fullTick:   p.FullTick,
-		everyCycle: p.EveryCycle || p.FullTick,
-		legacyMAC:  p.LegacySingleChannel,
+		fullTick:   p.fullTick,
+		everyCycle: p.EveryCycle || p.fullTick,
+		legacyMAC:  p.legacyMAC,
 	}
 	e.coll = stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, cfg.FlitBits)
 	e.genStop = cfg.WarmupCycles + cfg.MeasureCycles
@@ -328,12 +248,10 @@ func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 	}
 	keep := p.Read && p.Class == noc.ClassCoreToMem && !p.Faulted
 	if keep {
-		e.replies.push(pendingReply{
+		e.replies = append(e.replies, pendingReply{
 			readyAt: now + sim.Cycle(e.cfg.MemServiceCycles),
-			seq:     e.replySeq,
 			request: p,
 		})
-		e.replySeq++
 	}
 	if e.trace != nil {
 		e.tracePacket(p)

@@ -94,7 +94,7 @@ func TestSkipEmptySpendsLessControlAtLightLoad(t *testing.T) {
 func TestLegacyRejectsNonRotatePolicies(t *testing.T) {
 	cfg := exclusiveK(config.AssignSingle, 1)
 	cfg.MACPolicyMode = config.PolicySkipEmpty
-	_, err := New(Params{Cfg: cfg, LegacySingleChannel: true,
+	_, err := New(Params{Cfg: cfg, legacyMAC: true,
 		Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.001}})
 	if err == nil {
 		t.Fatal("legacy MAC accepted mac_policy skip-empty")

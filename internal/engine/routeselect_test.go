@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -26,15 +27,15 @@ func hybridSelectCfg(chips, k int) config.Config {
 	return cfg
 }
 
-// TestStaticSelectorEquivalence is the multi-class layer's reference
-// regression in the FullTick / LegacySingleChannel tradition: a hybrid run
-// under route_select "static" — which builds and installs every class
-// table and consults no selector — must produce byte-identical Result JSON
-// to the retained single-class reference path (Params.SingleClassTable),
-// which builds only the pre-change table. Covered across the crossbar and
-// exclusive channel models, the empty default, both scheduling paths and
-// a larger preset.
-func TestStaticSelectorEquivalence(t *testing.T) {
+// TestStaticSelectorRidesClassZero: a hybrid run under route_select
+// "static", explicit or by default, builds and installs both class tables
+// but consults no selector, so every packet rides class 0: no traced
+// packet names a route class and the Result carries no per-class fields.
+// The four runs of a case (explicit and implicit selection, active-set and
+// full-tick scheduling) give byte-identical Result JSON. Covered across
+// the crossbar and exclusive channel models, the empty default and a
+// larger preset; the corpus entry hybrid-static-loaded pins the bytes.
+func TestStaticSelectorRidesClassZero(t *testing.T) {
 	type cse struct {
 		name    string
 		cfg     config.Config
@@ -53,20 +54,45 @@ func TestStaticSelectorEquivalence(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			var first string
 			for _, explicit := range []bool{false, true} {
 				for _, fullTick := range []bool{false, true} {
 					cfg := c.cfg
+					cfg.RouteSelectMode = "" // the implicit default
 					if explicit {
 						cfg.RouteSelectMode = config.SelectStatic
-					} else {
-						cfg.RouteSelectMode = "" // the implicit default
 					}
-					multi := mustRun(t, Params{Cfg: cfg, Traffic: c.traffic, FullTick: fullTick})
-					ref := mustRun(t, Params{Cfg: cfg, Traffic: c.traffic, FullTick: fullTick,
-						SingleClassTable: true})
-					if a, b := resultJSON(t, multi), resultJSON(t, ref); a != b {
-						t.Fatalf("explicit=%v fullTick=%v: static selection diverged from the single-class reference:\nmulti: %s\nref:   %s",
-							explicit, fullTick, a, b)
+					var trace bytes.Buffer
+					e, err := New(Params{Cfg: cfg, Traffic: c.traffic, Trace: &trace, fullTick: fullTick})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !e.ClassTables().MultiClass() || e.Selector() != nil {
+						t.Fatalf("explicit=%v fullTick=%v: multi-class %v, selector %T; want both class tables and no selector",
+							explicit, fullTick, e.ClassTables().MultiClass(), e.Selector())
+					}
+					r, err := e.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if trace.Len() == 0 {
+						t.Fatalf("explicit=%v fullTick=%v: no packet traced", explicit, fullTick)
+					}
+					if bytes.Contains(trace.Bytes(), []byte(`"route_class"`)) {
+						t.Fatalf("explicit=%v fullTick=%v: a traced packet carries route_class", explicit, fullTick)
+					}
+					if r.RouteClassPackets != nil || r.RouteSpills != 0 || r.RouteReturns != 0 ||
+						r.RouteClassAvgLatency != nil || r.RouteClassAvgEnergyPJ != nil {
+						t.Fatalf("explicit=%v fullTick=%v: static run reports per-class fields: %v %d %d %v %v",
+							explicit, fullTick, r.RouteClassPackets, r.RouteSpills, r.RouteReturns,
+							r.RouteClassAvgLatency, r.RouteClassAvgEnergyPJ)
+					}
+					got := resultJSON(t, r)
+					if first == "" {
+						first = got
+					} else if got != first {
+						t.Fatalf("explicit=%v fullTick=%v diverged from the implicit active-set run:\ngot:  %s\nwant: %s",
+							explicit, fullTick, got, first)
 					}
 				}
 			}
@@ -112,8 +138,8 @@ func TestAdaptiveSelectorSpillsAndWins(t *testing.T) {
 	if err := e.CheckPipelineInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Static runs must not report the adaptive-only counters (that would
-	// break the byte-identity with the single-class reference).
+	// Static runs must not report the adaptive-only counters: every
+	// packet rides class 0.
 	if rs.RouteClassPackets != nil || rs.RouteSpills != 0 {
 		t.Fatalf("static run reports selector counters: %v %d", rs.RouteClassPackets, rs.RouteSpills)
 	}
@@ -156,18 +182,10 @@ func TestAdaptiveValidationAndReferencePaths(t *testing.T) {
 	legacy.Channel = config.ChannelExclusive
 	legacy.WirelessChannels = 1
 	legacy.RouteSelectMode = config.SelectAdaptive
-	_, err := New(Params{Cfg: legacy, LegacySingleChannel: true,
+	_, err := New(Params{Cfg: legacy, legacyMAC: true,
 		Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.001}})
 	if err == nil || !strings.Contains(err.Error(), "legacy") {
 		t.Fatalf("legacy + adaptive accepted: %v", err)
-	}
-	// engine.New: the single-class reference models static only.
-	ref := config.MustXCYM(4, 4, config.ArchHybrid)
-	ref.RouteSelectMode = config.SelectAdaptive
-	_, err = New(Params{Cfg: ref, SingleClassTable: true,
-		Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.001}})
-	if err == nil || !strings.Contains(err.Error(), "single-class") {
-		t.Fatalf("single-class reference + adaptive accepted: %v", err)
 	}
 }
 

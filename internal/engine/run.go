@@ -60,8 +60,8 @@ type Result struct {
 
 	// RouteClassPackets counts packets classified as they entered the
 	// network, per route class (keys are route.RouteClass names).
-	// Populated only on adaptive hybrid runs — static runs stay
-	// byte-identical to the single-table reference.
+	// Populated only on adaptive hybrid runs; under static selection
+	// every packet rides class 0 and the field is omitted.
 	RouteClassPackets map[string]int64 `json:"route_class_packets,omitempty"`
 	// RouteSpills / RouteReturns count the adaptive selector's hysteresis
 	// transitions (WIs entering / leaving the spilled state); zero
@@ -223,7 +223,7 @@ func (e *Engine) step() {
 	}
 }
 
-// stepFullTick is the FullTick reference loop: step's phase order with
+// stepFullTick is the full-tick reference loop: step's phase order with
 // every switch, link and endpoint ticked every cycle, and no active-set
 // or shard code, so the determinism matrix compares step against an
 // independent loop.
@@ -327,12 +327,15 @@ func (e *Engine) horizon() sim.Cycle {
 	return h
 }
 
-// issueReplies offers due DRAM read replies to their channel NIs, retrying
-// next cycle when a source queue is full. Only due heap entries are
-// touched; pending replies cost nothing per cycle.
+// issueReplies offers the due DRAM read replies, a prefix of e.replies,
+// to their channel NIs in delivery order. A reply refused by a full source
+// queue stays at the front for the next cycle; the rest of the slice
+// moves up behind the refused ones. Pending replies cost nothing per
+// cycle.
 func (e *Engine) issueReplies(now sim.Cycle) {
-	for len(e.replies) > 0 && e.replies[0].readyAt <= now {
-		pr := e.replies.pop()
+	kept, i := 0, 0
+	for ; i < len(e.replies) && e.replies[i].readyAt <= now; i++ {
+		pr := e.replies[i]
 		req := pr.request
 		e.nextPkt++
 		reply := e.pool.Get()
@@ -349,14 +352,14 @@ func (e *Engine) issueReplies(now sim.Cycle) {
 		} else {
 			e.nextPkt-- // channel queue full: retry next cycle
 			e.pool.Put(reply)
-			e.retryScratch = append(e.retryScratch, pr)
+			e.replies[kept] = pr
+			kept++
 		}
 	}
-	if len(e.retryScratch) > 0 {
-		for _, pr := range e.retryScratch {
-			e.replies.push(pr)
-		}
-		e.retryScratch = e.retryScratch[:0]
+	if i > kept {
+		n := kept + copy(e.replies[kept:], e.replies[i:])
+		clear(e.replies[n:])
+		e.replies = e.replies[:n]
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // byte-identical at every shard count. doc.go has the ownership and
 // deferral rules and why each is exact.
 //
-// Params.FullTick bypasses all of this: it forces one shard and hands
-// every cycle to stepFullTick, the independent reference loop that ticks
-// every component with no active-set or shard code.
+// The test-only Params.fullTick bypasses all of this: it forces one shard
+// and hands every cycle to stepFullTick, the independent reference loop
+// that ticks every component with no active-set or shard code.
 
 // epEvent defers one NI-side engine hook invocation for serial replay.
 // ep is the global endpoint index — the stable merge key that recovers
@@ -136,7 +136,7 @@ func shardBands(n, k int) [][2]int {
 }
 
 // buildShards partitions the built system into cfg.EngineShards row bands
-// (clamped to [1, rows]; FullTick forces one) and registers every
+// (clamped to [1, rows]; fullTick forces one) and registers every
 // component on its owning shard's activity set: each component adds itself
 // on the events that give it work (flit arrival, credit in flight, packet
 // offered), and the cycle loop visits members only. With one shard that is
@@ -256,7 +256,7 @@ func (e *Engine) stopShards() {
 // RC sweeps over owned active switches, deliver active intra-shard links,
 // and park this cycle's due boundary traffic for the peers. Active sweeps
 // run in ascending index order, a strict subsequence of ticking every
-// component, so skipping idle ones is cycle-identical to FullTick.
+// component, so skipping idle ones is cycle-identical to the full-tick loop.
 func (e *Engine) tickShardPipeline(s *shard, now sim.Cycle) {
 	for _, l := range s.inBound {
 		l.DrainFlitInbox(now)
@@ -428,8 +428,9 @@ func (s *shard) owns(id sim.SwitchID) bool {
 // (a dropped wake shows here the cycle after it was lost); the second that
 // active ∪ parked is exactly the set of components holding work, the
 // membership the quiescence probe relies on. Valid at every step boundary
-// on both scheduling paths: FullTick never parks, and there every holder
-// is active because a component joins on the event that gives it work.
+// on both scheduling paths: the full-tick loop never parks, and there
+// every holder is active because a component joins on the event that
+// gives it work.
 func (e *Engine) checkMembership(s *shard) error {
 	for _, i := range s.switchIdx {
 		sw := e.switches[i]

@@ -44,7 +44,7 @@ func TestOneShardWiring(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d/fulltick=%v", tc.shards, tc.fullTick), func(t *testing.T) {
 			c := cfg
 			c.EngineShards = tc.shards
-			e, err := New(Params{Cfg: c, Traffic: tr, FullTick: tc.fullTick})
+			e, err := New(Params{Cfg: c, Traffic: tr, fullTick: tc.fullTick})
 			if err != nil {
 				t.Fatal(err)
 			}

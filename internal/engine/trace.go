@@ -29,12 +29,8 @@ type TraceRecord struct {
 	RouteClass string `json:"route_class,omitempty"`
 }
 
-// tracePacket emits one JSON line for a delivered packet. The first write
-// error is retained and reported by Run.
+// tracePacket emits one JSON line for a delivered packet.
 func (e *Engine) tracePacket(p *noc.Packet) {
-	if e.traceErr != nil {
-		return
-	}
 	rec := TraceRecord{
 		ID:          p.ID,
 		Src:         p.Src,
@@ -52,15 +48,7 @@ func (e *Engine) tracePacket(p *noc.Packet) {
 	if p.RouteClass != 0 {
 		rec.RouteClass = route.RouteClass(p.RouteClass).String()
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		e.traceErr = fmt.Errorf("engine: trace encode: %w", err)
-		return
-	}
-	data = append(data, '\n')
-	if _, err := e.trace.Write(data); err != nil {
-		e.traceErr = fmt.Errorf("engine: trace write: %w", err)
-	}
+	e.writeTrace(rec)
 }
 
 // FaultTraceRecord is one line of the fault-event trace, interleaved with
@@ -76,14 +64,20 @@ type FaultTraceRecord struct {
 }
 
 // traceFault emits one JSON line for a fault-model event, on the same
-// writer (and with the same first-error retention) as the packet trace.
+// writer as the packet trace.
 func (e *Engine) traceFault(now sim.Cycle, n core.FaultNotice) {
-	if e.trace == nil || e.traceErr != nil {
-		return
-	}
 	rec := FaultTraceRecord{Fault: n.Kind, Cycle: now, WI: n.WI, Reason: n.Reason}
 	if n.Pkt != nil {
 		rec.Pkt = n.Pkt.ID
+	}
+	e.writeTrace(rec)
+}
+
+// writeTrace writes rec as one JSON line. The first encode or write error
+// is retained, ends the trace and is reported by Run.
+func (e *Engine) writeTrace(rec any) {
+	if e.traceErr != nil {
+		return
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {

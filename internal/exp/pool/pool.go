@@ -1,8 +1,8 @@
-// Package pool provides the bounded, deterministic parallel-for that backs
-// both the experiment runner (internal/exp) and the per-destination
-// routing-table fills (internal/route). It lives below internal/exp so
-// packages the engine depends on can share the worker pool without an
-// import cycle.
+// Package pool provides the bounded, deterministic parallel-for that
+// store.RunPoints runs a batch's engine runs on and internal/route fans
+// its per-destination table fills and deadlock walks across. It imports
+// only the standard library, so packages below the engine can share it
+// without an import cycle.
 //
 // # Determinism contract
 //

@@ -17,6 +17,6 @@
 // arch field would run a different system); single-field knobs are
 // partial patches. A figure's points are therefore expanded, validated
 // and keyed exactly like a spec file's, cached through Opts.Store when
-// one is set, and run on the parallel experiment pool otherwise, so
-// tables regenerate bit-identically at any worker count, cached or not.
+// one is set, and run by store.RunPoints either way, so tables
+// regenerate bit-identically at any worker count, cached or not.
 package figures

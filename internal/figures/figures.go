@@ -77,9 +77,9 @@ type Opts struct {
 	Quick bool
 	// Seed overrides the default seed when nonzero.
 	Seed uint64
-	// Workers bounds the parallel experiment runner: 0 uses every core
+	// Workers bounds store.RunPoints' worker pool: 0 uses every core
 	// (GOMAXPROCS), 1 runs sequentially. Tables are byte-identical either
-	// way (internal/exp's determinism contract).
+	// way (internal/store's determinism contract).
 	Workers int
 	// ScaleSizes overrides the system-size ladder of the scale sweep and
 	// the channel sweep (chip counts; stacks scale along). Empty selects

@@ -18,7 +18,7 @@ type RouteClass uint8
 // packet routes exactly like the single-table simulator.
 const (
 	// ClassWirelessPreferred routes over the full graph (wired edges plus
-	// the wireless full graph) — the single table Build produces.
+	// the wireless full graph) — the only table of a non-hybrid graph.
 	ClassWirelessPreferred RouteClass = iota
 	// ClassWiredOnly routes over the wired subgraph only; on a hybrid this
 	// is the interposer underlay. Built for hybrid shortest-path graphs.
@@ -43,9 +43,8 @@ func (c RouteClass) String() string {
 // ClassTables holds the per-fabric-class forwarding tables of one graph.
 type ClassTables struct {
 	// Classes is indexed by RouteClass. Classes[ClassWirelessPreferred] is
-	// always present and byte-identical to the single table Build returns;
-	// Classes[ClassWiredOnly] is non-nil only on multi-class graphs
-	// (hybrid architecture, shortest-path routing).
+	// always present; Classes[ClassWiredOnly] is non-nil only on
+	// multi-class graphs (hybrid architecture, shortest-path routing).
 	Classes [NumClasses]*Tables
 
 	// TxWI[s][d] is the host switch of the transmitting WI on the class-0
@@ -84,7 +83,7 @@ func (ct *ClassTables) Tables() []*Tables {
 }
 
 // BuildClasses computes the per-class forwarding tables for the graph.
-// Class 0 is always the full-graph table (identical to Build). Hybrid
+// Class 0 is always the full-graph table. Hybrid
 // graphs under shortest-path routing additionally get the wired-only
 // class table and the TxWI lookup; every other architecture has exactly
 // one medium choice per pair, so only class 0 exists.

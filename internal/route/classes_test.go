@@ -46,31 +46,6 @@ func TestBuildClassesSingleOutsideHybrid(t *testing.T) {
 	}
 }
 
-// TestClassZeroMatchesSingleTableBuild: the class-0 table must be
-// byte-identical to the single table Build produces (the static-selection
-// equivalence at the table level), path costs included.
-func TestClassZeroMatchesSingleTableBuild(t *testing.T) {
-	for _, arch := range []config.Architecture{config.ArchWireless, config.ArchHybrid} {
-		cfg := config.MustXCYM(4, 4, arch)
-		g, err := topo.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, err := Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := BuildClasses(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single.Next, ct.Primary().Next) ||
-			!reflect.DeepEqual(pathCost(t, g, single), pathCost(t, g, ct.Primary())) {
-			t.Fatalf("%s: class-0 table differs from the single-table build", arch)
-		}
-	}
-}
-
 // TestWiredOnlyClassAvoidsWireless: no hop of any wired-only route crosses
 // the wireless fabric, and wired routes can only be as long or longer than
 // the full-graph shortest paths.

@@ -60,7 +60,7 @@ func corruptedTables(t *testing.T, arch config.Architecture, workers int) (*topo
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := BuildWorkers(g, workers)
+	tb, err := buildSingle(g, workers, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@
 // multi-class layer (BuildClasses) instead builds one table per fabric
 // class, sharing the parallel Dijkstra machinery:
 //
-//   - ClassWirelessPreferred (class 0): the full-graph shortest-path table —
-//     byte-identical to the single table Build produces, so the default
-//     remains exactly the pre-class behavior.
+//   - ClassWirelessPreferred (class 0): the full-graph shortest-path table,
+//     the only table of every non-hybrid graph and the one every packet
+//     of a hybrid run under static selection rides.
 //
 //   - ClassWiredOnly (class 1): shortest paths over the wired edges only,
 //     without the wireless overlay. On a hybrid this is the interposer
@@ -43,9 +43,10 @@
 // # Selectors
 //
 // A Selector picks the route class of each packet at injection time.
-// StaticSelector always answers ClassWirelessPreferred — the single-table
-// behavior, proven byte-identical by the engine's
-// TestStaticSelectorEquivalence. AdaptiveSelector spills wireless-bound
+// StaticSelector always answers ClassWirelessPreferred; the engine needs it
+// only under a fault-failover wrapper, and under plain static selection it
+// installs no selector at all (the engine's
+// TestStaticSelectorRidesClassZero). AdaptiveSelector spills wireless-bound
 // packets onto the wired class while the transmitting WI is saturated
 // (TX-backlog, MAC turn-queue and wired-credit signals, supplied live by
 // the engine through a LoadProbe) and pulls them back when it drains;

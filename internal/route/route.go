@@ -69,23 +69,13 @@ type routeGraph struct {
 	ww int32
 }
 
-// Build computes forwarding tables for the graph using its configuration,
-// fanning per-destination table fills across runtime.GOMAXPROCS(0) workers
-// (tables are byte-identical to a sequential build: every destination's
-// column is computed independently and written to disjoint entries).
-func Build(g *topo.Graph) (*Tables, error) {
-	return BuildWorkers(g, 0)
-}
-
-// BuildWorkers is Build with an explicit worker-pool bound: <= 0 means
-// runtime.GOMAXPROCS(0), 1 forces a fully sequential build.
-func BuildWorkers(g *topo.Graph, workers int) (*Tables, error) {
-	return buildSingle(g, workers, true)
-}
-
-// buildSingle computes one forwarding table. includeWireless selects
-// whether the wireless full graph joins the adjacency (true reproduces
-// Build exactly); false yields the wired-only class table of a hybrid.
+// buildSingle computes one forwarding table, fanning the per-destination
+// fills across at most workers goroutines (<= 0 means
+// runtime.GOMAXPROCS(0), 1 a sequential build); the table is the same at
+// every worker count, since each destination's column is computed
+// independently into disjoint entries. includeWireless selects whether the
+// wireless full graph joins the adjacency: true gives class 0, false the
+// wired-only class table of a hybrid.
 func buildSingle(g *topo.Graph, workers int, includeWireless bool) (*Tables, error) {
 	rg := newRouteGraph(g, includeWireless)
 	t := &Tables{

@@ -17,7 +17,7 @@ func buildTables(t *testing.T, chips int, arch config.Architecture, mode config.
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := Build(g)
+	tb, err := buildSingle(g, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestTreeRootSeedDependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := Build(g)
+		tb, err := buildSingle(g, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,12 +353,12 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := BuildWorkers(g, 1)
+			ref, err := buildSingle(g, 1, true)
 			if err != nil {
 				t.Fatalf("%s/%s: sequential build: %v", arch, mode, err)
 			}
 			for _, workers := range []int{0, 2, 7} {
-				tb, err := BuildWorkers(g, workers)
+				tb, err := buildSingle(g, workers, true)
 				if err != nil {
 					t.Fatalf("%s/%s: %d-worker build: %v", arch, mode, workers, err)
 				}

@@ -14,10 +14,9 @@ type Selector interface {
 	Pick(now sim.Cycle, src, dst sim.SwitchID) RouteClass
 }
 
-// StaticSelector always answers ClassWirelessPreferred: the single-table
-// behavior every run had before the multi-class layer, kept byte-identical
-// (the engine's TestStaticSelectorEquivalence pins it against the retained
-// single-table reference path).
+// StaticSelector always answers ClassWirelessPreferred: every packet rides
+// class 0, as on a non-hybrid graph. The engine wraps it for fault
+// failover on a static hybrid; without faults it installs no selector.
 type StaticSelector struct{}
 
 // Pick implements Selector.

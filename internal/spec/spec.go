@@ -39,7 +39,7 @@ type Spec struct {
 	// Workers bounds the worker pool an executor runs this spec's points
 	// on: 0 means the executor's default (typically one worker per core),
 	// 1 forces sequential execution. Results are byte-identical for every
-	// value (internal/exp's determinism contract), so Workers is an
+	// value (internal/store's determinism contract), so Workers is an
 	// execution knob, not part of the experiment identity: it does not
 	// enter Hash or any point key.
 	Workers int `json:"workers,omitempty"`
@@ -299,12 +299,6 @@ func ConfigPoint(label string, fields any) AxisPoint {
 // TrafficPoint returns an axis point patching traffic fields.
 func TrafficPoint(label string, fields any) AxisPoint {
 	return AxisPoint{Label: label, Patch: mustPatch(nil, fields)}
-}
-
-// PatchPoint returns an axis point patching both halves; either may be
-// nil for none.
-func PatchPoint(label string, cfgFields, trafficFields any) AxisPoint {
-	return AxisPoint{Label: label, Patch: mustPatch(cfgFields, trafficFields)}
 }
 
 // mustPatch assembles {"config": c, "traffic": t}, omitting nil halves.

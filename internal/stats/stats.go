@@ -30,7 +30,6 @@ type Collector struct {
 	NetLatSum   float64
 	QueueLatSum float64
 	HopSum      int64
-	EnergyPJSum float64
 	MaxLatency  sim.Cycle
 	Retransmits int64
 	latHist     [histBuckets]int64
@@ -105,7 +104,6 @@ func (c *Collector) OnDelivered(now sim.Cycle, p *noc.Packet) {
 	c.NetLatSum += float64(p.NetworkLatency())
 	c.QueueLatSum += float64(p.InjectedAt - p.CreatedAt)
 	c.HopSum += int64(p.Hops)
-	c.EnergyPJSum += p.EnergyPJ()
 	c.Retransmits += int64(p.Retransmits)
 	if lat > c.MaxLatency {
 		c.MaxLatency = lat
@@ -150,11 +148,6 @@ func (c *Collector) AvgQueueLatency() float64 { return safeDiv(c.QueueLatSum, fl
 
 // AvgHops returns the mean head-flit switch traversals.
 func (c *Collector) AvgHops() float64 { return safeDiv(float64(c.HopSum), float64(c.Packets)) }
-
-// AvgPacketDynamicPJ returns the mean packet-attributed dynamic energy.
-func (c *Collector) AvgPacketDynamicPJ() float64 {
-	return safeDiv(c.EnergyPJSum, float64(c.Packets))
-}
 
 // AvgWindowLatency returns the mean latency of every packet delivered in
 // the measurement window regardless of creation time — the meaningful

@@ -7,11 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"sync"
 
 	"wimc/internal/engine"
-	"wimc/internal/exp"
+	"wimc/internal/exp/pool"
 	"wimc/internal/spec"
 )
 
@@ -176,14 +176,20 @@ type Stats struct {
 type Observer func(i int, r *engine.Result, cached bool)
 
 // RunPoints executes expanded spec points through the cache: cached
-// entries are served from st, the rest run on the internal/exp pool
-// (workers semantics as exp.RunIndexed) and are stored as they complete,
-// so even an interrupted batch keeps its finished points. Each key is
-// computed from the point's Config and Traffic rather than taken from
-// Point.Key, so a hand-built Point cannot file its Result under another
-// point's key. A nil st runs everything (all misses, nothing stored).
-// Results are in input order and byte-identical to uncached runs of the
-// same points.
+// entries are served from st, the rest run on a pool of at most workers
+// goroutines (<= 0 means runtime.GOMAXPROCS(0), 1 a plain sequential loop
+// with no goroutines) and are stored as they complete, so even an
+// interrupted batch keeps its finished points. Each key is computed from
+// the point's Config and Traffic rather than taken from Point.Key, so a
+// hand-built Point cannot file its Result under another point's key. A nil
+// st runs everything (all misses, nothing stored).
+//
+// Results are in input order, and the returned error, which names its
+// point, is the lowest-index failure (see the package doc). The worker
+// budget is split between the pool and each run's route-table build: a
+// pool as wide as the budget builds sequentially, a narrower one (few
+// misses) hands each run the leftover workers. Route tables are the same
+// at every worker count, so the split moves no Result byte.
 func RunPoints(st *Store, workers int, pts []spec.Point, obs Observer) ([]*engine.Result, Stats, error) {
 	results := make([]*engine.Result, len(pts))
 	var stats Stats
@@ -216,36 +222,30 @@ func RunPoints(st *Store, workers int, pts []spec.Point, obs Observer) ([]*engin
 	if len(missIdx) == 0 {
 		return results, stats, nil
 	}
-	missParams := make([]engine.Params, len(missIdx))
-	for j, i := range missIdx {
-		missParams[j] = pts[i].Params()
+	budget := workers
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
 	}
-	var putMu sync.Mutex
-	var putErr error
-	rs, j, err := exp.RunIndexedObserved(workers, missParams, func(j int, r *engine.Result) {
+	buildWorkers := budget / min(budget, len(missIdx))
+	_, err := pool.ForEach(workers, len(missIdx), func(j int) error {
 		i := missIdx[j]
-		if st != nil {
-			if err := st.Put(keys[i], r); err != nil {
-				putMu.Lock()
-				if putErr == nil {
-					putErr = err
-				}
-				putMu.Unlock()
-			}
+		p := pts[i].Params()
+		p.BuildWorkers = buildWorkers
+		r, err := engine.Run(p)
+		if err == nil && st != nil {
+			err = st.Put(keys[i], r)
 		}
+		if err != nil {
+			return fmt.Errorf("store: point %d (%s): %w", i, pts[i].Config.Name, err)
+		}
+		results[i] = r
 		if obs != nil {
 			obs(i, r, false)
 		}
+		return nil
 	})
 	if err != nil {
-		i := missIdx[j]
-		return nil, stats, fmt.Errorf("store: point %d (%s): %w", i, pts[i].Config.Name, err)
-	}
-	if putErr != nil {
-		return nil, stats, putErr
-	}
-	for j, i := range missIdx {
-		results[i] = rs[j]
+		return nil, stats, err
 	}
 	stats.Misses = len(missIdx)
 	return results, stats, nil

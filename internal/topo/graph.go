@@ -137,15 +137,6 @@ func (g *Graph) SwitchCount() int { return len(g.Nodes) }
 // EndpointCount returns the number of endpoints.
 func (g *Graph) EndpointCount() int { return len(g.Endpoints) }
 
-// Node returns the node with the given switch ID.
-func (g *Graph) Node(id sim.SwitchID) Node { return g.Nodes[id] }
-
-// EndpointByID returns the endpoint record for id.
-func (g *Graph) EndpointByID(id sim.EndpointID) Endpoint { return g.Endpoints[id] }
-
-// ChipOfEndpoint returns the chip index of an endpoint, or -1 for memory.
-func (g *Graph) ChipOfEndpoint(id sim.EndpointID) int { return g.Endpoints[id].Chip }
-
 // HasWireless reports whether the topology deploys wireless interfaces.
 func (g *Graph) HasWireless() bool { return len(g.WISwitches) > 0 }
 

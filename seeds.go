@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"wimc/internal/engine"
-	"wimc/internal/exp"
+	"wimc/internal/spec"
+	"wimc/internal/store"
 )
 
 // SeedStats aggregates key metrics over repeated runs with different seeds,
@@ -33,15 +33,15 @@ func RunSeeds(cfg Config, traffic TrafficSpec, seeds []uint64) (*SeedStats, erro
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("wimc: RunSeeds needs at least one seed")
 	}
-	ps := make([]engine.Params, len(seeds))
+	pts := make([]spec.Point, len(seeds))
 	for i, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		ps[i] = engine.Params{Cfg: c, Traffic: traffic}
+		pts[i] = spec.Point{Config: c, Traffic: traffic}
 	}
-	rs, idx, err := exp.RunIndexed(0, ps)
+	rs, _, err := store.RunPoints(nil, 0, pts, nil)
 	if err != nil {
-		return nil, fmt.Errorf("wimc: seed %d: %w", seeds[idx], err)
+		return nil, fmt.Errorf("wimc: %w", err)
 	}
 	st := &SeedStats{Runs: len(seeds)}
 	var lat, bw, en []float64

@@ -2,11 +2,10 @@ package wimc
 
 import (
 	"fmt"
-	"strings"
 
 	"wimc/internal/engine"
-	"wimc/internal/exp"
 	"wimc/internal/spec"
+	"wimc/internal/store"
 )
 
 // EngineVersion identifies the simulation semantics of this build; it is
@@ -67,7 +66,7 @@ type SweepPoint struct {
 // Sweep expands the spec and runs every point, returning results in
 // expansion order (first axis outermost). Points run concurrently on a
 // worker pool bounded by spec.Workers (0 means one worker per core);
-// results are byte-identical for every worker count (internal/exp's
+// results are byte-identical for every worker count (internal/store's
 // determinism contract).
 //
 // Sweep always recomputes; for cached, incremental execution submit the
@@ -77,14 +76,9 @@ func Sweep(s *Spec) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wimc: %w", err)
 	}
-	ps := make([]engine.Params, len(pts))
-	for i := range pts {
-		ps[i] = pts[i].Params()
-	}
-	rs, idx, err := exp.RunIndexed(s.Workers, ps)
+	rs, _, err := store.RunPoints(nil, s.Workers, pts, nil)
 	if err != nil {
-		return nil, fmt.Errorf("wimc: sweep point %d (%s): %w",
-			idx, strings.Join(pts[idx].Labels, "/"), err)
+		return nil, fmt.Errorf("wimc: %w", err)
 	}
 	out := make([]SweepPoint, len(pts))
 	for i := range pts {

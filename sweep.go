@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"wimc/internal/config"
-	"wimc/internal/engine"
-	"wimc/internal/exp"
+	"wimc/internal/spec"
+	"wimc/internal/store"
 )
 
 // Saturate runs the system at maximum load (rate 1.0) and returns the
@@ -56,13 +56,13 @@ func GainOver(sys, base *Result) Gain {
 func CompareAtSaturation(cfgs []Config, traffic TrafficSpec) ([]*Result, error) {
 	t := traffic
 	t.Rate = 1.0
-	ps := make([]engine.Params, len(cfgs))
+	pts := make([]spec.Point, len(cfgs))
 	for i, c := range cfgs {
-		ps[i] = engine.Params{Cfg: c, Traffic: t}
+		pts[i] = spec.Point{Config: c, Traffic: t}
 	}
-	rs, idx, err := exp.RunIndexed(0, ps)
+	rs, _, err := store.RunPoints(nil, 0, pts, nil)
 	if err != nil {
-		return nil, fmt.Errorf("wimc: %s: %w", cfgs[idx].Name, err)
+		return nil, fmt.Errorf("wimc: %w", err)
 	}
 	return rs, nil
 }
