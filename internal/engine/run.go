@@ -329,9 +329,8 @@ func (e *Engine) horizon() sim.Cycle {
 
 // issueReplies offers the due DRAM read replies, a prefix of e.replies,
 // to their channel NIs in delivery order. A reply refused by a full source
-// queue stays at the front for the next cycle; the rest of the slice
-// moves up behind the refused ones. Pending replies cost nothing per
-// cycle.
+// queue stays at the front for the next cycle, and the replies not yet due
+// move up behind it; the loop visits only the due prefix.
 func (e *Engine) issueReplies(now sim.Cycle) {
 	kept, i := 0, 0
 	for ; i < len(e.replies) && e.replies[i].readyAt <= now; i++ {

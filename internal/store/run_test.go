@@ -3,6 +3,9 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,5 +151,27 @@ func TestShardedRunsUnderPool(t *testing.T) {
 		if string(got) != string(serial) {
 			t.Fatalf("shards=%d under the pool diverged from serial:\n%s\n%s", n, serial, got)
 		}
+	}
+}
+
+// TestRunPointsReportsPutFailure: a Result that cannot be stored fails the
+// batch with an error naming its point, and the observer never sees it.
+func TestRunPointsReportsPutFailure(t *testing.T) {
+	st := openTemp(t)
+	pts := []spec.Point{quickPoint(0.001, 1)}
+	key, err := spec.PointKey(pts[0].Config, pts[0].Traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A dangling symlink where the key's object directory belongs reads
+	// as a miss but cannot be created, so Get succeeds and Put fails.
+	if err := os.Symlink("missing", filepath.Join(st.Dir(), "objects", key[:2])); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = RunPoints(st, 1, pts, func(i int, r *engine.Result, cached bool) {
+		t.Errorf("point %d observed although its Put failed", i)
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "store: point 0 (") || !strings.Contains(err.Error(), "put "+key) {
+		t.Fatalf("got error %v, want a put failure naming point 0", err)
 	}
 }
