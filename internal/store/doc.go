@@ -3,9 +3,9 @@
 // engine version) — and executes spec batches through it: RunPoints /
 // RunSpec serve every already-computed point from disk and run only the
 // misses on the internal/exp/pool worker pool, storing each Result as it
-// lands. RunPoints with a nil store is the batch runner of every grid of
-// simulations: wimc.Sweep, RunSeeds and CompareAtSaturation, the figure
-// generators, wimcbench -spec and wimcd all run through it.
+// lands. RunPoints is the batch runner of every grid of simulations:
+// wimc.Sweep, RunSeeds and CompareAtSaturation (with a nil store), the
+// figure generators, wimcbench -spec and wimcd all run through it.
 //
 // The cache makes experiment re-execution incremental: re-running a sweep
 // after a config tweak recomputes only the points the tweak touched, and
