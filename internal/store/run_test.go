@@ -165,7 +165,7 @@ func TestRunPointsReportsPutFailure(t *testing.T) {
 	}
 	// A dangling symlink where the key's object directory belongs reads
 	// as a miss but cannot be created, so Get succeeds and Put fails.
-	if err := os.Symlink("missing", filepath.Join(st.Dir(), "objects", key[:2])); err != nil {
+	if err = os.Symlink("missing", filepath.Join(st.Dir(), "objects", key[:2])); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = RunPoints(st, 1, pts, func(i int, r *engine.Result, cached bool) {
