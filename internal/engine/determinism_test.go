@@ -273,6 +273,14 @@ func determinismParams() []Params {
 	hybridStaticLoaded.MACPolicyMode = config.PolicySkipEmpty
 	hybridStaticLoaded.RouteSelectMode = config.SelectStatic
 
+	// A loaded fault model: at PER 0.5 with a retry budget of one, head
+	// flits exhaust their budget under contention, so retry-exhausted drops
+	// and the transceiver-side consumption of their straggler flits run
+	// at load (the low-rate per entry above drops nothing).
+	perLoaded := loaded("per-loaded", config.MACControlPacket, config.AssignSpatialReuse, 2, config.PolicySkipEmpty)
+	perLoaded.WirelessPER = 0.5
+	perLoaded.WirelessRetryLimit = 1
+
 	return []Params{
 		{Cfg: large, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
 		{Cfg: wireless, Traffic: TrafficSpec{Kind: TrafficUniform, Rate: 0.002, MemFraction: 0.2}},
@@ -301,6 +309,7 @@ func determinismParams() []Params {
 		{Cfg: berLoaded, Traffic: saturated},
 		{Cfg: crossbar16Loaded, Traffic: saturated},
 		{Cfg: hybridStaticLoaded, Traffic: saturated},
+		{Cfg: perLoaded, Traffic: saturated},
 	}
 }
 
