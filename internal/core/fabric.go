@@ -86,14 +86,6 @@ type Fabric struct {
 	// zero cost and zero rng draws — unless config.FaultModelActive.
 	faults *faultState
 
-	// deferring marks the sharded engine's parallel pipeline phase: while
-	// set, the fabric-global halves of WI.Accept and of fault drops are
-	// appended to the accepting WI's shard log (WI.shardOps) instead of
-	// applied, and the engine replays them in serial switch order at the
-	// cycle's synchronization point (ReplayShardOps). Toggled only from the
-	// engine's serial phases, so every shard observes the same value.
-	deferring bool
-
 	// Statistics.
 	ControlPackets int64
 	TokenPasses    int64
@@ -214,7 +206,7 @@ func (sub *subChannel) dequeue(slot int) {
 func (fb *Fabric) wantsTurn(w *WI) bool { return fb.rotate || w.txLen > 0 }
 
 // txAdded applies the fabric-global half of one flit entering w's TX
-// queues (WI.Accept, directly or through ReplayShardOps): the txTotal
+// queues (WI.Accept, through ReplayShardOps): the txTotal
 // launch predicate and, when first reports that the flit made w
 // backlogged, its sub-channel's contention counter and turn queue.
 func (fb *Fabric) txAdded(w *WI, first bool) {

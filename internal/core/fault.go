@@ -320,18 +320,14 @@ func (fb *Fabric) dropPacket(now sim.Cycle, w *WI, q int, run []txEntry, reason 
 	fb.registerDrop(now, p, w, reason, sawTail)
 }
 
-// registerDrop counts one abandoned packet and registers it for straggler
-// consumption unless its tail was already among the removed flits. The
-// registry write is per-WI (single-writer under sharding); the global drop
-// counter and the engine notice defer to serial replay while the fabric is
-// in deferred mode.
+// registerDrop counts one packet abandoned in a serial phase (a WI
+// failure or an exhausted retry budget) and registers it for straggler
+// consumption unless its tail was already among the removed flits. It
+// applies at once: logging it for the replay would move its drop trace
+// record behind the retransmit records Launch writes later in the cycle.
 func (fb *Fabric) registerDrop(now sim.Cycle, p *noc.Packet, w *WI, reason string, sawTail bool) {
 	if !sawTail {
 		w.droppedPkts[p.ID] = true
-	}
-	if fb.deferring {
-		*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpDrop, Pkt: p, Reason: reason})
-		return
 	}
 	fb.Drops++
 	if fs := fb.faults; fs.onFault != nil {
@@ -410,15 +406,20 @@ func (fb *Fabric) dropRetryExhausted(now sim.Cycle, w *WI, q int) {
 // and new packets arriving at a dead WI. Consumed flits return their
 // switch credit immediately and count into DroppedFlits (conservation).
 // Body flits of committed wormholes pass through a dead WI so the
-// in-flight transfer can finish.
-func (fb *Fabric) acceptFaulted(now sim.Cycle, w *WI, f noc.Flit) bool {
+// in-flight transfer can finish. It runs in the pipeline phase, so the
+// drop counter, the drop notice and DroppedFlits go through w's op log;
+// the straggler registry is per-WI and is written at once.
+func (fb *Fabric) acceptFaulted(w *WI, f noc.Flit) bool {
 	fs := fb.faults
 	if w.droppedPkts[f.Pkt.ID] {
 		fb.consumeDroppedFlit(w, f)
 		return true
 	}
 	if fs.dead[w.Index] && f.IsHead() {
-		fb.registerDrop(now, f.Pkt, w, "wi-fail", f.IsTail())
+		if !f.IsTail() {
+			w.droppedPkts[f.Pkt.ID] = true
+		}
+		*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpDrop, Pkt: f.Pkt, Reason: "wi-fail"})
 		fb.consumeDroppedFlit(w, f)
 		return true
 	}
@@ -427,13 +428,9 @@ func (fb *Fabric) acceptFaulted(now sim.Cycle, w *WI, f noc.Flit) bool {
 
 // consumeDroppedFlit blackholes one flit of an abandoned packet. The
 // credit return and registry delete are per-WI; the global flit counter
-// defers to serial replay while the fabric is in deferred mode.
+// goes through w's op log.
 func (fb *Fabric) consumeDroppedFlit(w *WI, f noc.Flit) {
-	if fb.deferring {
-		*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpConsume})
-	} else {
-		fb.DroppedFlits++
-	}
+	*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpConsume})
 	w.sw.ReturnCredit(w.outPort, int(f.VC))
 	if f.IsTail() {
 		delete(w.droppedPkts, f.Pkt.ID)

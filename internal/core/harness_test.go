@@ -10,7 +10,9 @@ import (
 )
 
 // rig is a minimal all-wireless network: n switches, each hosting one WI
-// and one endpoint; every route crosses the wireless fabric.
+// and one endpoint; every route crosses the wireless fabric. The WIs log
+// into ops and the NIs into events, which the rig replays and drains each
+// cycle, as a one-shard engine does.
 type rig struct {
 	cfg       config.Config
 	meter     *energy.Meter
@@ -18,6 +20,8 @@ type rig struct {
 	switches  []*noc.Switch
 	endpoints []*noc.Endpoint
 	wis       []*WI
+	ops       []ShardOp
+	events    []noc.Event
 	delivered []*noc.Packet
 	now       sim.Cycle
 }
@@ -43,21 +47,22 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 	r := &rig{cfg: cfg, meter: m}
 	r.fabric = NewFabric(cfg, m, sim.NewRand(7).Derive("wireless-test"))
 
-	onDeliver := func(_ sim.Cycle, p *noc.Packet) { r.delivered = append(r.delivered, p) }
-
 	for i := 0; i < n; i++ {
 		sw := noc.NewSwitch(sim.SwitchID(i), cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m)
 		sw.SetPhaseSplit(true, cfg.PostWirelessVCs)
 		r.switches = append(r.switches, sw)
 		// WIs sit on a line along x: spatial-reuse zones become contiguous
 		// index ranges, which the sub-channel tests rely on.
-		r.wis = append(r.wis, r.fabric.AddWI(sw, i, 0))
+		w := r.fabric.AddWI(sw, i, 0)
+		w.SetShardLog(&r.ops)
+		r.wis = append(r.wis, w)
 	}
 	for i, sw := range r.switches {
 		in := sw.AddInputPort(nil)
 		out := sw.AddOutputPort(nil, cfg.BufferDepth)
 		ep := noc.NewEndpoint(sim.EndpointID(i), sw, in, out, 1, 0,
-			energy.ClassLinkLocal, cfg.FlitBits, 64, onDeliver, m)
+			energy.ClassLinkLocal, cfg.FlitBits, 64, m)
+		ep.SetShard(nil, i, &r.events)
 		sw.SetInputCredit(in, ep)
 		sw.SetOutputConduit(out, ep)
 		r.endpoints = append(r.endpoints, ep)
@@ -78,6 +83,14 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 
 func (r *rig) step() {
 	r.fabric.Launch(r.now)
+	r.sweep()
+	r.fabric.Deliver(r.now)
+	r.tickEndpoints()
+	r.now++
+}
+
+// sweep runs the switch pipelines, then replays the WIs' op log.
+func (r *rig) sweep() {
 	for _, sw := range r.switches {
 		sw.TickSAST(r.now)
 	}
@@ -87,11 +100,22 @@ func (r *rig) step() {
 	for _, sw := range r.switches {
 		sw.TickRC(r.now)
 	}
-	r.fabric.Deliver(r.now)
+	r.fabric.ReplayShardOps(r.now, r.ops)
+	r.ops = r.ops[:0]
+}
+
+// tickEndpoints ticks the NIs, then drains their event log: each delivered
+// packet goes to delivered.
+func (r *rig) tickEndpoints() {
 	for _, ep := range r.endpoints {
 		ep.Tick(r.now)
 	}
-	r.now++
+	for _, ev := range r.events {
+		if ev.Kind == noc.EvDelivered {
+			r.delivered = append(r.delivered, ev.Pkt)
+		}
+	}
+	r.events = r.events[:0]
 }
 
 func (r *rig) run(cycles int) {

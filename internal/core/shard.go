@@ -5,27 +5,27 @@ import (
 	"wimc/internal/sim"
 )
 
-// This file is the fabric's side of the engine's sharded execution mode.
+// This file is the fabric's side of the engine's shards.
 //
-// During the parallel pipeline phase, every shard sweeps only its own
-// switches, so WI.Accept (and the fault model's acceptance paths) run
-// concurrently across shards. All per-WI state they touch is single-writer
-// — a WI is fed by exactly one switch, owned by exactly one shard — but a
-// handful of mutations are fabric-global: the txTotal launch predicate,
-// the per-sub-channel backlog counters and turn queues, and the
-// fault-model drop statistics and engine notices. While fb.deferring is
-// set, those globals are logged as ShardOps in the accepting WI's shard
-// log instead of applied; after the barrier the engine merges the logs in
-// ascending host-switch order — exactly the order the serial engine's
-// ascending pipeline sweep would have applied them — and replays them
-// here. At most one Accept reaches a WI per cycle (its host switch moves
-// at most one flit into the wireless output port per cycle), so switch ID
-// is a unique, stable merge key.
+// In the pipeline phase every shard sweeps only its own switches, so
+// WI.Accept (and the fault model's acceptance paths) run concurrently
+// across shards whenever there is more than one. All per-WI state they
+// touch is single-writer — a WI is fed by exactly one switch, owned by
+// exactly one shard — but a handful of mutations are fabric-global: the
+// txTotal launch predicate, the per-sub-channel backlog counters and turn
+// queues, and the fault-model drop statistics and engine notices. Those
+// are always logged as ShardOps in the accepting WI's shard log, at every
+// shard count; after the phase the engine merges the logs in ascending
+// host-switch order — the order of one shard's ascending pipeline sweep —
+// and replays them here. At most one Accept reaches a WI per cycle (its
+// host switch moves at most one flit into the wireless output port per
+// cycle), so switch ID is a unique, stable merge key. Nothing reads the
+// logged state between the phase and its replay.
 
-// ShardOpKind labels one deferred fabric-global operation.
+// ShardOpKind labels one logged fabric-global operation.
 type ShardOpKind uint8
 
-// Deferred operation kinds.
+// Logged operation kinds.
 const (
 	// OpAccept is the fabric-global half of WI.Accept: count the flit into
 	// txTotal and, when the WI turned backlogged, into its sub-channel's
@@ -39,7 +39,7 @@ const (
 	OpConsume
 )
 
-// ShardOp is one deferred fabric-global operation, replayed serially.
+// ShardOp is one logged fabric-global operation, replayed serially.
 type ShardOp struct {
 	W    *WI
 	Kind ShardOpKind
@@ -52,13 +52,9 @@ type ShardOp struct {
 	Reason string
 }
 
-// SetDeferred switches the fabric in or out of deferred (sharded parallel
-// phase) mode. Engine serial phases only.
-func (fb *Fabric) SetDeferred(on bool) { fb.deferring = on }
-
-// ReplayShardOps applies deferred operations in the given order. The
-// engine pre-merges every shard's log by ascending W.SwitchID (stable), so
-// replay order equals serial pipeline-sweep order.
+// ReplayShardOps applies logged operations in the given order. The engine
+// pre-merges every shard's log by ascending W.SwitchID (stable), so replay
+// order equals one shard's pipeline-sweep order.
 func (fb *Fabric) ReplayShardOps(now sim.Cycle, ops []ShardOp) {
 	for i := range ops {
 		op := &ops[i]

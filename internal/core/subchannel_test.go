@@ -160,19 +160,9 @@ func TestCatchUpSkippedIdleSpans(t *testing.T) {
 				if !skipIdle || r.fabric.LaunchNeeded() {
 					r.fabric.Launch(r.now)
 				}
-				for _, sw := range r.switches {
-					sw.TickSAST(r.now)
-				}
-				for _, sw := range r.switches {
-					sw.TickVA(r.now)
-				}
-				for _, sw := range r.switches {
-					sw.TickRC(r.now)
-				}
+				r.sweep()
 				r.fabric.Deliver(r.now)
-				for _, ep := range r.endpoints {
-					ep.Tick(r.now)
-				}
+				r.tickEndpoints()
 				r.now++
 			}
 			// Busy prologue, long idle span, then fresh traffic whose

@@ -65,11 +65,10 @@ type WI struct {
 	// concurrent Accept paths single-writer.
 	droppedPkts map[uint64]bool
 
-	// shardOps, when the engine runs sharded, points at the owning shard's
-	// deferred-operation log: while the fabric is in deferred mode, the
-	// fabric-global halves of Accept and of fault drops are appended here
-	// instead of applied, and the engine replays every shard's log in
-	// serial order at the cycle's synchronization point.
+	// shardOps points at the op log of the shard owning the host switch:
+	// Accept and the fault model's acceptance paths append the
+	// fabric-global halves of their work here, and the engine replays
+	// every shard's log after the pipeline phase (see shard.go).
 	shardOps *[]ShardOp
 
 	// Statistics.
@@ -103,8 +102,8 @@ func (w *WI) CanAccept(sim.Cycle) bool { return true }
 
 // Accept implements noc.Conduit: a flit enters the TX queue of its output
 // VC. The next-hop switch chosen by routing identifies the destination WI.
-func (w *WI) Accept(now sim.Cycle, f noc.Flit, next sim.SwitchID) {
-	if w.fb.faults != nil && w.fb.acceptFaulted(now, w, f) {
+func (w *WI) Accept(_ sim.Cycle, f noc.Flit, next sim.SwitchID) {
+	if w.fb.faults != nil && w.fb.acceptFaulted(w, f) {
 		return // fault model consumed the flit (dead WI / abandoned packet)
 	}
 	dest, ok := w.fb.wiOf[next]
@@ -123,18 +122,14 @@ func (w *WI) Accept(now sim.Cycle, f noc.Flit, next sim.SwitchID) {
 	if w.txLen > w.MaxTxDepth {
 		w.MaxTxDepth = w.txLen
 	}
-	if w.fb.deferring {
-		// Sharded parallel phase: the per-WI state above is single-writer
-		// (one switch, one shard), but txTotal and the sub-channel turn
-		// bookkeeping are fabric-global — log them for serial replay.
-		*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpAccept, First: w.txLen == 1})
-		return
-	}
-	w.fb.txAdded(w, w.txLen == 1)
+	// The per-WI state above is single-writer (one switch, one shard), but
+	// txTotal and the sub-channel turn bookkeeping are fabric-global: log
+	// them for the replay.
+	*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpAccept, First: w.txLen == 1})
 }
 
-// SetShardLog points the WI at its owning shard's deferred-operation log
-// (sharded engine wiring).
+// SetShardLog points the WI at the op log of the shard owning its host
+// switch. Accept needs one.
 func (w *WI) SetShardLog(log *[]ShardOp) { w.shardOps = log }
 
 // popTx removes the head of TX queue q and returns one credit to the host

@@ -10,11 +10,16 @@
 // its band, plus the wireless sub-channels hosted by its switches, and
 // keeps the activity sets that decide which of them tick. A serial engine
 // (EngineShards 0 or 1) is the one-shard case: one shard owns everything,
-// so there are no boundary links, nothing defers, nothing replays and no
-// barrier goroutine starts — the two per-shard phases run inline. With
-// more shards they run across worker goroutines, and the output stays
-// byte-identical — the same Result JSON and the same packet trace at every
-// shard count, pinned by the determinism matrix in determinism_test.go.
+// so there are no boundary links and its barrier starts no goroutine, but
+// it takes the same deferral path as every other shard count — its WIs
+// and NIs log into its two logs, and step replays them. With more shards
+// the two per-shard phases run across worker goroutines, and the output
+// stays byte-identical — the same Result JSON and the same packet trace at
+// every shard count, pinned by the determinism matrix in
+// determinism_test.go. There is no second, direct path for one shard, so
+// the shard-count tests check the code every run takes; the golden corpus
+// (corpus_test.go), generated when one shard still applied everything on
+// the spot, shows that the deferral moves no byte.
 //
 // Ownership is single-writer: a component's pipeline state is only mutated
 // by its owning shard's goroutine, because a pipeline sweep writes only the
@@ -28,15 +33,19 @@
 //     (written at cycle t, drained by the destination shard at t+1 — the
 //     same cycle a plain Deliver would land them), and credits flow the
 //     opposite way through a mirrored buffer. See noc.Link.SetMailbox.
-//   - Wireless fabric side effects (transmit accounting, fault drops,
-//     backlog bookkeeping) are deferred into per-shard operation logs
-//     during the parallel sweep and replayed serially between phases,
-//     stable-sorted by WI switch ID so the merge reproduces the one-shard
-//     sweep order exactly. See core.ReplayShardOps.
-//   - Endpoint-side events (delivery, route classification, watchdog
-//     injection tracking) are logged per shard during the endpoint phase
+//   - Wireless fabric side effects (transmit accounting, fault drops at
+//     the transceiver, backlog bookkeeping) are logged as core.ShardOps
+//     into per-shard operation logs during the pipeline sweep and replayed
+//     serially after it, stable-sorted by WI switch ID so the merge
+//     reproduces the one-shard sweep order exactly. See
+//     core.ReplayShardOps. Drops in the serial phases (a WI failure, an
+//     exhausted retry budget) apply at once.
+//   - Endpoint-side events (noc.Event: delivery, binding to an injection
+//     VC, head injection) are logged per shard during the endpoint phase
 //     and replayed stable-sorted by endpoint index — again the one-shard
-//     sweep order.
+//     sweep order — as delivery, route classification (when a selector
+//     exists) and watchdog injection tracking (when the fault model is
+//     active).
 //
 // A cycle therefore runs serial–parallel–serial: faults, watchdog, and
 // wireless launch first (serial); pipeline sweeps and link delivery per
@@ -44,15 +53,17 @@
 // (serial); endpoint ticks per shard (parallel, barrier); event replay,
 // memory replies, and traffic generation (serial). The one-cycle mailbox
 // deferral is invisible because it matches the link-latency timing of a
-// plain Deliver, and the replay merges are invisible because each log
-// preserves per-component order and the sorts restore the global sweep
+// plain Deliver, and the replays are invisible because nothing reads the
+// logged state between the phase that logs it and its replay, each log
+// preserves per-component order, and the sorts restore the global sweep
 // order.
 //
 // The unexported Params.fullTick, set only by this package's tests,
 // selects the separate reference loop, stepFullTick: it forces one shard
 // and ticks every switch, link and endpoint every cycle with no
-// active-set or shard code, so TestActiveSetMatchesFullTick compares the
-// shard loop against an independent one.
+// active-set or barrier code, replaying the one shard's two logs at the
+// same points as step, so TestActiveSetMatchesFullTick compares the
+// shard scheduling against an independent loop.
 //
 // # Active sets: park and wake
 //

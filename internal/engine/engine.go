@@ -155,17 +155,17 @@ type Engine struct {
 	pool noc.PacketPool
 
 	// Sharded execution (see shard.go): the row-band shards (exactly one
-	// when serial) and the recorded link endpoints (for boundary
-	// classification). The rest is multi-shard only: the persistent worker
-	// barrier, the two parallel phases bound once, and reusable merge
-	// scratch for the serial replays.
+	// when serial), the recorded link endpoints (for boundary
+	// classification), the worker barrier (started by the first step), the
+	// two per-shard phases bound once, and reusable merge scratch for the
+	// serial replays.
 	shards        []*shard
 	linkEnds      [][2]sim.SwitchID
 	barrier       *shardBarrier
 	pipelinePhase func(si int)
 	endpointPhase func(si int)
 	opScratch     []core.ShardOp
-	eventScratch  []epEvent
+	eventScratch  []noc.Event
 
 	trace    io.Writer
 	traceErr error
@@ -237,10 +237,8 @@ func New(p Params) (*Engine, error) {
 // release, DRAM read-reply scheduling, trace emission, pool recycling. A
 // delivered read request is kept until its data reply is issued; a Faulted
 // read request lost its payload crossing a failed transceiver, so the DRAM
-// channel never sees it and no reply is scheduled. Serial-phase only: a
-// one-shard engine's endpoints call it directly from the inline NI phase;
-// with more shards they defer into per-shard event logs that replay
-// through here at the cycle's synchronization point.
+// channel never sees it and no reply is scheduled. Serial-phase only: it
+// runs as replayEndpointEvents replays the NIs' delivery events.
 func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 	e.coll.OnDelivered(now, p)
 	if e.wd != nil {
@@ -308,9 +306,8 @@ func (e *Engine) build() {
 		}
 	}
 
-	// Endpoints. Each NI reports deliveries through e.deliverPacket
-	// (directly on one shard; through the per-shard event logs on more —
-	// see shard.go), and NewEndpoint records its switch's ejection port.
+	// Endpoints. NewEndpoint records each NI's switch ejection port;
+	// buildShards wires the NI's activity set and event log.
 	e.endpoints = make([]*noc.Endpoint, g.EndpointCount())
 	for i, ep := range g.Endpoints {
 		sw := e.switches[ep.Switch]
@@ -321,7 +318,7 @@ func (e *Engine) build() {
 			cl = energy.ClassLinkTSV
 		}
 		ne := noc.NewEndpoint(ep.ID, sw, inP, outP, ep.LocalLatency, ep.LocalPJPerBit,
-			cl, cfg.FlitBits, cfg.InjectionQueue, e.deliverPacket, e.meter)
+			cl, cfg.FlitBits, cfg.InjectionQueue, e.meter)
 		sw.SetInputCredit(inP, ne)
 		sw.SetOutputConduit(outP, ne)
 		e.endpoints[i] = ne
@@ -352,12 +349,9 @@ func (e *Engine) build() {
 	// injection (the NI's VC-bind point, where load signals are fresh —
 	// under saturation the source queue delays packets far too long for a
 	// generation-time decision to mean anything); everything else stays
-	// class 0 with the injection path untouched.
+	// class 0.
 	if cfg.RouteSelectMode == config.SelectAdaptive && e.tables.MultiClass() {
 		e.selector = route.NewAdaptiveSelector(e.tables, e.loadProbe)
-		for _, ep := range e.endpoints {
-			ep.SetClassifier(e.classifyPacket)
-		}
 	}
 
 	// Fault model: activate the fabric's deterministic fault state, wrap
@@ -373,14 +367,8 @@ func (e *Engine) build() {
 			}
 			e.fsel = &faultSelector{inner: inner, ct: e.tables, fb: e.fabric}
 			e.selector = e.fsel
-			for _, ep := range e.endpoints {
-				ep.SetClassifier(e.classifyPacket)
-			}
 		}
 		e.wd = newWatchdog(watchdogBound(cfg))
-		for _, ep := range e.endpoints {
-			ep.SetInjectionHook(e.wd.onInjected)
-		}
 		e.fabric.SetFaultNotifier(e.onFaultNotice)
 	}
 
@@ -503,8 +491,8 @@ func (e *Engine) loadProbe(txWI, src, dst sim.SwitchID) route.LoadSignals {
 }
 
 // classifyPacket stamps a packet's route class as the NI binds it to an
-// injection VC (installed on every endpoint only when a selector exists,
-// so single-class and static runs leave the injection path untouched).
+// injection VC (replayed from the NIs' binding events only when a
+// selector exists; single-class and static runs keep class 0).
 func (e *Engine) classifyPacket(now sim.Cycle, p *noc.Packet) {
 	var failoversBefore int64
 	if e.fsel != nil {

@@ -68,7 +68,8 @@ func newWatchdog(bound sim.Cycle) *watchdog {
 	return &watchdog{bound: bound, live: make(map[uint64]bool)}
 }
 
-// onInjected starts a packet's age clock (Endpoint injection hook).
+// onInjected starts a packet's age clock (replayed from the NIs' head
+// injection events).
 func (wd *watchdog) onInjected(now sim.Cycle, p *noc.Packet) {
 	wd.live[p.ID] = true
 	wd.q = append(wd.q, watchEntry{id: p.ID, at: now})

@@ -168,14 +168,14 @@ func (e *Engine) Run() (*Result, error) {
 //
 //   - S0: fault events, the watchdog, wireless launch.
 //   - P1: per shard, mailbox drains, the SA/ST → VA → RC sweeps and link
-//     delivery.
+//     delivery; WIs log their fabric-global ops.
 //   - S1: fabric-op replay, wireless delivery.
-//   - P2: per shard, NI ticks.
+//   - P2: per shard, NI ticks; NIs log their events.
 //   - S2: endpoint-event replay, memory read replies, traffic generation.
 //
-// A one-shard engine runs P1 and P2 inline on its only shard: nothing
-// defers, so there is nothing to replay. With more shards each P phase
-// runs across the barrier and the replays restore the one-shard order.
+// Each P phase runs through the barrier, which runs a one-shard engine's
+// only shard inline, and each replay merges the shards' logs into the
+// one-shard order.
 func (e *Engine) step() {
 	if e.fullTick {
 		e.stepFullTick()
@@ -191,32 +191,17 @@ func (e *Engine) step() {
 	if e.fabric != nil && e.fabric.LaunchNeeded() {
 		e.fabric.Launch(now)
 	}
-	sharded := len(e.shards) > 1
-	if sharded {
-		if e.barrier == nil {
-			e.barrier = newShardBarrier(len(e.shards))
-		}
-		if e.fabric != nil {
-			e.fabric.SetDeferred(true)
-		}
-		e.barrier.run(e.pipelinePhase)
-		if e.fabric != nil {
-			e.fabric.SetDeferred(false)
-			e.replayFabricOps(now)
-		}
-	} else {
-		e.tickShardPipeline(e.shards[0], now)
+	if e.barrier == nil {
+		e.barrier = newShardBarrier(len(e.shards))
 	}
+	e.barrier.run(e.pipelinePhase)
+	e.replayFabricOps(now)
 	// Wireless delivery writes destination switches and WIs across shards.
 	if e.fabric != nil && e.fabric.HasPending() {
 		e.fabric.Deliver(now)
 	}
-	if sharded {
-		e.barrier.run(e.endpointPhase)
-		e.replayEndpointEvents(now)
-	} else {
-		e.tickShardEndpoints(e.shards[0], now)
-	}
+	e.barrier.run(e.endpointPhase)
+	e.replayEndpointEvents(now)
 	e.issueReplies(now)
 	if now < e.genStop {
 		e.generate(now)
@@ -225,8 +210,9 @@ func (e *Engine) step() {
 
 // stepFullTick is the full-tick reference loop: step's phase order with
 // every switch, link and endpoint ticked every cycle, and no active-set
-// or shard code, so the determinism matrix compares step against an
-// independent loop.
+// or barrier code, so the determinism matrix compares step's scheduling
+// against an independent loop. It replays the one shard's two logs at the
+// same points as step.
 func (e *Engine) stepFullTick() {
 	now := e.now
 	if e.wd != nil {
@@ -248,12 +234,14 @@ func (e *Engine) stepFullTick() {
 	for _, l := range e.links {
 		l.Deliver(now)
 	}
+	e.replayFabricOps(now)
 	if e.fabric != nil {
 		e.fabric.Deliver(now)
 	}
 	for _, ep := range e.endpoints {
 		ep.Tick(now)
 	}
+	e.replayEndpointEvents(now)
 	e.issueReplies(now)
 	if now < e.genStop {
 		e.generate(now)

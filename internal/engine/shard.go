@@ -14,41 +14,24 @@ import (
 //
 // step (run.go) is the only cycle loop, and it always runs over shards:
 // contiguous row bands of the global mesh grid, each owning the switches,
-// NIs and WIs in its band and the activity sets that decide which of them
-// tick. A serial engine is the one-shard case — one shard owning every
-// switch, link and endpoint, with no boundary links, nothing deferred and
-// no barrier goroutines. With more shards the two per-shard phases run
-// across worker goroutines: boundary links split into single-writer
-// mailbox halves, and fabric-global and NI-side effects defer into
-// per-shard logs replayed in the one-shard order, so results stay
-// byte-identical at every shard count. doc.go has the ownership and
-// deferral rules and why each is exact.
+// NIs and WIs in its band, the activity sets that decide which of them
+// tick, and two logs. A serial engine is the one-shard case — one shard
+// owning every switch, link and endpoint, with no boundary links and no
+// barrier goroutine — and takes the same path: its WIs log their
+// fabric-global ops and its NIs their events, and step replays both after
+// their phase. With more shards the two per-shard phases run across
+// worker goroutines, boundary links split into single-writer mailbox
+// halves, and the replays merge the shards' logs back into the one-shard
+// order, so results stay byte-identical at every shard count. doc.go has
+// the ownership and replay rules and why each is exact.
 //
-// The test-only Params.fullTick bypasses all of this: it forces one shard
-// and hands every cycle to stepFullTick, the independent reference loop
-// that ticks every component with no active-set or shard code.
-
-// epEvent defers one NI-side engine hook invocation for serial replay.
-// ep is the global endpoint index — the stable merge key that recovers
-// the one-shard NI sweep order (an endpoint's events all land in one
-// shard's log in occurrence order, so a stable sort by ep reproduces the
-// one-shard interleaving exactly).
-type epEvent struct {
-	ep   int
-	kind uint8
-	pkt  *noc.Packet
-}
-
-// Deferred NI hook kinds.
-const (
-	evDelivered uint8 = iota // deliverPacket (stats, replies, trace, pool)
-	evClassify               // classifyPacket (route selector state)
-	evInjected               // watchdog onInjected (liveness clock)
-)
+// The test-only Params.fullTick bypasses the shard scheduling: it forces
+// one shard and hands every cycle to stepFullTick, the independent
+// reference loop that ticks every component with no active-set or barrier
+// code, replaying the same two logs at the same points.
 
 // shard is one row band of the system: the components it owns, their
-// activity sets, its boundary-link halves and its deferred-work logs. The
-// only shard of a one-shard engine has no boundary links and empty logs.
+// activity sets, its boundary-link halves and its logs.
 type shard struct {
 	// Per-shard activity sets, indexed by GLOBAL component index (each set
 	// is sized for the whole system; members are this shard's only).
@@ -65,15 +48,16 @@ type shard struct {
 	outBound []*noc.Link
 	inBound  []*noc.Link
 
-	ops    []core.ShardOp // deferred fabric-global ops (P1 → S1)
-	events []epEvent      // deferred NI hooks (P2 → S2)
+	ops    []core.ShardOp // owned WIs' fabric-global ops (P1 → S1)
+	events []noc.Event    // owned NIs' events (P2 → S2)
 }
 
 // shardBarrier runs one function across persistent worker goroutines, one
 // per shard beyond the first (shard 0 runs on the engine's goroutine), and
 // waits for all of them — the per-cycle barrier. Workers live across
 // cycles so the steady-state cost is two channel hops per worker per
-// phase, not goroutine spawns.
+// phase, not goroutine spawns. A one-shard barrier starts no goroutine and
+// runs its only shard inline.
 type shardBarrier struct {
 	jobs []chan func(int)
 	done chan struct{}
@@ -139,10 +123,9 @@ func shardBands(n, k int) [][2]int {
 // (clamped to [1, rows]; fullTick forces one) and registers every
 // component on its owning shard's activity set: each component adds itself
 // on the events that give it work (flit arrival, credit in flight, packet
-// offered), and the cycle loop visits members only. With one shard that is
-// the whole wiring — the engine hooks stay direct. With more, boundary
-// links switch to mailbox halves, endpoint hooks and WI fabric-global ops
-// defer into per-shard logs, and the two parallel phases are bound once.
+// offered), and the cycle loop visits members only. Every WI and NI logs
+// into its shard's op or event log, boundary links switch to mailbox
+// halves, and the two per-shard phases are bound once.
 func (e *Engine) buildShards() {
 	rows := e.cfg.ChipsY * e.cfg.CoresY
 	nsh := e.cfg.EngineShards
@@ -195,47 +178,27 @@ func (e *Engine) buildShards() {
 		e.shards[sb].inBound = append(e.shards[sb].inBound, l)
 	}
 
-	// Endpoints co-locate with their host switch. Sharded, their engine
-	// hooks defer into the owning shard's event log (replayed in S2).
-	sharded := len(e.shards) > 1
+	// Endpoints co-locate with their host switch and log their events into
+	// its shard's log (replayed in S2), keyed by global endpoint index.
 	for i, ep := range e.endpoints {
 		s := e.shards[swShard[g.Endpoints[i].Switch]]
-		ep.SetActivity(s.epActive, i)
-		if !sharded {
-			continue
-		}
-		idx := i
-		ep.SetDeliveredHook(func(_ sim.Cycle, p *noc.Packet) {
-			s.events = append(s.events, epEvent{ep: idx, kind: evDelivered, pkt: p})
-		})
-		if e.selector != nil {
-			ep.SetClassifier(func(_ sim.Cycle, p *noc.Packet) {
-				s.events = append(s.events, epEvent{ep: idx, kind: evClassify, pkt: p})
-			})
-		}
-		if e.wd != nil {
-			ep.SetInjectionHook(func(_ sim.Cycle, p *noc.Packet) {
-				s.events = append(s.events, epEvent{ep: idx, kind: evInjected, pkt: p})
-			})
-		}
+		ep.SetShard(s.epActive, i, &s.events)
 	}
 
-	// Sharded, wireless interfaces log their deferred fabric-global ops
-	// into the shard owning their host switch.
-	if e.fabric != nil && sharded {
+	// Wireless interfaces log their fabric-global ops into the shard owning
+	// their host switch (replayed in S1).
+	if e.fabric != nil {
 		for _, w := range e.fabric.WIs() {
 			w.SetShardLog(&e.shards[swShard[w.SwitchID]].ops)
 		}
 	}
 
-	// The parallel phases, bound once so a sharded step allocates nothing
-	// (fresh closures would escape through the barrier's job channels).
-	// Workers read e.now after the job hand-off, which orders the read
-	// after Run's write.
-	if sharded {
-		e.pipelinePhase = func(si int) { e.tickShardPipeline(e.shards[si], e.now) }
-		e.endpointPhase = func(si int) { e.tickShardEndpoints(e.shards[si], e.now) }
-	}
+	// The per-shard phases, bound once so a step allocates nothing (fresh
+	// closures would escape through the barrier's job channels). Workers
+	// read e.now after the job hand-off, which orders the read after Run's
+	// write.
+	e.pipelinePhase = func(si int) { e.tickShardPipeline(e.shards[si], e.now) }
+	e.endpointPhase = func(si int) { e.tickShardEndpoints(e.shards[si], e.now) }
 }
 
 // NumShards returns the number of execution shards: 1 for a serial engine.
@@ -334,8 +297,8 @@ func (e *Engine) tickShardEndpoints(s *shard, now sim.Cycle) {
 	}
 }
 
-// replayFabricOps merges every shard's deferred fabric-global operations
-// by ascending host-switch index — the one-shard pipeline sweep order (at
+// replayFabricOps merges every shard's logged fabric-global operations by
+// ascending host-switch index — the one-shard pipeline sweep order (at
 // most one wireless Accept reaches a WI per cycle, and per-WI op order is
 // preserved by the stable sort) — and applies them.
 func (e *Engine) replayFabricOps(now sim.Cycle) {
@@ -353,10 +316,12 @@ func (e *Engine) replayFabricOps(now sim.Cycle) {
 	e.opScratch = buf[:0]
 }
 
-// replayEndpointEvents merges every shard's deferred NI events by
-// ascending endpoint index — the one-shard NI sweep order (an endpoint's
-// events live in exactly one shard's log in occurrence order, preserved
-// by the stable sort) — and invokes the real hooks.
+// replayEndpointEvents merges every shard's logged NI events by ascending
+// endpoint index — the one-shard NI sweep order (an endpoint's events live
+// in exactly one shard's log in occurrence order, preserved by the stable
+// sort) — and acts on them: a delivery is finalized, a binding classified
+// when a route selector exists, and a head injection starts the
+// watchdog's clock when the fault model is active.
 func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 	buf := e.eventScratch[:0]
 	for _, s := range e.shards {
@@ -364,18 +329,18 @@ func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 		s.events = s.events[:0]
 	}
 	if len(buf) > 0 {
-		slices.SortStableFunc(buf, func(a, b epEvent) int { return cmp.Compare(a.ep, b.ep) })
+		slices.SortStableFunc(buf, func(a, b noc.Event) int { return cmp.Compare(a.EP, b.EP) })
 		for i := range buf {
 			ev := &buf[i]
-			switch ev.kind {
-			case evDelivered:
-				e.deliverPacket(now, ev.pkt)
-			case evClassify:
-				e.classifyPacket(now, ev.pkt)
-			case evInjected:
-				e.wd.onInjected(now, ev.pkt)
+			switch {
+			case ev.Kind == noc.EvDelivered:
+				e.deliverPacket(now, ev.Pkt)
+			case ev.Kind == noc.EvBound && e.selector != nil:
+				e.classifyPacket(now, ev.Pkt)
+			case ev.Kind == noc.EvInjected && e.wd != nil:
+				e.wd.onInjected(now, ev.Pkt)
 			}
-			ev.pkt = nil
+			ev.Pkt = nil
 		}
 	}
 	e.eventScratch = buf[:0]

@@ -9,17 +9,18 @@ import (
 )
 
 // TestOneShardWiring pins the serial engine as the one-shard case of the
-// sharded engine. engine_shards 0 and 1, and FullTick at engine_shards 4,
-// must build exactly one shard with no link in mailbox mode and no
-// parallel phases bound. Stepping it must never start the barrier or defer
-// a hook: one shard replays nothing, so a deferring endpoint hook or WI
-// log would leave entries in the shard's logs, and the collector would
-// lag the endpoints' ejection counts. A two-shard engine is the control:
-// the same probes must see its mailboxes and its barrier, which Run stops
-// again on return.
+// sharded engine, on the same deferral path. engine_shards 0 and 1, and
+// FullTick at engine_shards 4, must build exactly one shard with no link in
+// mailbox mode; stepping it must start a barrier with no worker goroutine
+// (FullTick's reference loop starts none at all). A two-shard engine is
+// the control: it has mailbox links and one worker. At every shard count
+// both per-shard phases are bound, every step must leave every shard's op
+// and event logs empty, and the collector must match the endpoints'
+// ejection counts, so each step replayed all it logged. Run stops the
+// barrier again on return.
 func TestOneShardWiring(t *testing.T) {
-	// Adaptive routing plus the fault model installs all three endpoint
-	// hooks (delivery, route classification, watchdog injection) on a
+	// Adaptive routing plus the fault model gives every NI event kind a
+	// consumer (delivery, route classification, watchdog injection) on a
 	// wireless fabric with sub-channels.
 	cfg := config.MustXCYM(4, 4, config.ArchHybrid)
 	cfg.WarmupCycles = 100
@@ -52,22 +53,27 @@ func TestOneShardWiring(t *testing.T) {
 			if e.NumShards() != tc.want {
 				t.Fatalf("built %d shards, want %d", e.NumShards(), tc.want)
 			}
-			one := tc.want == 1
 			mailboxes := 0
 			for _, l := range e.links {
 				if l.Mailboxed() {
 					mailboxes++
 				}
 			}
-			if one != (mailboxes == 0) {
+			if (tc.want == 1) != (mailboxes == 0) {
 				t.Fatalf("%d links in mailbox mode on %d shards", mailboxes, tc.want)
 			}
-			if one != (e.pipelinePhase == nil && e.endpointPhase == nil) {
-				t.Fatalf("parallel phases bound=%v on %d shards", e.pipelinePhase != nil, tc.want)
+			if e.pipelinePhase == nil || e.endpointPhase == nil {
+				t.Fatal("per-shard phases not bound")
 			}
 
 			for stop := c.WarmupCycles + c.MeasureCycles/2; e.now < stop; e.now++ {
 				e.step()
+				for si, s := range e.shards {
+					if len(s.ops) != 0 || len(s.events) != 0 {
+						t.Fatalf("cycle %d: shard %d kept %d fabric ops and %d endpoint events after the step",
+							e.now, si, len(s.ops), len(s.events))
+					}
+				}
 				var ejected int64
 				for _, ep := range e.endpoints {
 					ejected += ep.Ejected
@@ -76,19 +82,17 @@ func TestOneShardWiring(t *testing.T) {
 					t.Fatalf("cycle %d: endpoints ejected %d packets, collector saw %d",
 						e.now, ejected, e.coll.TotalDelivered)
 				}
-				if !one {
-					continue
-				}
-				if e.barrier != nil {
-					t.Fatalf("cycle %d: one-shard engine started the barrier", e.now)
-				}
-				if s := e.shards[0]; len(s.ops) != 0 || len(s.events) != 0 {
-					t.Fatalf("cycle %d: one-shard engine deferred %d fabric ops and %d endpoint events",
-						e.now, len(s.ops), len(s.events))
-				}
 			}
-			if !one && e.barrier == nil {
-				t.Fatal("two-shard engine stepped without starting its barrier")
+			switch {
+			case tc.fullTick:
+				if e.barrier != nil {
+					t.Fatal("the full-tick reference loop started the barrier")
+				}
+			case e.barrier == nil:
+				t.Fatal("stepped without starting the barrier")
+			case len(e.barrier.jobs) != tc.want-1:
+				t.Fatalf("barrier runs %d worker goroutines on %d shards, want %d",
+					len(e.barrier.jobs), tc.want, tc.want-1)
 			}
 
 			r, err := e.Run()
@@ -116,8 +120,9 @@ func TestOneShardWiring(t *testing.T) {
 // stepped after its warm-up on one shard and on two, with and without a
 // wireless fabric, makes fewer heap allocations than it takes steps:
 // packets recycle through the pool, refused packets are never built, the
-// parallel phases are bound once at build, the replays sort in place and
-// the WI TX queues keep their backing arrays. It does not assert zero: the
+// per-shard phases are bound once at build, the logs and the replays'
+// scratch keep their backing arrays, the replays sort in place and the WI
+// TX queues keep their backing arrays. It does not assert zero: the
 // lazily sized buffers (sim.Queue high-water marks, VA scratch, source
 // queues, the packet pool) still grow on first touch for thousands of
 // cycles, a few hundred allocations per 500-step window at cycle 2,000.

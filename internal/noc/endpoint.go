@@ -7,9 +7,32 @@ import (
 	"wimc/internal/sim"
 )
 
-// DeliveryFunc observes a packet whose tail flit was consumed at its
-// destination endpoint.
-type DeliveryFunc func(now sim.Cycle, p *Packet)
+// EventKind labels one NI event (see Event).
+type EventKind uint8
+
+// NI event kinds, in the order one Tick can log them.
+const (
+	// EvDelivered: the packet's tail flit was consumed here.
+	EvDelivered EventKind = iota
+	// EvBound: the packet left the source queue for a free injection VC,
+	// the moment its route is about to be computed (the engine's route
+	// selector classifies it then, from load signals fresh at injection
+	// rather than at generation).
+	EvBound
+	// EvInjected: the packet's head flit entered the network (the engine's
+	// liveness watchdog starts its age clock here).
+	EvInjected
+)
+
+// Event is one NI event, logged by Tick for the engine to act on after
+// the NI phase. EP is the endpoint's index in its activity set (the
+// engine's global endpoint index), the key that merges several shards'
+// logs back into one NI sweep order.
+type Event struct {
+	EP   int
+	Kind EventKind
+	Pkt  *Packet
+}
 
 // Endpoint is a network interface (NI): the injection path of a traffic
 // source (bounded source queue, per-VC wormhole injection with credits) and
@@ -39,23 +62,13 @@ type Endpoint struct {
 	toSwitch sim.Queue[timedFlit]
 
 	// Ejection.
-	toSink    sim.Queue[timedFlit]
-	delivered DeliveryFunc
+	toSink sim.Queue[timedFlit]
 
-	// classify, when non-nil, is called once per packet as it is bound to
-	// an injection VC — the moment its route is about to be computed — so
-	// the engine's route selector can stamp Packet.RouteClass from load
-	// signals that are fresh at injection, not at generation (under
-	// saturation the source queue delays a packet by thousands of cycles).
-	classify func(now sim.Cycle, p *Packet)
-
-	// injected, when non-nil, observes each packet's head flit entering the
-	// network (the engine's liveness watchdog starts a packet's age clock
-	// here: a queued packet ages only once the network accepts it).
-	injected func(now sim.Cycle, p *Packet)
-
+	// Shard wiring (SetShard): the activity set the NI joins whenever it
+	// gains work, under index activeID, and the event log Tick appends to.
 	active   *sim.ActiveSet
 	activeID int
+	log      *[]Event
 
 	// room, when non-nil, is kept equal to "the source queue has room"
 	// (see SetRoomFlag).
@@ -73,10 +86,11 @@ type Endpoint struct {
 // NewEndpoint constructs an NI attached to sw and records outPort as sw's
 // ejection port for id (see Switch.Route). The engine wires inPort and
 // outPort and sets the endpoint as the credit sink of inPort's upstream
-// side and the conduit of outPort.
+// side and the conduit of outPort. The NI must be wired with SetShard
+// before it ticks.
 func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 	localLatency int, pjPerBit float64, class energy.Class, flitBits, queueCap int,
-	delivered DeliveryFunc, m *energy.Meter) *Endpoint {
+	m *energy.Meter) *Endpoint {
 	if localLatency < 1 {
 		localLatency = 1
 	}
@@ -94,7 +108,6 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 		vcPkt:        make([]*Packet, sw.VCs()),
 		vcSeq:        make([]int32, sw.VCs()),
 		credits:      make([]int, sw.VCs()),
-		delivered:    delivered,
 	}
 	for i := range e.credits {
 		e.credits[i] = sw.depth
@@ -103,25 +116,13 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 	return e
 }
 
-// SetActivity registers the endpoint in the engine's endpoint activity set
-// under index id; the endpoint adds itself whenever it gains work or a
-// credit reaches one of its bound VCs.
-func (e *Endpoint) SetActivity(set *sim.ActiveSet, id int) {
-	e.active, e.activeID = set, id
+// SetShard wires the NI to its shard: it joins set under index id
+// whenever it gains work or a credit reaches one of its bound VCs, and
+// Tick appends its events, keyed by id, to log. The owner drains the log
+// after the NI phase.
+func (e *Endpoint) SetShard(set *sim.ActiveSet, id int, log *[]Event) {
+	e.active, e.activeID, e.log = set, id, log
 }
-
-// SetDeliveredHook replaces the delivery observer installed at
-// construction (the sharded engine swaps in a deferring wrapper that logs
-// deliveries for serial replay).
-func (e *Endpoint) SetDeliveredHook(f DeliveryFunc) { e.delivered = f }
-
-// SetClassifier installs the injection-time route classifier (nil for
-// single-class systems; the injection path is untouched then).
-func (e *Endpoint) SetClassifier(f func(now sim.Cycle, p *Packet)) { e.classify = f }
-
-// SetInjectionHook installs the head-flit injection observer (nil unless
-// the engine's liveness watchdog is active).
-func (e *Endpoint) SetInjectionHook(f func(now sim.Cycle, p *Packet)) { e.injected = f }
 
 // SetRoomFlag hands the NI a flag to keep equal to len(queue) < queueCap
 // from now on: Offer clears it when the queue fills, and Tick sets it when
@@ -187,7 +188,8 @@ func (e *Endpoint) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) {
 }
 
 // Tick advances the NI by one cycle: consume ejected flits, bind a queued
-// packet to a free injection VC, and send one flit toward the switch.
+// packet to a free injection VC, and send one flit toward the switch. It
+// logs each delivery, binding and head injection as an Event.
 func (e *Endpoint) Tick(now sim.Cycle) {
 	// Deliver flits that reached the switch input port.
 	for !e.toSwitch.Empty() && e.toSwitch.Peek().at <= now {
@@ -213,21 +215,16 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 			}
 			p.DeliveredAt = now
 			e.Ejected++
-			if e.delivered != nil {
-				e.delivered(now, p)
-			}
+			*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvDelivered, Pkt: p})
 		}
 	}
 
-	// Bind at most one queued packet to a free injection VC, classifying
-	// its route as it enters the network.
+	// Bind at most one queued packet to a free injection VC.
 	if len(e.queue) > 0 && e.bound < len(e.vcPkt) {
 		for vc := 0; vc < len(e.vcPkt); vc++ {
 			if e.vcPkt[vc] == nil {
 				p := e.queue[0]
-				if e.classify != nil {
-					e.classify(now, p)
-				}
+				*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvBound, Pkt: p})
 				e.vcPkt[vc] = p
 				e.vcSeq[vc] = 0
 				e.bound++
@@ -263,9 +260,7 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 		if f.IsHead() {
 			p.InjectedAt = now
 			e.Injected++
-			if e.injected != nil {
-				e.injected(now, p)
-			}
+			*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvInjected, Pkt: p})
 		}
 		pj := e.meter.AddDynamic(e.class, e.flitBits, e.pjPerFlit)
 		p.AddEnergy(pj)

@@ -93,6 +93,45 @@ func TestInjectedTimestampAndCounters(t *testing.T) {
 	}
 }
 
+// TestEventLog sends one packet through the pipe: the source NI must log
+// its binding, then its head injection, on the first cycle, and the sink
+// NI its delivery on the cycle it consumes the tail, each under its own
+// endpoint index.
+func TestEventLog(t *testing.T) {
+	p := newPipe(t, defaultPipeOpts())
+	pkt := mkPacket(1, 3)
+	p.src.Offer(pkt)
+	want := []Event{
+		{EP: 0, Kind: EvBound, Pkt: pkt},
+		{EP: 0, Kind: EvInjected, Pkt: pkt},
+		{EP: 1, Kind: EvDelivered, Pkt: pkt},
+	}
+	check := func(want []Event) {
+		t.Helper()
+		if len(p.logged) != len(want) {
+			t.Fatalf("cycle %d: logged %+v, want %+v", p.now, p.logged, want)
+		}
+		for i := range want {
+			if p.logged[i] != want[i] {
+				t.Fatalf("cycle %d: event %d = %+v, want %+v", p.now, i, p.logged[i], want[i])
+			}
+		}
+	}
+	p.step()
+	check(want[:2])
+	for p.dst.Ejected == 0 {
+		if p.now > 30 {
+			t.Fatal("packet not delivered in 30 cycles")
+		}
+		check(want[:2])
+		p.step()
+	}
+	check(want)
+	if pkt.DeliveredAt != p.now-1 {
+		t.Fatalf("delivered at %d, logged at %d", pkt.DeliveredAt, p.now-1)
+	}
+}
+
 func TestDrained(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts())
 	if !p.src.Drained() {
@@ -153,7 +192,7 @@ func TestLocalLatencyFloor(t *testing.T) {
 	sw := NewSwitch(0, 2, 4, 32, 0, m)
 	in := sw.AddInputPort(nil)
 	out := sw.AddOutputPort(nil, 4)
-	ep := NewEndpoint(0, sw, in, out, 0, 0, energyClassSwitch(), 32, 4, nil, m)
+	ep := NewEndpoint(0, sw, in, out, 0, 0, energyClassSwitch(), 32, 4, m)
 	if ep.localLatency != 1 {
 		t.Fatalf("local latency floor = %d", ep.localLatency)
 	}
@@ -167,7 +206,7 @@ func TestLocalLatencyFloor(t *testing.T) {
 func TestEndpointStalledAndCreditWake(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts()) // 4 VCs, 4 credits each
 	set := sim.NewActiveSet(1)
-	p.src.SetActivity(set, 0)
+	p.src.SetShard(set, 0, &p.events)
 	if p.src.Stalled() {
 		t.Fatal("drained NI reported stalled")
 	}

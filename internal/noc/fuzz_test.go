@@ -47,6 +47,7 @@ func FuzzLinkMailbox(f *testing.F) {
 			boxed.link.DeliverCreditHalf(now)
 			boxed.src.Tick(now)
 			boxed.dst.Tick(now)
+			boxed.drain()
 			boxed.now++
 		}
 		conserve := func() {

@@ -12,12 +12,16 @@ import (
 //	src endpoint -> sw0 -> link -> sw1 -> dst endpoint
 //
 // Endpoint 0 attaches to sw0, endpoint 1 to sw1. The link parameters are
-// configurable per test.
+// configurable per test. Both NIs log into events, which drain empties
+// each cycle, as the engine does: into logged, and each delivered packet
+// into delivered.
 type pipe struct {
 	meter     *energy.Meter
 	sw0, sw1  *Switch
 	link      *Link
 	src, dst  *Endpoint
+	events    []Event
+	logged    []Event
 	delivered []*Packet
 	now       sim.Cycle
 }
@@ -63,13 +67,12 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	in1 := p.sw1.AddInputPort(p.link)
 	p.link.Connect(p.sw0, out0, p.sw1, in1)
 
-	onDeliver := func(_ sim.Cycle, pkt *Packet) { p.delivered = append(p.delivered, pkt) }
-
 	// Endpoint 0 on sw0 (source side).
 	in0 := p.sw0.AddInputPort(nil)
 	eject0 := p.sw0.AddOutputPort(nil, o.depth)
 	p.src = NewEndpoint(0, p.sw0, in0, eject0, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, onDeliver, m)
+		flitBits, o.queueCap, m)
+	p.src.SetShard(nil, 0, &p.events)
 	p.sw0.SetInputCredit(in0, p.src)
 	p.sw0.SetOutputConduit(eject0, p.src)
 
@@ -77,7 +80,8 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	in1b := p.sw1.AddInputPort(nil)
 	eject1 := p.sw1.AddOutputPort(nil, o.depth)
 	p.dst = NewEndpoint(1, p.sw1, in1b, eject1, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, onDeliver, m)
+		flitBits, o.queueCap, m)
+	p.dst.SetShard(nil, 1, &p.events)
 	p.sw1.SetInputCredit(in1b, p.dst)
 	p.sw1.SetOutputConduit(eject1, p.dst)
 
@@ -103,7 +107,19 @@ func (p *pipe) step() {
 	p.link.Deliver(p.now)
 	p.src.Tick(p.now)
 	p.dst.Tick(p.now)
+	p.drain()
 	p.now++
+}
+
+// drain empties the NIs' event log.
+func (p *pipe) drain() {
+	for _, ev := range p.events {
+		if ev.Kind == EvDelivered {
+			p.delivered = append(p.delivered, ev.Pkt)
+		}
+	}
+	p.logged = append(p.logged, p.events...)
+	p.events = p.events[:0]
 }
 
 func (p *pipe) run(cycles int) {

@@ -256,7 +256,7 @@ func TestSwitchRoute(t *testing.T) {
 	toOne, _ := connect(one) // replaces the first port toward switch 1
 	toTwo, linkTwo := connect(two)
 	eject := sw.AddOutputPort(nil, 2)
-	ep := NewEndpoint(0, sw, sw.AddInputPort(nil), eject, 1, 0, energy.ClassLinkLocal, 32, 4, nil, m)
+	ep := NewEndpoint(0, sw, sw.AddInputPort(nil), eject, 1, 0, energy.ClassLinkLocal, 32, 4, m)
 	sw.SetOutputConduit(eject, ep)
 
 	// Endpoints 0..3 attach to switches 0..3, and endpoint 4 claims switch
