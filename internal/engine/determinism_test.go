@@ -499,7 +499,7 @@ func TestFastForwardRunsUnderPool(t *testing.T) {
 		}
 	}
 	rs := make([]*Result, len(ps))
-	if _, err := pool.ForEach(len(ps), len(ps), func(i int) error {
+	if err := pool.ForEach(len(ps), len(ps), func(i int) error {
 		var err error
 		rs[i], err = Run(ps[i])
 		return err

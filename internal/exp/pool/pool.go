@@ -29,13 +29,13 @@ import (
 )
 
 // ForEach runs fn(0..n-1) on a bounded worker pool and returns the
-// lowest-index error with its index, or (-1, nil). workers <= 0 means
+// lowest-index error, or nil. workers <= 0 means
 // runtime.GOMAXPROCS(0); workers == 1 reproduces a plain sequential loop
 // (no goroutines at all). On error, indices greater than the failing one
 // may or may not have run; a sequential caller must not depend on them.
-func ForEach(workers, n int, fn func(i int) error) (int, error) {
+func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
-		return -1, nil
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -46,10 +46,10 @@ func ForEach(workers, n int, fn func(i int) error) (int, error) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
-				return i, err
+				return err
 			}
 		}
-		return -1, nil
+		return nil
 	}
 
 	errs := make([]error, n)
@@ -74,10 +74,10 @@ func ForEach(workers, n int, fn func(i int) error) (int, error) {
 	}
 	wg.Wait()
 	// Report the lowest-index failure, exactly as a sequential loop would.
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return i, err
+			return err
 		}
 	}
-	return -1, nil
+	return nil
 }

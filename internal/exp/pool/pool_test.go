@@ -12,12 +12,12 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
 		n := 100
 		counts := make([]atomic.Int32, n)
-		idx, err := ForEach(workers, n, func(i int) error {
+		err := ForEach(workers, n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		})
-		if err != nil || idx != -1 {
-			t.Fatalf("workers=%d: idx=%d err=%v", workers, idx, err)
+		if err != nil {
+			t.Fatalf("workers=%d: err=%v", workers, err)
 		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
@@ -28,30 +28,29 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	idx, err := ForEach(4, 0, func(int) error { return errors.New("never") })
-	if idx != -1 || err != nil {
-		t.Fatalf("empty batch: idx=%d err=%v", idx, err)
+	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
+		t.Fatalf("empty batch: err=%v", err)
 	}
 }
 
 // TestForEachLowestIndexError: even when a higher index fails first in wall
-// time, the reported error is the lowest failing index — identical to a
-// sequential loop.
+// time, the reported error is the lowest failing index's own error value —
+// identical to a sequential loop.
 func TestForEachLowestIndexError(t *testing.T) {
 	n := 16
-	fail := map[int]bool{3: true, 5: true, 12: true}
+	fail := map[int]error{}
+	for _, i := range []int{3, 5, 12} {
+		fail[i] = fmt.Errorf("boom %d", i)
+	}
 	for _, workers := range []int{1, 4} {
-		idx, err := ForEach(workers, n, func(i int) error {
+		err := ForEach(workers, n, func(i int) error {
 			if i == 3 {
 				time.Sleep(2 * time.Millisecond) // let index 5 fail first
 			}
-			if fail[i] {
-				return fmt.Errorf("boom %d", i)
-			}
-			return nil
+			return fail[i]
 		})
-		if idx != 3 || err == nil || err.Error() != "boom 3" {
-			t.Fatalf("workers=%d: idx=%d err=%v, want lowest failing index 3", workers, idx, err)
+		if err != fail[3] {
+			t.Fatalf("workers=%d: err=%v, want index 3's error %v", workers, err, fail[3])
 		}
 	}
 }
@@ -59,16 +58,17 @@ func TestForEachLowestIndexError(t *testing.T) {
 // TestForEachSequentialFailFast: with one worker, nothing after the failing
 // index runs at all.
 func TestForEachSequentialFailFast(t *testing.T) {
+	stop := errors.New("stop")
 	var ran atomic.Int32
-	idx, err := ForEach(1, 50, func(i int) error {
+	err := ForEach(1, 50, func(i int) error {
 		ran.Add(1)
 		if i == 7 {
-			return errors.New("stop")
+			return stop
 		}
 		return nil
 	})
-	if idx != 7 || err == nil {
-		t.Fatalf("idx=%d err=%v", idx, err)
+	if err != stop {
+		t.Fatalf("err=%v, want %v", err, stop)
 	}
 	if got := ran.Load(); got != 8 {
 		t.Fatalf("sequential loop ran %d entries, want 8 (0..7)", got)
@@ -83,17 +83,18 @@ func TestForEachSequentialFailFast(t *testing.T) {
 func TestForEachParallelFailFast(t *testing.T) {
 	const n = 256
 	const workers = 4
+	bad := errors.New("bad config")
 	var ran atomic.Int32
-	idx, err := ForEach(workers, n, func(i int) error {
+	err := ForEach(workers, n, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
-			return errors.New("bad config")
+			return bad
 		}
 		time.Sleep(time.Millisecond)
 		return nil
 	})
-	if idx != 0 || err == nil {
-		t.Fatalf("idx=%d err=%v", idx, err)
+	if err != bad {
+		t.Fatalf("err=%v, want %v", err, bad)
 	}
 	if got := ran.Load(); got > 4*workers {
 		t.Fatalf("fail-fast executed %d of %d entries, want <= %d", got, n, 4*workers)

@@ -116,7 +116,7 @@ func txWITable(g *topo.Graph, t *Tables, workers int) [][]sim.SwitchID {
 	n := g.SwitchCount()
 	tx := newTable(n, sim.NoSwitch)
 	tiles := (n + tileWidth - 1) / tileWidth
-	_, _ = pool.ForEach(workers, tiles, func(b int) error {
+	_ = pool.ForEach(workers, tiles, func(b int) error {
 		d0, d1 := b*tileWidth, min((b+1)*tileWidth, n)
 		tile := make([]sim.SwitchID, (d1-d0)*n)
 		columnTile(t.Next, d0, d1, tile)

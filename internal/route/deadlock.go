@@ -161,7 +161,7 @@ func buildCDG(g *topo.Graph, tables []*Tables) (*cdg, error) {
 	}
 	chunks := max(1, min(workers, epochs))
 	parts := make([]*cdg, chunks)
-	_, err := pool.ForEach(chunks, chunks, func(k int) error {
+	err := pool.ForEach(chunks, chunks, func(k int) error {
 		parts[k] = newCDG(lt)
 		return parts[k].walk(tables, n, k*epochs/chunks, (k+1)*epochs/chunks)
 	})

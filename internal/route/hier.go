@@ -175,7 +175,7 @@ func (t *Tables) buildSubstrateHier(g *topo.Graph) error {
 	// above is read-only by now, so each source row of the table fills
 	// independently on the worker pool.
 	t.Next = newTable(n, sim.NoSwitch)
-	_, err := pool.ForEach(t.workers, n, func(s int) error {
+	err := pool.ForEach(t.workers, n, func(s int) error {
 		for d := 0; d < n; d++ {
 			nh, err := next(sim.SwitchID(s), sim.SwitchID(d))
 			if err != nil {

@@ -220,7 +220,7 @@ func (t *Tables) buildShortest(rg *routeGraph) error {
 		return sc
 	}}
 	blocks := (n + destBlock - 1) / destBlock
-	_, err := pool.ForEach(t.workers, blocks, func(b int) error {
+	err := pool.ForEach(t.workers, blocks, func(b int) error {
 		sc := scratch.Get().(*spScratch)
 		defer scratch.Put(sc)
 		d0, d1 := b*destBlock, min((b+1)*destBlock, n)

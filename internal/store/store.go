@@ -227,7 +227,7 @@ func RunPoints(st *Store, workers int, pts []spec.Point, obs Observer) ([]*engin
 		budget = runtime.GOMAXPROCS(0)
 	}
 	buildWorkers := budget / min(budget, len(missIdx))
-	_, err := pool.ForEach(workers, len(missIdx), func(j int) error {
+	err := pool.ForEach(workers, len(missIdx), func(j int) error {
 		i := missIdx[j]
 		p := pts[i].Params()
 		p.BuildWorkers = buildWorkers
