@@ -15,14 +15,15 @@
 //
 // Flags `range` over a map-typed operand inside the deterministic packages
 // (DeterministicPackages: engine, core, noc, route, sim, stats, topo,
-// traffic, memstack, energy, figures). Map iteration order is randomized by
-// the runtime, so any such loop whose order can reach a Result, a trace, a
-// figure row, or a float accumulation breaks the determinism contract the
-// FullTick/shard/legacy equivalence tests pin. Recognized as safe without
-// annotation: loops binding no iteration variable, and the collection step
-// of the sort-first idiom (`keys = append(keys, k)` as the sole body
-// statement). Everything else must either sort keys before ranging or carry
-// a justified escape hatch on the statement's line or the line above:
+// traffic, energy, figures, spec, store). Map iteration order is
+// randomized by the runtime, so any such loop whose order can reach a
+// Result, a trace, a figure row, or a float accumulation breaks the
+// determinism contract the FullTick/shard/legacy equivalence tests pin.
+// Recognized as safe without annotation: loops binding no iteration
+// variable, and the collection step of the sort-first idiom (`keys =
+// append(keys, k)` as the sole body statement). Everything else must
+// either sort keys before ranging or carry a justified escape hatch on the
+// statement's line or the line above:
 //
 //	//lint:detorder-safe <why iteration order cannot reach a result>
 //

@@ -20,7 +20,6 @@ var DeterministicPackages = []string{
 	"wimc/internal/stats",
 	"wimc/internal/topo",
 	"wimc/internal/traffic",
-	"wimc/internal/memstack",
 	"wimc/internal/energy",
 	"wimc/internal/figures",
 	"wimc/internal/spec",

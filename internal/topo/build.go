@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wimc/internal/config"
-	"wimc/internal/memstack"
 	"wimc/internal/sim"
 )
 
@@ -25,9 +24,7 @@ func Build(cfg config.Config) (*Graph, error) {
 	case config.ArchWireless:
 		// No inter-chip wires: connectivity comes from the wireless fabric.
 	}
-	if err := b.memoryStacks(); err != nil {
-		return nil, err
-	}
+	b.memoryStacks()
 	b.coreEndpoints()
 	if cfg.Arch == config.ArchWireless || cfg.Arch == config.ArchHybrid {
 		if err := b.placeWIs(); err != nil {
@@ -187,30 +184,31 @@ func (b *builder) interposerEdges() {
 // memoryStacks creates the memory modules: one logic-die switch per stack,
 // wide-I/O attachment to the adjacent chip edge in the wired architectures,
 // and one DRAM-channel endpoint per channel reached through TSVs.
-func (b *builder) memoryStacks() error {
+func (b *builder) memoryStacks() {
 	cfg := b.cfg
 	perSide := cfg.MemStacks / 2
 	rows := b.globalRows()
 	for i := 0; i < cfg.MemStacks; i++ {
-		side := memstack.SideLeft
+		side := SideLeft
 		k := i
 		if i >= perSide {
-			side = memstack.SideRight
+			side = SideRight
 			k = i - perSide
 		}
 		gy := (2*k + 1) * rows / (2 * perSide)
-		chipRow := gy / cfg.CoresY
-		st, err := memstack.New(i, side, chipRow, cfg.MemLayers, cfg.MemChannels)
-		if err != nil {
-			return err
-		}
-		b.g.Stacks = append(b.g.Stacks, st)
+		b.g.Stacks = append(b.g.Stacks, Stack{
+			Index:    i,
+			Side:     side,
+			Row:      gy / cfg.CoresY,
+			Layers:   cfg.MemLayers,
+			Channels: cfg.MemChannels,
+		})
 
 		// Logic-die switch.
 		swID := sim.SwitchID(len(b.g.Nodes))
 		gx := -1
 		attachGX := 0
-		if side == memstack.SideRight {
+		if side == SideRight {
 			gx = b.globalCols()
 			attachGX = b.globalCols() - 1
 		}
@@ -244,16 +242,11 @@ func (b *builder) memoryStacks() error {
 			}
 		}
 
-		// DRAM channel endpoints behind TSVs.
+		// DRAM channel endpoints behind TSVs. Channels go round-robin over
+		// the layers, channel 0 on layer 1 (nearest the logic die), and a
+		// flit crosses one TSV boundary per layer to reach its channel.
 		for ch := 0; ch < cfg.MemChannels; ch++ {
-			lat, err := st.TSVLatencyCycles(ch, cfg.TSVLatency)
-			if err != nil {
-				return err
-			}
-			epj, err := st.TSVEnergyPJPerBit(ch, cfg.TSVPJPerBitPerLayer)
-			if err != nil {
-				return err
-			}
+			layer := 1 + ch%cfg.MemLayers
 			epID := sim.EndpointID(len(b.g.Endpoints))
 			b.g.Endpoints = append(b.g.Endpoints, Endpoint{
 				ID:            epID,
@@ -262,13 +255,12 @@ func (b *builder) memoryStacks() error {
 				Chip:          -1,
 				Stack:         i,
 				Channel:       ch,
-				LocalLatency:  lat,
-				LocalPJPerBit: epj,
+				LocalLatency:  layer * max(cfg.TSVLatency, 1),
+				LocalPJPerBit: float64(layer) * cfg.TSVPJPerBitPerLayer,
 			})
 			b.g.MemChannels = append(b.g.MemChannels, epID)
 		}
 	}
-	return nil
 }
 
 // coreEndpoints attaches one processor core to every core switch.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wimc/internal/config"
-	"wimc/internal/memstack"
 	"wimc/internal/sim"
 )
 
@@ -114,13 +113,40 @@ type Endpoint struct {
 	LocalPJPerBit float64
 }
 
+// Side places a memory stack on the left or right flank of the chip array
+// (stacks are "mounted on both sides of the processing chip array", paper
+// §IV.A).
+type Side int
+
+// Stack placement sides.
+const (
+	SideLeft Side = iota + 1
+	SideRight
+)
+
+// Stack describes one in-package stacked-DRAM memory module: a base logic
+// die carrying the network interface (and, in the wireless architecture,
+// a WI) under Layers DRAM layers joined by through-silicon vias (TSVs).
+// The paper (§IV) fixes four layers and four channels per stack. Data
+// movement inside a stack is the same in every architecture, so only the
+// TSV crossing from the logic die to a channel's layer is modeled: channel
+// ch sits on layer 1 + ch mod Layers, and its endpoint's latency and
+// energy scale with that layer (see memoryStacks).
+type Stack struct {
+	Index    int  // global stack index
+	Side     Side // flank of the chip array
+	Row      int  // chip-grid row the stack faces
+	Layers   int  // DRAM layers above the logic die
+	Channels int  // independent channels
+}
+
 // Graph is the complete topology description.
 type Graph struct {
 	Cfg       config.Config
 	Nodes     []Node
 	Edges     []Edge
 	Endpoints []Endpoint
-	Stacks    []memstack.Stack
+	Stacks    []Stack
 
 	// WISwitches lists the host switch of each WI; the slice order is the
 	// WI numbering used by the MAC turn sequence.

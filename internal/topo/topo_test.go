@@ -169,15 +169,64 @@ func TestStacksFlankBothSides(t *testing.T) {
 	}
 	left, right := 0, 0
 	for _, st := range g.Stacks {
-		switch st.Side.String() {
-		case "left":
+		switch st.Side {
+		case SideLeft:
 			left++
-		case "right":
+		case SideRight:
 			right++
 		}
 	}
 	if left != 2 || right != 2 {
 		t.Fatalf("stacks split %d/%d, want 2/2", left, right)
+	}
+}
+
+// TestMemChannelTSVModel checks the DRAM-channel endpoints behind each
+// stack's TSVs: channels go round-robin over the layers, channel 0 on
+// layer 1, also with more channels than layers, and each endpoint's local
+// latency is its layer times tsv_latency_cycles, floored at one cycle per
+// layer, and its energy its layer times tsv_pj_per_bit_per_layer.
+func TestMemChannelTSVModel(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		layers, channels     int
+		tsvLatency, perLayer int // perLayer: the floored latency per layer
+		wantLayers           []int
+	}{
+		{"paper", 4, 4, 1, 1, []int{1, 2, 3, 4}},
+		{"more-channels-than-layers", 2, 4, 3, 3, []int{1, 2, 1, 2}},
+		{"latency-floor", 4, 4, 0, 1, []int{1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.MustXCYM(4, 4, config.ArchSubstrate)
+			cfg.MemLayers = tc.layers
+			cfg.MemChannels = tc.channels
+			cfg.TSVLatency = tc.tsvLatency
+			cfg.TSVPJPerBitPerLayer = 0.05
+			g := buildCfg(t, cfg)
+			for _, st := range g.Stacks {
+				if st.Layers != tc.layers || st.Channels != tc.channels {
+					t.Fatalf("stack %d: %d layers, %d channels; want %d, %d",
+						st.Index, st.Layers, st.Channels, tc.layers, tc.channels)
+				}
+			}
+			if len(g.MemChannels) != len(g.Stacks)*tc.channels {
+				t.Fatalf("%d channel endpoints for %d stacks of %d channels",
+					len(g.MemChannels), len(g.Stacks), tc.channels)
+			}
+			for _, id := range g.MemChannels {
+				ep := g.Endpoints[id]
+				layer := tc.wantLayers[ep.Channel]
+				if ep.LocalLatency != layer*tc.perLayer {
+					t.Fatalf("stack %d channel %d: latency %d, want %d (layer %d)",
+						ep.Stack, ep.Channel, ep.LocalLatency, layer*tc.perLayer, layer)
+				}
+				if want := float64(layer) * 0.05; ep.LocalPJPerBit != want {
+					t.Fatalf("stack %d channel %d: %v pJ/bit, want %v (layer %d)",
+						ep.Stack, ep.Channel, ep.LocalPJPerBit, want, layer)
+				}
+			}
+		})
 	}
 }
 
