@@ -11,15 +11,12 @@
 // keeps the activity sets that decide which of them tick. A serial engine
 // (EngineShards 0 or 1) is the one-shard case: one shard owns everything,
 // so there are no boundary links and its barrier starts no goroutine, but
-// it takes the same deferral path as every other shard count — its WIs
-// and NIs log into its two logs, and step replays them. With more shards
-// the two per-shard phases run across worker goroutines, and the output
-// stays byte-identical — the same Result JSON and the same packet trace at
-// every shard count, pinned by the determinism matrix in
-// determinism_test.go. There is no second, direct path for one shard, so
-// the shard-count tests check the code every run takes; the golden corpus
-// (corpus_test.go), generated when one shard still applied everything on
-// the spot, shows that the deferral moves no byte.
+// it takes the same deferral path as every other shard count: its WIs and
+// NIs log into its two logs, and step replays them. With more shards the
+// two per-shard phases run across worker goroutines, and the output stays
+// byte-identical — the same Result JSON and the same packet trace at every
+// shard count, pinned by the determinism matrix in determinism_test.go and
+// the golden corpus in corpus_test.go.
 //
 // Ownership is single-writer: a component's pipeline state is only mutated
 // by its owning shard's goroutine, because a pipeline sweep writes only the

@@ -12,16 +12,9 @@ type EventKind uint8
 
 // NI event kinds, in the order one Tick can log them.
 const (
-	// EvDelivered: the packet's tail flit was consumed here.
-	EvDelivered EventKind = iota
-	// EvBound: the packet left the source queue for a free injection VC,
-	// the moment its route is about to be computed (the engine's route
-	// selector classifies it then, from load signals fresh at injection
-	// rather than at generation).
-	EvBound
-	// EvInjected: the packet's head flit entered the network (the engine's
-	// liveness watchdog starts its age clock here).
-	EvInjected
+	EvDelivered EventKind = iota // the packet's tail flit was consumed here
+	EvBound                      // the packet was bound to a free injection VC
+	EvInjected                   // the packet's head flit entered the network
 )
 
 // Event is one NI event, logged by Tick for the engine to act on after
