@@ -206,7 +206,7 @@ func (sub *subChannel) dequeue(slot int) {
 func (fb *Fabric) wantsTurn(w *WI) bool { return fb.rotate || w.txLen > 0 }
 
 // txAdded applies the fabric-global half of one flit entering w's TX
-// queues (WI.Accept, through ReplayShardOps): the txTotal
+// queues (WI.Accept's OpAccept, through ReplayShardOps): the txTotal
 // launch predicate and, when first reports that the flit made w
 // backlogged, its sub-channel's contention counter and turn queue.
 func (fb *Fabric) txAdded(w *WI, first bool) {

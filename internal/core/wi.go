@@ -129,7 +129,8 @@ func (w *WI) Accept(_ sim.Cycle, f noc.Flit, next sim.SwitchID) {
 }
 
 // SetShardLog points the WI at the op log of the shard owning its host
-// switch. Accept needs one.
+// switch. Accept appends to it, so every WI needs one before its switch
+// ticks.
 func (w *WI) SetShardLog(log *[]ShardOp) { w.shardOps = log }
 
 // popTx removes the head of TX queue q and returns one credit to the host
