@@ -185,24 +185,27 @@ func TestStacksFlankBothSides(t *testing.T) {
 // stack's TSVs: channels go round-robin over the layers, channel 0 on
 // layer 1, also with more channels than layers, and each endpoint's local
 // latency is its layer times tsv_latency_cycles, floored at one cycle per
-// layer, and its energy its layer times tsv_pj_per_bit_per_layer.
+// layer, and its energy its layer times tsv_pj_per_bit_per_layer, also at
+// a per-layer energy other than the default.
 func TestMemChannelTSVModel(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
 		layers, channels     int
 		tsvLatency, perLayer int // perLayer: the floored latency per layer
+		pjPerLayer           float64
 		wantLayers           []int
 	}{
-		{"paper", 4, 4, 1, 1, []int{1, 2, 3, 4}},
-		{"more-channels-than-layers", 2, 4, 3, 3, []int{1, 2, 1, 2}},
-		{"latency-floor", 4, 4, 0, 1, []int{1, 2, 3, 4}},
+		{"paper", 4, 4, 1, 1, 0.05, []int{1, 2, 3, 4}},
+		{"more-channels-than-layers", 2, 4, 3, 3, 0.05, []int{1, 2, 1, 2}},
+		{"latency-floor", 4, 4, 0, 1, 0.05, []int{1, 2, 3, 4}},
+		{"tsv-energy", 4, 4, 1, 1, 0.2, []int{1, 2, 3, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.MustXCYM(4, 4, config.ArchSubstrate)
 			cfg.MemLayers = tc.layers
 			cfg.MemChannels = tc.channels
 			cfg.TSVLatency = tc.tsvLatency
-			cfg.TSVPJPerBitPerLayer = 0.05
+			cfg.TSVPJPerBitPerLayer = tc.pjPerLayer
 			g := buildCfg(t, cfg)
 			for _, st := range g.Stacks {
 				if st.Layers != tc.layers || st.Channels != tc.channels {
@@ -221,7 +224,7 @@ func TestMemChannelTSVModel(t *testing.T) {
 					t.Fatalf("stack %d channel %d: latency %d, want %d (layer %d)",
 						ep.Stack, ep.Channel, ep.LocalLatency, layer*tc.perLayer, layer)
 				}
-				if want := float64(layer) * 0.05; ep.LocalPJPerBit != want {
+				if want := float64(layer) * tc.pjPerLayer; ep.LocalPJPerBit != want {
 					t.Fatalf("stack %d channel %d: %v pJ/bit, want %v (layer %d)",
 						ep.Stack, ep.Channel, ep.LocalPJPerBit, want, layer)
 				}
