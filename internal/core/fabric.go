@@ -31,14 +31,19 @@ type delivery struct {
 // arbitration (per the configured channel model and MAC), flit delivery,
 // receive-space accounting and transceiver power gating.
 type Fabric struct {
-	cfg   config.Config
-	meter *energy.Meter
-	rng   *sim.Rand
+	cfg config.Config
+	rng *sim.Rand
 
 	wis  []*WI
 	wiOf map[sim.SwitchID]*WI
 
-	pjPerFlit   float64
+	// Wireless energy is charged in serial phases only (Launch), to the
+	// meter's root part: flitCharge per transmitted flit, controlCharge
+	// per control-packet broadcast.
+	part          *energy.Part
+	flitCharge    energy.Charge
+	controlCharge energy.Charge
+
 	flitErrProb float64
 	extraLat    sim.Cycle
 
@@ -238,18 +243,22 @@ func (fb *Fabric) txRemoved(w *WI, q, n int) {
 	}
 }
 
-// NewFabric constructs the wireless fabric. WIs are added afterwards with
-// AddWI in MAC-sequence order. WirelessLatency < 1 is rejected by
-// config.Validate; the fabric trusts its configuration.
+// NewFabric constructs the wireless fabric, which charges its energy to
+// m's root part. WIs are added afterwards with AddWI in MAC-sequence
+// order. WirelessLatency < 1 is rejected by config.Validate; the fabric
+// trusts its configuration.
 func NewFabric(cfg config.Config, m *energy.Meter, rng *sim.Rand) *Fabric {
 	// Per-flit error probability: 1 - (1-BER)^bits ≈ bits*BER for small BER.
 	flitErr := 1.0 - pow1m(cfg.WirelessBER, cfg.FlitBits)
+	pjPerFlit := cfg.WirelessPJPerBit * float64(cfg.FlitBits)
 	return &Fabric{
-		cfg:         cfg,
-		meter:       m,
-		rng:         rng,
-		wiOf:        make(map[sim.SwitchID]*WI),
-		pjPerFlit:   cfg.WirelessPJPerBit * float64(cfg.FlitBits),
+		cfg:        cfg,
+		rng:        rng,
+		wiOf:       make(map[sim.SwitchID]*WI),
+		part:       m.Root(),
+		flitCharge: energy.NewCharge(energy.ClassWireless, cfg.FlitBits, pjPerFlit),
+		controlCharge: energy.NewCharge(energy.ClassWireless,
+			cfg.ControlFlits*cfg.FlitBits, pjPerFlit*float64(cfg.ControlFlits)),
 		flitErrProb: flitErr,
 		extraLat:    sim.Cycle(cfg.WirelessLatency),
 		chanRate:    sim.RateFromGbps(cfg.WirelessGbps, cfg.FlitBits, cfg.ClockGHz),
@@ -831,8 +840,8 @@ func (fb *Fabric) transmit(now sim.Cycle, src *WI, q int) bool {
 	}
 
 	// Transmission energy is spent even when the flit is corrupted.
-	pj := fb.meter.AddDynamic(energy.ClassWireless, fb.cfg.FlitBits, fb.pjPerFlit)
-	f.Pkt.AddEnergy(pj)
+	fb.part.Add(fb.flitCharge)
+	f.Pkt.AddEnergy(fb.flitCharge.FP)
 	src.awake = true
 	dst.awake = true
 

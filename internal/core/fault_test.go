@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"wimc/internal/config"
+	"wimc/internal/sim"
 )
 
 // faultStep runs one rig cycle with the engine's fault ordering: scheduled
@@ -96,35 +98,37 @@ func TestKillWIDropsQueuedAndRefusesNew(t *testing.T) {
 	}
 }
 
+// queuedAtWI0 builds a three-WI rig with the fault model armed and a
+// notifier recording every fault notice into notices, queues two 4-flit
+// packets at WI 0 (toward endpoints 1 and 2) and ticks only the switches
+// and NIs, replaying their logs as the engine does, so the flits reach WI
+// 0's TX queues and stay: no MAC ever launches them.
+func queuedAtWI0(t *testing.T, cfg config.Config, notices *[]FaultNotice) *rig {
+	t.Helper()
+	r := newRig(t, 3, cfg)
+	r.fabric.InitFaults()
+	r.fabric.SetFaultNotifier(func(_ sim.Cycle, n FaultNotice) { *notices = append(*notices, n) })
+	r.send(t, 1, 0, 1, 4)
+	r.send(t, 2, 0, 2, 4)
+	for ; r.now < 40; r.now++ {
+		r.sweep()
+		r.tickEndpoints()
+	}
+	if w := r.wis[0]; w.txLen != 8 {
+		t.Fatalf("WI 0 holds %d TX flits, want both 4-flit packets", w.txLen)
+	}
+	return r
+}
+
 // TestKillWIClearsDroppedTxSlots queues two packets at WI 0 without ever
 // launching, kills it, and requires the dropped entries to leave the TX
 // queues' backing arrays: a dead WI must not pin the packets it dropped.
 func TestKillWIClearsDroppedTxSlots(t *testing.T) {
 	cfg := testConfig()
 	cfg.FaultSchedule = []config.FaultEvent{{Cycle: 1000, Kind: config.FaultWIFail, WI: 0}}
-	r := newRig(t, 3, cfg)
-	r.fabric.InitFaults()
-	r.send(t, 1, 0, 1, 4)
-	r.send(t, 2, 0, 2, 4)
-	// Switches and NIs only: the flits reach WI 0's TX queues and stay.
-	for ; r.now < 40; r.now++ {
-		for _, sw := range r.switches {
-			sw.TickSAST(r.now)
-		}
-		for _, sw := range r.switches {
-			sw.TickVA(r.now)
-		}
-		for _, sw := range r.switches {
-			sw.TickRC(r.now)
-		}
-		for _, ep := range r.endpoints {
-			ep.Tick(r.now)
-		}
-	}
+	var notices []FaultNotice
+	r := queuedAtWI0(t, cfg, &notices)
 	w := r.wis[0]
-	if w.txLen != 8 {
-		t.Fatalf("WI 0 holds %d TX flits before the kill, want both 4-flit packets", w.txLen)
-	}
 	r.fabric.killWI(r.now, 0)
 	for q, queue := range w.txVC {
 		for i, e := range queue[len(queue):cap(queue)] {
@@ -133,6 +137,74 @@ func TestKillWIClearsDroppedTxSlots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSerialPhaseDropsApplyAtOnce pins that the two drops made in serial
+// phases, a WI failure (killWI, from ApplyFaults) and an exhausted retry
+// budget (dropRetryExhausted, from Launch), apply at once rather than
+// through the WI's op log: before any ReplayShardOps, Drops (and
+// RetryExhausted) already count each drop, the notifier has already seen
+// each drop notice (after the WI's failure notice), and the log holds no
+// OpDrop. Logged instead, a drop's trace record would move behind the
+// retransmit records Launch writes later in the same cycle.
+func TestSerialPhaseDropsApplyAtOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.WirelessPER = 0.5 // arms the fault model
+	kinds := func(ns []FaultNotice) []string {
+		var out []string
+		for _, n := range ns {
+			out = append(out, n.Kind)
+		}
+		return out
+	}
+	noDropLogged := func(t *testing.T, ops []ShardOp) {
+		t.Helper()
+		for _, op := range ops {
+			if op.Kind == OpDrop {
+				t.Fatalf("drop of packet %d went to the op log", op.Pkt.ID)
+			}
+		}
+	}
+
+	t.Run("wi-fail", func(t *testing.T) {
+		var notices []FaultNotice
+		r := queuedAtWI0(t, cfg, &notices)
+		r.fabric.killWI(r.now, 0)
+		if r.fabric.Drops != 2 {
+			t.Fatalf("Drops = %d right after the kill, want both queued packets", r.fabric.Drops)
+		}
+		if got := kinds(notices); !slices.Equal(got, []string{"wi-fail", "drop", "drop"}) {
+			t.Fatalf("notices right after the kill: %v, want wi-fail then two drops", got)
+		}
+		dropped := []uint64{notices[1].Pkt.ID, notices[2].Pkt.ID}
+		slices.Sort(dropped)
+		if !slices.Equal(dropped, []uint64{1, 2}) || notices[1].Reason != "wi-fail" {
+			t.Fatalf("drop notices name packets %v for %q, want 1 and 2 for wi-fail", dropped, notices[1].Reason)
+		}
+		noDropLogged(t, r.ops)
+	})
+
+	t.Run("retry-exhausted", func(t *testing.T) {
+		var notices []FaultNotice
+		r := queuedAtWI0(t, cfg, &notices)
+		w := r.wis[0]
+		q := slices.IndexFunc(w.txVC, func(queue []txEntry) bool {
+			return len(queue) > 0 && queue[0].f.Pkt.ID == 1
+		})
+		if q < 0 {
+			t.Fatal("packet 1 heads no TX queue of WI 0")
+		}
+		r.fabric.dropRetryExhausted(r.now, w, q)
+		if r.fabric.Drops != 1 || r.fabric.RetryExhausted != 1 {
+			t.Fatalf("Drops %d, RetryExhausted %d right after the drop, want 1 and 1",
+				r.fabric.Drops, r.fabric.RetryExhausted)
+		}
+		if len(notices) != 1 || notices[0].Kind != "drop" || notices[0].Pkt.ID != 1 ||
+			notices[0].Reason != "retry-exhausted" {
+			t.Fatalf("notices right after the drop: %+v, want one retry-exhausted drop of packet 1", notices)
+		}
+		noDropLogged(t, r.ops)
+	})
 }
 
 // TestSurvivorLivenessAfterExcision is the starvation check: with one

@@ -48,7 +48,7 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 	r.fabric = NewFabric(cfg, m, sim.NewRand(7).Derive("wireless-test"))
 
 	for i := 0; i < n; i++ {
-		sw := noc.NewSwitch(sim.SwitchID(i), cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m)
+		sw := noc.NewSwitch(sim.SwitchID(i), 2, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m.Root())
 		sw.SetPhaseSplit(true, cfg.PostWirelessVCs)
 		r.switches = append(r.switches, sw)
 		// WIs sit on a line along x: spatial-reuse zones become contiguous
@@ -61,7 +61,7 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 		in := sw.AddInputPort(nil)
 		out := sw.AddOutputPort(nil, cfg.BufferDepth)
 		ep := noc.NewEndpoint(sim.EndpointID(i), sw, in, out, 1, 0,
-			energy.ClassLinkLocal, cfg.FlitBits, 64, m)
+			energy.ClassLinkLocal, cfg.FlitBits, 64, m.Root())
 		ep.SetShard(nil, i, &r.events)
 		sw.SetInputCredit(in, ep)
 		sw.SetOutputConduit(out, ep)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wimc/internal/config"
-	"wimc/internal/energy"
 	"wimc/internal/sim"
 )
 
@@ -122,9 +121,7 @@ func (fb *Fabric) startTurn(sub *subChannel, now sim.Cycle) {
 		sub.controlLeft = fb.cfg.ControlFlits
 		fb.ControlPackets++
 		// Control broadcast energy (protocol overhead, not packet-attributed).
-		fb.meter.AddDynamic(energy.ClassWireless,
-			fb.cfg.ControlFlits*fb.cfg.FlitBits,
-			fb.pjPerFlit*float64(fb.cfg.ControlFlits))
+		fb.part.Add(fb.controlCharge)
 		if sub.announceLeft == 0 {
 			fb.TokenPasses++
 		}
@@ -137,9 +134,7 @@ func (fb *Fabric) startTurn(sub *subChannel, now sim.Cycle) {
 		} else {
 			sub.controlLeft = fb.cfg.ControlFlits
 			fb.ControlPackets++
-			fb.meter.AddDynamic(energy.ClassWireless,
-				fb.cfg.ControlFlits*fb.cfg.FlitBits,
-				fb.pjPerFlit*float64(fb.cfg.ControlFlits))
+			fb.part.Add(fb.controlCharge)
 		}
 	}
 	sub.phase = phaseControl

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wimc/internal/config"
-	"wimc/internal/energy"
 	"wimc/internal/sim"
 )
 
@@ -100,9 +99,7 @@ func (fb *Fabric) startTurnLegacy() {
 		l.controlLeft = fb.cfg.ControlFlits
 		fb.ControlPackets++
 		// Control broadcast energy (protocol overhead, not packet-attributed).
-		fb.meter.AddDynamic(energy.ClassWireless,
-			fb.cfg.ControlFlits*fb.cfg.FlitBits,
-			fb.pjPerFlit*float64(fb.cfg.ControlFlits))
+		fb.part.Add(fb.controlCharge)
 		if l.announceLeft == 0 {
 			fb.TokenPasses++
 		}
@@ -115,9 +112,7 @@ func (fb *Fabric) startTurnLegacy() {
 		} else {
 			l.controlLeft = fb.cfg.ControlFlits
 			fb.ControlPackets++
-			fb.meter.AddDynamic(energy.ClassWireless,
-				fb.cfg.ControlFlits*fb.cfg.FlitBits,
-				fb.pjPerFlit*float64(fb.cfg.ControlFlits))
+			fb.part.Add(fb.controlCharge)
 		}
 	}
 	l.phase = phaseControl

@@ -95,16 +95,14 @@ func (w *WI) TxLen() int { return w.txLen }
 // denominator of the adaptive route selector's backlog signal.
 func (w *WI) TxCapacity() int { return w.txDepth * len(w.txVC) }
 
-// CanAccept implements noc.Conduit. Per-VC space is enforced by the host
-// switch's output-port credits (initialized to the TX queue depth), so the
-// conduit itself never refuses.
-func (w *WI) CanAccept(sim.Cycle) bool { return true }
-
 // Accept implements noc.Conduit: a flit enters the TX queue of its output
 // VC. The next-hop switch chosen by routing identifies the destination WI.
-func (w *WI) Accept(_ sim.Cycle, f noc.Flit, next sim.SwitchID) {
+// Per-VC space is enforced by the host switch's output-port credits
+// (initialized to the TX queue depth), so the WI never refuses a flit and
+// returns 0.
+func (w *WI) Accept(_ sim.Cycle, f noc.Flit, next sim.SwitchID) sim.Cycle {
 	if w.fb.faults != nil && w.fb.acceptFaulted(w, f) {
-		return // fault model consumed the flit (dead WI / abandoned packet)
+		return 0 // fault model consumed the flit (dead WI / abandoned packet)
 	}
 	dest, ok := w.fb.wiOf[next]
 	if !ok {
@@ -126,6 +124,7 @@ func (w *WI) Accept(_ sim.Cycle, f noc.Flit, next sim.SwitchID) {
 	// txTotal and the sub-channel turn bookkeeping are fabric-global: log
 	// them for the replay.
 	*w.shardOps = append(*w.shardOps, ShardOp{W: w, Kind: OpAccept, First: w.txLen == 1})
+	return 0
 }
 
 // SetShardLog points the WI at the op log of the shard owning its host

@@ -30,11 +30,11 @@ func TestTxQueueReusesBackingArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := NewFabric(cfg, m, sim.NewRand(1))
-	sw := noc.NewSwitch(0, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m)
+	sw := noc.NewSwitch(0, 2, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m.Root())
 	var ops []ShardOp
 	w := fb.AddWI(sw, 0, 0)
 	w.SetShardLog(&ops)
-	fb.AddWI(noc.NewSwitch(1, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m), 1, 0)
+	fb.AddWI(noc.NewSwitch(1, 1, cfg.VCs, cfg.BufferDepth, cfg.FlitBits, 0, m.Root()), 1, 0)
 	in := sw.AddInputPort(nil)
 	// Endpoint 0 is hosted by switch 1, one wireless hop away.
 	sw.SetRoutes([]sim.SwitchID{1}, []sim.SwitchID{1, 1})

@@ -8,7 +8,6 @@ package energy
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Class identifies an energy-consuming component class.
@@ -58,27 +57,65 @@ func Classes() []Class {
 
 // FPScale is the fixed-point denominator of dynamic-energy accumulation:
 // charges are quantized to 1/2^30 pJ and summed as integers. Integer sums
-// are associative, so per-class totals are independent of the order —
-// and, under sharded execution, of the interleaving — in which flit events
-// charge the meter; that is what keeps energy byte-identical at every
-// shard count. The quantization error per charge is below 1e-9 pJ.
+// are associative, so per-class totals are independent of the order in
+// which flit events charge, and of how the charges are spread over a
+// meter's parts; that is what keeps energy byte-identical at every shard
+// count. The quantization error per charge is below 1e-9 pJ.
 const FPScale = 1 << 30
 
 // QuantizePJ converts a picojoule amount to the fixed-point representation
 // shared by the Meter and per-packet energy attribution.
 func QuantizePJ(pj float64) int64 { return int64(math.Round(pj * FPScale)) }
 
+// Charge is the dynamic energy of one event (a flit crossing a switch, a
+// link or an NI, or a wireless transmission), quantized once when the
+// component is built so that each event costs two integer adds.
+type Charge struct {
+	Class Class
+	Bits  int64 // payload bits transferred
+	FP    int64 // fixed-point picojoules (FPScale)
+}
+
+// NewCharge quantizes pj picojoules charged to class c for the transfer of
+// bits payload bits. An unknown class gives the zero Charge, which charges
+// nothing (to the meter or, through FP, to a packet).
+func NewCharge(c Class, bits int, pj float64) Charge {
+	if c <= 0 || c >= numClasses {
+		return Charge{}
+	}
+	return Charge{Class: c, Bits: int64(bits), FP: QuantizePJ(pj)}
+}
+
+// Part is one writer's share of a Meter's dynamic energy: per-class
+// fixed-point totals and payload bits, added with plain integer adds.
+// Each part must have one writer at a time.
+type Part struct {
+	dynamicFP [numClasses]int64
+	bits      [numClasses]int64
+	// The pad keeps two parts that shards write at once off one cache line.
+	_ [64]byte
+}
+
+// Add charges ch to the part.
+func (p *Part) Add(ch Charge) {
+	p.dynamicFP[ch.Class] += ch.FP
+	p.bits[ch.Class] += ch.Bits
+}
+
 // Meter accumulates dynamic and static energy for one simulation.
 // The zero value is not ready for use; construct with NewMeter.
 //
-// Dynamic accumulation (AddDynamic) is atomic and may be called from
-// concurrent engine shards; static integration (AddStaticMWCycles) and the
-// getters are serial-phase operations.
+// Dynamic energy is charged to parts, none of them atomically: the root
+// part (Root) takes the charges made in serial phases, and each engine
+// shard charges its own part (NewPart), so shards running at once never
+// write one counter. The getters sum the root and every part. They,
+// NewPart and static integration (AddStaticMWCycles) are serial-phase
+// operations.
 type Meter struct {
-	clockGHz  float64
-	dynamicFP [numClasses]int64 // fixed-point pJ (FPScale), atomic
-	staticPJ  float64
-	bits      [numClasses]int64 // atomic
+	clockGHz float64
+	root     Part
+	parts    []*Part
+	staticPJ float64
 }
 
 // NewMeter returns a Meter for a simulation clocked at clockGHz.
@@ -92,16 +129,14 @@ func NewMeter(clockGHz float64) (*Meter, error) {
 // CycleNS returns the duration of one cycle in nanoseconds.
 func (m *Meter) CycleNS() float64 { return 1.0 / m.clockGHz }
 
-// AddDynamic charges pj picojoules of dynamic energy to class c for the
-// transfer of bits payload bits. It returns the charged energy so callers
-// can attribute it to a packet as well.
-func (m *Meter) AddDynamic(c Class, bits int, pj float64) float64 {
-	if c <= 0 || c >= numClasses {
-		return 0
-	}
-	atomic.AddInt64(&m.dynamicFP[c], QuantizePJ(pj))
-	atomic.AddInt64(&m.bits[c], int64(bits))
-	return pj
+// Root returns the meter's own part, for serial-phase charges.
+func (m *Meter) Root() *Part { return &m.root }
+
+// NewPart adds a part to the meter and returns it.
+func (m *Meter) NewPart() *Part {
+	p := &Part{}
+	m.parts = append(m.parts, p)
+	return p
 }
 
 // AddStaticMWCycles integrates a static power draw of powerMW milliwatts
@@ -110,12 +145,24 @@ func (m *Meter) AddStaticMWCycles(powerMW float64, cycles int64) {
 	m.staticPJ += powerMW * float64(cycles) * m.CycleNS()
 }
 
+// sum returns class c's fixed-point dynamic energy and payload bits,
+// summed over the root and every part.
+func (m *Meter) sum(c Class) (fp, bits int64) {
+	fp, bits = m.root.dynamicFP[c], m.root.bits[c]
+	for _, p := range m.parts {
+		fp += p.dynamicFP[c]
+		bits += p.bits[c]
+	}
+	return fp, bits
+}
+
 // DynamicPJ returns total dynamic energy charged to class c.
 func (m *Meter) DynamicPJ(c Class) float64 {
 	if c <= 0 || c >= numClasses {
 		return 0
 	}
-	return float64(atomic.LoadInt64(&m.dynamicFP[c])) / FPScale
+	fp, _ := m.sum(c)
+	return float64(fp) / FPScale
 }
 
 // Bits returns the payload bits transferred by class c.
@@ -123,14 +170,16 @@ func (m *Meter) Bits(c Class) int64 {
 	if c <= 0 || c >= numClasses {
 		return 0
 	}
-	return atomic.LoadInt64(&m.bits[c])
+	_, bits := m.sum(c)
+	return bits
 }
 
 // TotalDynamicPJ returns dynamic energy summed over all classes.
 func (m *Meter) TotalDynamicPJ() float64 {
 	var t int64
 	for c := ClassSwitch; c < numClasses; c++ {
-		t += atomic.LoadInt64(&m.dynamicFP[c])
+		fp, _ := m.sum(c)
+		t += fp
 	}
 	return float64(t) / FPScale
 }
@@ -146,7 +195,7 @@ func (m *Meter) TotalPJ() float64 { return m.TotalDynamicPJ() + m.staticPJ }
 func (m *Meter) Breakdown() map[string]float64 {
 	out := make(map[string]float64, numClasses)
 	for c := ClassSwitch; c < numClasses; c++ {
-		if fp := atomic.LoadInt64(&m.dynamicFP[c]); fp != 0 {
+		if fp, _ := m.sum(c); fp != 0 {
 			out[c.String()] = float64(fp) / FPScale
 		}
 	}

@@ -1,7 +1,9 @@
 package energy
 
 import (
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -26,11 +28,13 @@ func TestCycleNS(t *testing.T) {
 
 func TestDynamicAccounting(t *testing.T) {
 	m, _ := NewMeter(2.5)
-	if pj := m.AddDynamic(ClassSwitch, 32, 70.4); pj != 70.4 {
-		t.Fatalf("AddDynamic returned %v, want 70.4", pj)
+	sw := NewCharge(ClassSwitch, 32, 70.4)
+	if sw.FP != QuantizePJ(70.4) || sw.Bits != 32 || sw.Class != ClassSwitch {
+		t.Fatalf("NewCharge(switch, 32, 70.4) = %+v", sw)
 	}
-	m.AddDynamic(ClassSwitch, 32, 70.4)
-	m.AddDynamic(ClassWireless, 32, 73.6)
+	m.Root().Add(sw)
+	m.Root().Add(sw)
+	m.Root().Add(NewCharge(ClassWireless, 32, 73.6))
 	// Accumulation is fixed-point (quantized to 1/FPScale pJ per charge),
 	// so totals carry up to a few quantization steps of error.
 	if got := m.DynamicPJ(ClassSwitch); math.Abs(got-140.8) > 1e-6 {
@@ -45,18 +49,17 @@ func TestDynamicAccounting(t *testing.T) {
 }
 
 // TestDynamicOrderIndependent is the property the sharded engine leans on:
-// charging the same multiset of amounts in any order (or from any
-// interleaving of goroutines) yields bit-identical totals, because the
-// accumulator is an integer.
+// charging the same multiset of amounts in any order yields bit-identical
+// totals, because the accumulator is an integer.
 func TestDynamicOrderIndependent(t *testing.T) {
 	amounts := []float64{70.4, 2.3, 0.375, 5.2, 73.6, 0.1, 2.2, 6.5}
 	a, _ := NewMeter(2.5)
 	for _, pj := range amounts {
-		a.AddDynamic(ClassWireless, 32, pj)
+		a.Root().Add(NewCharge(ClassWireless, 32, pj))
 	}
 	b, _ := NewMeter(2.5)
 	for i := len(amounts) - 1; i >= 0; i-- {
-		b.AddDynamic(ClassWireless, 32, amounts[i])
+		b.Root().Add(NewCharge(ClassWireless, 32, amounts[i]))
 	}
 	if a.DynamicPJ(ClassWireless) != b.DynamicPJ(ClassWireless) {
 		t.Fatalf("order-dependent accumulation: %v vs %v",
@@ -67,19 +70,68 @@ func TestDynamicOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestPartsSumToOneMeter spreads one random multiset of charges over the
+// root and N parts, in a shuffled order, and requires every getter to read
+// what one meter charged with the same charges in their original order
+// reads: splitting the charges by shard must not move a Result byte.
+func TestPartsSumToOneMeter(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	classes := Classes()
+	charges := make([]Charge, 4000)
+	for i := range charges {
+		c := classes[rng.Intn(len(classes))]
+		charges[i] = NewCharge(c, 1+rng.Intn(512), rng.Float64()*100)
+	}
+	one, _ := NewMeter(2.5)
+	for _, ch := range charges {
+		one.Root().Add(ch)
+	}
+	one.AddStaticMWCycles(3, 700)
+	for _, n := range []int{1, 2, 3, 8} {
+		m, _ := NewMeter(2.5)
+		parts := []*Part{m.Root()}
+		for i := 0; i < n; i++ {
+			parts = append(parts, m.NewPart())
+		}
+		for _, i := range rng.Perm(len(charges)) {
+			parts[rng.Intn(len(parts))].Add(charges[i])
+		}
+		m.AddStaticMWCycles(3, 700)
+		for _, c := range classes {
+			if got, want := m.DynamicPJ(c), one.DynamicPJ(c); got != want {
+				t.Fatalf("%d parts: %v dynamic = %v, one meter %v", n, c, got, want)
+			}
+			if got, want := m.Bits(c), one.Bits(c); got != want {
+				t.Fatalf("%d parts: %v bits = %v, one meter %v", n, c, got, want)
+			}
+		}
+		if got, want := m.TotalDynamicPJ(), one.TotalDynamicPJ(); got != want {
+			t.Fatalf("%d parts: total dynamic = %v, one meter %v", n, got, want)
+		}
+		if got, want := m.Breakdown(), one.Breakdown(); !maps.Equal(got, want) {
+			t.Fatalf("%d parts: breakdown %v, one meter %v", n, got, want)
+		}
+	}
+}
+
 func TestInvalidClassIgnored(t *testing.T) {
 	m, _ := NewMeter(2.5)
-	if pj := m.AddDynamic(Class(0), 32, 10); pj != 0 {
-		t.Fatalf("invalid class charged %v pJ", pj)
-	}
-	if pj := m.AddDynamic(Class(999), 32, 10); pj != 0 {
-		t.Fatalf("invalid class charged %v pJ", pj)
+	for _, c := range []Class{0, 999} {
+		ch := NewCharge(c, 32, 10)
+		if ch != (Charge{}) {
+			t.Fatalf("invalid class %d charge = %+v, want the zero Charge", c, ch)
+		}
+		m.Root().Add(ch)
+		m.NewPart().Add(ch)
 	}
 	if m.TotalDynamicPJ() != 0 {
 		t.Fatal("invalid classes leaked into totals")
 	}
 	if m.DynamicPJ(Class(999)) != 0 || m.Bits(Class(0)) != 0 {
 		t.Fatal("invalid class reads nonzero")
+	}
+	if len(m.Breakdown()) != 0 {
+		t.Fatalf("invalid classes leaked into the breakdown: %v", m.Breakdown())
 	}
 }
 
@@ -97,7 +149,7 @@ func TestStaticIntegration(t *testing.T) {
 
 func TestBreakdown(t *testing.T) {
 	m, _ := NewMeter(1)
-	m.AddDynamic(ClassLinkSerial, 32, 160)
+	m.NewPart().Add(NewCharge(ClassLinkSerial, 32, 160))
 	m.AddStaticMWCycles(2, 500)
 	b := m.Breakdown()
 	if b["serial-io"] != 160 {

@@ -21,9 +21,16 @@
 // Ownership is single-writer: a component's pipeline state is only mutated
 // by its owning shard's goroutine, because a pipeline sweep writes only the
 // swept switch, its attached WI/NI and the conduits of its output ports.
-// Energy metering is atomic fixed-point (energy.FPScale), so concurrent
-// sums are bit-identical in any order. The three cross-shard interactions
-// are handled as follows:
+// Energy metering is shard-owned: each shard has its own part of the
+// energy meter (energy.Meter.NewPart), to which its switches, the links
+// leaving them and its NIs add pre-quantized fixed-point charges
+// (energy.Charge, energy.FPScale) with plain, non-atomic adds; the
+// wireless fabric, which charges only in serial phases, adds to the
+// meter's root part. Results sum the parts, and integer sums are
+// associative, so the totals are bit-identical at every shard count. A
+// packet's own energy stays atomic (noc.Packet.AddEnergy), because its
+// flits cross switches of different shards in one cycle. The three
+// cross-shard interactions are handled as follows:
 //
 //   - Boundary wired links (endpoints in different shards) run in mailbox
 //     mode: the source shard retires flits into a parity ping-pong buffer
@@ -93,8 +100,10 @@
 //     the state in which TickSAST, TickVA and TickRC, or Endpoint.Tick,
 //     return without changing anything, and only the waking events change
 //     what Stalled reads. A switch frees an output VC only in its own
-//     traversal, and a link's token bucket, the one input that changes
-//     with time alone, is read only for a VC that could be nominated.
+//     traversal, and an output port's admission cycle (the first cycle
+//     its link's token bucket can spend, cached from the link's last
+//     Accept), the one input that changes with time alone, is compared
+//     only for a VC that could be nominated.
 //  2. Membership stays fixed during the three pipeline sweeps, so a woken
 //     switch first ticks in the same SA/ST sweep where the full-tick loop
 //     would first find work for it. Credits reach a switch only from

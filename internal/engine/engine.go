@@ -225,11 +225,12 @@ func New(p Params) (*Engine, error) {
 	}
 	e.coll = stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, cfg.FlitBits)
 	e.genStop = cfg.WarmupCycles + cfg.MeasureCycles
-	e.build()
+	swShard := e.partition()
+	e.build(swShard)
 	if err := e.buildTraffic(p.Traffic); err != nil {
 		return nil, err
 	}
-	e.buildShards()
+	e.buildShards(swShard)
 	return e, nil
 }
 
@@ -261,17 +262,23 @@ func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 
 // build instantiates switches, links, endpoints and the wireless fabric
 // from the topology graph, and hands each switch its rows of the route
-// tables.
-func (e *Engine) build() {
+// tables. swShard[i] is the shard owning switch i (see partition): each
+// switch, the links leaving it and the NIs it hosts charge their energy to
+// that shard's meter part, and the wireless fabric, which charges only in
+// serial phases, to the meter's root.
+func (e *Engine) build(swShard []int) {
 	cfg := e.cfg
 	g := e.graph
+	part := func(sw sim.SwitchID) *energy.Part { return e.shards[swShard[sw]].meter }
 
-	// Switches. Wireless topologies partition VCs into pre/post-wireless
-	// classes to keep shortcut routing deadlock-free.
+	// Switches, their port slices sized once. Wireless topologies
+	// partition VCs into pre/post-wireless classes to keep shortcut
+	// routing deadlock-free.
+	ports := portCounts(g)
 	e.switches = make([]*noc.Switch, g.SwitchCount())
 	for i, n := range g.Nodes {
-		sw := noc.NewSwitch(n.ID, cfg.VCs, cfg.BufferDepth,
-			cfg.FlitBits, cfg.SwitchPJPerBit, e.meter)
+		sw := noc.NewSwitch(n.ID, ports[i], cfg.VCs, cfg.BufferDepth,
+			cfg.FlitBits, cfg.SwitchPJPerBit, part(n.ID))
 		sw.SetPhaseSplit(g.HasWireless(), cfg.PostWirelessVCs)
 		e.switches[i] = sw
 	}
@@ -280,7 +287,7 @@ func (e *Engine) build() {
 	// each link's port as its source switch's wired port toward the target.
 	addDirected := func(a, b sim.SwitchID, ed topo.Edge) {
 		l := noc.NewLink(classOf(ed.Kind), ed.Latency, ed.Rate, ed.PJPerBit,
-			cfg.FlitBits, e.meter)
+			cfg.FlitBits, part(a))
 		src, dst := e.switches[a], e.switches[b]
 		outP := src.AddOutputPort(l, cfg.BufferDepth)
 		inP := dst.AddInputPort(l)
@@ -318,7 +325,7 @@ func (e *Engine) build() {
 			cl = energy.ClassLinkTSV
 		}
 		ne := noc.NewEndpoint(ep.ID, sw, inP, outP, ep.LocalLatency, ep.LocalPJPerBit,
-			cl, cfg.FlitBits, cfg.InjectionQueue, e.meter)
+			cl, cfg.FlitBits, cfg.InjectionQueue, part(ep.Switch))
 		sw.SetInputCredit(inP, ne)
 		sw.SetOutputConduit(outP, ne)
 		e.endpoints[i] = ne
@@ -391,6 +398,25 @@ func (e *Engine) build() {
 	for i, id := range e.world.Cores {
 		e.endpoints[id].SetRoomFlag(&e.room[i])
 	}
+}
+
+// portCounts returns how many input ports, and as many output ports, each
+// switch gets from build: one per incident topology edge (the two directed
+// links of an edge each add an output at one end and an input at the
+// other), one per hosted endpoint and one for a WI.
+func portCounts(g *topo.Graph) []int {
+	n := make([]int, g.SwitchCount())
+	for _, ed := range g.Edges {
+		n[ed.A]++
+		n[ed.B]++
+	}
+	for _, ep := range g.Endpoints {
+		n[ep.Switch]++
+	}
+	for _, id := range g.WISwitches {
+		n[id]++
+	}
+	return n
 }
 
 // classOf maps topology edge kinds to energy classes.

@@ -57,3 +57,27 @@ func TestRunDeliversPacketsAllArchitectures(t *testing.T) {
 		})
 	}
 }
+
+// TestPortsSizedOnce checks that portCounts, which sizes every switch's
+// port slices in build, counts exactly the ports build wires: a count too
+// low makes AddInputPort or AddOutputPort grow the slices, one too high
+// leaves capacity unused.
+func TestPortsSizedOnce(t *testing.T) {
+	for _, arch := range []config.Architecture{
+		config.ArchSubstrate, config.ArchInterposer, config.ArchWireless, config.ArchHybrid,
+	} {
+		for _, chips := range []int{4, 16} {
+			e, err := New(testParams(t, chips, arch))
+			if err != nil {
+				t.Fatalf("%s %dC: New: %v", arch, chips, err)
+			}
+			ports := portCounts(e.graph)
+			for i, sw := range e.switches {
+				if sw.InputPorts() != ports[i] || sw.OutputPorts() != ports[i] {
+					t.Fatalf("%s %dC: switch %d has %d input and %d output ports, sized for %d",
+						arch, chips, i, sw.InputPorts(), sw.OutputPorts(), ports[i])
+				}
+			}
+		}
+	}
+}

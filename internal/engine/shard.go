@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"wimc/internal/core"
+	"wimc/internal/energy"
 	"wimc/internal/noc"
 	"wimc/internal/sim"
 )
@@ -31,7 +32,7 @@ import (
 // code, replaying the same two logs at the same points.
 
 // shard is one row band of the system: the components it owns, their
-// activity sets, its boundary-link halves and its logs.
+// activity sets, its boundary-link halves, its logs and its meter part.
 type shard struct {
 	// Per-shard activity sets, indexed by GLOBAL component index (each set
 	// is sized for the whole system; members are this shard's only).
@@ -50,6 +51,11 @@ type shard struct {
 
 	ops    []core.ShardOp // owned WIs' fabric-global ops (P1 → S1)
 	events []noc.Event    // owned NIs' events (P2 → S2)
+
+	// meter is the shard's part of the energy meter: its switches, the
+	// links leaving them and its NIs charge every flit here, with plain
+	// adds.
+	meter *energy.Part
 }
 
 // shardBarrier runs one function across persistent worker goroutines, one
@@ -119,21 +125,17 @@ func shardBands(n, k int) [][2]int {
 	return out
 }
 
-// buildShards partitions the built system into cfg.EngineShards row bands
-// (clamped to [1, rows]; fullTick forces one) and registers every
-// component on its owning shard's activity set: each component adds itself
-// on the events that give it work (flit arrival, credit in flight, packet
-// offered), and the cycle loop visits members only. Every WI and NI logs
-// into its shard's op or event log, boundary links switch to mailbox
-// halves, and the two per-shard phases are bound once.
-func (e *Engine) buildShards() {
+// partition splits the system into cfg.EngineShards row bands (clamped
+// to [1, rows]; fullTick forces one), makes one shard per band with its
+// own meter part, and returns the shard owning each switch. It runs before
+// build, which hands every component its shard's part.
+func (e *Engine) partition() []int {
 	rows := e.cfg.ChipsY * e.cfg.CoresY
 	nsh := e.cfg.EngineShards
 	if e.fullTick {
 		nsh = 1
 	}
 	bands := shardBands(rows, nsh)
-	g := e.graph
 
 	// Row → shard map. Every node (core and mem-logic alike) carries a
 	// global row GY in [0, rows).
@@ -146,18 +148,31 @@ func (e *Engine) buildShards() {
 
 	e.shards = make([]*shard, len(bands))
 	for i := range e.shards {
-		e.shards[i] = &shard{
-			swActive:   sim.NewActiveSet(len(e.switches)),
-			linkActive: sim.NewActiveSet(len(e.links)),
-			epActive:   sim.NewActiveSet(len(e.endpoints)),
-		}
+		e.shards[i] = &shard{meter: e.meter.NewPart()}
+	}
+	swShard := make([]int, e.graph.SwitchCount())
+	for i, n := range e.graph.Nodes {
+		swShard[i] = rowShard[n.GY]
+	}
+	return swShard
+}
+
+// buildShards registers every built component on its owning shard's
+// activity set (swShard from partition): each component adds itself on
+// the events that give it work (flit arrival, credit in flight, packet
+// offered), and the cycle loop visits members only. Every WI and NI logs
+// into its shard's op or event log, boundary links switch to mailbox
+// halves, and the two per-shard phases are bound once.
+func (e *Engine) buildShards(swShard []int) {
+	g := e.graph
+	for _, s := range e.shards {
+		s.swActive = sim.NewActiveSet(len(e.switches))
+		s.linkActive = sim.NewActiveSet(len(e.links))
+		s.epActive = sim.NewActiveSet(len(e.endpoints))
 	}
 
 	// Switches by row band.
-	swShard := make([]int, len(e.switches))
-	for i, n := range g.Nodes {
-		si := rowShard[n.GY]
-		swShard[i] = si
+	for i, si := range swShard {
 		e.shards[si].switchIdx = append(e.shards[si].switchIdx, i)
 		e.switches[i].SetActivity(e.shards[si].swActive, i)
 	}

@@ -39,10 +39,10 @@ type Endpoint struct {
 	outPort int // switch output port draining to this NI
 
 	localLatency sim.Cycle
-	pjPerFlit    float64
-	flitBits     int
-	class        energy.Class
-	meter        *energy.Meter
+	// part is the meter part of the NI's shard; charge is the energy of one
+	// flit crossing the NI, charged on injection and on ejection.
+	part   *energy.Part
+	charge energy.Charge
 
 	// Injection.
 	queue    []*Packet
@@ -76,14 +76,14 @@ type Endpoint struct {
 	FlitsConsumed int64 // flits consumed from the switch
 }
 
-// NewEndpoint constructs an NI attached to sw and records outPort as sw's
-// ejection port for id (see Switch.Route). The engine wires inPort and
-// outPort and sets the endpoint as the credit sink of inPort's upstream
-// side and the conduit of outPort. The NI must be wired with SetShard
-// before it ticks.
+// NewEndpoint constructs an NI attached to sw, charging its flits' energy
+// to part, and records outPort as sw's ejection port for id (see
+// Switch.Route). The engine wires inPort and outPort and sets the endpoint
+// as the credit sink of inPort's upstream side and the conduit of outPort.
+// The NI must be wired with SetShard before it ticks.
 func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 	localLatency int, pjPerBit float64, class energy.Class, flitBits, queueCap int,
-	m *energy.Meter) *Endpoint {
+	part *energy.Part) *Endpoint {
 	if localLatency < 1 {
 		localLatency = 1
 	}
@@ -93,10 +93,8 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 		inPort:       inPort,
 		outPort:      outPort,
 		localLatency: sim.Cycle(localLatency),
-		pjPerFlit:    pjPerBit * float64(flitBits),
-		flitBits:     flitBits,
-		class:        class,
-		meter:        m,
+		part:         part,
+		charge:       energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
 		queueCap:     queueCap,
 		vcPkt:        make([]*Packet, sw.VCs()),
 		vcSeq:        make([]int32, sw.VCs()),
@@ -169,15 +167,15 @@ func (e *Endpoint) ReturnCredit(_ sim.Cycle, vc int) {
 	}
 }
 
-// CanAccept implements Conduit for the switch ejection port.
-func (e *Endpoint) CanAccept(sim.Cycle) bool { return true }
-
 // Accept implements Conduit: a flit leaves the switch toward this sink.
-func (e *Endpoint) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) {
-	pj := e.meter.AddDynamic(e.class, e.flitBits, e.pjPerFlit)
-	f.Pkt.AddEnergy(pj)
+// The sink never refuses (the ejection port's credits bound it), so it
+// returns 0.
+func (e *Endpoint) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) sim.Cycle {
+	e.part.Add(e.charge)
+	f.Pkt.AddEnergy(e.charge.FP)
 	e.toSink.Push(timedFlit{at: now + e.localLatency, f: f})
 	e.active.Add(e.activeID)
+	return 0
 }
 
 // Tick advances the NI by one cycle: consume ejected flits, bind a queued
@@ -255,8 +253,8 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 			e.Injected++
 			*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvInjected, Pkt: p})
 		}
-		pj := e.meter.AddDynamic(e.class, e.flitBits, e.pjPerFlit)
-		p.AddEnergy(pj)
+		e.part.Add(e.charge)
+		p.AddEnergy(e.charge.FP)
 		e.FlitsSent++
 		e.toSwitch.Push(timedFlit{at: now + e.localLatency, f: f})
 		if int(e.vcSeq[vc]) == p.NumFlits {

@@ -188,8 +188,8 @@ func TestReassemblyAcrossRandomSizes(t *testing.T) {
 }
 
 func TestLocalLatencyFloor(t *testing.T) {
-	m := mustMeter(t)
-	sw := NewSwitch(0, 2, 4, 32, 0, m)
+	m := mustPart(t)
+	sw := NewSwitch(0, 1, 2, 4, 32, 0, m)
 	in := sw.AddInputPort(nil)
 	out := sw.AddOutputPort(nil, 4)
 	ep := NewEndpoint(0, sw, in, out, 0, 0, energyClassSwitch(), 32, 4, m)

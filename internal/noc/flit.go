@@ -89,11 +89,12 @@ type Packet struct {
 	RouteClass uint8
 
 	// energyFP accumulates dynamic energy attributed to this packet in
-	// fixed-point picojoules (energy.FPScale). It is an atomic integer
-	// because, under sharded execution, flits of one packet can traverse
-	// switches owned by different shards in the same cycle; integer sums
-	// are order-independent, which keeps per-packet energy byte-identical
-	// at every shard count. Read it through EnergyPJ.
+	// fixed-point picojoules (energy.FPScale). Unlike the meter, whose
+	// parts each have one writer, it is an atomic integer: under sharded
+	// execution, flits of one packet can traverse switches owned by
+	// different shards in the same cycle. Integer sums are
+	// order-independent, which keeps per-packet energy byte-identical at
+	// every shard count. Read it through EnergyPJ.
 	energyFP int64
 
 	// arrivedFlits counts flits consumed at the destination (reassembly
@@ -124,10 +125,12 @@ type Packet struct {
 // Bits returns the packet payload size in bits for the given flit width.
 func (p *Packet) Bits(flitBits int) int { return p.NumFlits * flitBits }
 
-// AddEnergy attributes pj picojoules of dynamic energy to the packet.
-// Safe to call from concurrent engine shards.
-func (p *Packet) AddEnergy(pj float64) {
-	atomic.AddInt64(&p.energyFP, energy.QuantizePJ(pj))
+// AddEnergy attributes fp fixed-point picojoules (energy.FPScale; the FP
+// of the charge that metered the event) of dynamic energy to the packet.
+// It is atomic, and so safe to call from concurrent engine shards: one
+// packet's flits can be charged by several shards in one cycle.
+func (p *Packet) AddEnergy(fp int64) {
+	atomic.AddInt64(&p.energyFP, fp)
 }
 
 // EnergyPJ returns the dynamic energy attributed to the packet so far.

@@ -15,9 +15,8 @@ import (
 //     Deliver path does, for arbitrary enqueue/dequeue interleavings;
 //   - drain: after traffic stops, the mailbox empties completely.
 //
-// The mailboxed pipe steps in the sharded engine's P1 order: drain the
-// parity inboxes parked at now-1, sweep the pipelines, park traffic due
-// at now. The direct pipe is the serial reference.
+// The mailboxed pipe steps in the sharded engine's P1 order (stepBoxed).
+// The direct pipe is the serial reference.
 func FuzzLinkMailbox(f *testing.F) {
 	f.Add([]byte{0x01})
 	f.Add([]byte{0x07, 0x07, 0x07, 0x07})             // back-to-back max packets
@@ -33,23 +32,6 @@ func FuzzLinkMailbox(f *testing.F) {
 		boxed := newPipe(t, defaultPipeOpts())
 		boxed.link.SetMailbox()
 
-		stepBoxed := func() {
-			now := boxed.now
-			boxed.link.DrainFlitInbox(now)
-			boxed.link.DrainCreditInbox(now)
-			boxed.sw0.TickSAST(now)
-			boxed.sw1.TickSAST(now)
-			boxed.sw0.TickVA(now)
-			boxed.sw1.TickVA(now)
-			boxed.sw0.TickRC(now)
-			boxed.sw1.TickRC(now)
-			boxed.link.DeliverFlitHalf(now)
-			boxed.link.DeliverCreditHalf(now)
-			boxed.src.Tick(now)
-			boxed.dst.Tick(now)
-			boxed.drain()
-			boxed.now++
-		}
 		conserve := func() {
 			sent := boxed.src.FlitsSent + boxed.dst.FlitsSent
 			consumed := boxed.src.FlitsConsumed + boxed.dst.FlitsConsumed
@@ -68,7 +50,7 @@ func FuzzLinkMailbox(f *testing.F) {
 		for _, b := range schedule {
 			for gap := int(b >> 4); gap > 0; gap-- {
 				serial.step()
-				stepBoxed()
+				boxed.stepBoxed()
 				conserve()
 			}
 			id++
@@ -83,7 +65,7 @@ func FuzzLinkMailbox(f *testing.F) {
 		// NI pipelines) empties well within this window at 1 flit/cycle.
 		for i := 0; i < 400; i++ {
 			serial.step()
-			stepBoxed()
+			boxed.stepBoxed()
 			conserve()
 		}
 

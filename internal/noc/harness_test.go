@@ -54,15 +54,16 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 		t.Fatal(err)
 	}
 	p := &pipe{meter: m}
+	part := m.NewPart()
 	const flitBits = 32
-	p.sw0 = NewSwitch(0, o.vcs, o.depth, flitBits, o.switchPJ, m)
-	p.sw1 = NewSwitch(1, o.vcs, o.depth, flitBits, o.switchPJ, m)
+	p.sw0 = NewSwitch(0, 2, o.vcs, o.depth, flitBits, o.switchPJ, part)
+	p.sw1 = NewSwitch(1, 2, o.vcs, o.depth, flitBits, o.switchPJ, part)
 	if o.phaseSplit {
 		p.sw0.SetPhaseSplit(true, o.postVCs)
 		p.sw1.SetPhaseSplit(true, o.postVCs)
 	}
 
-	p.link = NewLink(energy.ClassLinkMesh, o.linkLatency, o.linkRate, o.linkPJPerBit, flitBits, m)
+	p.link = NewLink(energy.ClassLinkMesh, o.linkLatency, o.linkRate, o.linkPJPerBit, flitBits, part)
 	out0 := p.sw0.AddOutputPort(p.link, o.depth)
 	in1 := p.sw1.AddInputPort(p.link)
 	p.link.Connect(p.sw0, out0, p.sw1, in1)
@@ -71,7 +72,7 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	in0 := p.sw0.AddInputPort(nil)
 	eject0 := p.sw0.AddOutputPort(nil, o.depth)
 	p.src = NewEndpoint(0, p.sw0, in0, eject0, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, m)
+		flitBits, o.queueCap, part)
 	p.src.SetShard(nil, 0, &p.events)
 	p.sw0.SetInputCredit(in0, p.src)
 	p.sw0.SetOutputConduit(eject0, p.src)
@@ -80,7 +81,7 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	in1b := p.sw1.AddInputPort(nil)
 	eject1 := p.sw1.AddOutputPort(nil, o.depth)
 	p.dst = NewEndpoint(1, p.sw1, in1b, eject1, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, m)
+		flitBits, o.queueCap, part)
 	p.dst.SetShard(nil, 1, &p.events)
 	p.sw1.SetInputCredit(in1b, p.dst)
 	p.sw1.SetOutputConduit(eject1, p.dst)
@@ -107,6 +108,27 @@ func (p *pipe) step() {
 	p.link.Deliver(p.now)
 	p.src.Tick(p.now)
 	p.dst.Tick(p.now)
+	p.drain()
+	p.now++
+}
+
+// stepBoxed advances one cycle of a pipe whose link is in mailbox mode,
+// in the sharded engine's P1 order: drain the parity inboxes parked at
+// now-1, sweep the pipelines, park traffic due at now.
+func (p *pipe) stepBoxed() {
+	now := p.now
+	p.link.DrainFlitInbox(now)
+	p.link.DrainCreditInbox(now)
+	p.sw0.TickSAST(now)
+	p.sw1.TickSAST(now)
+	p.sw0.TickVA(now)
+	p.sw1.TickVA(now)
+	p.sw0.TickRC(now)
+	p.sw1.TickRC(now)
+	p.link.DeliverFlitHalf(now)
+	p.link.DeliverCreditHalf(now)
+	p.src.Tick(now)
+	p.dst.Tick(now)
 	p.drain()
 	p.now++
 }

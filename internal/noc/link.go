@@ -24,14 +24,16 @@ type timedCredit struct {
 // Bandwidth tokens refill lazily (see sim.TokenBucket), so an idle link
 // costs nothing per cycle; the engine only ticks Deliver while the link has
 // flits or credits in flight (sim.Queue pipelines), tracked through the
-// activity set installed with SetActivity.
+// activity set installed with SetActivity. The upstream output port is the
+// bucket's only spender, so Accept tells it when the link can take the
+// next flit and the switch never asks the link (see Switch.TickSAST).
 type Link struct {
-	class    energy.Class
-	latency  sim.Cycle
-	bucket   sim.TokenBucket
-	pjPerBit float64
-	flitBits int
-	meter    *energy.Meter
+	latency sim.Cycle
+	bucket  sim.TokenBucket
+	// part is the meter part of the shard owning the upstream switch, the
+	// one that runs Accept; charge is the per-flit link energy.
+	part   *energy.Part
+	charge energy.Charge
 
 	src     *Switch
 	srcPort int
@@ -49,21 +51,19 @@ type Link struct {
 	mailbox *linkMailbox
 }
 
-// NewLink constructs a directed link. Wiring to switch ports is performed
-// by the engine (the link must know both ends to deliver flits and return
-// credits).
+// NewLink constructs a directed link that charges each flit's energy to
+// part. Wiring to switch ports is performed by the engine (the link must
+// know both ends to deliver flits and return credits).
 func NewLink(class energy.Class, latency int, rate sim.Rate, pjPerBit float64,
-	flitBits int, m *energy.Meter) *Link {
+	flitBits int, part *energy.Part) *Link {
 	if latency < 1 {
 		latency = 1
 	}
 	return &Link{
-		class:    class,
-		latency:  sim.Cycle(latency),
-		bucket:   sim.NewTokenBucket(rate),
-		pjPerBit: pjPerBit,
-		flitBits: flitBits,
-		meter:    m,
+		latency: sim.Cycle(latency),
+		bucket:  sim.NewTokenBucket(rate),
+		part:    part,
+		charge:  energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
 	}
 }
 
@@ -81,24 +81,21 @@ func (l *Link) SetActivity(set *sim.ActiveSet, id int) {
 	l.active, l.activeID = set, id
 }
 
-// Class returns the link's energy class.
-func (l *Link) Class() energy.Class { return l.class }
-
 // Latency returns the link traversal latency in cycles.
 func (l *Link) Latency() int { return int(l.latency) }
 
-// CanAccept reports whether bandwidth tokens allow a flit this cycle.
-func (l *Link) CanAccept(now sim.Cycle) bool { return l.bucket.CanSpendAt(now) }
-
-// Accept launches a flit onto the wire.
-func (l *Link) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) {
+// Accept launches a flit onto the wire, spending one flit of bandwidth
+// tokens, and returns the first cycle the bucket can spend again
+// (sim.TokenBucket.NextSpend): the link takes no flit before it.
+func (l *Link) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) sim.Cycle {
 	if !l.bucket.TrySpendAt(now) {
 		panic("noc: link accepted flit without bandwidth tokens")
 	}
-	pj := l.meter.AddDynamic(l.class, l.flitBits, l.pjPerBit*float64(l.flitBits))
-	f.Pkt.AddEnergy(pj)
+	l.part.Add(l.charge)
+	f.Pkt.AddEnergy(l.charge.FP)
 	l.inflight.Push(timedFlit{at: now + l.latency, f: f})
 	l.active.Add(l.activeID)
+	return l.bucket.NextSpend()
 }
 
 // ReturnCredit schedules a freed downstream buffer slot back to the source

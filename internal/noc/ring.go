@@ -18,7 +18,11 @@ func (r *flitRing) push(f Flit) bool {
 	if r.full() {
 		return false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = f
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = f
 	r.n++
 	return true
 }
@@ -38,7 +42,10 @@ func (r *flitRing) pop() (Flit, bool) {
 		return Flit{}, false
 	}
 	r.buf[r.head] = Flit{}
-	r.head = (r.head + 1) % len(r.buf)
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n--
 	return f, true
 }

@@ -3,6 +3,8 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+
+	"wimc/internal/energy"
 )
 
 func newFlitRing(capacity int) flitRing {
@@ -137,8 +139,8 @@ func TestPacketAccessors(t *testing.T) {
 	if p.Latency() != 90 || p.NetworkLatency() != 85 {
 		t.Fatalf("latency %d / %d", p.Latency(), p.NetworkLatency())
 	}
-	p.AddEnergy(2.5)
-	p.AddEnergy(1.5)
+	p.AddEnergy(energy.QuantizePJ(2.5))
+	p.AddEnergy(energy.QuantizePJ(1.5))
 	if p.EnergyPJ() != 4 {
 		t.Fatalf("energy = %v", p.EnergyPJ())
 	}

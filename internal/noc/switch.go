@@ -11,13 +11,15 @@ import (
 // Conduit is the downstream attachment of an output port: a wired link, an
 // endpoint ejection sink, or a wireless transmit buffer.
 type Conduit interface {
-	// CanAccept reports whether the conduit can take one flit this cycle
-	// (bandwidth tokens, buffer space).
-	CanAccept(now sim.Cycle) bool
-	// Accept takes one flit. next identifies the next-hop switch chosen by
-	// routing (needed by the wireless fabric to address the destination WI;
-	// wired links ignore it).
-	Accept(now sim.Cycle, f Flit, next sim.SwitchID)
+	// Accept takes one flit and returns the first cycle the conduit can
+	// take another. next identifies the next-hop switch chosen by routing
+	// (needed by the wireless fabric to address the destination WI; wired
+	// links ignore it). Only a Link ever refuses a flit, for want of
+	// bandwidth tokens, and its upstream output port is the only spender of
+	// them, so the port caches the returned cycle and admits its next flit
+	// with one compare (see Switch.TickSAST). NIs and WIs return 0: buffer
+	// space is already enforced by the port's credits.
+	Accept(now sim.Cycle, f Flit, next sim.SwitchID) sim.Cycle
 }
 
 // CreditSink receives buffer credits freed by a switch input VC and returns
@@ -77,8 +79,11 @@ type outputVC struct {
 
 // OutputPort is the transmit side of a switch port.
 type OutputPort struct {
-	vcs        []outputVC
-	conduit    Conduit
+	vcs     []outputVC
+	conduit Conduit
+	// acceptAt is the first cycle the conduit can take a flit: what its
+	// last Accept returned, 0 before the first.
+	acceptAt   sim.Cycle
 	maxCredits int16
 	rrVA       int
 	rrSA       int
@@ -107,12 +112,12 @@ func (op *OutputPort) CreditOccupancy() (free, capacity int) {
 type Switch struct {
 	ID sim.SwitchID
 
-	vcCount  int
-	depth    int
-	flitBits int
+	vcCount int
+	depth   int
 
-	in  []*InputPort
-	out []*OutputPort
+	// The ports, stored by value and sized once (see NewSwitch).
+	in  []InputPort
+	out []OutputPort
 
 	// Routing state (see Route), set while the system is wired and only
 	// read afterwards:
@@ -136,8 +141,10 @@ type Switch struct {
 	phaseSplit bool
 	postVCs    int
 
-	meter     *energy.Meter
-	switchPJ  float64 // dynamic energy per flit traversal
+	// part is the meter part of the shard owning the switch; charge is the
+	// dynamic energy of one flit traversal.
+	part      *energy.Part
+	charge    energy.Charge
 	nominated []nomination
 
 	// buffered counts flits across all input VC buffers. The switch's three
@@ -187,24 +194,28 @@ type nomination struct {
 	outPort, outVC int16
 }
 
-// NewSwitch constructs a switch with no ports. Ports are added with
-// AddInputPort/AddOutputPort before simulation starts. At most 64 VCs per
-// port are supported (the pipeline tracks per-port VC eligibility in
-// uint64 bitmasks); more is a construction-time bug and panics loudly,
-// mirroring config.Validate's vcs <= 64 rule for callers that build
-// switches directly.
-func NewSwitch(id sim.SwitchID, vcs, depth, flitBits int, switchPJPerBit float64, m *energy.Meter) *Switch {
+// NewSwitch constructs a switch with no ports that charges each flit
+// traversal's energy to part. Ports are added with AddInputPort and
+// AddOutputPort before simulation starts; ports is how many of each the
+// switch will get, so both port slices are allocated once at that size
+// (more still work, by growing them). At most 64 VCs per port are
+// supported (the pipeline tracks per-port VC eligibility in uint64
+// bitmasks); more is a construction-time bug and panics loudly, mirroring
+// config.Validate's vcs <= 64 rule for callers that build switches
+// directly.
+func NewSwitch(id sim.SwitchID, ports, vcs, depth, flitBits int, switchPJPerBit float64, part *energy.Part) *Switch {
 	if vcs > 64 {
 		panic(fmt.Sprintf("noc: switch %d: %d VCs exceeds the 64-VC bitmask limit", id, vcs))
 	}
 	return &Switch{
-		ID:       id,
-		vcCount:  vcs,
-		depth:    depth,
-		flitBits: flitBits,
-		meter:    m,
-		switchPJ: switchPJPerBit * float64(flitBits),
-		wiPort:   -1,
+		ID:      id,
+		vcCount: vcs,
+		depth:   depth,
+		in:      make([]InputPort, 0, ports),
+		out:     make([]OutputPort, 0, ports),
+		part:    part,
+		charge:  energy.NewCharge(energy.ClassSwitch, flitBits, switchPJPerBit*float64(flitBits)),
+		wiPort:  -1,
 	}
 }
 
@@ -212,7 +223,7 @@ func NewSwitch(id sim.SwitchID, vcs, depth, flitBits int, switchPJPerBit float64
 // to credit. It returns the port index. The port's VC rings share one
 // slab of VCs × depth flits.
 func (s *Switch) AddInputPort(credit CreditSink) int {
-	p := &InputPort{vcs: make([]inputVC, s.vcCount), credit: credit}
+	p := InputPort{vcs: make([]inputVC, s.vcCount), credit: credit}
 	slab := make([]Flit, s.vcCount*s.depth)
 	for i := range p.vcs {
 		p.vcs[i].buf = flitRing{buf: slab[i*s.depth : (i+1)*s.depth : (i+1)*s.depth]}
@@ -230,7 +241,7 @@ func (s *Switch) AddOutputPort(c Conduit, credits int) int {
 	if len(s.out) >= 64 {
 		panic(fmt.Sprintf("noc: switch %d would exceed 64 output ports (SA port bitmask)", s.ID))
 	}
-	p := &OutputPort{vcs: make([]outputVC, s.vcCount), conduit: c, maxCredits: int16(credits)}
+	p := OutputPort{vcs: make([]outputVC, s.vcCount), conduit: c, maxCredits: int16(credits)}
 	for i := range p.vcs {
 		p.vcs[i].holderPort = -1
 		p.vcs[i].holderVC = -1
@@ -365,20 +376,21 @@ func (s *Switch) OutputPorts() int { return len(s.out) }
 // VCs returns the per-port virtual channel count.
 func (s *Switch) VCs() int { return s.vcCount }
 
-// Output returns output port i (engine/fabric wiring hook).
-func (s *Switch) Output(i int) *OutputPort { return s.out[i] }
+// Output returns output port i (engine/fabric wiring hook). The pointer is
+// valid until the next AddOutputPort.
+func (s *Switch) Output(i int) *OutputPort { return &s.out[i] }
 
 // Receive enqueues a flit arriving on the given input port and VC. The
 // credit protocol guarantees buffer space; violation indicates a simulator
 // bug and panics.
 func (s *Switch) Receive(port int, vc int, f Flit) {
-	ivc := &s.in[port].vcs[vc]
+	ip := &s.in[port]
+	ivc := &ip.vcs[vc]
 	if !ivc.buf.push(f) {
 		panic(fmt.Sprintf("noc: switch %d port %d vc %d buffer overflow (pkt %d seq %d): credit protocol violated",
 			s.ID, port, vc, f.Pkt.ID, f.Seq))
 	}
 	s.buffered++
-	ip := s.in[port]
 	ip.buffered++
 	switch ivc.state {
 	case vcIdle:
@@ -394,14 +406,14 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 // again; when the holder has a flit buffered, that is a wake-up, so the
 // switch rejoins its active set (see Stalled).
 func (s *Switch) ReturnCredit(port, vc int) {
-	op := s.out[port]
+	op := &s.out[port]
 	ovc := &op.vcs[vc]
 	ovc.credits++
 	if ovc.credits > op.maxCredits {
 		panic(fmt.Sprintf("noc: switch %d out port %d vc %d credit overflow", s.ID, port, vc))
 	}
 	if ovc.credits == 1 && ovc.holderPort >= 0 {
-		ip := s.in[ovc.holderPort]
+		ip := &s.in[ovc.holderPort]
 		bit := uint64(1) << uint(ovc.holderVC)
 		ip.starved &^= bit
 		if ip.ready&bit != 0 {
@@ -411,14 +423,18 @@ func (s *Switch) ReturnCredit(port, vc int) {
 }
 
 // TickSAST performs switch allocation and traversal: each input port
-// nominates one ready VC (round-robin), each output port grants one
-// nominee (round-robin) and the winning flit traverses to the conduit.
+// nominates one ready VC (round-robin) whose output conduit can take a
+// flit this cycle, each output port grants one nominee (round-robin) and
+// the winning flit traverses to the conduit.
 //
 // Nomination walks ready &^ starved: a VC whose held output VC has no
 // credit is never visited, exactly as the full scan skipped it before
-// asking the conduit. The starved mask is set when a VA grant or a
+// testing the conduit. The starved mask is set when a VA grant or a
 // non-tail traversal leaves the held VC at zero credits and cleared when
-// ReturnCredit restores the first credit or the tail releases the VC.
+// ReturnCredit restores the first credit or the tail releases the VC. The
+// conduit test reads the output port's acceptAt, the cycle the conduit's
+// last Accept returned, so nomination never loads a link: only a link
+// refuses, and only for want of the tokens that this port alone spends.
 func (s *Switch) TickSAST(now sim.Cycle) {
 	if s.buffered == 0 {
 		return
@@ -429,7 +445,8 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 	// VCs the full scan would reach the conduit test with (vcActive,
 	// nonempty buffer, credit held); iterate its bits in the same
 	// wrap-around order starting at rrNom.
-	for ipIdx, ip := range s.in {
+	for ipIdx := range s.in {
+		ip := &s.in[ipIdx]
 		m := ip.ready &^ ip.starved
 		if m == 0 {
 			continue
@@ -446,8 +463,7 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 				vcIdx := bits.TrailingZeros64(mm)
 				mm &^= 1 << uint(vcIdx)
 				vc := &ip.vcs[vcIdx]
-				op := s.out[vc.outPort]
-				if !op.conduit.CanAccept(now) {
+				if now < s.out[vc.outPort].acceptAt {
 					continue
 				}
 				s.nominated = append(s.nominated, nomination{
@@ -477,10 +493,10 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 	for i := range s.nominated {
 		portMask |= 1 << uint(s.nominated[i].outPort)
 	}
-	for opIdx, op := range s.out {
-		if portMask&(1<<uint(opIdx)) == 0 {
-			continue
-		}
+	for portMask != 0 {
+		opIdx := bits.TrailingZeros64(portMask)
+		portMask &^= 1 << uint(opIdx)
+		op := &s.out[opIdx]
 		best := -1
 		bestKey := 0
 		for i := range s.nominated {
@@ -507,9 +523,9 @@ func (s *Switch) inKeySpace() int { return len(s.in)*s.vcCount + 1 }
 
 // traverse moves one flit from an input VC to its output conduit.
 func (s *Switch) traverse(now sim.Cycle, nm nomination) {
-	ip := s.in[nm.inPort]
+	ip := &s.in[nm.inPort]
 	vc := &ip.vcs[nm.inVC]
-	op := s.out[nm.outPort]
+	op := &s.out[nm.outPort]
 	ovc := &op.vcs[nm.outVC]
 
 	f, ok := vc.buf.pop()
@@ -530,8 +546,8 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 	nextHop := vc.nextHop
 
 	// Dynamic switch energy, attributed to the packet.
-	pj := s.meter.AddDynamic(energy.ClassSwitch, s.flitBits, s.switchPJ)
-	f.Pkt.AddEnergy(pj)
+	s.part.Add(s.charge)
+	f.Pkt.AddEnergy(s.charge.FP)
 	if f.IsHead() {
 		f.Pkt.Hops++
 	}
@@ -553,7 +569,7 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 		}
 	}
 
-	op.conduit.Accept(now, f, nextHop)
+	op.acceptAt = op.conduit.Accept(now, f, nextHop)
 
 	// The freed buffer slot returns upstream as a credit.
 	if ip.credit != nil {
@@ -585,7 +601,8 @@ func (s *Switch) TickVA(now sim.Cycle) {
 		s.vaPortCnt[i] = 0
 	}
 	reqs := s.vaReqs[:0]
-	for ipIdx, ip := range s.in {
+	for ipIdx := range s.in {
+		ip := &s.in[ipIdx]
 		if ip.buffered == 0 {
 			continue
 		}
@@ -612,10 +629,11 @@ func (s *Switch) TickVA(now sim.Cycle) {
 	}
 	s.vaGranted = granted
 
-	for opIdx, op := range s.out {
+	for opIdx := range s.out {
 		if s.vaPortCnt[opIdx] == 0 {
 			continue
 		}
+		op := &s.out[opIdx]
 		// Rotate requesters by the round-robin pointer for fairness.
 		keyOf := func(r vaReq) int { return int(r.ipIdx)*s.vcCount + int(r.vcIdx) }
 		next := 0
@@ -669,7 +687,8 @@ func (s *Switch) TickRC(now sim.Cycle) {
 	if s.buffered == 0 {
 		return
 	}
-	for _, ip := range s.in {
+	for ipIdx := range s.in {
+		ip := &s.in[ipIdx]
 		m := ip.rcReady
 		for m != 0 {
 			vcIdx := bits.TrailingZeros64(m)
@@ -711,8 +730,8 @@ func (s *Switch) Stalled() bool {
 	if s.buffered == 0 || (s.vaPending && s.waiting > 0) {
 		return false
 	}
-	for _, ip := range s.in {
-		if ip.rcReady|(ip.ready&^ip.starved) != 0 {
+	for i := range s.in {
+		if ip := &s.in[i]; ip.rcReady|(ip.ready&^ip.starved) != 0 {
 			return false
 		}
 	}
@@ -778,7 +797,7 @@ func (s *Switch) CheckPipelineInvariants() error {
 			case vcWaitVC:
 				waiting++
 				if !s.vaPending {
-					op := s.out[vc.outPort]
+					op := &s.out[vc.outPort]
 					lo, hi := s.vcRange(vc.phase)
 					for ovc := lo; ovc < hi; ovc++ {
 						if op.vcs[ovc].holderPort == -1 {

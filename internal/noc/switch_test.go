@@ -243,9 +243,9 @@ func TestSwitchAccessors(t *testing.T) {
 // when a link joins them (the later of two such ports) and over the WI
 // port otherwise.
 func TestSwitchRoute(t *testing.T) {
-	m := mustMeter(t)
-	sw := NewSwitch(0, 2, 2, 32, 0, m)
-	one, two := NewSwitch(1, 2, 2, 32, 0, m), NewSwitch(2, 2, 2, 32, 0, m)
+	m := mustPart(t)
+	sw := NewSwitch(0, 4, 2, 2, 32, 0, m)
+	one, two := NewSwitch(1, 2, 2, 2, 32, 0, m), NewSwitch(2, 1, 2, 2, 32, 0, m)
 	connect := func(to *Switch) (int, *Link) {
 		l := NewLink(energy.ClassLinkMesh, 1, sim.RateOne, 0, 32, m)
 		out := sw.AddOutputPort(l, 2)
@@ -402,7 +402,7 @@ func TestNewSwitchRejectsOver64VCs(t *testing.T) {
 			t.Fatal("NewSwitch accepted 65 VCs")
 		}
 	}()
-	NewSwitch(0, 65, 4, 32, 0, nil)
+	NewSwitch(0, 0, 65, 4, 32, 0, nil)
 }
 
 // TestTailReleaseTriggersVA: a tail that traverses in SA frees its output
@@ -452,7 +452,7 @@ func TestRouteTriggersVA(t *testing.T) {
 	for i := 0; i < a.NumFlits; i++ {
 		p.sw0.Receive(0, 0, FlitAt(a, i))
 	}
-	ip := p.sw0.in[0]
+	ip := &p.sw0.in[0]
 	for ip.vcs[0].state != vcActive {
 		if p.now > 10 {
 			t.Fatal("A never granted")
@@ -501,7 +501,7 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 		}
 		tick()
 	}
-	ip := p.sw0.in[0]
+	ip := &p.sw0.in[0]
 	ovc := ip.vcs[0].outVC
 	if ip.starved&1 == 0 {
 		t.Fatal("VC 0 not starved with its output VC at zero credits")

@@ -397,6 +397,22 @@ func (b *TokenBucket) TrySpendAt(now Cycle) bool {
 	return true
 }
 
+// NextSpend returns the first cycle, no earlier than the last one refilled,
+// at which CanSpendAt holds, or Never for a bucket that cannot refill.
+// Tokens only grow between spends, so CanSpendAt(now) equals
+// now >= NextSpend() until the bucket's next spend: a bucket's only spender
+// can cache the answer and test admission with one compare. The cap never
+// matters here, because it clips at two flits and a spend needs one.
+func (b *TokenBucket) NextSpend() Cycle {
+	if b.tokens >= RateOne {
+		return b.last
+	}
+	if b.rate <= 0 {
+		return Never
+	}
+	return b.last + Cycle((RateOne-b.tokens+b.rate-1)/b.rate)
+}
+
 // Rate returns the configured refill rate.
 func (b *TokenBucket) Rate() Rate { return b.rate }
 

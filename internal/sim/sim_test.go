@@ -152,6 +152,68 @@ func TestTokenBucketNeverExceedsRate(t *testing.T) {
 	}
 }
 
+// TestTokenBucketNextSpend checks NextSpend against stepping CanSpendAt
+// cycle by cycle: after every spend of a random schedule, a copy of the
+// bucket refuses each cycle from the last refill up to NextSpend and
+// accepts at it. The schedule spends as soon as the bucket allows, after
+// short waits, and after idles long enough to saturate the refill (which
+// banks two flits, so a second spend in the same cycle follows).
+func TestTokenBucketNextSpend(t *testing.T) {
+	cases := []struct {
+		name   string
+		rate   Rate
+		spends int
+	}{
+		{"one", RateOne, 300},
+		{"12gbps", RateFromGbps(12, 32, 2.5), 300}, // 0.15 flits per cycle
+		{"third", RateFromFlitsPerCycle(1.0 / 3), 300},
+		{"min", 1, 6}, // 2^20 cycles per flit
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := NewRand(uint64(tc.rate))
+			b := NewTokenBucket(tc.rate)
+			saturate := Cycle(2*RateOne/tc.rate) + 2
+			idles := 0
+			for i := 0; i < tc.spends; i++ {
+				next := b.NextSpend()
+				ref := b
+				for c := b.last; c < next; c++ {
+					if ref.CanSpendAt(c) {
+						t.Fatalf("spend %d: bucket can spend at %d, before NextSpend %d", i, c, next)
+					}
+				}
+				if !ref.CanSpendAt(next) {
+					t.Fatalf("spend %d: bucket cannot spend at NextSpend %d", i, next)
+				}
+				at := next
+				switch k := rng.Intn(10); {
+				case k == 0 || i == 1:
+					at += saturate + Cycle(rng.Intn(5))
+					idles++
+				case k < 4:
+					at += Cycle(rng.Intn(6))
+				}
+				if !b.TrySpendAt(at) {
+					t.Fatalf("spend %d: TrySpendAt(%d) refused at or after NextSpend %d", i, at, next)
+				}
+			}
+			if idles == 0 {
+				t.Fatal("schedule never idled long enough to saturate the refill")
+			}
+		})
+	}
+	t.Run("zero-rate", func(t *testing.T) {
+		b := NewTokenBucket(0)
+		if !b.TrySpendAt(0) {
+			t.Fatal("fresh zero-rate bucket refused its first flit")
+		}
+		if got := b.NextSpend(); got != Never {
+			t.Fatalf("drained zero-rate bucket NextSpend = %d, want Never", got)
+		}
+	})
+}
+
 // TestTokenBucketLazyMatchesEager proves the lazy refill is bit-identical
 // to eager per-cycle refills: a bucket probed every cycle and one probed
 // only at sparse cycles agree at every probe point.

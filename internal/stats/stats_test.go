@@ -3,6 +3,7 @@ package stats
 import (
 	"testing"
 
+	"wimc/internal/energy"
 	"wimc/internal/noc"
 	"wimc/internal/sim"
 )
@@ -86,7 +87,7 @@ func TestClassCounters(t *testing.T) {
 func TestEnergySampleIsWindowBased(t *testing.T) {
 	c := NewCollector(1000, 10000, 32)
 	p := pkt(1, 100, 200, 4, noc.ClassCoreToCore) // pre-warmup creation
-	p.AddEnergy(500)
+	p.AddEnergy(energy.QuantizePJ(500))
 	deliver(c, 5000, p)
 	if c.WindowEnergyPJ != 500 {
 		t.Fatalf("window energy %v", c.WindowEnergyPJ)
