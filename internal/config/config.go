@@ -291,8 +291,10 @@ type Config struct {
 	// ticks its own switches, links and endpoints each cycle, synchronized
 	// at per-cycle barriers with single-writer mailboxes on the boundary
 	// links. Results are byte-identical at every shard count (the engine's
-	// determinism matrix pins this). 0 or 1 selects the serial engine; the
-	// engine clamps the count to the global mesh-row count.
+	// determinism matrix pins this), so the count is no part of a point's
+	// store key (spec.PointKey): a sharded run is served from a serial
+	// run's cache entry and the other way round. 0 or 1 selects the serial
+	// engine; the engine clamps the count to the global mesh-row count.
 	EngineShards int `json:"engine_shards,omitempty"`
 }
 
@@ -491,9 +493,6 @@ func (c Config) TotalWIs() int {
 	}
 	return c.Chips()*c.WIsPerChip() + c.MemStacks
 }
-
-// PortRateGbps returns the full rate of a one-flit-wide port.
-func (c Config) PortRateGbps() float64 { return float64(c.FlitBits) * c.ClockGHz }
 
 // FaultModelActive reports whether any fault-injection machinery is
 // enabled: a nonzero packet error probability or a non-empty fault

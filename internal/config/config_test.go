@@ -426,9 +426,6 @@ func TestDerivedCounts(t *testing.T) {
 	if cfg.CoresPerChip() != 8 {
 		t.Fatalf("cores/chip = %d, want 8", cfg.CoresPerChip())
 	}
-	if got := cfg.PortRateGbps(); got != 80 {
-		t.Fatalf("port rate = %v Gbps, want 80", got)
-	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {

@@ -64,15 +64,14 @@ type Fabric struct {
 	// flit addressed to WI d.
 	headIdx []uint64
 
-	// Exclusive-channel fabric: chanRate is the per-sub-channel token rate,
-	// subs the sub-channels (built on first use from the configured channel
-	// assignment) and chOf the transmit sub-channel of each WI index.
-	// legacy, when non-nil, swaps in the retained pre-sub-channel MAC, the
-	// reference TestLegacyExclusiveEquivalence compares the K=1 fabric
-	// against.
+	// Exclusive-channel fabric: chanRate is the per-sub-channel token rate
+	// and subs the sub-channels, made empty by NewFabric; AddWI appends
+	// each WI to the member list and turn queue of the sub-channel the
+	// configured assignment gives it. legacy, when non-nil, swaps in the
+	// retained pre-sub-channel MAC, the reference
+	// TestLegacyExclusiveEquivalence compares the K=1 fabric against.
 	chanRate sim.Rate
 	subs     []*subChannel
-	chOf     []int
 	legacy   *legacyMAC
 
 	// Turn arbitration (config.MACPolicyMode, see policy.go): every policy
@@ -244,14 +243,16 @@ func (fb *Fabric) txRemoved(w *WI, q, n int) {
 }
 
 // NewFabric constructs the wireless fabric, which charges its energy to
-// m's root part. WIs are added afterwards with AddWI in MAC-sequence
-// order. WirelessLatency < 1 is rejected by config.Validate; the fabric
-// trusts its configuration.
+// m's root part. The exclusive model gets its sub-channels here, still
+// empty: one under the single assignment, wireless_channels under the
+// other two. WIs are added afterwards with AddWI in MAC-sequence order.
+// WirelessLatency < 1 and more sub-channels than WIs are rejected by
+// config.Validate; the fabric trusts its configuration.
 func NewFabric(cfg config.Config, m *energy.Meter, rng *sim.Rand) *Fabric {
 	// Per-flit error probability: 1 - (1-BER)^bits ≈ bits*BER for small BER.
 	flitErr := 1.0 - pow1m(cfg.WirelessBER, cfg.FlitBits)
 	pjPerFlit := cfg.WirelessPJPerBit * float64(cfg.FlitBits)
-	return &Fabric{
+	fb := &Fabric{
 		cfg:        cfg,
 		rng:        rng,
 		wiOf:       make(map[sim.SwitchID]*WI),
@@ -264,6 +265,26 @@ func NewFabric(cfg config.Config, m *energy.Meter, rng *sim.Rand) *Fabric {
 		chanRate:    sim.RateFromGbps(cfg.WirelessGbps, cfg.FlitBits, cfg.ClockGHz),
 		lastLaunch:  -1,
 	}
+	if cfg.Channel != config.ChannelExclusive {
+		return fb
+	}
+	k := 1
+	if cfg.ChannelAssign == config.AssignStaticPartition || cfg.ChannelAssign == config.AssignSpatialReuse {
+		k = max(cfg.WirelessChannels, 1)
+	}
+	fb.subs = make([]*subChannel, k)
+	for i := range fb.subs {
+		fb.subs[i] = &subChannel{
+			idx:           i,
+			bucket:        sim.NewTokenBucket(fb.chanRate),
+			announceDests: make(map[int]bool),
+			qHead:         -1,
+			qTail:         -1,
+		}
+	}
+	fb.rotate = cfg.MACPolicyMode == config.PolicyRotate || cfg.MACPolicyMode == ""
+	fb.weighted = cfg.MACPolicyMode == config.PolicyWeighted
+	return fb
 }
 
 // pow1m computes (1-p)^n without math.Pow for tiny p.
@@ -275,11 +296,14 @@ func pow1m(p float64, n int) float64 {
 	return out
 }
 
-// AddWI attaches a wireless interface to sw, creating its wireless ports.
-// WIs must be added in the paper's numbering order (the MAC turn sequence).
-// gx, gy locate the host switch on the global mesh grid (memory-stack
-// switches sit just outside it); the spatial-reuse channel assignment
-// groups WIs by these coordinates.
+// AddWI attaches a wireless interface to sw, creating its wireless ports,
+// and on the exclusive model appends it to its sub-channel. WIs must be
+// added in the paper's numbering order (the MAC turn sequence), so every
+// member list runs in ascending WI index and sub-channel iteration order —
+// and with it every energy accumulation — is deterministic. gx, gy locate
+// the host switch on the global mesh grid (memory-stack switches sit just
+// outside it); the spatial-reuse channel assignment groups WIs by these
+// coordinates.
 func (fb *Fabric) AddWI(sw *noc.Switch, gx, gy int) *WI {
 	egressRate := sim.RateOne
 	if fb.cfg.Channel == config.ChannelCrossbar && fb.cfg.CrossbarEgressGbp > 0 {
@@ -310,103 +334,46 @@ func (fb *Fabric) AddWI(sw *noc.Switch, gx, gy int) *WI {
 	fb.wis = append(fb.wis, w)
 	fb.wiOf[sw.ID] = w
 	fb.launchedScratch = append(fb.launchedScratch, false)
+	if fb.subs != nil {
+		// A new WI holds no TX flit, so only rotate queues it at once.
+		sub := fb.subs[fb.subChannelOf(w)]
+		w.sub, w.subSlot = sub, len(sub.members)
+		sub.members = append(sub.members, w)
+		sub.qNext = append(sub.qNext, -1)
+		sub.qPrev = append(sub.qPrev, -1)
+		sub.inQueue = append(sub.inQueue, false)
+		if fb.wantsTurn(w) {
+			sub.enqueue(w.subSlot)
+		}
+	}
 	return w
 }
 
 // WIs returns the fabric's interfaces in MAC order.
 func (fb *Fabric) WIs() []*WI { return fb.wis }
 
-// ensureChannels builds the exclusive model's sub-channels from the
-// configured assignment on first use (after every AddWI). Groups hold
-// members in ascending WI index, so sub-channel iteration order — and with
-// it every energy accumulation — is deterministic.
-func (fb *Fabric) ensureChannels() {
-	if fb.subs != nil || fb.cfg.Channel != config.ChannelExclusive || len(fb.wis) == 0 {
-		return
-	}
-	k := fb.cfg.WirelessChannels
-	if k < 1 {
-		k = 1
-	}
-	if k > len(fb.wis) {
-		// config.Validate rejects this; clamp defensively for bare harnesses.
-		k = len(fb.wis)
-	}
-	fb.chOf = make([]int, len(fb.wis))
+// subChannelOf returns the sub-channel the configured assignment gives w.
+// static-partition deals WIs out by index. spatial-reuse divides the
+// global mesh grid into the most-square kx × ky = k tiling and picks the
+// zone holding w's host switch, so far-apart WI groups land on different
+// channels and transmit concurrently (spatial frequency reuse) while
+// neighbors share one and take turns. single has one channel.
+func (fb *Fabric) subChannelOf(w *WI) int {
+	k := len(fb.subs)
 	switch fb.cfg.ChannelAssign {
 	case config.AssignStaticPartition:
-		for i := range fb.wis {
-			fb.chOf[i] = i % k
-		}
+		return w.Index % k
 	case config.AssignSpatialReuse:
-		fb.assignSpatial(k)
-	default: // AssignSingle: one shared channel (Validate pins k to 1)
-		k = 1
-	}
-	fb.subs = make([]*subChannel, k)
-	for i := range fb.subs {
-		fb.subs[i] = &subChannel{
-			idx:           i,
-			bucket:        sim.NewTokenBucket(fb.chanRate),
-			announceDests: make(map[int]bool),
-			qHead:         -1,
-			qTail:         -1,
-		}
-	}
-	for i, w := range fb.wis {
-		sub := fb.subs[fb.chOf[i]]
-		w.sub = sub
-		w.subSlot = len(sub.members)
-		sub.members = append(sub.members, w)
-	}
-	// Build the turn queues in member order. Flits buffered before the
-	// first Launch (bare harnesses; the engine always launches before
-	// flits can arrive) seed the contention counters and queues that the
-	// TX-occupancy transitions maintain from here on.
-	fb.rotate = fb.cfg.MACPolicyMode == config.PolicyRotate || fb.cfg.MACPolicyMode == ""
-	fb.weighted = fb.cfg.MACPolicyMode == config.PolicyWeighted
-	for _, sub := range fb.subs {
-		n := len(sub.members)
-		sub.qNext, sub.qPrev, sub.inQueue = make([]int, n), make([]int, n), make([]bool, n)
-		for slot, w := range sub.members {
-			if w.txLen > 0 {
-				sub.backlogged++
-			}
-			if fb.wantsTurn(w) {
-				sub.enqueue(slot)
-			}
-		}
-	}
-}
-
-// assignSpatial maps each WI to the sub-channel of its grid zone: the
-// global mesh grid is divided into the most-square kx × ky = k tiling and
-// a WI joins the zone containing its host switch, so WI groups that are
-// far apart on the package land on different channels and transmit
-// concurrently (spatial frequency reuse), while neighbors share a channel
-// and take turns.
-func (fb *Fabric) assignSpatial(k int) {
-	kx, ky := squareFactor(k)
-	cols := fb.cfg.ChipsX * fb.cfg.CoresX
-	rows := fb.cfg.ChipsY * fb.cfg.CoresY
-	for i, w := range fb.wis {
-		x, y := w.gx, w.gy
+		kx, ky := squareFactor(k)
+		cols := fb.cfg.ChipsX * fb.cfg.CoresX
+		rows := fb.cfg.ChipsY * fb.cfg.CoresY
 		// Memory-stack switches flank the grid at gx = -1 / cols; fold them
 		// onto the nearest grid column.
-		if x < 0 {
-			x = 0
-		}
-		if x >= cols {
-			x = cols - 1
-		}
-		if y < 0 {
-			y = 0
-		}
-		if y >= rows {
-			y = rows - 1
-		}
-		fb.chOf[i] = (y*ky/rows)*kx + x*kx/cols
+		x := min(max(w.gx, 0), cols-1)
+		y := min(max(w.gy, 0), rows-1)
+		return (y*ky/rows)*kx + x*kx/cols
 	}
+	return 0
 }
 
 // squareFactor returns the most-square (x, y) factorization of n with
@@ -437,7 +404,6 @@ func (fb *Fabric) ConcurrencyBudget() int {
 	if fb.legacy != nil {
 		return 1
 	}
-	fb.ensureChannels()
 	busy := 0
 	for _, s := range fb.subs {
 		if len(s.members) > 0 {
@@ -456,7 +422,6 @@ func (fb *Fabric) SubChannelMembers() [][]int {
 	if fb.cfg.Channel != config.ChannelExclusive {
 		return nil
 	}
-	fb.ensureChannels()
 	out := make([][]int, len(fb.subs))
 	for i, s := range fb.subs {
 		for _, w := range s.members {
@@ -476,10 +441,6 @@ func (fb *Fabric) SubChannelMembers() [][]int {
 // MAC (the engine rejects adaptive selection on it).
 func (fb *Fabric) TurnQueueDepth(w *WI) (queued, members int) {
 	if fb.cfg.Channel != config.ChannelExclusive || fb.legacy != nil {
-		return 0, 0
-	}
-	fb.ensureChannels()
-	if w.sub == nil {
 		return 0, 0
 	}
 	return w.sub.backlogged, len(w.sub.members)
@@ -506,7 +467,7 @@ func (fb *Fabric) LaunchNeeded() bool {
 		return false
 	}
 	if fb.cfg.Channel == config.ChannelExclusive {
-		if fb.legacy == nil && fb.subs != nil && !fb.rotate {
+		if fb.legacy == nil && !fb.rotate {
 			return fb.txTotal > 0 || fb.busySubs > 0
 		}
 		return true
@@ -536,7 +497,7 @@ func (fb *Fabric) NextLaunchCycle(now sim.Cycle) sim.Cycle {
 		}
 		return sim.Never
 	}
-	if fb.legacy != nil || fb.subs == nil || fb.rotate {
+	if fb.legacy != nil || fb.rotate {
 		// The legacy MAC and the rotation run their turn machinery (and
 		// spend control-packet energy) every cycle; never skip them.
 		return now + 1
@@ -637,7 +598,6 @@ func (fb *Fabric) Launch(now sim.Cycle) {
 		if fb.legacy != nil {
 			fb.launchExclusiveLegacy(now)
 		} else {
-			fb.ensureChannels()
 			fb.launchExclusive(now)
 		}
 	}

@@ -115,7 +115,6 @@ func (fb *Fabric) InitFaults() {
 	if !fb.cfg.FaultModelActive() || len(fb.wis) < 2 {
 		return
 	}
-	fb.ensureChannels()
 	n := len(fb.wis)
 	fs := &faultState{
 		retryLimit:    fb.cfg.WirelessRetryLimit,

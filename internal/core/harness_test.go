@@ -58,13 +58,9 @@ func newRig(t *testing.T, n int, cfg config.Config) *rig {
 		r.wis = append(r.wis, w)
 	}
 	for i, sw := range r.switches {
-		in := sw.AddInputPort(nil)
-		out := sw.AddOutputPort(nil, cfg.BufferDepth)
-		ep := noc.NewEndpoint(sim.EndpointID(i), sw, in, out, 1, 0,
+		ep := noc.NewEndpoint(sim.EndpointID(i), sw, 1, 0,
 			energy.ClassLinkLocal, cfg.FlitBits, 64, m.Root())
 		ep.SetShard(nil, i, &r.events)
-		sw.SetInputCredit(in, ep)
-		sw.SetOutputConduit(out, ep)
 		r.endpoints = append(r.endpoints, ep)
 	}
 	// Routing: endpoint j is hosted by switch j, and every switch reaches

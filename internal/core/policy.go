@@ -270,19 +270,17 @@ func (fb *Fabric) CheckMACInvariants() error {
 		return nil
 	}
 	for ci := range fb.subs {
-		if err := fb.CheckSubChannel(ci); err != nil {
+		if err := fb.checkSubChannel(ci); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CheckSubChannel checks the per-sub-channel share of the MAC invariants
+// checkSubChannel checks the per-sub-channel share of the MAC invariants
 // for sub-channel ci alone: turn-phase/announce lockstep, the backlogged
-// counter, and turn-queue consistency. Every piece of state it reads is
-// owned by the sub-channel or its member WIs, so the sharded engine calls
-// it concurrently from the shard that owns the sub-channel.
-func (fb *Fabric) CheckSubChannel(ci int) error {
+// counter, and turn-queue consistency.
+func (fb *Fabric) checkSubChannel(ci int) error {
 	sub := fb.subs[ci]
 	if sub.phase == phaseIdle && sub.announceLeft != 0 {
 		return fmt.Errorf("core: sub-channel %d idle with announceLeft %d", ci, sub.announceLeft)

@@ -71,17 +71,3 @@ func (fb *Fabric) ReplayShardOps(now sim.Cycle, ops []ShardOp) {
 		}
 	}
 }
-
-// SubChannels returns the number of exclusive-model sub-channels (0 for
-// the crossbar model and the legacy single-channel MAC).
-func (fb *Fabric) SubChannels() int { return len(fb.subs) }
-
-// SubChannelHostSwitch returns the host switch of sub-channel ci's first
-// member WI — the engine assigns each sub-channel to the shard owning that
-// switch for per-shard invariant checking.
-func (fb *Fabric) SubChannelHostSwitch(ci int) (id sim.SwitchID, ok bool) {
-	if ci < 0 || ci >= len(fb.subs) || len(fb.subs[ci].members) == 0 {
-		return 0, false
-	}
-	return fb.subs[ci].members[0].SwitchID, true
-}

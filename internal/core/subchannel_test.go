@@ -59,6 +59,33 @@ func TestSingleAssignmentIsOneGroup(t *testing.T) {
 	}
 }
 
+// TestSubChannelsFormAsWIsJoin: AddWI makes each WI a member of its
+// sub-channel and, under rotate, queues it for turns at once, so the MAC
+// invariants hold before any Launch. An idle fabric under any other policy
+// queues nobody and needs no Launch, from cycle 0 on.
+func TestSubChannelsFormAsWIsJoin(t *testing.T) {
+	for _, pol := range []config.MACPolicy{config.PolicyRotate, config.PolicySkipEmpty} {
+		cfg := multiChannelConfig(config.AssignStaticPartition, 2)
+		cfg.MACPolicyMode = pol
+		r := newRig(t, 5, cfg)
+		if err := r.fabric.CheckMACInvariants(); err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		rotate := pol == config.PolicyRotate
+		for ci, sub := range r.fabric.subs {
+			for slot, w := range sub.members {
+				if w.sub != sub || w.subSlot != slot || sub.inQueue[slot] != rotate {
+					t.Fatalf("%s: sub-channel %d slot %d holds WI %d (sub-channel slot %d), queued %v",
+						pol, ci, slot, w.Index, w.subSlot, sub.inQueue[slot])
+				}
+			}
+		}
+		if got := r.fabric.LaunchNeeded(); got != rotate {
+			t.Fatalf("%s: idle fabric LaunchNeeded = %v, want %v", pol, got, rotate)
+		}
+	}
+}
+
 // TestSubChannelsTransmitConcurrently is the point of the refactor: two
 // sub-channels move two flits in the same cycle, which the single shared
 // medium never can.

@@ -34,9 +34,9 @@ type WI struct {
 	// Exclusive-MAC announcement state: flits announced per TX queue.
 	announced []int
 
-	// Exclusive-MAC sub-channel membership (set by ensureChannels): the
-	// transmit sub-channel and this WI's slot in its member list — the
-	// handle the work-conserving turn queues index by.
+	// Exclusive-MAC sub-channel membership, set by AddWI and nil on the
+	// crossbar: the transmit sub-channel and this WI's slot in its member
+	// list — the handle the work-conserving turn queues index by.
 	sub     *subChannel
 	subSlot int
 

@@ -97,7 +97,6 @@ func TestTxQueueReusesBackingArray(t *testing.T) {
 func TestAcceptLogsFabricGlobalHalf(t *testing.T) {
 	r := newRig(t, 2, policyConfig(config.PolicySkipEmpty))
 	fb, w := r.fabric, r.wis[0]
-	fb.ensureChannels()
 	backlog := func() int {
 		queued, _ := fb.TurnQueueDepth(w)
 		return queued

@@ -187,9 +187,6 @@ func (m *Meter) TotalDynamicPJ() float64 {
 // StaticPJ returns the integrated static energy.
 func (m *Meter) StaticPJ() float64 { return m.staticPJ }
 
-// TotalPJ returns total (dynamic + static) energy.
-func (m *Meter) TotalPJ() float64 { return m.TotalDynamicPJ() + m.staticPJ }
-
 // Breakdown returns a copy of the per-class dynamic totals keyed by class
 // name, for reporting.
 func (m *Meter) Breakdown() map[string]float64 {

@@ -142,9 +142,6 @@ func TestStaticIntegration(t *testing.T) {
 	if got := m.StaticPJ(); math.Abs(got-1000) > 1e-9 {
 		t.Fatalf("static = %v pJ, want 1000", got)
 	}
-	if got := m.TotalPJ(); math.Abs(got-1000) > 1e-9 {
-		t.Fatalf("total = %v pJ, want 1000", got)
-	}
 }
 
 func TestBreakdown(t *testing.T) {

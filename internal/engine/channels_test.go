@@ -91,12 +91,12 @@ func TestLinkUtilizationUsesFabricBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := e.Fabric().ConcurrencyBudget()
+	budget := e.fabric.ConcurrencyBudget()
 	if budget >= cfg.WirelessChannels {
 		t.Fatalf("expected empty spatial zones on the 4-chip grid: budget %d, K %d",
 			budget, cfg.WirelessChannels)
 	}
-	flits := float64(e.Meter().Bits(energy.ClassWireless)) / float64(cfg.FlitBits)
+	flits := float64(e.meter.Bits(energy.ClassWireless)) / float64(cfg.FlitBits)
 	want := flits / (float64(budget) * float64(r.Cycles))
 	if got := r.LinkUtilization["wireless"]; got != want {
 		t.Fatalf("wireless utilization %v, want %v (normalized by realized budget %d)",

@@ -377,11 +377,11 @@ func TestShardCountByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if shards > 1 && e.NumShards() < 2 {
-					t.Fatalf("engine_shards=%d built %d shards", shards, e.NumShards())
+				if shards > 1 && len(e.shards) < 2 {
+					t.Fatalf("engine_shards=%d built %d shards", shards, len(e.shards))
 				}
-				if shards <= 1 && e.NumShards() != 1 {
-					t.Fatalf("engine_shards=%d must run as one shard, built %d shards", shards, e.NumShards())
+				if shards <= 1 && len(e.shards) != 1 {
+					t.Fatalf("engine_shards=%d must run as one shard, built %d shards", shards, len(e.shards))
 				}
 				r, err := e.Run()
 				if err != nil {
@@ -520,13 +520,14 @@ func TestFastForwardRunsUnderPool(t *testing.T) {
 	}
 }
 
-// TestShardInvariantsEveryCycle steps a loaded 16-chip sharded run cycle
-// by cycle and recomputes, per shard and per cycle, the pipeline masks of
-// the shard's switches and the MAC protocol state of its owned wireless
-// sub-channels (the per-shard flavor of TestPipelineInvariantsEveryCycle;
-// CheckShardInvariants only touches shard-owned state, so a pass here also
-// validates the ownership partition itself).
-func TestShardInvariantsEveryCycle(t *testing.T) {
+// TestPipelineInvariantsEveryCycleFourShards steps a loaded 16-chip run on
+// four shards, with four spatial-reuse sub-channels under skip-empty, cycle
+// by cycle and calls CheckPipelineInvariants after every cycle: the
+// pipeline masks of every switch, the park/wake membership of every switch
+// and NI in its own shard's activity sets, and the MAC protocol state of
+// every sub-channel. Membership looked up in the wrong shard's sets, or a
+// wake lost on a boundary, shows here within cycles.
+func TestPipelineInvariantsEveryCycleFourShards(t *testing.T) {
 	cfg := config.MustXCYM(16, 8, config.ArchWireless)
 	cfg.WarmupCycles = 100
 	cfg.MeasureCycles = 400
@@ -541,33 +542,28 @@ func TestShardInvariantsEveryCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.stopShards()
-	if e.NumShards() != 4 {
-		t.Fatalf("built %d shards, want 4", e.NumShards())
+	if len(e.shards) != 4 {
+		t.Fatalf("built %d shards, want 4", len(e.shards))
 	}
 	total := cfg.WarmupCycles + cfg.MeasureCycles
 	for ; e.now < total; e.now++ {
 		e.step()
-		for si := 0; si < e.NumShards(); si++ {
-			if err := e.CheckShardInvariants(si); err != nil {
-				t.Fatalf("cycle %d shard %d: %v", e.now, si, err)
-			}
+		if err := e.CheckPipelineInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", e.now, err)
 		}
-	}
-	if err := e.CheckPipelineInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	if err := e.CheckFlitConservation(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestShardInvariantsCheckEverySubChannel pins the ownership half of
-// TestShardInvariantsEveryCycle on its fault-free 16-chip, four-sub-channel
-// engine: after the first step, drift planted in any one sub-channel's
-// contention counter (a replayed accept that no flit backs) must be
-// reported by exactly one shard's CheckShardInvariants. A sub-channel no
-// shard owns would pass every per-shard check unexamined.
-func TestShardInvariantsCheckEverySubChannel(t *testing.T) {
+// TestPipelineInvariantsCheckEverySubChannel: the sub-channels of a
+// 16-chip, four-sub-channel, four-shard engine exist as soon as New
+// returns, and after the first step, drift planted in any one
+// sub-channel's contention counter (a replayed accept that no flit backs)
+// must be reported by CheckPipelineInvariants. A sub-channel the check
+// skipped would pass unexamined.
+func TestPipelineInvariantsCheckEverySubChannel(t *testing.T) {
 	cfg := config.MustXCYM(16, 8, config.ArchWireless)
 	cfg.Channel = config.ChannelExclusive
 	cfg.ChannelAssign = config.AssignSpatialReuse
@@ -580,26 +576,19 @@ func TestShardInvariantsCheckEverySubChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		members := e.fabric.SubChannelMembers()
+		if len(members) != cfg.WirelessChannels || len(members[ci]) == 0 {
+			t.Fatalf("sub-channel members %v after New, want %d populated sub-channels", members, cfg.WirelessChannels)
+		}
 		e.step()
 		e.stopShards()
-		if n := e.fabric.SubChannels(); n != cfg.WirelessChannels {
-			t.Fatalf("%d sub-channels after the first step, want %d", n, cfg.WirelessChannels)
+		if err := e.CheckPipelineInvariants(); err != nil {
+			t.Fatalf("healthy engine: %v", err)
 		}
-		for si := 0; si < e.NumShards(); si++ {
-			if err := e.CheckShardInvariants(si); err != nil {
-				t.Fatalf("healthy engine, shard %d: %v", si, err)
-			}
-		}
-		w := e.fabric.WIs()[e.fabric.SubChannelMembers()[ci][0]]
+		w := e.fabric.WIs()[members[ci][0]]
 		e.fabric.ReplayShardOps(e.now, []core.ShardOp{{W: w, Kind: core.OpAccept, First: true}})
-		reported := 0
-		for si := 0; si < e.NumShards(); si++ {
-			if e.CheckShardInvariants(si) != nil {
-				reported++
-			}
-		}
-		if reported != 1 {
-			t.Errorf("drift in sub-channel %d reported by %d shards, want exactly 1", ci, reported)
+		if e.CheckPipelineInvariants() == nil {
+			t.Errorf("drift in sub-channel %d went unreported", ci)
 		}
 	}
 }
@@ -704,8 +693,8 @@ func TestPipelineInvariantsEveryCycleSaturated(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.stopShards()
-				if e.NumShards() != shards {
-					t.Fatalf("built %d shards, want %d", e.NumShards(), shards)
+				if len(e.shards) != shards {
+					t.Fatalf("built %d shards, want %d", len(e.shards), shards)
 				}
 				total := cfg.WarmupCycles + cfg.MeasureCycles
 				for ; e.now < total; e.now++ {

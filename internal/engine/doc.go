@@ -6,9 +6,12 @@
 //
 // There is one cycle loop, Engine.step, and it always runs over shards.
 // The grid is partitioned into Config.EngineShards horizontal row bands;
-// each shard owns the switches, links, NIs, and WIs whose switches fall in
-// its band, plus the wireless sub-channels hosted by its switches, and
-// keeps the activity sets that decide which of them tick. A serial engine
+// each shard owns the switches in its band, the links leaving them, and
+// their NIs and WIs, and keeps the activity sets that decide which of them
+// tick. The shards exist before the first component is built, and each
+// component joins its shard the moment it is built. The wireless
+// sub-channels belong to no shard: the MAC runs only in serial phases. A
+// serial engine
 // (EngineShards 0 or 1) is the one-shard case: one shard owns everything,
 // so there are no boundary links and its barrier starts no goroutine, but
 // it takes the same deferral path as every other shard count: its WIs and
@@ -124,10 +127,11 @@
 // parked is exactly the set of components holding work — switches with a
 // buffered flit, NIs that are not drained — which is the membership the
 // probe tested before parking existed, so no fast-forward decision
-// changes. CheckShardInvariants and CheckPipelineInvariants recompute both
-// facts, and the saturated determinism tests call them every cycle: a
-// component outside its active set is empty, drained or stalled, and a
-// member is parked exactly when it holds work and is not active.
+// changes. CheckPipelineInvariants, the engine's one invariant check,
+// recomputes both facts for every switch and NI against its own shard's
+// sets, and the saturated and sharded determinism tests call it every
+// cycle: a component outside its active set is empty, drained or stalled,
+// and a member is parked exactly when it holds work and is not active.
 //
 // # Room flags
 //
@@ -145,8 +149,8 @@
 // the per-core Offers of the one-shard loop would have found — an Offer
 // to one core cannot change another core's queue. Each flag is its own
 // byte, so shards writing neighboring flags never write the same memory.
-// checkMembership recomputes every owned NI's flag from its queue, so the
-// saturated determinism tests check the rule every cycle.
+// CheckPipelineInvariants recomputes every core NI's flag from its queue,
+// so the saturated determinism tests check the rule every cycle.
 //
 // Picking a shard count: shards split rows, so they only help when the
 // per-cycle pipeline work dominates the serial phases — large grids

@@ -155,12 +155,11 @@ type Engine struct {
 	pool noc.PacketPool
 
 	// Sharded execution (see shard.go): the row-band shards (exactly one
-	// when serial), the recorded link endpoints (for boundary
-	// classification), the worker barrier (started by the first step), the
-	// two per-shard phases bound once, and reusable merge scratch for the
-	// serial replays.
+	// when serial), the shard of each switch, the worker barrier (started
+	// by the first step), the two per-shard phases bound once, and reusable
+	// merge scratch for the serial replays.
 	shards        []*shard
-	linkEnds      [][2]sim.SwitchID
+	swShard       []int
 	barrier       *shardBarrier
 	pipelinePhase func(si int)
 	endpointPhase func(si int)
@@ -225,12 +224,11 @@ func New(p Params) (*Engine, error) {
 	}
 	e.coll = stats.NewCollector(cfg.WarmupCycles, cfg.WarmupCycles+cfg.MeasureCycles, cfg.FlitBits)
 	e.genStop = cfg.WarmupCycles + cfg.MeasureCycles
-	swShard := e.partition()
-	e.build(swShard)
+	e.partition()
+	e.build()
 	if err := e.buildTraffic(p.Traffic); err != nil {
 		return nil, err
 	}
-	e.buildShards(swShard)
 	return e, nil
 }
 
@@ -261,15 +259,16 @@ func (e *Engine) deliverPacket(now sim.Cycle, p *noc.Packet) {
 }
 
 // build instantiates switches, links, endpoints and the wireless fabric
-// from the topology graph, and hands each switch its rows of the route
-// tables. swShard[i] is the shard owning switch i (see partition): each
-// switch, the links leaving it and the NIs it hosts charge their energy to
-// that shard's meter part, and the wireless fabric, which charges only in
-// serial phases, to the meter's root.
-func (e *Engine) build(swShard []int) {
+// from the topology graph, puts each on its shard as it creates it, and
+// hands each switch its rows of the route tables. A switch, the links
+// leaving it, its WI and the NIs it hosts belong to the switch's shard
+// (see partition): they join that shard's activity sets, log into its two
+// logs and charge their energy to its meter part. The wireless fabric,
+// which charges only in serial phases, charges the meter's root.
+func (e *Engine) build() {
 	cfg := e.cfg
 	g := e.graph
-	part := func(sw sim.SwitchID) *energy.Part { return e.shards[swShard[sw]].meter }
+	shardOf := func(sw sim.SwitchID) *shard { return e.shards[e.swShard[sw]] }
 
 	// Switches, their port slices sized once. Wireless topologies
 	// partition VCs into pre/post-wireless classes to keep shortcut
@@ -277,23 +276,36 @@ func (e *Engine) build(swShard []int) {
 	ports := portCounts(g)
 	e.switches = make([]*noc.Switch, g.SwitchCount())
 	for i, n := range g.Nodes {
+		s := shardOf(n.ID)
 		sw := noc.NewSwitch(n.ID, ports[i], cfg.VCs, cfg.BufferDepth,
-			cfg.FlitBits, cfg.SwitchPJPerBit, part(n.ID))
+			cfg.FlitBits, cfg.SwitchPJPerBit, s.meter)
 		sw.SetPhaseSplit(g.HasWireless(), cfg.PostWirelessVCs)
+		sw.SetActivity(s.swActive, i)
 		e.switches[i] = sw
 	}
 
 	// Wired links: two directed links per topology edge. Connect records
 	// each link's port as its source switch's wired port toward the target.
+	// A link within one shard is delivered under that shard's activity
+	// set. A boundary link switches to mailbox halves and stays out of
+	// activity scheduling: its halves run every cycle, and a link with no
+	// ActiveSet no-ops its Add calls.
 	addDirected := func(a, b sim.SwitchID, ed topo.Edge) {
+		sa, sb := shardOf(a), shardOf(b)
 		l := noc.NewLink(classOf(ed.Kind), ed.Latency, ed.Rate, ed.PJPerBit,
-			cfg.FlitBits, part(a))
+			cfg.FlitBits, sa.meter)
 		src, dst := e.switches[a], e.switches[b]
 		outP := src.AddOutputPort(l, cfg.BufferDepth)
 		inP := dst.AddInputPort(l)
 		l.Connect(src, outP, dst, inP)
+		if sa == sb {
+			l.SetActivity(sa.linkActive, len(e.links))
+		} else {
+			l.SetMailbox()
+			sa.outBound = append(sa.outBound, l)
+			sb.inBound = append(sb.inBound, l)
+		}
 		e.links = append(e.links, l)
-		e.linkEnds = append(e.linkEnds, [2]sim.SwitchID{a, b})
 	}
 	for _, ed := range g.Edges {
 		addDirected(ed.A, ed.B, ed)
@@ -301,7 +313,9 @@ func (e *Engine) build(swShard []int) {
 	}
 
 	// Wireless fabric. AddWI records each WI's output as its switch's WI
-	// port.
+	// port and, on the exclusive model, makes it a member of its
+	// sub-channel; the WI logs its fabric-global ops into its switch's
+	// shard (replayed in S1).
 	if g.HasWireless() {
 		e.fabric = core.NewFabric(cfg, e.meter, e.rng.Derive("wireless"))
 		if e.legacyMAC {
@@ -309,25 +323,24 @@ func (e *Engine) build(swShard []int) {
 		}
 		for _, swID := range g.WISwitches {
 			n := g.Nodes[swID]
-			e.fabric.AddWI(e.switches[swID], n.GX, n.GY)
+			w := e.fabric.AddWI(e.switches[swID], n.GX, n.GY)
+			w.SetShardLog(&shardOf(swID).ops)
 		}
 	}
 
-	// Endpoints. NewEndpoint records each NI's switch ejection port;
-	// buildShards wires the NI's activity set and event log.
+	// Endpoints. NewEndpoint adds each NI's two ports to its switch; the NI
+	// logs its events into its switch's shard (replayed in S2), keyed by
+	// global endpoint index.
 	e.endpoints = make([]*noc.Endpoint, g.EndpointCount())
 	for i, ep := range g.Endpoints {
-		sw := e.switches[ep.Switch]
-		inP := sw.AddInputPort(nil)
-		outP := sw.AddOutputPort(nil, cfg.BufferDepth)
+		s := shardOf(ep.Switch)
 		cl := energy.ClassLinkLocal
 		if ep.Kind == topo.EndMemChannel {
 			cl = energy.ClassLinkTSV
 		}
-		ne := noc.NewEndpoint(ep.ID, sw, inP, outP, ep.LocalLatency, ep.LocalPJPerBit,
-			cl, cfg.FlitBits, cfg.InjectionQueue, part(ep.Switch))
-		sw.SetInputCredit(inP, ne)
-		sw.SetOutputConduit(outP, ne)
+		ne := noc.NewEndpoint(ep.ID, e.switches[ep.Switch], ep.LocalLatency, ep.LocalPJPerBit,
+			cl, cfg.FlitBits, cfg.InjectionQueue, s.meter)
+		ne.SetShard(s.epActive, i, &s.events)
 		e.endpoints[i] = ne
 	}
 
@@ -473,19 +486,6 @@ func (e *Engine) buildTraffic(ts TrafficSpec) error {
 	return nil
 }
 
-// Graph exposes the topology (inspection/tests).
-func (e *Engine) Graph() *topo.Graph { return e.graph }
-
-// Tables exposes the class-0 routing tables (inspection/tests).
-func (e *Engine) Tables() *route.Tables { return e.tables.Primary() }
-
-// ClassTables exposes the per-class routing tables (inspection/tests).
-func (e *Engine) ClassTables() *route.ClassTables { return e.tables }
-
-// Selector exposes the route selector, nil when every packet is class 0
-// (inspection/tests).
-func (e *Engine) Selector() route.Selector { return e.selector }
-
 // loadProbe supplies the adaptive selector's live load signals for a
 // packet injected at src toward dst whose class-0 route transmits at the
 // WI hosted on txWI.
@@ -534,18 +534,3 @@ func (e *Engine) classifyPacket(now sim.Cycle, p *noc.Packet) {
 		e.traceFault(now, core.FaultNotice{Kind: "failover", WI: -1, Pkt: p})
 	}
 }
-
-// Fabric exposes the wireless fabric, nil for wired architectures.
-func (e *Engine) Fabric() *core.Fabric { return e.fabric }
-
-// Endpoints exposes the network interfaces (tests).
-func (e *Engine) Endpoints() []*noc.Endpoint { return e.endpoints }
-
-// Switches exposes the switches (tests).
-func (e *Engine) Switches() []*noc.Switch { return e.switches }
-
-// Collector exposes the statistics collector (tests).
-func (e *Engine) Collector() *stats.Collector { return e.coll }
-
-// Meter exposes the energy meter (tests).
-func (e *Engine) Meter() *energy.Meter { return e.meter }

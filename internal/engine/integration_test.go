@@ -61,12 +61,12 @@ func TestConservationWithDrain(t *testing.T) {
 				if err := e.CheckFlitConservation(); err != nil {
 					t.Fatal(err)
 				}
-				for _, ep := range e.Endpoints() {
+				for _, ep := range e.endpoints {
 					if !ep.Drained() {
 						t.Fatalf("endpoint %d not drained", ep.ID)
 					}
 				}
-				if f := e.Fabric(); f != nil && !f.Drained() {
+				if f := e.fabric; f != nil && !f.Drained() {
 					t.Fatal("wireless fabric not drained")
 				}
 			})
@@ -280,9 +280,9 @@ func TestMemoryTrafficReachesChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	var memConsumed int64
-	for _, ep := range e.Endpoints() {
-		if ep.ID >= 0 && int(ep.ID) < len(e.Graph().Endpoints) {
-			if e.Graph().Endpoints[ep.ID].Kind.String() == "mem-channel" {
+	for _, ep := range e.endpoints {
+		if ep.ID >= 0 && int(ep.ID) < len(e.graph.Endpoints) {
+			if e.graph.Endpoints[ep.ID].Kind.String() == "mem-channel" {
 				memConsumed += ep.Ejected
 			}
 		}
@@ -302,7 +302,7 @@ func TestPacketClassesTracked(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coll := e.Collector()
+	coll := e.coll
 	if coll.CoreToMem == 0 || coll.CoreToCore == 0 {
 		t.Fatalf("class mix %d/%d", coll.CoreToCore, coll.CoreToMem)
 	}
@@ -326,12 +326,12 @@ func TestHotspotSkewsDeliveries(t *testing.T) {
 	}
 	// Endpoint IDs order memory channels first; resolve the hotspot core's
 	// endpoint through the topology.
-	hotID := e.Graph().Cores[0]
-	eps := e.Endpoints()
+	hotID := e.graph.Cores[0]
+	eps := e.endpoints
 	hot := eps[hotID]
 	var rest, n int64
 	for _, ep := range eps {
-		if ep.ID != hotID && e.Graph().Endpoints[ep.ID].Kind.String() == "core" {
+		if ep.ID != hotID && e.graph.Endpoints[ep.ID].Kind.String() == "core" {
 			rest += ep.Ejected
 			n++
 		}

@@ -67,9 +67,9 @@ func TestStaticSelectorRidesClassZero(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !e.ClassTables().MultiClass() || e.Selector() != nil {
+					if !e.tables.MultiClass() || e.selector != nil {
 						t.Fatalf("explicit=%v fullTick=%v: multi-class %v, selector %T; want both class tables and no selector",
-							explicit, fullTick, e.ClassTables().MultiClass(), e.Selector())
+							explicit, fullTick, e.tables.MultiClass(), e.selector)
 					}
 					r, err := e.Run()
 					if err != nil {
@@ -198,10 +198,10 @@ func TestSelectorWiringMatchesMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if he.Selector() != nil {
+	if he.selector != nil {
 		t.Fatal("static hybrid engine built a selector")
 	}
-	if !he.ClassTables().MultiClass() {
+	if !he.tables.MultiClass() {
 		t.Fatal("hybrid engine built no wired-only class")
 	}
 	acfg := quickCfg(4, config.ArchHybrid)
@@ -210,14 +210,14 @@ func TestSelectorWiringMatchesMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ae.Selector().(*route.AdaptiveSelector); !ok {
-		t.Fatalf("adaptive engine selector is %T", ae.Selector())
+	if _, ok := ae.selector.(*route.AdaptiveSelector); !ok {
+		t.Fatalf("adaptive engine selector is %T", ae.selector)
 	}
 	we, err := New(Params{Cfg: quickCfg(4, config.ArchWireless), Traffic: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if we.ClassTables().MultiClass() || we.Selector() != nil {
+	if we.tables.MultiClass() || we.selector != nil {
 		t.Fatal("wireless engine built multi-class routing state")
 	}
 }

@@ -37,13 +37,15 @@ func TestSwitchRouteMatchesClassTables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		g, ct := e.Graph(), e.ClassTables()
+		g, ct := e.graph, e.tables
 		if got := ct.MultiClass(); got != (cfg.Arch == config.ArchHybrid) {
 			t.Fatalf("%s: MultiClass = %v", cfg.Name, got)
 		}
+		// build makes two directed links per topology edge, A to B first.
 		linkOf := make(map[[2]sim.SwitchID]noc.Conduit, len(e.links))
-		for i, l := range e.links {
-			linkOf[e.linkEnds[i]] = l
+		for i, ed := range g.Edges {
+			linkOf[[2]sim.SwitchID{ed.A, ed.B}] = e.links[2*i]
+			linkOf[[2]sim.SwitchID{ed.B, ed.A}] = e.links[2*i+1]
 		}
 		wiredWIHops := 0
 		for s, sw := range e.switches {

@@ -569,22 +569,53 @@ func Run(p Params) (*Result, error) {
 	return e.Run()
 }
 
-// CheckPipelineInvariants recomputes every switch's incrementally
-// maintained pipeline state (ready/rcReady/starved VC masks, buffered and
-// waiting counters, the VA-pending flag) from its VC buffers and credits,
-// the park/wake invariants of every shard's activity sets (see
-// checkMembership), plus the wireless fabric's MAC protocol state
-// (announce accounting, active-turn queues — see
-// core.Fabric.CheckMACInvariants), and reports the first drift (test and
-// validation hook; call after Run or between runs).
+// CheckPipelineInvariants checks the engine's incrementally maintained
+// state in one pass and reports the first drift (test and validation hook;
+// call between steps or after Run). For every switch it recomputes the
+// pipeline state (ready/rcReady/starved VC masks, buffered and waiting
+// counters, the VA-pending flag) from the VC buffers and credits. For
+// every switch and NI it checks park/wake membership in the activity set
+// of its own shard:
+//
+//	not active ⇒ switch empty or Stalled;  NI Drained or Stalled
+//	parked     ⇔ holds work (buffered flits; not Drained) and not active
+//
+// The first says no component that could act is missing from the sweeps
+// (a dropped wake shows here the cycle after it was lost); the second that
+// active ∪ parked is exactly the set of components holding work, the
+// membership the quiescence probe relies on. Both hold at every step
+// boundary on both scheduling paths: the full-tick loop never parks, and
+// there every holder is active because a component joins on the event
+// that gives it work. Each core NI's room flag must match its queue
+// (noc.Endpoint.CheckRoomFlag). Last come the wireless fabric's MAC
+// protocol state of every sub-channel (core.Fabric.CheckMACInvariants)
+// and the watchdog's liveness bound.
 func (e *Engine) CheckPipelineInvariants() error {
-	for _, s := range e.switches {
-		if err := s.CheckPipelineInvariants(); err != nil {
+	for i, sw := range e.switches {
+		if err := sw.CheckPipelineInvariants(); err != nil {
 			return err
 		}
+		set := e.shards[e.swShard[i]].swActive
+		active, parked := set.Contains(i), set.Parked(i)
+		holds := sw.BufferedFlits() > 0
+		if !active && holds && !sw.Stalled() {
+			return fmt.Errorf("engine: switch %d holds %d flits and can act, but is not active", i, sw.BufferedFlits())
+		}
+		if parked != (holds && !active) {
+			return fmt.Errorf("engine: switch %d parked=%v, active=%v, buffered=%d", i, parked, active, sw.BufferedFlits())
+		}
 	}
-	for _, s := range e.shards {
-		if err := e.checkMembership(s); err != nil {
+	for i, ep := range e.endpoints {
+		set := e.shards[e.swShard[e.graph.Endpoints[i].Switch]].epActive
+		active, parked := set.Contains(i), set.Parked(i)
+		holds := !ep.Drained()
+		if !active && holds && !ep.Stalled() {
+			return fmt.Errorf("engine: endpoint %d holds work and can act, but is not active", i)
+		}
+		if parked != (holds && !active) {
+			return fmt.Errorf("engine: endpoint %d parked=%v, active=%v, drained=%v", i, parked, active, !holds)
+		}
+		if err := ep.CheckRoomFlag(); err != nil {
 			return err
 		}
 	}

@@ -85,7 +85,7 @@ func TestInjectionQueueBoundsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var queued, partial int64
-	for _, ep := range e.Endpoints() {
+	for _, ep := range e.endpoints {
 		queued += int64(ep.QueueLen())
 		if !ep.Drained() {
 			partial++
@@ -95,7 +95,7 @@ func TestInjectionQueueBoundsMemory(t *testing.T) {
 	// Packets bound to NI VCs but not yet fully injected are the only
 	// remainder; bound by endpoints * VCs.
 	slack := r.GeneratedPackets - accounted
-	if slack < 0 || slack > int64(len(e.Endpoints())*cfg.VCs) {
+	if slack < 0 || slack > int64(len(e.endpoints)*cfg.VCs) {
 		t.Fatalf("packet accounting slack %d (gen %d, refused %d, injected %d, queued %d)",
 			slack, r.GeneratedPackets, r.RefusedPackets, r.InjectedPackets, queued)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"wimc/internal/core"
@@ -14,33 +13,34 @@ import (
 // Sharded execution: the one cycle loop
 //
 // step (run.go) is the only cycle loop, and it always runs over shards:
-// contiguous row bands of the global mesh grid, each owning the switches,
-// NIs and WIs in its band, the activity sets that decide which of them
-// tick, and two logs. A serial engine is the one-shard case — one shard
-// owning every switch, link and endpoint, with no boundary links and no
-// barrier goroutine — and takes the same path: its WIs log their
-// fabric-global ops and its NIs their events, and step replays both after
-// their phase. With more shards the two per-shard phases run across
-// worker goroutines, boundary links split into single-writer mailbox
-// halves, and the replays merge the shards' logs back into the one-shard
-// order, so results stay byte-identical at every shard count. doc.go has
-// the ownership and replay rules and why each is exact.
+// contiguous row bands of the global mesh grid, each owning the switches
+// in its band, the links leaving them, their WIs and NIs, the activity
+// sets that decide which of them tick, and two logs. partition makes the
+// shards before build, and build puts every component on its shard as it
+// creates it. A serial engine is the one-shard case — one shard owning
+// every switch, link and endpoint, with no boundary links and no barrier
+// goroutine — and takes the same path: its WIs log their fabric-global ops
+// and its NIs their events, and step replays both after their phase. With
+// more shards the two per-shard phases run across worker goroutines,
+// boundary links split into single-writer mailbox halves, and the replays
+// merge the shards' logs back into the one-shard order, so results stay
+// byte-identical at every shard count. doc.go has the ownership and replay
+// rules and why each is exact.
 //
 // The test-only Params.fullTick bypasses the shard scheduling: it forces
 // one shard and hands every cycle to stepFullTick, the independent
 // reference loop that ticks every component with no active-set or barrier
 // code, replaying the same two logs at the same points.
 
-// shard is one row band of the system: the components it owns, their
-// activity sets, its boundary-link halves, its logs and its meter part.
+// shard is one row band of the system: the activity sets of the
+// components it owns, its boundary-link halves, its logs and its meter
+// part.
 type shard struct {
 	// Per-shard activity sets, indexed by GLOBAL component index (each set
 	// is sized for the whole system; members are this shard's only).
 	swActive   *sim.ActiveSet
 	linkActive *sim.ActiveSet
 	epActive   *sim.ActiveSet
-
-	switchIdx []int // owned switches (ascending global index)
 
 	// Boundary links, by which half this shard owns: outBound links
 	// originate here (this shard runs Accept/DeliverFlitHalf and drains
@@ -127,9 +127,10 @@ func shardBands(n, k int) [][2]int {
 
 // partition splits the system into cfg.EngineShards row bands (clamped
 // to [1, rows]; fullTick forces one), makes one shard per band with its
-// own meter part, and returns the shard owning each switch. It runs before
-// build, which hands every component its shard's part.
-func (e *Engine) partition() []int {
+// own meter part and activity sets, records the shard owning each switch
+// in e.swShard and binds the two per-shard phases. It runs before build,
+// which puts every component on its switch's shard.
+func (e *Engine) partition() {
 	rows := e.cfg.ChipsY * e.cfg.CoresY
 	nsh := e.cfg.EngineShards
 	if e.fullTick {
@@ -146,66 +147,22 @@ func (e *Engine) partition() []int {
 		}
 	}
 
+	// Each component adds itself to its shard's set on the events that
+	// give it work (flit arrival, credit in flight, packet offered), and
+	// the cycle loop visits members only.
+	g := e.graph
 	e.shards = make([]*shard, len(bands))
 	for i := range e.shards {
-		e.shards[i] = &shard{meter: e.meter.NewPart()}
-	}
-	swShard := make([]int, e.graph.SwitchCount())
-	for i, n := range e.graph.Nodes {
-		swShard[i] = rowShard[n.GY]
-	}
-	return swShard
-}
-
-// buildShards registers every built component on its owning shard's
-// activity set (swShard from partition): each component adds itself on
-// the events that give it work (flit arrival, credit in flight, packet
-// offered), and the cycle loop visits members only. Every WI and NI logs
-// into its shard's op or event log, boundary links switch to mailbox
-// halves, and the two per-shard phases are bound once.
-func (e *Engine) buildShards(swShard []int) {
-	g := e.graph
-	for _, s := range e.shards {
-		s.swActive = sim.NewActiveSet(len(e.switches))
-		s.linkActive = sim.NewActiveSet(len(e.links))
-		s.epActive = sim.NewActiveSet(len(e.endpoints))
-	}
-
-	// Switches by row band.
-	for i, si := range swShard {
-		e.shards[si].switchIdx = append(e.shards[si].switchIdx, i)
-		e.switches[i].SetActivity(e.shards[si].swActive, i)
-	}
-
-	// Links: intra-shard links keep normal delivery under the owning
-	// shard's activity set; boundary links switch to mailbox halves and
-	// stay out of activity scheduling (their halves run unconditionally
-	// each cycle — a link with no ActiveSet no-ops its Add calls).
-	for i, l := range e.links {
-		a, b := e.linkEnds[i][0], e.linkEnds[i][1]
-		sa, sb := swShard[a], swShard[b]
-		if sa == sb {
-			l.SetActivity(e.shards[sa].linkActive, i)
-			continue
+		e.shards[i] = &shard{
+			swActive:   sim.NewActiveSet(g.SwitchCount()),
+			linkActive: sim.NewActiveSet(2 * len(g.Edges)),
+			epActive:   sim.NewActiveSet(g.EndpointCount()),
+			meter:      e.meter.NewPart(),
 		}
-		l.SetMailbox()
-		e.shards[sa].outBound = append(e.shards[sa].outBound, l)
-		e.shards[sb].inBound = append(e.shards[sb].inBound, l)
 	}
-
-	// Endpoints co-locate with their host switch and log their events into
-	// its shard's log (replayed in S2), keyed by global endpoint index.
-	for i, ep := range e.endpoints {
-		s := e.shards[swShard[g.Endpoints[i].Switch]]
-		ep.SetShard(s.epActive, i, &s.events)
-	}
-
-	// Wireless interfaces log their fabric-global ops into the shard owning
-	// their host switch (replayed in S1).
-	if e.fabric != nil {
-		for _, w := range e.fabric.WIs() {
-			w.SetShardLog(&e.shards[swShard[w.SwitchID]].ops)
-		}
+	e.swShard = make([]int, g.SwitchCount())
+	for i, n := range g.Nodes {
+		e.swShard[i] = rowShard[n.GY]
 	}
 
 	// The per-shard phases, bound once so a step allocates nothing (fresh
@@ -215,9 +172,6 @@ func (e *Engine) buildShards(swShard []int) {
 	e.pipelinePhase = func(si int) { e.tickShardPipeline(e.shards[si], e.now) }
 	e.endpointPhase = func(si int) { e.tickShardEndpoints(e.shards[si], e.now) }
 }
-
-// NumShards returns the number of execution shards: 1 for a serial engine.
-func (e *Engine) NumShards() int { return len(e.shards) }
 
 // stopShards terminates the barrier workers; stepping restarts them
 // lazily, so it is safe to call between runs or from tests.
@@ -359,86 +313,4 @@ func (e *Engine) replayEndpointEvents(now sim.Cycle) {
 		}
 	}
 	e.eventScratch = buf[:0]
-}
-
-// CheckShardInvariants checks the incrementally maintained state owned by
-// shard si: the pipeline invariants of its switches, the park/wake
-// invariants of its activity sets (see checkMembership) and the MAC
-// protocol invariants of its wireless sub-channels. A sub-channel belongs
-// to the shard owning its first member's host switch, resolved here
-// because the fabric builds its sub-channels on the first Launch, after
-// buildShards. Safe to call concurrently from distinct shards (test hook
-// for per-shard, per-cycle validation).
-func (e *Engine) CheckShardInvariants(si int) error {
-	s := e.shards[si]
-	for _, i := range s.switchIdx {
-		if err := e.switches[i].CheckPipelineInvariants(); err != nil {
-			return err
-		}
-	}
-	if err := e.checkMembership(s); err != nil {
-		return err
-	}
-	if e.fabric != nil {
-		for ci := 0; ci < e.fabric.SubChannels(); ci++ {
-			if host, ok := e.fabric.SubChannelHostSwitch(ci); ok && s.owns(host) {
-				if err := e.fabric.CheckSubChannel(ci); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// owns reports whether switch id belongs to shard s.
-func (s *shard) owns(id sim.SwitchID) bool {
-	_, ok := slices.BinarySearch(s.switchIdx, int(id))
-	return ok
-}
-
-// checkMembership recomputes the park/wake invariants of shard s's switch
-// and endpoint activity sets from component state, and each owned core
-// NI's room flag (noc.Endpoint.CheckRoomFlag):
-//
-//	not active ⇒ switch empty or Stalled;  NI Drained or Stalled
-//	parked     ⇔ holds work (buffered flits; not Drained) and not active
-//
-// The first says no component that could act is missing from the sweeps
-// (a dropped wake shows here the cycle after it was lost); the second that
-// active ∪ parked is exactly the set of components holding work, the
-// membership the quiescence probe relies on. Valid at every step boundary
-// on both scheduling paths: the full-tick loop never parks, and there
-// every holder is active because a component joins on the event that
-// gives it work.
-func (e *Engine) checkMembership(s *shard) error {
-	for _, i := range s.switchIdx {
-		sw := e.switches[i]
-		active, parked := s.swActive.Contains(i), s.swActive.Parked(i)
-		holds := sw.BufferedFlits() > 0
-		if !active && holds && !sw.Stalled() {
-			return fmt.Errorf("engine: switch %d holds %d flits and can act, but is not active", i, sw.BufferedFlits())
-		}
-		if parked != (holds && !active) {
-			return fmt.Errorf("engine: switch %d parked=%v, active=%v, buffered=%d", i, parked, active, sw.BufferedFlits())
-		}
-	}
-	for i, ep := range e.endpoints {
-		// An NI belongs to the shard owning its host switch.
-		if !s.owns(e.graph.Endpoints[i].Switch) {
-			continue
-		}
-		active, parked := s.epActive.Contains(i), s.epActive.Parked(i)
-		holds := !ep.Drained()
-		if !active && holds && !ep.Stalled() {
-			return fmt.Errorf("engine: endpoint %d holds work and can act, but is not active", i)
-		}
-		if parked != (holds && !active) {
-			return fmt.Errorf("engine: endpoint %d parked=%v, active=%v, drained=%v", i, parked, active, !holds)
-		}
-		if err := ep.CheckRoomFlag(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -50,8 +50,8 @@ func TestOneShardWiring(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.stopShards()
-			if e.NumShards() != tc.want {
-				t.Fatalf("built %d shards, want %d", e.NumShards(), tc.want)
+			if len(e.shards) != tc.want {
+				t.Fatalf("built %d shards, want %d", len(e.shards), tc.want)
 			}
 			mailboxes := 0
 			for _, l := range e.links {

@@ -77,21 +77,18 @@ type Endpoint struct {
 }
 
 // NewEndpoint constructs an NI attached to sw, charging its flits' energy
-// to part, and records outPort as sw's ejection port for id (see
-// Switch.Route). The engine wires inPort and outPort and sets the endpoint
-// as the credit sink of inPort's upstream side and the conduit of outPort.
-// The NI must be wired with SetShard before it ticks.
-func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
-	localLatency int, pjPerBit float64, class energy.Class, flitBits, queueCap int,
-	part *energy.Part) *Endpoint {
+// to part. It adds its own two ports to sw, the input it feeds and the
+// ejection output that drains to it, and records the latter as sw's
+// ejection port for id (see Switch.Route). The NI must be wired with
+// SetShard before it ticks.
+func NewEndpoint(id sim.EndpointID, sw *Switch, localLatency int, pjPerBit float64,
+	class energy.Class, flitBits, queueCap int, part *energy.Part) *Endpoint {
 	if localLatency < 1 {
 		localLatency = 1
 	}
 	e := &Endpoint{
 		ID:           id,
 		sw:           sw,
-		inPort:       inPort,
-		outPort:      outPort,
 		localLatency: sim.Cycle(localLatency),
 		part:         part,
 		charge:       energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
@@ -103,7 +100,9 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, inPort, outPort int,
 	for i := range e.credits {
 		e.credits[i] = sw.depth
 	}
-	sw.setEjectPort(id, outPort)
+	e.inPort = sw.AddInputPort(e)
+	e.outPort = sw.AddOutputPort(e, sw.depth)
+	sw.setEjectPort(id, e.outPort)
 	return e
 }
 

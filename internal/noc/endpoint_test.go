@@ -190,11 +190,37 @@ func TestReassemblyAcrossRandomSizes(t *testing.T) {
 func TestLocalLatencyFloor(t *testing.T) {
 	m := mustPart(t)
 	sw := NewSwitch(0, 1, 2, 4, 32, 0, m)
-	in := sw.AddInputPort(nil)
-	out := sw.AddOutputPort(nil, 4)
-	ep := NewEndpoint(0, sw, in, out, 0, 0, energyClassSwitch(), 32, 4, m)
+	ep := NewEndpoint(0, sw, 0, 0, energyClassSwitch(), 32, 4, m)
 	if ep.localLatency != 1 {
 		t.Fatalf("local latency floor = %d", ep.localLatency)
+	}
+}
+
+// TestEndpointAttachesItsPorts: NewEndpoint appends the switch input port
+// the NI feeds and the ejection port that drains to it, after the ports
+// already there. The NI is the input's credit sink and the output's
+// conduit, the output starts with a buffer depth of credits, and routing
+// finds the NI's endpoint through it.
+func TestEndpointAttachesItsPorts(t *testing.T) {
+	m := mustPart(t)
+	sw := NewSwitch(0, 2, 2, 4, 32, 0, m)
+	sw.AddInputPort(nil)
+	sw.AddOutputPort(nil, 4)
+	ep := NewEndpoint(3, sw, 1, 0, energyClassSwitch(), 32, 4, m)
+	if ep.inPort != 1 || ep.outPort != 1 {
+		t.Fatalf("NI ports in %d, out %d; want 1 and 1", ep.inPort, ep.outPort)
+	}
+	if sw.in[1].credit != CreditSink(ep) || sw.Output(1).Conduit() != Conduit(ep) {
+		t.Fatal("the NI is not the credit sink and conduit of its ports")
+	}
+	for vc := 0; vc < sw.VCs(); vc++ {
+		if got := sw.Output(1).Credits(vc); got != 4 {
+			t.Fatalf("ejection VC %d starts with %d credits, want 4", vc, got)
+		}
+	}
+	sw.SetRoutes([]sim.SwitchID{0, 0, 0, 0}, []sim.SwitchID{0})
+	if port, next := sw.Route(0, 3); port != 1 || next != sim.NoSwitch {
+		t.Fatalf("endpoint 3 routes to port %d, next %d; want its ejection port 1", port, next)
 	}
 }
 

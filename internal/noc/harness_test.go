@@ -68,23 +68,11 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	in1 := p.sw1.AddInputPort(p.link)
 	p.link.Connect(p.sw0, out0, p.sw1, in1)
 
-	// Endpoint 0 on sw0 (source side).
-	in0 := p.sw0.AddInputPort(nil)
-	eject0 := p.sw0.AddOutputPort(nil, o.depth)
-	p.src = NewEndpoint(0, p.sw0, in0, eject0, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, part)
+	// Endpoint 0 on sw0 (source side), endpoint 1 on sw1 (sink side).
+	p.src = NewEndpoint(0, p.sw0, 1, 0, energy.ClassLinkLocal, flitBits, o.queueCap, part)
 	p.src.SetShard(nil, 0, &p.events)
-	p.sw0.SetInputCredit(in0, p.src)
-	p.sw0.SetOutputConduit(eject0, p.src)
-
-	// Endpoint 1 on sw1 (sink side).
-	in1b := p.sw1.AddInputPort(nil)
-	eject1 := p.sw1.AddOutputPort(nil, o.depth)
-	p.dst = NewEndpoint(1, p.sw1, in1b, eject1, 1, 0, energy.ClassLinkLocal,
-		flitBits, o.queueCap, part)
+	p.dst = NewEndpoint(1, p.sw1, 1, 0, energy.ClassLinkLocal, flitBits, o.queueCap, part)
 	p.dst.SetShard(nil, 1, &p.events)
-	p.sw1.SetInputCredit(in1b, p.dst)
-	p.sw1.SetOutputConduit(eject1, p.dst)
 
 	// Routing: endpoint 0 is hosted by sw0 and endpoint 1 by sw1, and each
 	// switch's next hop toward switch d is d (only sw0 -> sw1 is used).

@@ -81,9 +81,6 @@ func (l *Link) SetActivity(set *sim.ActiveSet, id int) {
 	l.active, l.activeID = set, id
 }
 
-// Latency returns the link traversal latency in cycles.
-func (l *Link) Latency() int { return int(l.latency) }
-
 // Accept launches a flit onto the wire, spending one flit of bandwidth
 // tokens, and returns the first cycle the bucket can spend again
 // (sim.TokenBucket.NextSpend): the link takes no flit before it.

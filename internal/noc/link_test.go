@@ -28,8 +28,8 @@ func TestLinkLatency(t *testing.T) {
 
 func TestLinkLatencyFloor(t *testing.T) {
 	l := NewLink(energy.ClassLinkMesh, 0, sim.RateOne, 0, 32, mustPart(t))
-	if l.Latency() != 1 {
-		t.Fatalf("latency floor = %d, want 1", l.Latency())
+	if l.latency != 1 {
+		t.Fatalf("latency floor = %d, want 1", l.latency)
 	}
 }
 

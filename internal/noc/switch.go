@@ -360,11 +360,8 @@ func (s *Switch) SetActivity(set *sim.ActiveSet, id int) {
 	s.active, s.activeID = set, id
 }
 
-// SetInputCredit installs the credit sink of an input port after the fact
-// (used when the sink is constructed after the port, e.g. endpoints).
-func (s *Switch) SetInputCredit(port int, c CreditSink) { s.in[port].credit = c }
-
-// SetOutputConduit installs the conduit of an output port after the fact.
+// SetOutputConduit replaces the conduit of an output port (test hook: a
+// test slips a recording conduit in front of a link).
 func (s *Switch) SetOutputConduit(port int, c Conduit) { s.out[port].conduit = c }
 
 // InputPorts returns the number of input ports.
@@ -493,32 +490,38 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 	for i := range s.nominated {
 		portMask |= 1 << uint(s.nominated[i].outPort)
 	}
+	space := s.inKeySpace()
 	for portMask != 0 {
 		opIdx := bits.TrailingZeros64(portMask)
 		portMask &^= 1 << uint(opIdx)
 		op := &s.out[opIdx]
 		best := -1
-		bestKey := 0
+		bestRel := 0
 		for i := range s.nominated {
 			nm := &s.nominated[i]
 			if int(nm.outPort) != opIdx {
 				continue
 			}
-			key := int(nm.inPort)*s.vcCount + int(nm.inVC)
-			rel := (key - op.rrSA + s.inKeySpace()) % s.inKeySpace()
-			if best == -1 || rel < bestKey {
-				best, bestKey = i, rel
+			rel := int(nm.inPort)*s.vcCount + int(nm.inVC) - op.rrSA
+			if rel < 0 {
+				rel += space
+			}
+			if best == -1 || rel < bestRel {
+				best, bestRel = i, rel
 			}
 		}
 		if best == -1 {
 			continue
 		}
 		nm := s.nominated[best]
-		op.rrSA = (int(nm.inPort)*s.vcCount + int(nm.inVC) + 1) % s.inKeySpace()
+		op.rrSA = int(nm.inPort)*s.vcCount + int(nm.inVC) + 1
 		s.traverse(now, nm)
 	}
 }
 
+// inKeySpace sizes the SA and VA round-robin key space: input VC keys
+// inPort*VCs+inVC lie in [0, space-1) and pointers (a granted key plus
+// one) in [0, space), so a key's distance past a pointer wraps once.
 func (s *Switch) inKeySpace() int { return len(s.in)*s.vcCount + 1 }
 
 // traverse moves one flit from an input VC to its output conduit.
@@ -629,6 +632,7 @@ func (s *Switch) TickVA(now sim.Cycle) {
 	}
 	s.vaGranted = granted
 
+	space := s.inKeySpace()
 	for opIdx := range s.out {
 		if s.vaPortCnt[opIdx] == 0 {
 			continue
@@ -653,7 +657,10 @@ func (s *Switch) TickVA(now sim.Cycle) {
 				if ovcIdx < lo || ovcIdx >= hi {
 					continue
 				}
-				rel := (keyOf(r) - op.rrVA + s.inKeySpace()) % s.inKeySpace()
+				rel := keyOf(r) - op.rrVA
+				if rel < 0 {
+					rel += space
+				}
 				if best == -1 || rel < bestRel {
 					best, bestRel = i, rel
 				}
@@ -676,7 +683,7 @@ func (s *Switch) TickVA(now sim.Cycle) {
 			next = keyOf(r) + 1
 		}
 		if next > 0 {
-			op.rrVA = next % s.inKeySpace()
+			op.rrVA = next
 		}
 	}
 }
@@ -736,18 +743,6 @@ func (s *Switch) Stalled() bool {
 		}
 	}
 	return true
-}
-
-// CountBufferedFlits recomputes the buffered total from the VC buffers
-// (invariant check for tests; must equal BufferedFlits).
-func (s *Switch) CountBufferedFlits() int {
-	total := 0
-	for _, ip := range s.in {
-		for i := range ip.vcs {
-			total += ip.vcs[i].buf.len()
-		}
-	}
-	return total
 }
 
 // CheckPipelineInvariants recomputes every incrementally maintained

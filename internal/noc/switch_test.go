@@ -255,9 +255,8 @@ func TestSwitchRoute(t *testing.T) {
 	connect(one)
 	toOne, _ := connect(one) // replaces the first port toward switch 1
 	toTwo, linkTwo := connect(two)
-	eject := sw.AddOutputPort(nil, 2)
-	ep := NewEndpoint(0, sw, sw.AddInputPort(nil), eject, 1, 0, energy.ClassLinkLocal, 32, 4, m)
-	sw.SetOutputConduit(eject, ep)
+	ep := NewEndpoint(0, sw, 1, 0, energy.ClassLinkLocal, 32, 4, m)
+	eject := ep.outPort
 
 	// Endpoints 0..3 attach to switches 0..3, and endpoint 4 claims switch
 	// 0 without an NI. Class 0 reaches switch 3 through switch 2; class 1
@@ -350,7 +349,13 @@ func TestBufferedCounterMatchesBuffers(t *testing.T) {
 	for cycle := 0; cycle < 80; cycle++ {
 		p.step()
 		for _, sw := range []*Switch{p.sw0, p.sw1} {
-			if got, want := sw.BufferedFlits(), sw.CountBufferedFlits(); got != want {
+			want := 0
+			for _, ip := range sw.in {
+				for i := range ip.vcs {
+					want += ip.vcs[i].buf.len()
+				}
+			}
+			if got := sw.BufferedFlits(); got != want {
 				t.Fatalf("cycle %d: switch %d buffered counter %d, buffers hold %d",
 					cycle, sw.ID, got, want)
 			}

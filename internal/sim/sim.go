@@ -416,11 +416,6 @@ func (b *TokenBucket) NextSpend() Cycle {
 // Rate returns the configured refill rate.
 func (b *TokenBucket) Rate() Rate { return b.rate }
 
-// Validatef returns a formatted validation error.
-func Validatef(format string, args ...any) error {
-	return fmt.Errorf("wimc: invalid configuration: "+format, args...)
-}
-
 // ActiveSet is a bitmap over component indices used by the engine's
 // active-set scheduler: a component is active while ticking it could do
 // work, and the cycle loop visits only active members. Iteration is always

@@ -371,10 +371,3 @@ func TestActiveSetNilSafe(t *testing.T) {
 		t.Fatal("nil set iterated")
 	}
 }
-
-func TestValidatef(t *testing.T) {
-	err := Validatef("bad %s", "thing")
-	if err == nil || err.Error() != "wimc: invalid configuration: bad thing" {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}

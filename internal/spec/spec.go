@@ -187,8 +187,9 @@ func (s *Spec) Expand() ([]Point, error) {
 // Hash returns the experiment's content address: a hex SHA-256 over the
 // engine version and the ordered keys of every expanded point. It is
 // insensitive to everything that cannot change results — JSON field order,
-// axis labels, Name, Workers — and sensitive to everything that can: any
-// config or traffic field of any point, the point order, and
+// axis labels, Name, Workers, engine_shards — and sensitive to everything
+// that can: any other config or traffic field of any point, the point
+// order, and
 // engine.Version (so a behavior-changing engine build re-keys every
 // experiment).
 func (s *Spec) Hash() (string, error) {
@@ -258,9 +259,12 @@ func applyPatch(cfg *config.Config, tr *engine.TrafficSpec, patch json.RawMessag
 }
 
 // pointIdentity is exactly what determines a Result byte-for-byte: the
-// full configuration (including its seed), the workload, and the engine
-// semantics version. Serialized via Go structs, so the encoding — and the
-// hash — is independent of any JSON field order a spec arrived in.
+// configuration (including its seed), the workload, and the engine
+// semantics version. The configuration's engine_shards is zeroed: Results
+// are byte-identical at every shard count, so, like Spec.Workers, it stays
+// out of the identity, and a sharded run is served from a serial run's
+// cache. Serialized via Go structs, so the encoding — and the hash — is
+// independent of any JSON field order a spec arrived in.
 type pointIdentity struct {
 	EngineVersion string             `json:"engine_version"`
 	Config        config.Config      `json:"config"`
@@ -278,6 +282,7 @@ func PointKey(cfg config.Config, traffic engine.TrafficSpec) (string, error) {
 // PointKeyVersioned is PointKey under an explicit engine version; it
 // exists so invalidation-on-version-bump is directly testable.
 func PointKeyVersioned(cfg config.Config, traffic engine.TrafficSpec, version string) (string, error) {
+	cfg.EngineShards = 0
 	b, err := json.Marshal(pointIdentity{EngineVersion: version, Config: cfg, Traffic: traffic})
 	if err != nil {
 		// Only non-finite floats can land here; Validate rejects them.

@@ -199,6 +199,36 @@ func TestHashIgnoresExecutionKnobs(t *testing.T) {
 	}
 }
 
+// TestPointKeyIgnoresEngineShards: Results are byte-identical at every
+// shard count, so a point keys the same at engine_shards 0, 1, 2 and 4,
+// and so does the spec holding it.
+func TestPointKeyIgnoresEngineShards(t *testing.T) {
+	s := baseSpec()
+	tr := s.Traffic
+	key0, err := PointKey(s.Config, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, err := s.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4} {
+		s.Config.EngineShards = n
+		key, err := PointKey(s.Config, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != key0 || h != h0 {
+			t.Errorf("engine_shards %d: key %s, hash %s; serial key %s, hash %s", n, key, h, key0, h0)
+		}
+	}
+}
+
 // TestHashSensitivity: any identity field — a config knob, the traffic,
 // the seed — re-keys the experiment.
 func TestHashSensitivity(t *testing.T) {

@@ -159,6 +159,40 @@ func TestRunSpecCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardedBatchServedFromSerialCache: engine_shards stays out of point
+// keys, so a batch at 2 shards on a store that a serial batch filled runs
+// no engine and returns the serial Results.
+func TestShardedBatchServedFromSerialCache(t *testing.T) {
+	st := openTemp(t)
+	pts, err := quickSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, _, err := RunPoints(st, 0, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := make([]spec.Point, len(pts))
+	for i, pt := range pts {
+		pt.Config.EngineShards = 2
+		sharded[i] = pt
+	}
+	rs, stats, err := RunPoints(st, 0, sharded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Hits != len(pts) || stats.Misses != 0 {
+		t.Fatalf("sharded batch on a serial store: %+v, want %d hits / 0 misses", stats, len(pts))
+	}
+	for i := range rs {
+		a, _ := json.Marshal(serial[i])
+		b, _ := json.Marshal(rs[i])
+		if string(a) != string(b) {
+			t.Fatalf("point %d: cached Result differs from the serial run:\n%s\n%s", i, a, b)
+		}
+	}
+}
+
 // TestRunSpecPartialWarm: adding an axis point re-runs only the new point.
 func TestRunSpecPartialWarm(t *testing.T) {
 	st := openTemp(t)
