@@ -586,6 +586,21 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: %s must be >= %d, got %d", b.name, b.min, b.v)
 		}
 	}
+	// A switch keeps each output VC's downstream credits in 16 bits, and
+	// these two seed them (VC buffers and WI transmit buffers): a larger
+	// value would wrap and leave the port without a credit to send on.
+	for _, b := range []struct {
+		name string
+		v    int
+	}{
+		{"buffer_depth", c.BufferDepth},
+		{"tx_buffer_flits", c.TXBufferFlits},
+	} {
+		if b.v > math.MaxInt16 {
+			return fmt.Errorf("config: %s must be <= %d (switch credit counters are 16-bit), got %d",
+				b.name, math.MaxInt16, b.v)
+		}
+	}
 	// NaN compares false against every bound below, so non-finite floats
 	// would otherwise sail through the range checks (found by FuzzValidate
 	// for the first four; deadknob surfaced that the remaining physical

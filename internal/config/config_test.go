@@ -305,6 +305,35 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBufferDepthsFitCredits: a switch counts each output VC's downstream
+// credits in 16 bits, seeded from buffer_depth (every VC buffer) and
+// tx_buffer_flits (a WI transmit buffer), so 32,767 is the deepest buffer
+// Validate accepts for either, on any architecture; 32,768 would wrap to a
+// negative credit count and stop the port.
+func TestBufferDepthsFitCredits(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"buffer_depth", func(c *Config, v int) { c.BufferDepth = v }},
+		{"tx_buffer_flits", func(c *Config, v int) { c.TXBufferFlits = v }},
+	} {
+		for _, arch := range []Architecture{ArchWireless, ArchInterposer} {
+			cfg := MustXCYM(4, 4, arch)
+			field.set(&cfg, math.MaxInt16)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %s = %d rejected: %v", arch, field.name, math.MaxInt16, err)
+			}
+			field.set(&cfg, math.MaxInt16+1)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), field.name) || !strings.Contains(err.Error(), "16-bit") {
+				t.Fatalf("%s: %s = %d: got %v, want a rejection naming the field and the 16-bit credits",
+					arch, field.name, math.MaxInt16+1, err)
+			}
+		}
+	}
+}
+
 func TestMultiChannelAssignmentsValid(t *testing.T) {
 	for _, assign := range []ChannelAssignment{AssignStaticPartition, AssignSpatialReuse} {
 		for _, k := range []int{1, 2, 4, 8} {

@@ -47,6 +47,10 @@ type Fabric struct {
 	flitErrProb float64
 	extraLat    sim.Cycle
 
+	// pending holds the flits in flight to their receivers. A cycle can
+	// launch several (one per sub-channel, or per crossbar destination),
+	// so it is the zero Queue, grown on demand, not a ring sized by its
+	// latency.
 	pending sim.Queue[delivery]
 	rrDst   int // rotates the destination service order (crossbar)
 

@@ -31,9 +31,13 @@
 // wireless fabric, which charges only in serial phases, adds to the
 // meter's root part. Results sum the parts, and integer sums are
 // associative, so the totals are bit-identical at every shard count. A
-// packet's own energy stays atomic (noc.Packet.AddEnergy), because its
-// flits cross switches of different shards in one cycle. The three
-// cross-shard interactions are handled as follows:
+// packet's own energy is a plain integer too (noc.Packet.AddEnergy),
+// although its flits cross switches of different shards in one cycle:
+// each switch, link and NI charges it once, from the head flit, for all
+// its flits, so one place at a time writes it, and the wireless fabric
+// charges it only in serial phases. It is read only after the tail is
+// delivered, when every charge is in. The three cross-shard interactions
+// are handled as follows:
 //
 //   - Boundary wired links (endpoints in different shards) run in mailbox
 //     mode: the source shard retires flits into a parity ping-pong buffer

@@ -510,7 +510,7 @@ func (e *Engine) loadProbe(txWI, src, dst sim.SwitchID) route.LoadSignals {
 	wired := e.tables.Classes[route.ClassWiredOnly]
 	if next := wired.Next[src][dst]; next != sim.NoSwitch && next != src {
 		if port, ok := e.switches[src].PortToward(next); ok {
-			s.WiredFreeCredits, s.WiredCreditCap = e.switches[src].Output(port).CreditOccupancy()
+			s.WiredFreeCredits, s.WiredCreditCap = e.switches[src].CreditOccupancy(port)
 		}
 	}
 	return s

@@ -58,15 +58,27 @@ func TestRunDeliversPacketsAllArchitectures(t *testing.T) {
 	}
 }
 
-// TestPortsSizedOnce checks that portCounts, which sizes every switch's
-// port slices in build, counts exactly the ports build wires: a count too
-// low makes AddInputPort or AddOutputPort grow the slices, one too high
-// leaves capacity unused.
+// TestPortsSizedOnce checks that portCounts, which sizes every switch in
+// build, counts exactly the ports build wires. NewSwitch allocates the
+// port slices and the VC and flit arrays keyed by port once at that count
+// and never regrows them: a count too low makes AddInputPort or
+// AddOutputPort panic, so a build that returns shows that no switch's
+// arrays regrew, and a count too high leaves ports, VC states and flit
+// slots unused, which the per-switch compare catches. The builds cover
+// every architecture at 1, 4 and 16 chips and, outside -short, the two
+// 64-chip packages the benchmark saturates.
 func TestPortsSizedOnce(t *testing.T) {
+	chipCounts := []int{1, 4, 16}
+	if !testing.Short() {
+		chipCounts = append(chipCounts, 64)
+	}
 	for _, arch := range []config.Architecture{
 		config.ArchSubstrate, config.ArchInterposer, config.ArchWireless, config.ArchHybrid,
 	} {
-		for _, chips := range []int{4, 16} {
+		for _, chips := range chipCounts {
+			if chips == 64 && arch != config.ArchInterposer && arch != config.ArchWireless {
+				continue
+			}
 			e, err := New(testParams(t, chips, arch))
 			if err != nil {
 				t.Fatalf("%s %dC: New: %v", arch, chips, err)

@@ -52,6 +52,10 @@ type Endpoint struct {
 	credits  []int     // credits toward the switch input port, per VC
 	rrVC     int
 	bound    int // count of non-nil vcPkt entries
+	// The two pipes are sim.Queue rings of localLatency+1 slots: each takes
+	// at most one flit per cycle (one send, or one traversal of the
+	// ejection port) and holds it localLatency cycles, and Tick runs every
+	// cycle while either holds one.
 	toSwitch sim.Queue[timedFlit]
 
 	// Ejection.
@@ -96,6 +100,8 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, localLatency int, pjPerBit float
 		vcPkt:        make([]*Packet, sw.VCs()),
 		vcSeq:        make([]int32, sw.VCs()),
 		credits:      make([]int, sw.VCs()),
+		toSwitch:     sim.NewQueue[timedFlit](localLatency + 1),
+		toSink:       sim.NewQueue[timedFlit](localLatency + 1),
 	}
 	for i := range e.credits {
 		e.credits[i] = sw.depth
@@ -171,7 +177,7 @@ func (e *Endpoint) ReturnCredit(_ sim.Cycle, vc int) {
 // returns 0.
 func (e *Endpoint) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) sim.Cycle {
 	e.part.Add(e.charge)
-	f.Pkt.AddEnergy(e.charge.FP)
+	chargePacket(f, e.charge)
 	e.toSink.Push(timedFlit{at: now + e.localLatency, f: f})
 	e.active.Add(e.activeID)
 	return 0
@@ -253,7 +259,7 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 			*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvInjected, Pkt: p})
 		}
 		e.part.Add(e.charge)
-		p.AddEnergy(e.charge.FP)
+		chargePacket(f, e.charge)
 		e.FlitsSent++
 		e.toSwitch.Push(timedFlit{at: now + e.localLatency, f: f})
 		if int(e.vcSeq[vc]) == p.NumFlits {

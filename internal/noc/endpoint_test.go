@@ -214,7 +214,7 @@ func TestEndpointAttachesItsPorts(t *testing.T) {
 		t.Fatal("the NI is not the credit sink and conduit of its ports")
 	}
 	for vc := 0; vc < sw.VCs(); vc++ {
-		if got := sw.Output(1).Credits(vc); got != 4 {
+		if got := credits(sw, 1, vc); got != 4 {
 			t.Fatalf("ejection VC %d starts with %d credits, want 4", vc, got)
 		}
 	}

@@ -7,7 +7,6 @@ package noc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"wimc/internal/energy"
 	"wimc/internal/sim"
@@ -89,12 +88,13 @@ type Packet struct {
 	RouteClass uint8
 
 	// energyFP accumulates dynamic energy attributed to this packet in
-	// fixed-point picojoules (energy.FPScale). Unlike the meter, whose
-	// parts each have one writer, it is an atomic integer: under sharded
-	// execution, flits of one packet can traverse switches owned by
-	// different shards in the same cycle. Integer sums are
-	// order-independent, which keeps per-packet energy byte-identical at
-	// every shard count. Read it through EnergyPJ.
+	// fixed-point picojoules (energy.FPScale). Wired elements charge it
+	// only from the head flit (see chargePacket), and the wireless fabric
+	// only in serial phases, so it has one writer at a time even when the
+	// packet's flits cross switches of different shards in one cycle; it
+	// is read only after the tail is delivered. Integer sums do not
+	// depend on grouping or order, which keeps per-packet energy
+	// byte-identical at every shard count. Read it through EnergyPJ.
 	energyFP int64
 
 	// arrivedFlits counts flits consumed at the destination (reassembly
@@ -127,15 +127,25 @@ func (p *Packet) Bits(flitBits int) int { return p.NumFlits * flitBits }
 
 // AddEnergy attributes fp fixed-point picojoules (energy.FPScale; the FP
 // of the charge that metered the event) of dynamic energy to the packet.
-// It is atomic, and so safe to call from concurrent engine shards: one
-// packet's flits can be charged by several shards in one cycle.
-func (p *Packet) AddEnergy(fp int64) {
-	atomic.AddInt64(&p.energyFP, fp)
-}
+// It is a plain add, like Hops++: only the flit heading the packet, or a
+// serial phase, calls it (see energyFP).
+func (p *Packet) AddEnergy(fp int64) { p.energyFP += fp }
 
 // EnergyPJ returns the dynamic energy attributed to the packet so far.
 func (p *Packet) EnergyPJ() float64 {
-	return float64(atomic.LoadInt64(&p.energyFP)) / energy.FPScale
+	return float64(p.energyFP) / energy.FPScale
+}
+
+// chargePacket attributes the charge of every flit of f's packet to the
+// packet when f is its head, and nothing otherwise. A switch, link or NI
+// calls it for each flit it meters: under wormhole switching every flit
+// crosses each element its head crossed, and the packet's energy is read
+// only once its tail is delivered, so NumFlits charges from the head sum
+// to the per-flit total exactly, and body flits never touch the Packet.
+func chargePacket(f Flit, c energy.Charge) {
+	if f.IsHead() {
+		f.Pkt.AddEnergy(c.FP * int64(f.Pkt.NumFlits))
+	}
 }
 
 // Latency returns the queue-to-delivery latency in cycles (valid after
@@ -168,15 +178,6 @@ func (f Flit) IsHead() bool { return f.Kind == KindHead || f.Kind == KindHeadTai
 
 // IsTail reports whether the flit closes a packet.
 func (f Flit) IsTail() bool { return f.Kind == KindTail || f.Kind == KindHeadTail }
-
-// FlitsOf expands a packet into its flit sequence.
-func FlitsOf(p *Packet) []Flit {
-	fs := make([]Flit, p.NumFlits)
-	for i := 0; i < p.NumFlits; i++ {
-		fs[i] = FlitAt(p, i)
-	}
-	return fs
-}
 
 // FlitAt returns the i-th flit of packet p.
 func FlitAt(p *Packet, i int) Flit {

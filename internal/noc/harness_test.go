@@ -35,6 +35,8 @@ type pipeOpts struct {
 	postVCs      int
 	switchPJ     float64
 	linkPJPerBit float64
+	niLatency    int // both NIs' local latency; 0 floors to 1
+	niPJPerBit   float64
 }
 
 func defaultPipeOpts() pipeOpts {
@@ -69,9 +71,9 @@ func newPipe(t *testing.T, o pipeOpts) *pipe {
 	p.link.Connect(p.sw0, out0, p.sw1, in1)
 
 	// Endpoint 0 on sw0 (source side), endpoint 1 on sw1 (sink side).
-	p.src = NewEndpoint(0, p.sw0, 1, 0, energy.ClassLinkLocal, flitBits, o.queueCap, part)
+	p.src = NewEndpoint(0, p.sw0, o.niLatency, o.niPJPerBit, energy.ClassLinkLocal, flitBits, o.queueCap, part)
 	p.src.SetShard(nil, 0, &p.events)
-	p.dst = NewEndpoint(1, p.sw1, 1, 0, energy.ClassLinkLocal, flitBits, o.queueCap, part)
+	p.dst = NewEndpoint(1, p.sw1, o.niLatency, o.niPJPerBit, energy.ClassLinkLocal, flitBits, o.queueCap, part)
 	p.dst.SetShard(nil, 1, &p.events)
 
 	// Routing: endpoint 0 is hosted by sw0 and endpoint 1 by sw1, and each
@@ -137,6 +139,9 @@ func (p *pipe) run(cycles int) {
 		p.step()
 	}
 }
+
+// credits returns the downstream credits of sw's output port port, VC vc.
+func credits(sw *Switch, port, vc int) int { return int(sw.outVCs(port)[vc].credits) }
 
 // mkPacket builds a packet from endpoint 0 to endpoint 1.
 func mkPacket(id uint64, flits int) *Packet {

@@ -23,8 +23,12 @@ type timedCredit struct {
 //
 // Bandwidth tokens refill lazily (see sim.TokenBucket), so an idle link
 // costs nothing per cycle; the engine only ticks Deliver while the link has
-// flits or credits in flight (sim.Queue pipelines), tracked through the
-// activity set installed with SetActivity. The upstream output port is the
+// flits or credits in flight, tracked through the activity set installed
+// with SetActivity. Each direction is a sim.Queue ring of latency+1
+// slots: the wire takes at most one flit per cycle (one traversal of its
+// output port) and the credit wire at most one credit (one traversal out
+// of its input port), each held latency cycles, and Deliver runs every
+// cycle while either holds one. The upstream output port is the
 // bucket's only spender, so Accept tells it when the link can take the
 // next flit and the switch never asks the link (see Switch.TickSAST).
 type Link struct {
@@ -60,10 +64,12 @@ func NewLink(class energy.Class, latency int, rate sim.Rate, pjPerBit float64,
 		latency = 1
 	}
 	return &Link{
-		latency: sim.Cycle(latency),
-		bucket:  sim.NewTokenBucket(rate),
-		part:    part,
-		charge:  energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
+		latency:  sim.Cycle(latency),
+		bucket:   sim.NewTokenBucket(rate),
+		part:     part,
+		charge:   energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
+		inflight: sim.NewQueue[timedFlit](latency + 1),
+		credits:  sim.NewQueue[timedCredit](latency + 1),
 	}
 }
 
@@ -89,7 +95,7 @@ func (l *Link) Accept(now sim.Cycle, f Flit, _ sim.SwitchID) sim.Cycle {
 		panic("noc: link accepted flit without bandwidth tokens")
 	}
 	l.part.Add(l.charge)
-	f.Pkt.AddEnergy(l.charge.FP)
+	chargePacket(f, l.charge)
 	l.inflight.Push(timedFlit{at: now + l.latency, f: f})
 	l.active.Add(l.activeID)
 	return l.bucket.NextSpend()

@@ -97,14 +97,14 @@ func TestCreditReturnLatency(t *testing.T) {
 	in := dst.AddInputPort(l)
 	l.Connect(src, out, dst, in)
 
-	src.Output(out).vcs[0].credits-- // pretend one flit was sent
+	src.outVCs(out)[0].credits-- // pretend one flit was sent
 	l.ReturnCredit(10, 0)
 	l.Deliver(11)
-	if got := src.Output(out).Credits(0); got != 3 {
+	if got := credits(src, out, 0); got != 3 {
 		t.Fatalf("credit returned early: %d", got)
 	}
 	l.Deliver(12)
-	if got := src.Output(out).Credits(0); got != 4 {
+	if got := credits(src, out, 0); got != 4 {
 		t.Fatalf("credit not returned at latency: %d", got)
 	}
 }
@@ -149,7 +149,7 @@ func TestPortCachesLinkAdmission(t *testing.T) {
 				step = p.stepBoxed
 			}
 			rec := &acceptLog{Link: p.link}
-			p.sw0.SetOutputConduit(p.link.srcPort, rec)
+			p.sw0.out[p.link.srcPort].conduit = rec
 			op := &p.sw0.out[p.link.srcPort]
 
 			rng := sim.NewRand(uint64(tc.rate))
@@ -194,6 +194,71 @@ func TestPortCachesLinkAdmission(t *testing.T) {
 					spent, held, longIdle)
 			}
 		})
+	}
+}
+
+// TestPipeRingsStaySized drives a link and both NIs at one flit per cycle
+// for thousands of cycles, a backlogged source streaming packets on every
+// VC, with the link plain and in mailbox mode. Each of the four sim.Queue
+// rings (the link's flit and credit wires, the source NI's pipe to its
+// switch and the sink NI's pipe from its switch) keeps the latency+1
+// slots it was sized with, and holds latency items between cycles: one
+// per cycle in flight. The extra slot takes the push that comes before
+// the same cycle's pop of a due item. The link and the NIs get different
+// latencies, so a ring sized from the wrong one grows.
+func TestPipeRingsStaySized(t *testing.T) {
+	for _, boxed := range []bool{false, true} {
+		o := defaultPipeOpts()
+		o.linkLatency = 5
+		o.niLatency = 3
+		o.depth = 8
+		p := newPipe(t, o)
+		step := p.step
+		if boxed {
+			p.link.SetMailbox()
+			step = p.stepBoxed
+		}
+		type ring interface {
+			Len() int
+			Cap() int
+		}
+		rings := []struct {
+			name    string
+			q       ring
+			latency int
+			peak    int
+		}{
+			{"link flits", &p.link.inflight, o.linkLatency, 0},
+			{"link credits", &p.link.credits, o.linkLatency, 0},
+			{"source NI pipe", &p.src.toSwitch, o.niLatency, 0},
+			{"sink NI pipe", &p.dst.toSink, o.niLatency, 0},
+		}
+		const cycles = 4000
+		id := uint64(0)
+		for p.now < cycles {
+			for p.src.QueueLen() < o.queueCap {
+				id++
+				p.src.Offer(mkPacket(id, 16))
+			}
+			step()
+			for i := range rings {
+				r := &rings[i]
+				if r.q.Cap() != r.latency+1 {
+					t.Fatalf("mailbox %v, cycle %d: %s ring has %d slots, sized %d",
+						boxed, p.now-1, r.name, r.q.Cap(), r.latency+1)
+				}
+				r.peak = max(r.peak, r.q.Len())
+			}
+		}
+		for _, r := range rings {
+			if r.peak != r.latency {
+				t.Errorf("mailbox %v: %s ring held up to %d items between cycles, want %d",
+					boxed, r.name, r.peak, r.latency)
+			}
+		}
+		if got := p.dst.FlitsConsumed; got < cycles-40 {
+			t.Fatalf("mailbox %v: %d flits consumed in %d cycles: not one per cycle", boxed, got, cycles)
+		}
 	}
 }
 

@@ -1,49 +1,46 @@
 package noc
 
-// flitRing is a fixed-capacity FIFO of flits backing one VC buffer. Its
-// capacity is len(buf); the VC rings of one input port share one slab
-// (see Switch.AddInputPort).
+// flitRing is the index state of one VC buffer, a fixed-capacity FIFO of
+// flits: the slot of its oldest flit and its length. The flits live in a
+// window of the owning switch's flit slab (see Switch.window), passed to
+// each call, whose length is the ring's capacity.
 type flitRing struct {
-	buf  []Flit
-	head int
-	n    int
+	head, n int32
 }
 
-func (r *flitRing) len() int   { return r.n }
-func (r *flitRing) cap() int   { return len(r.buf) }
-func (r *flitRing) full() bool { return r.n == len(r.buf) }
+func (r *flitRing) len() int { return int(r.n) }
 
-// push appends a flit; it reports false when the ring is full.
-func (r *flitRing) push(f Flit) bool {
-	if r.full() {
+// push appends a flit to win; it reports false when the ring is full.
+func (r *flitRing) push(win []Flit, f Flit) bool {
+	if int(r.n) == len(win) {
 		return false
 	}
-	i := r.head + r.n
-	if i >= len(r.buf) {
-		i -= len(r.buf)
+	i := int(r.head + r.n)
+	if i >= len(win) {
+		i -= len(win)
 	}
-	r.buf[i] = f
+	win[i] = f
 	r.n++
 	return true
 }
 
 // peek returns the oldest flit without removing it.
-func (r *flitRing) peek() (Flit, bool) {
+func (r *flitRing) peek(win []Flit) (Flit, bool) {
 	if r.n == 0 {
 		return Flit{}, false
 	}
-	return r.buf[r.head], true
+	return win[r.head], true
 }
 
-// pop removes and returns the oldest flit.
-func (r *flitRing) pop() (Flit, bool) {
-	f, ok := r.peek()
+// pop removes and returns the oldest flit, zeroing its slot.
+func (r *flitRing) pop(win []Flit) (Flit, bool) {
+	f, ok := r.peek(win)
 	if !ok {
 		return Flit{}, false
 	}
-	r.buf[r.head] = Flit{}
+	win[r.head] = Flit{}
 	r.head++
-	if r.head == len(r.buf) {
+	if int(r.head) == len(win) {
 		r.head = 0
 	}
 	r.n--

@@ -7,13 +7,24 @@ import (
 	"wimc/internal/energy"
 )
 
-func newFlitRing(capacity int) flitRing {
-	return flitRing{buf: make([]Flit, capacity)}
+// testRing is a flit ring with its own window, as one VC's is a window of
+// its switch's slot slab.
+type testRing struct {
+	flitRing
+	win []Flit
 }
 
+func newTestRing(capacity int) *testRing {
+	return &testRing{win: make([]Flit, capacity)}
+}
+
+func (r *testRing) push(f Flit) bool   { return r.flitRing.push(r.win, f) }
+func (r *testRing) peek() (Flit, bool) { return r.flitRing.peek(r.win) }
+func (r *testRing) pop() (Flit, bool)  { return r.flitRing.pop(r.win) }
+
 func TestRingBasics(t *testing.T) {
-	r := newFlitRing(3)
-	if r.len() != 0 || r.cap() != 3 || r.full() {
+	r := newTestRing(3)
+	if r.len() != 0 {
 		t.Fatal("fresh ring state wrong")
 	}
 	if _, ok := r.pop(); ok {
@@ -27,9 +38,6 @@ func TestRingBasics(t *testing.T) {
 		if !r.push(FlitAt(p, i)) {
 			t.Fatalf("push %d failed", i)
 		}
-	}
-	if !r.full() {
-		t.Fatal("ring should be full")
 	}
 	if r.push(FlitAt(p, 3)) {
 		t.Fatal("push into full ring succeeded")
@@ -47,10 +55,15 @@ func TestRingBasics(t *testing.T) {
 	if r.len() != 0 {
 		t.Fatal("ring not empty after pops")
 	}
+	for i, f := range r.win {
+		if f.Pkt != nil {
+			t.Fatalf("slot %d still holds flit %d after its pop", i, f.Seq)
+		}
+	}
 }
 
 func TestRingWrapAround(t *testing.T) {
-	r := newFlitRing(2)
+	r := newTestRing(2)
 	p := &Packet{ID: 2, NumFlits: 100}
 	seq := int32(0)
 	popped := int32(0)
@@ -66,12 +79,19 @@ func TestRingWrapAround(t *testing.T) {
 }
 
 // TestRingMatchesReferenceModel drives the ring with random operation
-// sequences and compares against a plain slice.
+// sequences and compares against a plain slice. The ring's window sits
+// between two neighbours in one slab, as a VC's does in its switch, and
+// the neighbours must stay untouched.
 func TestRingMatchesReferenceModel(t *testing.T) {
 	p := &Packet{ID: 3, NumFlits: 1 << 20}
+	guard := &Packet{ID: 99, NumFlits: 1}
 	check := func(ops []bool, capSeed uint8) bool {
 		capacity := int(capSeed%7) + 1
-		r := newFlitRing(capacity)
+		slab := make([]Flit, 3*capacity)
+		for i := range slab {
+			slab[i] = FlitAt(guard, 0)
+		}
+		r := &testRing{win: slab[capacity : 2*capacity]}
 		var ref []Flit
 		seq := 0
 		for _, push := range ops {
@@ -102,6 +122,11 @@ func TestRingMatchesReferenceModel(t *testing.T) {
 				return false
 			}
 		}
+		for i, f := range slab {
+			if (i < capacity || i >= 2*capacity) && f.Pkt != guard {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -111,10 +136,7 @@ func TestRingMatchesReferenceModel(t *testing.T) {
 
 func TestFlitKinds(t *testing.T) {
 	p := &Packet{ID: 4, NumFlits: 3}
-	fs := FlitsOf(p)
-	if len(fs) != 3 {
-		t.Fatalf("FlitsOf returned %d flits", len(fs))
-	}
+	fs := []Flit{FlitAt(p, 0), FlitAt(p, 1), FlitAt(p, 2)}
 	if !fs[0].IsHead() || fs[0].IsTail() {
 		t.Fatal("first flit kind wrong")
 	}

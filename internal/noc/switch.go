@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"wimc/internal/energy"
@@ -37,20 +38,22 @@ const (
 	vcActive                // streaming flits to the allocated output VC
 )
 
-// inputVC is one virtual channel of an input port.
+// inputVC is the state of one virtual channel of an input port: its
+// wormhole state machine and the indices of its flit ring. It is 32
+// bytes, two to a cache line, and holds no slice: its flits live in its
+// window of the switch's slot slab (see Switch).
 type inputVC struct {
+	routedAt sim.Cycle // cycle the head completed route computation
 	buf      flitRing
-	state    vcState
+	nextHop  sim.SwitchID
 	outPort  int16
 	outVC    int16
+	state    vcState
 	phase    uint8 // VC class of the packet currently heading the buffer
-	nextHop  sim.SwitchID
-	routedAt sim.Cycle // cycle the head completed route computation
 }
 
 // InputPort is the receive side of a switch port.
 type InputPort struct {
-	vcs    []inputVC
 	credit CreditSink
 	rrNom  int // round-robin pointer for switch-allocation nomination
 	// buffered counts flits across this port's VC buffers; all three
@@ -79,7 +82,6 @@ type outputVC struct {
 
 // OutputPort is the transmit side of a switch port.
 type OutputPort struct {
-	vcs     []outputVC
 	conduit Conduit
 	// acceptAt is the first cycle the conduit can take a flit: what its
 	// last Accept returned, 0 before the first.
@@ -89,22 +91,8 @@ type OutputPort struct {
 	rrSA       int
 }
 
-// Credits returns the available downstream credits of output VC vc (test
-// and invariant-check hook).
-func (op *OutputPort) Credits(vc int) int { return int(op.vcs[vc].credits) }
-
 // Conduit returns what the port feeds (test hook).
 func (op *OutputPort) Conduit() Conduit { return op.conduit }
-
-// CreditOccupancy returns the free downstream credits summed over the
-// port's VCs and the port's total credit capacity — the wired-headroom
-// load signal the adaptive route selector reads at injection time.
-func (op *OutputPort) CreditOccupancy() (free, capacity int) {
-	for i := range op.vcs {
-		free += int(op.vcs[i].credits)
-	}
-	return free, len(op.vcs) * int(op.maxCredits)
-}
 
 // Switch is a wormhole virtual-channel router with a three-stage pipeline:
 // route computation (RC), VC allocation (VA) and switch allocation plus
@@ -115,9 +103,17 @@ type Switch struct {
 	vcCount int
 	depth   int
 
-	// The ports, stored by value and sized once (see NewSwitch).
-	in  []InputPort
-	out []OutputPort
+	// The ports, stored by value, and the per-VC state of every port in
+	// three flat arrays keyed port*VCs+vc: ivc holds each input VC's state
+	// and ring indices, ovc each output VC's holder and credits, and slots
+	// each input VC's window of depth flits. NewSwitch allocates all five
+	// once for the port count it takes (the arrays at full length), so a
+	// flit's hop touches no per-port allocation and no per-VC slice.
+	in    []InputPort
+	out   []OutputPort
+	ivc   []inputVC
+	ovc   []outputVC
+	slots []Flit
 
 	// Routing state (see Route), set while the system is wired and only
 	// read afterwards:
@@ -197,12 +193,12 @@ type nomination struct {
 // NewSwitch constructs a switch with no ports that charges each flit
 // traversal's energy to part. Ports are added with AddInputPort and
 // AddOutputPort before simulation starts; ports is how many of each the
-// switch will get, so both port slices are allocated once at that size
-// (more still work, by growing them). At most 64 VCs per port are
-// supported (the pipeline tracks per-port VC eligibility in uint64
-// bitmasks); more is a construction-time bug and panics loudly, mirroring
-// config.Validate's vcs <= 64 rule for callers that build switches
-// directly.
+// switch will get, so the port slices and the VC and flit arrays are
+// allocated once at that size, and adding more panics. At most 64 VCs per
+// port are supported (the pipeline tracks per-port VC eligibility in
+// uint64 bitmasks); more is a construction-time bug and panics loudly,
+// mirroring config.Validate's vcs <= 64 rule for callers that build
+// switches directly.
 func NewSwitch(id sim.SwitchID, ports, vcs, depth, flitBits int, switchPJPerBit float64, part *energy.Part) *Switch {
 	if vcs > 64 {
 		panic(fmt.Sprintf("noc: switch %d: %d VCs exceeds the 64-VC bitmask limit", id, vcs))
@@ -213,6 +209,9 @@ func NewSwitch(id sim.SwitchID, ports, vcs, depth, flitBits int, switchPJPerBit 
 		depth:   depth,
 		in:      make([]InputPort, 0, ports),
 		out:     make([]OutputPort, 0, ports),
+		ivc:     make([]inputVC, ports*vcs),
+		ovc:     make([]outputVC, ports*vcs),
+		slots:   make([]Flit, ports*vcs*depth),
 		part:    part,
 		charge:  energy.NewCharge(energy.ClassSwitch, flitBits, switchPJPerBit*float64(flitBits)),
 		wiPort:  -1,
@@ -220,35 +219,56 @@ func NewSwitch(id sim.SwitchID, ports, vcs, depth, flitBits int, switchPJPerBit 
 }
 
 // AddInputPort appends an input port whose freed buffer slots are returned
-// to credit. It returns the port index. The port's VC rings share one
-// slab of VCs × depth flits.
+// to credit. It returns the port index. Adding more input ports than
+// NewSwitch was sized for is a construction-time bug and panics.
 func (s *Switch) AddInputPort(credit CreditSink) int {
-	p := InputPort{vcs: make([]inputVC, s.vcCount), credit: credit}
-	slab := make([]Flit, s.vcCount*s.depth)
-	for i := range p.vcs {
-		p.vcs[i].buf = flitRing{buf: slab[i*s.depth : (i+1)*s.depth : (i+1)*s.depth]}
+	if len(s.in) == cap(s.in) {
+		panic(fmt.Sprintf("noc: switch %d sized for %d input ports gets another", s.ID, cap(s.in)))
 	}
-	s.in = append(s.in, p)
+	s.in = append(s.in, InputPort{credit: credit})
 	return len(s.in) - 1
 }
 
 // AddOutputPort appends an output port feeding the conduit, with the given
 // initial per-VC downstream credits. It returns the port index. At most 64
 // output ports are supported (SA/ST arbitration tracks ports in a uint64
-// bitmask); exceeding that is a construction-time bug, not a load issue,
-// so it panics loudly.
+// bitmask), no more than NewSwitch was sized for, and at most
+// math.MaxInt16 credits (they are counted in 16 bits, as config.Validate
+// bounds buffer_depth and tx_buffer_flits); exceeding any is a
+// construction-time bug, not a load issue, so it panics loudly.
 func (s *Switch) AddOutputPort(c Conduit, credits int) int {
 	if len(s.out) >= 64 {
 		panic(fmt.Sprintf("noc: switch %d would exceed 64 output ports (SA port bitmask)", s.ID))
 	}
-	p := OutputPort{vcs: make([]outputVC, s.vcCount), conduit: c, maxCredits: int16(credits)}
-	for i := range p.vcs {
-		p.vcs[i].holderPort = -1
-		p.vcs[i].holderVC = -1
-		p.vcs[i].credits = int16(credits)
+	if len(s.out) == cap(s.out) {
+		panic(fmt.Sprintf("noc: switch %d sized for %d output ports gets another", s.ID, cap(s.out)))
 	}
-	s.out = append(s.out, p)
-	return len(s.out) - 1
+	if credits > math.MaxInt16 {
+		panic(fmt.Sprintf("noc: switch %d output port with %d credits exceeds the 16-bit credit counters", s.ID, credits))
+	}
+	port := len(s.out)
+	s.out = append(s.out, OutputPort{conduit: c, maxCredits: int16(credits)})
+	ovcs := s.outVCs(port)
+	for i := range ovcs {
+		ovcs[i] = outputVC{holderPort: -1, holderVC: -1, credits: int16(credits)}
+	}
+	return port
+}
+
+// inVCs returns the VC states of input port port.
+func (s *Switch) inVCs(port int) []inputVC {
+	return s.ivc[port*s.vcCount : (port+1)*s.vcCount]
+}
+
+// outVCs returns the VC states of output port port.
+func (s *Switch) outVCs(port int) []outputVC {
+	return s.ovc[port*s.vcCount : (port+1)*s.vcCount]
+}
+
+// window returns the flit slots of input VC k (port*VCs+vc), its ring's
+// storage.
+func (s *Switch) window(k int) []Flit {
+	return s.slots[k*s.depth : (k+1)*s.depth]
 }
 
 // SetRoutes installs the switch's routing rows. host[ep] is the switch
@@ -360,10 +380,6 @@ func (s *Switch) SetActivity(set *sim.ActiveSet, id int) {
 	s.active, s.activeID = set, id
 }
 
-// SetOutputConduit replaces the conduit of an output port (test hook: a
-// test slips a recording conduit in front of a link).
-func (s *Switch) SetOutputConduit(port int, c Conduit) { s.out[port].conduit = c }
-
 // InputPorts returns the number of input ports.
 func (s *Switch) InputPorts() int { return len(s.in) }
 
@@ -373,21 +389,33 @@ func (s *Switch) OutputPorts() int { return len(s.out) }
 // VCs returns the per-port virtual channel count.
 func (s *Switch) VCs() int { return s.vcCount }
 
-// Output returns output port i (engine/fabric wiring hook). The pointer is
-// valid until the next AddOutputPort.
+// Output returns output port i (test hook).
 func (s *Switch) Output(i int) *OutputPort { return &s.out[i] }
+
+// CreditOccupancy returns the free downstream credits summed over output
+// port port's VCs and the port's total credit capacity — the
+// wired-headroom load signal the adaptive route selector reads at
+// injection time.
+func (s *Switch) CreditOccupancy(port int) (free, capacity int) {
+	ovcs := s.outVCs(port)
+	for i := range ovcs {
+		free += int(ovcs[i].credits)
+	}
+	return free, len(ovcs) * int(s.out[port].maxCredits)
+}
 
 // Receive enqueues a flit arriving on the given input port and VC. The
 // credit protocol guarantees buffer space; violation indicates a simulator
 // bug and panics.
 func (s *Switch) Receive(port int, vc int, f Flit) {
-	ip := &s.in[port]
-	ivc := &ip.vcs[vc]
-	if !ivc.buf.push(f) {
+	k := port*s.vcCount + vc
+	ivc := &s.ivc[k]
+	if !ivc.buf.push(s.window(k), f) {
 		panic(fmt.Sprintf("noc: switch %d port %d vc %d buffer overflow (pkt %d seq %d): credit protocol violated",
 			s.ID, port, vc, f.Pkt.ID, f.Seq))
 	}
 	s.buffered++
+	ip := &s.in[port]
 	ip.buffered++
 	switch ivc.state {
 	case vcIdle:
@@ -403,10 +431,9 @@ func (s *Switch) Receive(port int, vc int, f Flit) {
 // again; when the holder has a flit buffered, that is a wake-up, so the
 // switch rejoins its active set (see Stalled).
 func (s *Switch) ReturnCredit(port, vc int) {
-	op := &s.out[port]
-	ovc := &op.vcs[vc]
+	ovc := &s.ovc[port*s.vcCount+vc]
 	ovc.credits++
-	if ovc.credits > op.maxCredits {
+	if ovc.credits > s.out[port].maxCredits {
 		panic(fmt.Sprintf("noc: switch %d out port %d vc %d credit overflow", s.ID, port, vc))
 	}
 	if ovc.credits == 1 && ovc.holderPort >= 0 {
@@ -448,7 +475,8 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 		if m == 0 {
 			continue
 		}
-		n := len(ip.vcs)
+		vcs := s.inVCs(ipIdx)
+		n := len(vcs)
 		high := m >> uint(ip.rrNom) << uint(ip.rrNom) // bits at/after rrNom
 		for pass := 0; pass < 2; pass++ {
 			mm := high
@@ -459,7 +487,7 @@ func (s *Switch) TickSAST(now sim.Cycle) {
 			for mm != 0 {
 				vcIdx := bits.TrailingZeros64(mm)
 				mm &^= 1 << uint(vcIdx)
-				vc := &ip.vcs[vcIdx]
+				vc := &vcs[vcIdx]
 				if now < s.out[vc.outPort].acceptAt {
 					continue
 				}
@@ -527,11 +555,12 @@ func (s *Switch) inKeySpace() int { return len(s.in)*s.vcCount + 1 }
 // traverse moves one flit from an input VC to its output conduit.
 func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 	ip := &s.in[nm.inPort]
-	vc := &ip.vcs[nm.inVC]
+	k := int(nm.inPort)*s.vcCount + int(nm.inVC)
+	vc := &s.ivc[k]
 	op := &s.out[nm.outPort]
-	ovc := &op.vcs[nm.outVC]
+	ovc := &s.ovc[int(nm.outPort)*s.vcCount+int(nm.outVC)]
 
-	f, ok := vc.buf.pop()
+	f, ok := vc.buf.pop(s.window(k))
 	if !ok {
 		panic(fmt.Sprintf("noc: switch %d SA popped empty vc", s.ID))
 	}
@@ -548,9 +577,10 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 	}
 	nextHop := vc.nextHop
 
-	// Dynamic switch energy, attributed to the packet.
+	// Dynamic switch energy: every flit's to the meter, the whole packet's
+	// to the packet by its head (see chargePacket).
 	s.part.Add(s.charge)
-	f.Pkt.AddEnergy(s.charge.FP)
+	chargePacket(f, s.charge)
 	if f.IsHead() {
 		f.Pkt.Hops++
 	}
@@ -609,8 +639,9 @@ func (s *Switch) TickVA(now sim.Cycle) {
 		if ip.buffered == 0 {
 			continue
 		}
-		for vcIdx := range ip.vcs {
-			vc := &ip.vcs[vcIdx]
+		vcs := s.inVCs(ipIdx)
+		for vcIdx := range vcs {
+			vc := &vcs[vcIdx]
 			if vc.state != vcWaitVC {
 				continue
 			}
@@ -638,11 +669,13 @@ func (s *Switch) TickVA(now sim.Cycle) {
 			continue
 		}
 		op := &s.out[opIdx]
-		// Rotate requesters by the round-robin pointer for fairness.
+		// Rotate requesters by the round-robin pointer for fairness. A
+		// requester's key is also its index in ivc.
 		keyOf := func(r vaReq) int { return int(r.ipIdx)*s.vcCount + int(r.vcIdx) }
 		next := 0
-		for ovcIdx := range op.vcs {
-			ovc := &op.vcs[ovcIdx]
+		ovcs := s.outVCs(opIdx)
+		for ovcIdx := range ovcs {
+			ovc := &ovcs[ovcIdx]
 			if ovc.holderPort != -1 {
 				continue
 			}
@@ -653,7 +686,7 @@ func (s *Switch) TickVA(now sim.Cycle) {
 				if granted[i] || int(r.outPort) != opIdx {
 					continue
 				}
-				lo, hi := s.vcRange(s.in[r.ipIdx].vcs[r.vcIdx].phase)
+				lo, hi := s.vcRange(s.ivc[keyOf(r)].phase)
 				if ovcIdx < lo || ovcIdx >= hi {
 					continue
 				}
@@ -670,7 +703,7 @@ func (s *Switch) TickVA(now sim.Cycle) {
 			}
 			r := reqs[best]
 			granted[best] = true
-			vc := &s.in[r.ipIdx].vcs[r.vcIdx]
+			vc := &s.ivc[keyOf(r)]
 			vc.state = vcActive
 			s.in[r.ipIdx].ready |= 1 << uint(r.vcIdx)
 			if ovc.credits <= 0 {
@@ -700,8 +733,9 @@ func (s *Switch) TickRC(now sim.Cycle) {
 		for m != 0 {
 			vcIdx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(vcIdx)
-			vc := &ip.vcs[vcIdx]
-			f, ok := vc.buf.peek()
+			k := ipIdx*s.vcCount + vcIdx
+			vc := &s.ivc[k]
+			f, ok := vc.buf.peek(s.window(k))
 			if !ok || !f.IsHead() {
 				continue
 			}
@@ -772,8 +806,9 @@ func (s *Switch) CheckPipelineInvariants() error {
 	for pi, ip := range s.in {
 		var ready, rcReady, starved uint64
 		portFlits := 0
-		for vi := range ip.vcs {
-			vc := &ip.vcs[vi]
+		vcs := s.inVCs(pi)
+		for vi := range vcs {
+			vc := &vcs[vi]
 			n := vc.buf.len()
 			portFlits += n
 			if n > 0 {
@@ -786,16 +821,16 @@ func (s *Switch) CheckPipelineInvariants() error {
 			}
 			switch vc.state {
 			case vcActive:
-				if s.out[vc.outPort].vcs[vc.outVC].credits <= 0 {
+				if s.outVCs(int(vc.outPort))[vc.outVC].credits <= 0 {
 					starved |= 1 << uint(vi)
 				}
 			case vcWaitVC:
 				waiting++
 				if !s.vaPending {
-					op := &s.out[vc.outPort]
+					ovcs := s.outVCs(int(vc.outPort))
 					lo, hi := s.vcRange(vc.phase)
 					for ovc := lo; ovc < hi; ovc++ {
-						if op.vcs[ovc].holderPort == -1 {
+						if ovcs[ovc].holderPort == -1 {
 							return fmt.Errorf("noc: switch %d port %d vc %d waits with output port %d vc %d free, but VA is not pending",
 								s.ID, pi, vi, vc.outPort, ovc)
 						}

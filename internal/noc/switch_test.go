@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"wimc/internal/energy"
 	"wimc/internal/sim"
@@ -130,12 +132,11 @@ func TestTailFreesOutputVC(t *testing.T) {
 	p.run(40)
 	// After the tail traversed, every output VC of sw0's link port must be
 	// free again.
-	op := p.sw0.Output(0)
-	for vc := range op.vcs {
-		if op.vcs[vc].holderPort != -1 {
+	for vc, ovc := range p.sw0.outVCs(0) {
+		if ovc.holderPort != -1 {
 			t.Fatalf("output VC %d still held after tail", vc)
 		}
-		if got := op.Credits(vc); got != 4 {
+		if got := credits(p.sw0, 0, vc); got != 4 {
 			t.Fatalf("output VC %d credits = %d, want 4 (all returned)", vc, got)
 		}
 	}
@@ -172,9 +173,9 @@ func TestPhaseSplitRestrictsVCs(t *testing.T) {
 	p.src.Offer(pkt)
 	for i := 0; i < 30; i++ {
 		p.step()
-		op := p.sw0.Output(0)
+		ovcs := p.sw0.outVCs(0)
 		for vc := 2; vc < 4; vc++ {
-			if op.vcs[vc].holderPort != -1 {
+			if ovcs[vc].holderPort != -1 {
 				t.Fatalf("phase-0 packet granted post-wireless VC %d", vc)
 			}
 		}
@@ -202,14 +203,14 @@ func TestPhaseSplitPhase1UsesUpperVCs(t *testing.T) {
 	granted := false
 	for i := 0; i < 30; i++ {
 		p.step()
-		op := p.sw0.Output(0)
+		ovcs := p.sw0.outVCs(0)
 		for vc := 0; vc < 2; vc++ {
-			if op.vcs[vc].holderPort != -1 {
+			if ovcs[vc].holderPort != -1 {
 				t.Fatalf("phase-1 packet granted pre-wireless VC %d", vc)
 			}
 		}
 		for vc := 2; vc < 4; vc++ {
-			if op.vcs[vc].holderPort != -1 {
+			if ovcs[vc].holderPort != -1 {
 				granted = true
 			}
 		}
@@ -244,7 +245,7 @@ func TestSwitchAccessors(t *testing.T) {
 // port otherwise.
 func TestSwitchRoute(t *testing.T) {
 	m := mustPart(t)
-	sw := NewSwitch(0, 4, 2, 2, 32, 0, m)
+	sw := NewSwitch(0, 5, 2, 2, 32, 0, m)
 	one, two := NewSwitch(1, 2, 2, 2, 32, 0, m), NewSwitch(2, 1, 2, 2, 32, 0, m)
 	connect := func(to *Switch) (int, *Link) {
 		l := NewLink(energy.ClassLinkMesh, 1, sim.RateOne, 0, 32, m)
@@ -338,6 +339,63 @@ func TestSwitchEnergyPerTraversal(t *testing.T) {
 	}
 }
 
+// TestPacketEnergyChargedByHead sends packets of 1 to 9 flits, several in
+// flight at once on different VCs, through NI, switch, link, switch and
+// NI, each element charging its own per-flit energy. A packet's EnergyPJ
+// is NumFlits times the sum of the five per-flit charges at delivery, and
+// already from the cycle its head reaches the sink, before its tail: the
+// head charges the packet for every flit, so the body never touches it.
+// The meter still counts every flit, class by class.
+func TestPacketEnergyChargedByHead(t *testing.T) {
+	o := defaultPipeOpts()
+	o.switchPJ = 0.7
+	o.linkPJPerBit = 1.3
+	o.niPJPerBit = 0.45
+	p := newPipe(t, o)
+	perFlit := p.src.charge.FP + p.sw0.charge.FP + p.link.charge.FP + p.sw1.charge.FP + p.dst.charge.FP
+	var pkts []*Packet
+	flits := int64(0)
+	for i := 0; i < 12; i++ {
+		pkt := mkPacket(uint64(i+1), 1+i%9)
+		if !p.src.Offer(pkt) {
+			t.Fatalf("offer %d refused", i)
+		}
+		pkts = append(pkts, pkt)
+		flits += int64(pkt.NumFlits)
+	}
+	headEarly := false
+	for cycle := 0; cycle < 400; cycle++ {
+		p.step()
+		for _, pkt := range pkts {
+			if pkt.arrivedFlits == 0 {
+				continue
+			}
+			want := float64(perFlit*int64(pkt.NumFlits)) / energy.FPScale
+			if got := pkt.EnergyPJ(); got != want {
+				t.Fatalf("cycle %d: packet %d (%d flits, %d arrived) carries %v pJ, want %v",
+					p.now-1, pkt.ID, pkt.NumFlits, pkt.arrivedFlits, got, want)
+			}
+			headEarly = headEarly || int(pkt.arrivedFlits) < pkt.NumFlits
+		}
+	}
+	if len(p.delivered) != len(pkts) || !headEarly {
+		t.Fatalf("delivered %d of %d packets; a head reached the sink before its tail: %v",
+			len(p.delivered), len(pkts), headEarly)
+	}
+	for _, c := range []struct {
+		class energy.Class
+		fp    int64 // per-flit charge summed over the class's elements
+	}{
+		{energy.ClassSwitch, p.sw0.charge.FP + p.sw1.charge.FP},
+		{energy.ClassLinkMesh, p.link.charge.FP},
+		{energy.ClassLinkLocal, p.src.charge.FP + p.dst.charge.FP},
+	} {
+		if got, want := p.meter.DynamicPJ(c.class), float64(flits*c.fp)/energy.FPScale; got != want {
+			t.Errorf("meter %s = %v pJ, want %v (every flit charged)", c.class, got, want)
+		}
+	}
+}
+
 // TestBufferedCounterMatchesBuffers asserts the O(1) buffered counter (the
 // active-set predicate) never drifts from the actual VC buffer occupancy
 // while traffic flows and drains through the pipe harness.
@@ -350,10 +408,8 @@ func TestBufferedCounterMatchesBuffers(t *testing.T) {
 		p.step()
 		for _, sw := range []*Switch{p.sw0, p.sw1} {
 			want := 0
-			for _, ip := range sw.in {
-				for i := range ip.vcs {
-					want += ip.vcs[i].buf.len()
-				}
+			for _, vc := range sw.ivc {
+				want += vc.buf.len()
 			}
 			if got := sw.BufferedFlits(); got != want {
 				t.Fatalf("cycle %d: switch %d buffered counter %d, buffers hold %d",
@@ -410,6 +466,43 @@ func TestNewSwitchRejectsOver64VCs(t *testing.T) {
 	NewSwitch(0, 0, 65, 4, 32, 0, nil)
 }
 
+// TestAddPortPastSizingPanics: NewSwitch allocates the ports and their VC
+// and flit arrays once for the port count it is given, so a port beyond it,
+// on either side, fails loudly rather than reallocating them, and so does
+// an output port whose credits overflow their 16-bit counters.
+func TestAddPortPastSizingPanics(t *testing.T) {
+	mustPanic := func(what string, add func(sw *Switch)) {
+		t.Helper()
+		sw := NewSwitch(0, 2, 2, 4, 32, 0, nil)
+		sw.AddInputPort(nil)
+		sw.AddOutputPort(nil, 4)
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		add(sw)
+	}
+	mustPanic("a third input port", func(sw *Switch) {
+		sw.AddInputPort(nil)
+		sw.AddInputPort(nil)
+	})
+	mustPanic("a third output port", func(sw *Switch) {
+		sw.AddOutputPort(nil, 4)
+		sw.AddOutputPort(nil, 4)
+	})
+	mustPanic("32,768 credits", func(sw *Switch) { sw.AddOutputPort(nil, math.MaxInt16+1) })
+}
+
+// TestInputVCIs32Bytes: SA nomination and Receive load one input VC state
+// per flit from the switch's dense array, so two of them share a cache
+// line.
+func TestInputVCIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(inputVC{}); got != 32 {
+		t.Fatalf("inputVC is %d bytes, want 32", got)
+	}
+}
+
 // TestTailReleaseTriggersVA: a tail that traverses in SA frees its output
 // VC, and a waiter for that VC is granted in the same cycle's VA. With a
 // single phase-0 output VC, packet B on input VC 1 can only be granted
@@ -428,20 +521,20 @@ func TestTailReleaseTriggersVA(t *testing.T) {
 	}
 	p.sw0.Receive(0, 1, FlitAt(b, 0))
 
-	ip, ovc := p.sw0.in[0], &p.sw0.out[0].vcs[0]
+	ivc, ovc := p.sw0.inVCs(0), &p.sw0.outVCs(0)[0]
 	for i := 0; i < 20; i++ {
-		aHere := ip.vcs[0].buf.len() > 0
+		aHere := ivc[0].buf.len() > 0
 		p.step()
-		if !aHere || ip.vcs[0].buf.len() > 0 {
-			if ip.vcs[1].state == vcActive {
+		if !aHere || ivc[0].buf.len() > 0 {
+			if ivc[1].state == vcActive {
 				t.Fatalf("cycle %d: B granted while A still holds the only output VC", p.now-1)
 			}
 			continue
 		}
 		// A's tail traversed in this cycle's SA.
-		if ip.vcs[1].state != vcActive || ovc.holderPort != 0 || ovc.holderVC != 1 {
+		if ivc[1].state != vcActive || ovc.holderPort != 0 || ovc.holderVC != 1 {
 			t.Fatalf("cycle %d: A's tail released output VC 0 but B (state %d) was not granted it in the same VA (holder %d/%d)",
-				p.now-1, ip.vcs[1].state, ovc.holderPort, ovc.holderVC)
+				p.now-1, ivc[1].state, ovc.holderPort, ovc.holderVC)
 		}
 		return
 	}
@@ -457,8 +550,8 @@ func TestRouteTriggersVA(t *testing.T) {
 	for i := 0; i < a.NumFlits; i++ {
 		p.sw0.Receive(0, 0, FlitAt(a, i))
 	}
-	ip := &p.sw0.in[0]
-	for ip.vcs[0].state != vcActive {
+	ivc := p.sw0.inVCs(0)
+	for ivc[0].state != vcActive {
 		if p.now > 10 {
 			t.Fatal("A never granted")
 		}
@@ -471,14 +564,14 @@ func TestRouteTriggersVA(t *testing.T) {
 	p.sw0.Receive(0, 1, FlitAt(b, 0))
 	routed := p.now
 	p.step()
-	if vc := &ip.vcs[1]; vc.state != vcWaitVC || vc.routedAt != routed {
+	if vc := &ivc[1]; vc.state != vcWaitVC || vc.routedAt != routed {
 		t.Fatalf("B state %d routedAt %d after RC at cycle %d, want vcWaitVC", vc.state, vc.routedAt, routed)
 	}
 	p.step()
-	if ip.vcs[1].state != vcActive {
+	if ivc[1].state != vcActive {
 		t.Fatalf("B routed at cycle %d with output VCs free was not granted at cycle %d", routed, routed+1)
 	}
-	if ip.vcs[0].state != vcActive {
+	if ivc[0].state != vcActive {
 		t.Fatal("A's tail left before B was granted: the tail release, not RC, may have woken VA")
 	}
 }
@@ -506,8 +599,8 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 		}
 		tick()
 	}
-	ip := &p.sw0.in[0]
-	ovc := ip.vcs[0].outVC
+	ip, ivc := &p.sw0.in[0], p.sw0.inVCs(0)
+	ovc := ivc[0].outVC
 	if ip.starved&1 == 0 {
 		t.Fatal("VC 0 not starved with its output VC at zero credits")
 	}
@@ -538,9 +631,9 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 			p.sw0.Receive(0, 0, FlitAt(a, next))
 		}
 	}
-	if ip.vcs[0].state != vcIdle || ip.starved != 0 || ip.buffered != 0 {
+	if ivc[0].state != vcIdle || ip.starved != 0 || ip.buffered != 0 {
 		t.Fatalf("after the tail: state %d, starved %b, %d flits buffered; want idle, unstarved, empty",
-			ip.vcs[0].state, ip.starved, ip.buffered)
+			ivc[0].state, ip.starved, ip.buffered)
 	}
 }
 
@@ -588,7 +681,7 @@ func TestIneligibleWaiterKeepsVAPending(t *testing.T) {
 	p.sw0.Receive(0, 0, FlitAt(mkPacket(1, 1), 0))
 	p.sw0.TickRC(5)
 	p.sw0.TickVA(5)
-	vc := &p.sw0.in[0].vcs[0]
+	vc := &p.sw0.inVCs(0)[0]
 	if vc.state != vcWaitVC {
 		t.Fatalf("head routed at cycle 5 granted in the same cycle (state %d)", vc.state)
 	}
@@ -638,7 +731,7 @@ func TestSwitchStalledAndCreditWake(t *testing.T) {
 		}
 		tick()
 	}
-	ovc := int(p.sw0.in[0].vcs[0].outVC)
+	ovc := int(p.sw0.inVCs(0)[0].outVC)
 
 	// Empty input, output VC starved: not stalled (nothing held), and a
 	// credit back must not wake the switch, since no flit can move.
