@@ -23,11 +23,24 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on http.DefaultServeMux
 	"os"
+	"time"
 
 	"wimc/internal/daemon"
 	"wimc/internal/engine"
 	"wimc/internal/store"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header. Without it, a client that connects and sends nothing
+// holds a connection and a goroutine forever. Neither listener sets a
+// write timeout: a job's NDJSON progress stream lasts as long as the job.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer returns an HTTP server for handler h on addr that closes a
+// connection whose request header takes longer than headerTimeout.
+func newServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -60,10 +73,10 @@ func main() {
 		// profiler is reachable only through this listener.
 		go func() {
 			log.Printf("pprof on http://%s/debug/pprof/", *debugAddr)
-			log.Fatal(http.ListenAndServe(*debugAddr, nil))
+			log.Fatal(newServer(*debugAddr, nil, readHeaderTimeout).ListenAndServe())
 		}()
 	}
 	log.Printf("engine %s, store %s (%d cached results), listening on %s",
 		engine.Version, st.Dir(), n, *addr)
-	log.Fatal(http.ListenAndServe(*addr, daemon.NewServer(st, *workers)))
+	log.Fatal(newServer(*addr, daemon.NewServer(st, *workers), readHeaderTimeout).ListenAndServe())
 }

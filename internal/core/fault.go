@@ -169,20 +169,12 @@ func (fb *Fabric) InitFaults() {
 	fb.faults = fs
 }
 
-// FaultsActive reports whether the fault model was initialized.
-func (fb *Fabric) FaultsActive() bool { return fb.faults != nil }
-
 // SetFaultNotifier installs the engine's fault-event observer (trace
 // emission, watchdog removal of dropped packets).
 func (fb *Fabric) SetFaultNotifier(f func(now sim.Cycle, n FaultNotice)) {
 	if fb.faults != nil {
 		fb.faults.onFault = f
 	}
-}
-
-// WIDead reports whether WI idx has fail-stopped (inspection/tests).
-func (fb *Fabric) WIDead(idx int) bool {
-	return fb.faults != nil && idx >= 0 && idx < len(fb.faults.dead) && fb.faults.dead[idx]
 }
 
 // WIFaultAvoid reports whether the WI hosted at switch id should be routed

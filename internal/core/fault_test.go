@@ -29,7 +29,7 @@ func TestPERTableDistanceScaled(t *testing.T) {
 	cfg.WirelessPER = 0.4
 	r := newRig(t, 5, cfg) // WIs on a line: d²max = 16
 	r.fabric.InitFaults()
-	if !r.fabric.FaultsActive() {
+	if r.fabric.faults == nil {
 		t.Fatal("fault model not armed with wireless_per > 0")
 	}
 	per := r.fabric.faults.per
@@ -70,7 +70,7 @@ func TestKillWIDropsQueuedAndRefusesNew(t *testing.T) {
 			t.Fatalf("cycle %d after kill: %v", r.now, err)
 		}
 	}
-	if !r.fabric.WIDead(0) {
+	if !r.fabric.faults.dead[0] {
 		t.Fatal("WI 0 not marked dead after the scheduled fail-stop")
 	}
 	for _, p := range r.delivered {

@@ -46,7 +46,11 @@ func TestTxQueueReusesBackingArray(t *testing.T) {
 	var now sim.Cycle
 	next := 0
 	feed := func() {
-		sw.Receive(in, 0, noc.FlitAt(pkt, next))
+		f := noc.Flit{Pkt: pkt, Seq: int32(next), Kind: noc.KindBody}
+		if next == 0 {
+			f.Kind = noc.KindHead
+		}
+		sw.Receive(in, 0, f)
 		next++
 		sw.TickSAST(now)
 		sw.TickVA(now)
@@ -102,7 +106,7 @@ func TestAcceptLogsFabricGlobalHalf(t *testing.T) {
 		return queued
 	}
 
-	w.Accept(r.now, noc.FlitAt(&noc.Packet{ID: 1, NumFlits: 2}, 0), r.switches[1].ID)
+	w.Accept(r.now, noc.Flit{Pkt: &noc.Packet{ID: 1, NumFlits: 2}, Kind: noc.KindHead}, r.switches[1].ID)
 	if w.TxLen() != 1 {
 		t.Fatalf("TX queue holds %d flits after Accept, want 1", w.TxLen())
 	}

@@ -142,8 +142,10 @@
 // Traffic generation (generate, in the serial S2 phase) polls the source
 // once per cycle with one room flag per core, Engine.room, instead of
 // asking each core's NI whether its source queue can take a packet; a core
-// whose flag is clear only draws, and its packets are counted as generated
-// and refused without being built. Each core's NI keeps its flag equal to
+// whose flag is clear only advances the random stream past its draws
+// (Uniform and Hotspot skip them as a block, without computing a value),
+// and its packets are counted as generated and refused without being
+// built. Each core's NI keeps its flag equal to
 // len(queue) < queueCap (noc.Endpoint.SetRoomFlag): Offer clears it when
 // the queue fills, and Tick sets it when it binds a packet out of the
 // queue. The ownership rule: a flag is written only by its owner NI,

@@ -60,13 +60,13 @@ func TestRunDeliversPacketsAllArchitectures(t *testing.T) {
 
 // TestPortsSizedOnce checks that portCounts, which sizes every switch in
 // build, counts exactly the ports build wires. NewSwitch allocates the
-// port slices and the VC and flit arrays keyed by port once at that count
-// and never regrows them: a count too low makes AddInputPort or
+// port slices and the VC and packet-record arrays keyed by port once at
+// that count and never regrows them: a count too low makes AddInputPort or
 // AddOutputPort panic, so a build that returns shows that no switch's
-// arrays regrew, and a count too high leaves ports, VC states and flit
-// slots unused, which the per-switch compare catches. The builds cover
-// every architecture at 1, 4 and 16 chips and, outside -short, the two
-// 64-chip packages the benchmark saturates.
+// arrays regrew, and a count too high leaves ports, VC states and records
+// unused, which shows as a switch that takes one more port of either
+// kind. The builds cover every architecture at 1, 4 and 16 chips and,
+// outside -short, the two 64-chip packages the benchmark saturates.
 func TestPortsSizedOnce(t *testing.T) {
 	chipCounts := []int{1, 4, 16}
 	if !testing.Short() {
@@ -85,11 +85,23 @@ func TestPortsSizedOnce(t *testing.T) {
 			}
 			ports := portCounts(e.graph)
 			for i, sw := range e.switches {
-				if sw.InputPorts() != ports[i] || sw.OutputPorts() != ports[i] {
-					t.Fatalf("%s %dC: switch %d has %d input and %d output ports, sized for %d",
-						arch, chips, i, sw.InputPorts(), sw.OutputPorts(), ports[i])
+				for kind, add := range map[string]func(){
+					"input":  func() { sw.AddInputPort(nil) },
+					"output": func() { sw.AddOutputPort(nil, 1) },
+				} {
+					if !panics(add) {
+						t.Fatalf("%s %dC: switch %d, sized for %d ports, takes another %s port",
+							arch, chips, i, ports[i], kind)
+					}
 				}
 			}
 		}
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

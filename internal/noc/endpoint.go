@@ -47,11 +47,9 @@ type Endpoint struct {
 	// Injection.
 	queue    []*Packet
 	queueCap int
-	vcPkt    []*Packet // packet bound to each NI VC (nil = free)
-	vcSeq    []int32   // next flit sequence per VC
-	credits  []int     // credits toward the switch input port, per VC
+	vcs      []injectVC // one per VC of the switch input port fed
 	rrVC     int
-	bound    int // count of non-nil vcPkt entries
+	bound    int // count of VCs with a bound packet
 	// The two pipes are sim.Queue rings of localLatency+1 slots: each takes
 	// at most one flit per cycle (one send, or one traversal of the
 	// ejection port) and holds it localLatency cycles, and Tick runs every
@@ -80,6 +78,17 @@ type Endpoint struct {
 	FlitsConsumed int64 // flits consumed from the switch
 }
 
+// injectVC is one injection VC of an NI: the packet bound to it (nil =
+// free), the sequence number of its next flit and its flit count, cached
+// at binding so that sending a body flit does not load the Packet, and
+// the VC's credits toward the switch input port.
+type injectVC struct {
+	pkt     *Packet
+	seq     int32
+	flits   int32
+	credits int
+}
+
 // NewEndpoint constructs an NI attached to sw, charging its flits' energy
 // to part. It adds its own two ports to sw, the input it feeds and the
 // ejection output that drains to it, and records the latter as sw's
@@ -97,14 +106,12 @@ func NewEndpoint(id sim.EndpointID, sw *Switch, localLatency int, pjPerBit float
 		part:         part,
 		charge:       energy.NewCharge(class, flitBits, pjPerBit*float64(flitBits)),
 		queueCap:     queueCap,
-		vcPkt:        make([]*Packet, sw.VCs()),
-		vcSeq:        make([]int32, sw.VCs()),
-		credits:      make([]int, sw.VCs()),
+		vcs:          make([]injectVC, sw.VCs()),
 		toSwitch:     sim.NewQueue[timedFlit](localLatency + 1),
 		toSink:       sim.NewQueue[timedFlit](localLatency + 1),
 	}
-	for i := range e.credits {
-		e.credits[i] = sw.depth
+	for i := range e.vcs {
+		e.vcs[i].credits = sw.depth
 	}
 	e.inPort = sw.AddInputPort(e)
 	e.outPort = sw.AddOutputPort(e, sw.depth)
@@ -166,8 +173,9 @@ func (e *Endpoint) QueueLen() int { return len(e.queue) }
 // credit for a free VC cannot, because binding a packet needs an Offer,
 // which wakes the NI itself.
 func (e *Endpoint) ReturnCredit(_ sim.Cycle, vc int) {
-	e.credits[vc]++
-	if e.vcPkt[vc] != nil {
+	v := &e.vcs[vc]
+	v.credits++
+	if v.pkt != nil {
 		e.active.Add(e.activeID)
 	}
 }
@@ -216,13 +224,12 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 	}
 
 	// Bind at most one queued packet to a free injection VC.
-	if len(e.queue) > 0 && e.bound < len(e.vcPkt) {
-		for vc := 0; vc < len(e.vcPkt); vc++ {
-			if e.vcPkt[vc] == nil {
+	if len(e.queue) > 0 && e.bound < len(e.vcs) {
+		for vc := range e.vcs {
+			if v := &e.vcs[vc]; v.pkt == nil {
 				p := e.queue[0]
 				*e.log = append(*e.log, Event{EP: e.activeID, Kind: EvBound, Pkt: p})
-				e.vcPkt[vc] = p
-				e.vcSeq[vc] = 0
+				v.pkt, v.seq, v.flits = p, 0, int32(p.NumFlits)
 				e.bound++
 				copy(e.queue, e.queue[1:])
 				e.queue = e.queue[:len(e.queue)-1]
@@ -238,21 +245,21 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 	if e.bound == 0 {
 		return
 	}
-	n := len(e.vcPkt)
+	n := len(e.vcs)
 	vc := e.rrVC - 1
 	for k := 0; k < n; k++ {
 		vc++
 		if vc >= n {
 			vc = 0
 		}
-		p := e.vcPkt[vc]
-		if p == nil || e.credits[vc] <= 0 {
+		v := &e.vcs[vc]
+		if v.pkt == nil || v.credits <= 0 {
 			continue
 		}
-		f := FlitAt(p, int(e.vcSeq[vc]))
-		f.VC = int16(vc)
-		e.credits[vc]--
-		e.vcSeq[vc]++
+		p := v.pkt
+		f := Flit{Pkt: p, Seq: v.seq, VC: int16(vc), Kind: flitKind(v.seq, v.flits)}
+		v.credits--
+		v.seq++
 		if f.IsHead() {
 			p.InjectedAt = now
 			e.Injected++
@@ -262,8 +269,8 @@ func (e *Endpoint) Tick(now sim.Cycle) {
 		chargePacket(f, e.charge)
 		e.FlitsSent++
 		e.toSwitch.Push(timedFlit{at: now + e.localLatency, f: f})
-		if int(e.vcSeq[vc]) == p.NumFlits {
-			e.vcPkt[vc] = nil
+		if v.seq == v.flits {
+			v.pkt = nil
 			e.bound--
 		}
 		e.rrVC = vc + 1
@@ -302,11 +309,11 @@ func (e *Endpoint) Stalled() bool {
 	if len(e.queue) == 0 && e.bound == 0 {
 		return false // drained: holds no work
 	}
-	if len(e.queue) > 0 && e.bound < len(e.vcPkt) {
+	if len(e.queue) > 0 && e.bound < len(e.vcs) {
 		return false // a queued packet can bind
 	}
-	for vc, p := range e.vcPkt {
-		if p != nil && e.credits[vc] > 0 {
+	for _, v := range e.vcs {
+		if v.pkt != nil && v.credits > 0 {
 			return false
 		}
 	}

@@ -210,7 +210,7 @@ func TestEndpointAttachesItsPorts(t *testing.T) {
 	if ep.inPort != 1 || ep.outPort != 1 {
 		t.Fatalf("NI ports in %d, out %d; want 1 and 1", ep.inPort, ep.outPort)
 	}
-	if sw.in[1].credit != CreditSink(ep) || sw.Output(1).Conduit() != Conduit(ep) {
+	if sw.in[1].credit != CreditSink(ep) || sw.out[1].conduit != Conduit(ep) {
 		t.Fatal("the NI is not the credit sink and conduit of its ports")
 	}
 	for vc := 0; vc < sw.VCs(); vc++ {
@@ -257,7 +257,7 @@ func TestEndpointStalledAndCreditWake(t *testing.T) {
 	p.src.Tick(p.now) // hand the last flit to the switch
 	p.now++
 	if !p.src.Stalled() {
-		t.Fatalf("bound VC 0 out of credits, nothing in flight: not stalled (credits %v)", p.src.credits)
+		t.Fatalf("bound VC 0 out of credits, nothing in flight: not stalled (VCs %+v)", p.src.vcs)
 	}
 	set.Park(0)
 	p.src.Tick(p.now) // a stalled NI's tick is a no-op

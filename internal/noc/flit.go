@@ -156,8 +156,9 @@ func (p *Packet) Latency() sim.Cycle { return p.DeliveredAt - p.CreatedAt }
 func (p *Packet) NetworkLatency() sim.Cycle { return p.DeliveredAt - p.InjectedAt }
 
 // Flit is one flow-control unit in flight. The fields are ordered
-// largest first so a flit packs into 16 bytes; every VC buffer, link
-// queue and WI queue holds flits by value.
+// largest first so a flit packs into 16 bytes; link queues, NI pipes and
+// WI queues hold flits by value. A VC buffer holds none: it keeps a
+// record per packet and rebuilds each flit from it (see ring.go).
 type Flit struct {
 	Pkt *Packet
 	Seq int32
@@ -179,16 +180,17 @@ func (f Flit) IsHead() bool { return f.Kind == KindHead || f.Kind == KindHeadTai
 // IsTail reports whether the flit closes a packet.
 func (f Flit) IsTail() bool { return f.Kind == KindTail || f.Kind == KindHeadTail }
 
-// FlitAt returns the i-th flit of packet p.
-func FlitAt(p *Packet, i int) Flit {
-	k := KindBody
+// flitKind returns the kind of flit seq of an n-flit packet. NIs and VC
+// buffers build flits with it from a cached flit count, so a body flit
+// never loads its Packet.
+func flitKind(seq, n int32) FlitKind {
 	switch {
-	case p.NumFlits == 1:
-		k = KindHeadTail
-	case i == 0:
-		k = KindHead
-	case i == p.NumFlits-1:
-		k = KindTail
+	case n == 1:
+		return KindHeadTail
+	case seq == 0:
+		return KindHead
+	case seq == n-1:
+		return KindTail
 	}
-	return Flit{Pkt: p, Seq: int32(i), Kind: k}
+	return KindBody
 }

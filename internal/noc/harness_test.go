@@ -147,3 +147,8 @@ func credits(sw *Switch, port, vc int) int { return int(sw.outVCs(port)[vc].cred
 func mkPacket(id uint64, flits int) *Packet {
 	return &Packet{ID: id, Src: 0, Dst: 1, NumFlits: flits, Class: ClassCoreToCore}
 }
+
+// flitAt returns flit i of packet p, as an NI builds it.
+func flitAt(p *Packet, i int) Flit {
+	return Flit{Pkt: p, Seq: int32(i), Kind: flitKind(int32(i), int32(p.NumFlits))}
+}

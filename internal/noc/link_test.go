@@ -51,7 +51,7 @@ func TestLinkRejectsSendWithoutTokens(t *testing.T) {
 	pkt := mkPacket(1, 4)
 	// A fresh link holds one token: the first flit goes, and the next waits
 	// ten cycles for the bucket to refill at 0.1 flits per cycle.
-	if next := l.Accept(0, FlitAt(pkt, 0), sim.NoSwitch); next != 10 {
+	if next := l.Accept(0, flitAt(pkt, 0), sim.NoSwitch); next != 10 {
 		t.Fatalf("after one flit the link takes the next at cycle %d, want 10", next)
 	}
 	defer func() {
@@ -59,7 +59,7 @@ func TestLinkRejectsSendWithoutTokens(t *testing.T) {
 			t.Fatal("accept without tokens did not panic")
 		}
 	}()
-	l.Accept(0, FlitAt(pkt, 1), sim.NoSwitch)
+	l.Accept(0, flitAt(pkt, 1), sim.NoSwitch)
 }
 
 func TestLinkInFlightAccounting(t *testing.T) {
@@ -69,7 +69,7 @@ func TestLinkInFlightAccounting(t *testing.T) {
 	in := sw.AddInputPort(l)
 	l.Connect(sw, 0, sw, in) // src side unused in this test
 	pkt := mkPacket(1, 1)
-	f := FlitAt(pkt, 0)
+	f := flitAt(pkt, 0)
 	f.VC = 1
 	l.Accept(0, f, sim.NoSwitch)
 	if l.InFlight() != 1 {

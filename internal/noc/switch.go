@@ -39,13 +39,19 @@ const (
 )
 
 // inputVC is the state of one virtual channel of an input port: its
-// wormhole state machine and the indices of its flit ring. It is 32
-// bytes, two to a cache line, and holds no slice: its flits live in its
-// window of the switch's slot slab (see Switch).
+// wormhole state machine and the counters of its buffer (see ring.go). It
+// is 32 bytes, two to a cache line, and holds no slice: its packet
+// records live in its window of the switch's record slab (see Switch).
+// The buffer counters are its own fields, not a struct, so that they pack
+// with the 16-bit fields below.
 type inputVC struct {
 	routedAt sim.Cycle // cycle the head completed route computation
-	buf      flitRing
+	oldSeq   int32     // sequence number of the oldest buffered flit
+	nextSeq  int32     // sequence number the next arriving flit must carry
 	nextHop  sim.SwitchID
+	n        int16 // flits buffered
+	first    int16 // window slot of the oldest packet record
+	recs     int16 // packet records held
 	outPort  int16
 	outVC    int16
 	state    vcState
@@ -91,9 +97,6 @@ type OutputPort struct {
 	rrSA       int
 }
 
-// Conduit returns what the port feeds (test hook).
-func (op *OutputPort) Conduit() Conduit { return op.conduit }
-
 // Switch is a wormhole virtual-channel router with a three-stage pipeline:
 // route computation (RC), VC allocation (VA) and switch allocation plus
 // traversal (SA/ST). One flit per output port traverses per cycle.
@@ -105,15 +108,16 @@ type Switch struct {
 
 	// The ports, stored by value, and the per-VC state of every port in
 	// three flat arrays keyed port*VCs+vc: ivc holds each input VC's state
-	// and ring indices, ovc each output VC's holder and credits, and slots
-	// each input VC's window of depth flits. NewSwitch allocates all five
-	// once for the port count it takes (the arrays at full length), so a
-	// flit's hop touches no per-port allocation and no per-VC slice.
-	in    []InputPort
-	out   []OutputPort
-	ivc   []inputVC
-	ovc   []outputVC
-	slots []Flit
+	// and buffer counters, ovc each output VC's holder and credits, and
+	// recs each input VC's window of depth packet records. NewSwitch
+	// allocates all five once for the port count it takes (the arrays at
+	// full length), so a flit's hop touches no per-port allocation and no
+	// per-VC slice.
+	in   []InputPort
+	out  []OutputPort
+	ivc  []inputVC
+	ovc  []outputVC
+	recs []pktRec
 
 	// Routing state (see Route), set while the system is wired and only
 	// read afterwards:
@@ -211,7 +215,7 @@ func NewSwitch(id sim.SwitchID, ports, vcs, depth, flitBits int, switchPJPerBit 
 		out:     make([]OutputPort, 0, ports),
 		ivc:     make([]inputVC, ports*vcs),
 		ovc:     make([]outputVC, ports*vcs),
-		slots:   make([]Flit, ports*vcs*depth),
+		recs:    make([]pktRec, ports*vcs*depth),
 		part:    part,
 		charge:  energy.NewCharge(energy.ClassSwitch, flitBits, switchPJPerBit*float64(flitBits)),
 		wiPort:  -1,
@@ -265,10 +269,10 @@ func (s *Switch) outVCs(port int) []outputVC {
 	return s.ovc[port*s.vcCount : (port+1)*s.vcCount]
 }
 
-// window returns the flit slots of input VC k (port*VCs+vc), its ring's
-// storage.
-func (s *Switch) window(k int) []Flit {
-	return s.slots[k*s.depth : (k+1)*s.depth]
+// window returns the packet records of input VC k (port*VCs+vc), its
+// buffer's storage.
+func (s *Switch) window(k int) []pktRec {
+	return s.recs[k*s.depth : (k+1)*s.depth]
 }
 
 // SetRoutes installs the switch's routing rows. host[ep] is the switch
@@ -380,17 +384,8 @@ func (s *Switch) SetActivity(set *sim.ActiveSet, id int) {
 	s.active, s.activeID = set, id
 }
 
-// InputPorts returns the number of input ports.
-func (s *Switch) InputPorts() int { return len(s.in) }
-
-// OutputPorts returns the number of output ports.
-func (s *Switch) OutputPorts() int { return len(s.out) }
-
 // VCs returns the per-port virtual channel count.
 func (s *Switch) VCs() int { return s.vcCount }
-
-// Output returns output port i (test hook).
-func (s *Switch) Output(i int) *OutputPort { return &s.out[i] }
 
 // CreditOccupancy returns the free downstream credits summed over output
 // port port's VCs and the port's total credit capacity — the
@@ -405,15 +400,23 @@ func (s *Switch) CreditOccupancy(port int) (free, capacity int) {
 }
 
 // Receive enqueues a flit arriving on the given input port and VC. The
-// credit protocol guarantees buffer space; violation indicates a simulator
+// credit protocol guarantees buffer space, and wormhole switching that a
+// VC's flits arrive packet by packet, each packet's in sequence: a flit
+// must be a head once the VC's last packet is complete, and otherwise the
+// flit after the VC's newest. A violation of either indicates a simulator
 // bug and panics.
 func (s *Switch) Receive(port int, vc int, f Flit) {
 	k := port*s.vcCount + vc
 	ivc := &s.ivc[k]
-	if !ivc.buf.push(s.window(k), f) {
+	if int(ivc.n) == s.depth {
 		panic(fmt.Sprintf("noc: switch %d port %d vc %d buffer overflow (pkt %d seq %d): credit protocol violated",
 			s.ID, port, vc, f.Pkt.ID, f.Seq))
 	}
+	if f.Seq != ivc.nextSeq {
+		panic(fmt.Sprintf("noc: switch %d port %d vc %d receives flit %d of pkt %d where flit %d is due: wormhole order violated",
+			s.ID, port, vc, f.Seq, f.Pkt.ID, ivc.nextSeq))
+	}
+	ivc.push(s.window(k), f)
 	s.buffered++
 	ip := &s.in[port]
 	ip.buffered++
@@ -560,14 +563,14 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 	op := &s.out[nm.outPort]
 	ovc := &s.ovc[int(nm.outPort)*s.vcCount+int(nm.outVC)]
 
-	f, ok := vc.buf.pop(s.window(k))
+	f, ok := vc.pop(s.window(k))
 	if !ok {
 		panic(fmt.Sprintf("noc: switch %d SA popped empty vc", s.ID))
 	}
 	s.buffered--
 	ip.buffered--
 	bit := uint64(1) << uint(nm.inVC)
-	if vc.buf.len() == 0 {
+	if vc.n == 0 {
 		ip.ready &^= bit
 	}
 	f.VC = nm.outVC
@@ -596,7 +599,7 @@ func (s *Switch) traverse(now sim.Cycle, nm nomination) {
 		ip.ready &^= bit
 		ip.starved &^= bit
 		s.vaPending = true
-		if vc.buf.len() > 0 {
+		if vc.n > 0 {
 			// The next packet's head is already waiting: RC-eligible.
 			ip.rcReady |= bit
 		}
@@ -735,7 +738,7 @@ func (s *Switch) TickRC(now sim.Cycle) {
 			m &^= 1 << uint(vcIdx)
 			k := ipIdx*s.vcCount + vcIdx
 			vc := &s.ivc[k]
-			f, ok := vc.buf.peek(s.window(k))
+			f, ok := vc.peek(s.window(k))
 			if !ok || !f.IsHead() {
 				continue
 			}
@@ -796,6 +799,9 @@ func (s *Switch) Stalled() bool {
 //	switch.waiting  = #VCs in vcWaitVC state
 //	!vaPending ⇒ no vcWaitVC VC has a free output VC in its vcRange at its port
 //
+// It also checks each VC buffer's counters against its packet records
+// (see checkBuffer).
+//
 // starved is set by a VA grant or traversal that leaves the held VC at
 // zero credits and cleared by ReturnCredit's first credit or the tail's
 // release; vaPending is set by TickRC routing a head and by a tail
@@ -809,7 +815,10 @@ func (s *Switch) CheckPipelineInvariants() error {
 		vcs := s.inVCs(pi)
 		for vi := range vcs {
 			vc := &vcs[vi]
-			n := vc.buf.len()
+			if err := vc.checkBuffer(s.window(pi*s.vcCount + vi)); err != nil {
+				return fmt.Errorf("noc: switch %d port %d vc %d buffer: %w", s.ID, pi, vi, err)
+			}
+			n := vc.len()
 			portFlits += n
 			if n > 0 {
 				switch vc.state {

@@ -195,7 +195,7 @@ func TestPhaseSplitPhase1UsesUpperVCs(t *testing.T) {
 	// the wireless fabric (port 0 is sw0's only input port).
 	pkt := mkPacket(1, 3)
 	for i := 0; i < 3; i++ {
-		f := FlitAt(pkt, i)
+		f := flitAt(pkt, i)
 		f.Phase = 1
 		f.VC = 0
 		p.sw0.Receive(0, 0, f)
@@ -227,8 +227,8 @@ func TestSwitchAccessors(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts())
 	// sw0 carries one input port (its NI) and two output ports (link +
 	// ejection).
-	if p.sw0.InputPorts() != 1 || p.sw0.OutputPorts() != 2 {
-		t.Fatalf("sw0 ports %d/%d, want 1/2", p.sw0.InputPorts(), p.sw0.OutputPorts())
+	if len(p.sw0.in) != 1 || len(p.sw0.out) != 2 {
+		t.Fatalf("sw0 ports %d/%d, want 1/2", len(p.sw0.in), len(p.sw0.out))
 	}
 	if p.sw0.VCs() != 4 {
 		t.Fatalf("vcs = %d", p.sw0.VCs())
@@ -298,13 +298,13 @@ func TestSwitchRoute(t *testing.T) {
 				tc.class, tc.dst, port, next, tc.port, tc.next)
 		}
 	}
-	if port, ok := sw.PortToward(2); !ok || port != toTwo || sw.Output(port).Conduit() != Conduit(linkTwo) {
+	if port, ok := sw.PortToward(2); !ok || port != toTwo || sw.out[port].conduit != Conduit(linkTwo) {
 		t.Fatalf("PortToward(2) = %d, %v; want the port feeding the link to switch 2", port, ok)
 	}
 	if _, ok := sw.PortToward(3); ok {
 		t.Fatal("PortToward(3) found a wired port, but no link joins switches 0 and 3")
 	}
-	if sw.Output(eject).Conduit() != Conduit(ep) {
+	if sw.out[eject].conduit != Conduit(ep) {
 		t.Fatal("the ejection port does not feed the endpoint")
 	}
 }
@@ -318,7 +318,32 @@ func TestReceiveOverflowPanics(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ { // depth is 4
-		p.sw1.Receive(0, 0, FlitAt(pkt, i))
+		p.sw1.Receive(0, 0, flitAt(pkt, i))
+	}
+}
+
+// TestReceiveOutOfSequencePanics: a VC buffer keeps no flits, only its
+// packets' records and sequence counters, so Receive must refuse every
+// flit but the one wormhole order makes due: a body flit that skips one,
+// a body flit of no open packet, and a head while a packet is open.
+func TestReceiveOutOfSequencePanics(t *testing.T) {
+	for name, flits := range map[string][]int{
+		"skipped flit":    {0, 2},
+		"body first":      {1},
+		"head mid-packet": {0, 1, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := newPipe(t, defaultPipeOpts())
+			pkt := mkPacket(1, 3)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("flits %v into one VC did not panic", flits)
+				}
+			}()
+			for _, i := range flits {
+				p.sw1.Receive(0, 0, flitAt(pkt, i))
+			}
+		})
 	}
 }
 
@@ -409,7 +434,7 @@ func TestBufferedCounterMatchesBuffers(t *testing.T) {
 		for _, sw := range []*Switch{p.sw0, p.sw1} {
 			want := 0
 			for _, vc := range sw.ivc {
-				want += vc.buf.len()
+				want += vc.len()
 			}
 			if got := sw.BufferedFlits(); got != want {
 				t.Fatalf("cycle %d: switch %d buffered counter %d, buffers hold %d",
@@ -517,15 +542,15 @@ func TestTailReleaseTriggersVA(t *testing.T) {
 	p := newPipe(t, o)
 	a, b := mkPacket(1, 3), mkPacket(2, 1)
 	for i := 0; i < a.NumFlits; i++ {
-		p.sw0.Receive(0, 0, FlitAt(a, i))
+		p.sw0.Receive(0, 0, flitAt(a, i))
 	}
-	p.sw0.Receive(0, 1, FlitAt(b, 0))
+	p.sw0.Receive(0, 1, flitAt(b, 0))
 
 	ivc, ovc := p.sw0.inVCs(0), &p.sw0.outVCs(0)[0]
 	for i := 0; i < 20; i++ {
-		aHere := ivc[0].buf.len() > 0
+		aHere := ivc[0].len() > 0
 		p.step()
-		if !aHere || ivc[0].buf.len() > 0 {
+		if !aHere || ivc[0].len() > 0 {
 			if ivc[1].state == vcActive {
 				t.Fatalf("cycle %d: B granted while A still holds the only output VC", p.now-1)
 			}
@@ -548,7 +573,7 @@ func TestRouteTriggersVA(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts())
 	a, b := mkPacket(1, 4), mkPacket(2, 1)
 	for i := 0; i < a.NumFlits; i++ {
-		p.sw0.Receive(0, 0, FlitAt(a, i))
+		p.sw0.Receive(0, 0, flitAt(a, i))
 	}
 	ivc := p.sw0.inVCs(0)
 	for ivc[0].state != vcActive {
@@ -561,7 +586,7 @@ func TestRouteTriggersVA(t *testing.T) {
 		t.Fatal("VA still pending after the pass that granted the only waiter")
 	}
 
-	p.sw0.Receive(0, 1, FlitAt(b, 0))
+	p.sw0.Receive(0, 1, flitAt(b, 0))
 	routed := p.now
 	p.step()
 	if vc := &ivc[1]; vc.state != vcWaitVC || vc.routedAt != routed {
@@ -591,8 +616,8 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 		p.now++
 	}
 	a := mkPacket(1, 5)
-	p.sw0.Receive(0, 0, FlitAt(a, 0))
-	p.sw0.Receive(0, 0, FlitAt(a, 1))
+	p.sw0.Receive(0, 0, flitAt(a, 0))
+	p.sw0.Receive(0, 0, flitAt(a, 1))
 	for p.link.InFlight() < 2 {
 		if p.now > 10 {
 			t.Fatal("first two flits never traversed")
@@ -605,8 +630,8 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 		t.Fatal("VC 0 not starved with its output VC at zero credits")
 	}
 
-	p.sw0.Receive(0, 0, FlitAt(a, 2))
-	p.sw0.Receive(0, 0, FlitAt(a, 3))
+	p.sw0.Receive(0, 0, flitAt(a, 2))
+	p.sw0.Receive(0, 0, flitAt(a, 3))
 	for i := 0; i < 3; i++ {
 		tick()
 	}
@@ -628,7 +653,7 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 			t.Fatal(err)
 		}
 		if next := sent + 1; next < a.NumFlits {
-			p.sw0.Receive(0, 0, FlitAt(a, next))
+			p.sw0.Receive(0, 0, flitAt(a, next))
 		}
 	}
 	if ivc[0].state != vcIdle || ip.starved != 0 || ip.buffered != 0 {
@@ -644,7 +669,7 @@ func TestReturnCreditUnstarvesSA(t *testing.T) {
 func TestPipelineInvariantsCatchDrift(t *testing.T) {
 	t.Run("va_pending", func(t *testing.T) {
 		p := newPipe(t, defaultPipeOpts())
-		p.sw0.Receive(0, 0, FlitAt(mkPacket(1, 2), 0))
+		p.sw0.Receive(0, 0, flitAt(mkPacket(1, 2), 0))
 		p.step() // RC: a waiter with every output VC free
 		if err := p.sw0.CheckPipelineInvariants(); err != nil {
 			t.Fatalf("before corruption: %v", err)
@@ -658,8 +683,8 @@ func TestPipelineInvariantsCatchDrift(t *testing.T) {
 	t.Run("starved", func(t *testing.T) {
 		p := newPipe(t, defaultPipeOpts())
 		a := mkPacket(1, 3)
-		p.sw0.Receive(0, 0, FlitAt(a, 0))
-		p.sw0.Receive(0, 0, FlitAt(a, 1))
+		p.sw0.Receive(0, 0, flitAt(a, 0))
+		p.sw0.Receive(0, 0, flitAt(a, 1))
 		p.step() // RC
 		p.step() // VA: active on an output VC with every credit
 		if err := p.sw0.CheckPipelineInvariants(); err != nil {
@@ -678,7 +703,7 @@ func TestPipelineInvariantsCatchDrift(t *testing.T) {
 // leave VA pending for the next cycle's pass.
 func TestIneligibleWaiterKeepsVAPending(t *testing.T) {
 	p := newPipe(t, defaultPipeOpts())
-	p.sw0.Receive(0, 0, FlitAt(mkPacket(1, 1), 0))
+	p.sw0.Receive(0, 0, flitAt(mkPacket(1, 1), 0))
 	p.sw0.TickRC(5)
 	p.sw0.TickVA(5)
 	vc := &p.sw0.inVCs(0)[0]
@@ -713,7 +738,7 @@ func TestSwitchStalledAndCreditWake(t *testing.T) {
 		t.Fatal("empty switch reported stalled")
 	}
 	a := mkPacket(1, 6)
-	p.sw0.Receive(0, 0, FlitAt(a, 0))
+	p.sw0.Receive(0, 0, flitAt(a, 0))
 	if !set.Contains(0) {
 		t.Fatal("Receive did not add the switch to its activity set")
 	}
@@ -724,7 +749,7 @@ func TestSwitchStalledAndCreditWake(t *testing.T) {
 	if p.sw0.Stalled() {
 		t.Fatal("switch with a routed head and VA pending reported stalled")
 	}
-	p.sw0.Receive(0, 0, FlitAt(a, 1))
+	p.sw0.Receive(0, 0, flitAt(a, 1))
 	for p.link.InFlight() < 2 {
 		if p.now > 10 {
 			t.Fatal("first two flits never traversed")
@@ -746,9 +771,9 @@ func TestSwitchStalledAndCreditWake(t *testing.T) {
 	tick() // flit 2 cannot arrive yet; the credit is spent by nothing
 	set.Remove(0)
 
-	p.sw0.Receive(0, 0, FlitAt(a, 2))
+	p.sw0.Receive(0, 0, flitAt(a, 2))
 	tick() // the returned credit carries flit 2 across; the VC starves again
-	p.sw0.Receive(0, 0, FlitAt(a, 3))
+	p.sw0.Receive(0, 0, flitAt(a, 3))
 	if !p.sw0.Stalled() {
 		t.Fatalf("flit buffered behind a starved output VC, not stalled (starved %b ready %b)",
 			p.sw0.in[0].starved, p.sw0.in[0].ready)

@@ -65,7 +65,7 @@ func corruptedTables(t *testing.T, arch config.Architecture, workers int) (*topo
 		t.Fatal(err)
 	}
 	d := sim.SwitchID(g.SwitchCount() - 1)
-	if tb.HopCount(0, d) < 2 {
+	if hops(tb, 0, d) < 2 {
 		t.Fatalf("%s: route 0->%d too short to corrupt", arch, d)
 	}
 	return g, tb, d

@@ -130,15 +130,6 @@ func (t *Tables) Path(s, d sim.SwitchID) []sim.SwitchID {
 	return path
 }
 
-// HopCount returns the number of hops from s to d, or -1 if unreachable.
-func (t *Tables) HopCount(s, d sim.SwitchID) int {
-	p := t.Path(s, d)
-	if p == nil {
-		return -1
-	}
-	return len(p) - 1
-}
-
 // newRouteGraph collects the wired arcs of g in tie-break order, the
 // transit mask and, when includeWireless, the WI set of the overlay.
 func newRouteGraph(g *topo.Graph, includeWireless bool) *routeGraph {

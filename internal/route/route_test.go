@@ -116,7 +116,7 @@ func TestIntraChipShortestIsManhattan(t *testing.T) {
 				continue
 			}
 			want := abs(a.GX-b.GX) + abs(a.GY-b.GY)
-			if got := tb.HopCount(a.ID, b.ID); got != want {
+			if got := hops(tb, a.ID, b.ID); got != want {
 				t.Fatalf("intra-chip hops (%d,%d)->(%d,%d) = %d, want %d",
 					a.GX, a.GY, b.GX, b.GY, got, want)
 			}
@@ -273,7 +273,7 @@ func TestWirelessDirectWIToWI(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if got := tb.HopCount(a, b); got != 1 {
+			if got := hops(tb, a, b); got != 1 {
 				t.Fatalf("WI %d -> WI %d takes %d hops, want 1", a, b, got)
 			}
 		}
@@ -292,7 +292,7 @@ func TestTreeForcesWITrafficThroughRoot(t *testing.T) {
 				continue
 			}
 			pairs++
-			if tb.HopCount(a, b) == 1 {
+			if hops(tb, a, b) == 1 {
 				direct++
 			}
 		}
@@ -321,14 +321,18 @@ func TestSubstrateInterChipIsChipLevelTree(t *testing.T) {
 	}
 }
 
-func TestHopCountUnreachableReturnsMinusOne(t *testing.T) {
+func TestPathUnreachableIsNil(t *testing.T) {
 	tb := &Tables{Next: newTable(2, sim.NoSwitch)}
 	tb.Next[0][0] = 0
 	tb.Next[1][1] = 1
-	if got := tb.HopCount(0, 1); got != -1 {
-		t.Fatalf("unreachable hop count = %d, want -1", got)
+	if p := tb.Path(0, 1); p != nil {
+		t.Fatalf("path to an unreachable switch = %v, want nil", p)
 	}
 }
+
+// hops returns the hop count of the route from s to d, -1 when d is
+// unreachable.
+func hops(tb *Tables, s, d sim.SwitchID) int { return len(tb.Path(s, d)) - 1 }
 
 func abs(x int) int {
 	if x < 0 {

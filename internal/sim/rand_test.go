@@ -240,3 +240,41 @@ func TestStreamDefersRedrawsAndEnds(t *testing.T) {
 		t.Fatalf("ChanceFrom: hit %v, %d left; want true after skipping the redraw, %d left", hit, len(rest), randLag-2)
 	}
 }
+
+// TestRedrawAtBoundsEveryDraw plants draws into a Rand's block: one below
+// RedrawAt's draw, Chance and Below of every bound it covers each take one
+// output, and at RedrawAt's draw at least one of them redraws, with the
+// output's unused top bit clear or set.
+func TestRedrawAtBoundsEveryDraw(t *testing.T) {
+	positionAfter := func(planted uint64, draw func(r *Rand)) int {
+		r := NewRand(7)
+		r.buf[r.pos] = planted
+		draw(r)
+		return r.pos
+	}
+	chance := func(r *Rand) { r.Chance(NewThreshold(0.5)) }
+	for _, ns := range [][]int{nil, {1}, {3}, {64}, {1000}, {255, 1023}, {1<<31 - 1}, {3, 1<<30 + 1}} {
+		bs := make([]Bound, len(ns))
+		for i, n := range ns {
+			bs[i] = NewBound(n)
+		}
+		at := RedrawAt(bs...)
+		for _, top := range []uint64{0, 1 << 63} {
+			accepted := (at - 1) | top
+			if p := positionAfter(accepted, chance); p != 1 {
+				t.Fatalf("bounds %v: Chance of %#x took %d outputs, want 1", ns, accepted, p)
+			}
+			redrawn := positionAfter(at|top, chance) > 1
+			for i, b := range bs {
+				below := func(r *Rand) { r.Below(b) }
+				if p := positionAfter(accepted, below); p != 1 {
+					t.Fatalf("bounds %v: Below(%d) of %#x took %d outputs, want 1", ns, ns[i], accepted, p)
+				}
+				redrawn = redrawn || positionAfter(at|top, below) > 1
+			}
+			if !redrawn {
+				t.Fatalf("bounds %v: every draw accepts %#x, RedrawAt's draw", ns, at|top)
+			}
+		}
+	}
+}

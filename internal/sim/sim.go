@@ -227,6 +227,21 @@ func (r *Rand) Below(b Bound) int {
 	return int(hi)
 }
 
+// RedrawAt returns the smallest 63-bit draw (an output's low 63 bits, the
+// bits Chance compares and Below takes its 31 from) at which Chance, or
+// Below of one of bs, rejects the output and redraws. An output whose
+// draw lies below it is one accepted draw for each of them, so a loop
+// that only needs to advance past a run of such outputs can count them
+// instead of drawing.
+func RedrawAt(bs ...Bound) uint64 {
+	at := uint64(float1At)
+	for _, b := range bs {
+		// Below redraws when the draw's top 31 bits exceed b.max.
+		at = min(at, (uint64(b.max)+1)<<32)
+	}
+	return at
+}
+
 // Stream is the unread rest of a Rand's current block: a read position
 // that a loop making many draws holds in a local variable, where it can
 // stay in registers. Rand's own methods keep the position in the Rand and
@@ -337,9 +352,6 @@ func RateFromGbps(gbps float64, flitBits int, clockGHz float64) Rate {
 	}
 	return RateFromFlitsPerCycle(gbps / (float64(flitBits) * clockGHz))
 }
-
-// FlitsPerCycle reports the rate as a float for display.
-func (r Rate) FlitsPerCycle() float64 { return float64(r) / rateScale }
 
 // TokenBucket meters a bandwidth-limited resource. Refills are lazy: the
 // bucket remembers the last cycle whose refill it has applied and tops up

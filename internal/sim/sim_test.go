@@ -63,7 +63,7 @@ func TestRateFromGbps(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := RateFromGbps(tc.gbps, tc.bits, tc.clock).FlitsPerCycle()
+			got := float64(RateFromGbps(tc.gbps, tc.bits, tc.clock)) / rateScale
 			if math.Abs(got-tc.want) > 1e-4 {
 				t.Fatalf("RateFromGbps(%v) = %v flits/cycle, want %v", tc.gbps, got, tc.want)
 			}

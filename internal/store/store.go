@@ -62,15 +62,6 @@ func (s *Store) objectPath(key string) string {
 	return filepath.Join(s.dir, "objects", key[:2], key+".json")
 }
 
-// Has reports whether a Result is cached under key.
-func (s *Store) Has(key string) bool {
-	if validKey(key) != nil {
-		return false
-	}
-	_, err := os.Stat(s.objectPath(key))
-	return err == nil
-}
-
 // Get returns the cached Result under key, with ok reporting whether one
 // exists. A missing entry is (nil, false, nil); a corrupt one is an error.
 func (s *Store) Get(key string) (*engine.Result, bool, error) {

@@ -44,8 +44,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Has(key) {
-		t.Fatal("empty store claims to have key")
+	if _, err := os.Stat(st.objectPath(key)); err == nil {
+		t.Fatal("empty store holds an object under key")
 	}
 	if _, ok, err := st.Get(key); ok || err != nil {
 		t.Fatalf("missing entry: ok=%v err=%v, want false,nil", ok, err)
@@ -89,9 +89,6 @@ func TestInvalidKeysRejected(t *testing.T) {
 		}
 		if _, _, err := st.Get(k); err == nil {
 			t.Errorf("Get(%q) accepted", k)
-		}
-		if st.Has(k) {
-			t.Errorf("Has(%q) = true", k)
 		}
 	}
 }
@@ -283,5 +280,20 @@ func TestVersionBumpRecomputes(t *testing.T) {
 	}
 	if stats.Hits != 0 || stats.Misses != len(pts) {
 		t.Fatalf("stats after version bump = %+v, want all misses", stats)
+	}
+}
+
+// TestOpenRejectsBadDirectories: an empty directory name and a root that
+// cannot be created (it lies under a regular file) are errors, not a
+// store.
+func TestOpenRejectsBadDirectories(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"", filepath.Join(file, "store")} {
+		if st, err := Open(dir); err == nil {
+			t.Errorf("Open(%q) = %v, want an error", dir, st)
+		}
 	}
 }

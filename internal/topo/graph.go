@@ -165,22 +165,3 @@ func (g *Graph) EndpointCount() int { return len(g.Endpoints) }
 
 // HasWireless reports whether the topology deploys wireless interfaces.
 func (g *Graph) HasWireless() bool { return len(g.WISwitches) > 0 }
-
-// Neighbors returns, for every switch, the list of (edge index) adjacencies.
-// The returned slices are freshly allocated.
-func (g *Graph) Neighbors() [][]int {
-	adj := make([][]int, len(g.Nodes))
-	for i, e := range g.Edges {
-		adj[e.A] = append(adj[e.A], i)
-		adj[e.B] = append(adj[e.B], i)
-	}
-	return adj
-}
-
-// Other returns the far end of edge e from switch s.
-func (e Edge) Other(s sim.SwitchID) sim.SwitchID {
-	if e.A == s {
-		return e.B
-	}
-	return e.A
-}

@@ -397,21 +397,18 @@ func TestSerialGatewayAtBoundaryCenter(t *testing.T) {
 	}
 }
 
-func TestNeighborsAndOther(t *testing.T) {
+func TestCornerSwitchEdges(t *testing.T) {
 	g := build(t, 4, config.ArchInterposer)
-	adj := g.Neighbors()
-	if len(adj) != g.SwitchCount() {
-		t.Fatalf("neighbors length %d", len(adj))
-	}
 	// Corner switch (0,0) has 2 mesh neighbors plus one wide-I/O attach
 	// (the left stack's channel links spread over rows 0..3).
-	deg := len(adj[0])
+	deg := 0
+	for _, e := range g.Edges {
+		if e.A == 0 || e.B == 0 {
+			deg++
+		}
+	}
 	if deg != 3 {
 		t.Fatalf("corner degree = %d, want 3", deg)
-	}
-	e := g.Edges[0]
-	if e.Other(e.A) != e.B || e.Other(e.B) != e.A {
-		t.Fatal("Edge.Other broken")
 	}
 }
 

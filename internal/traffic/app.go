@@ -148,9 +148,6 @@ func NewApp(name string, w World, rng *sim.Rand) (*App, error) {
 // Name implements Source.
 func (a *App) Name() string { return a.profile.Name }
 
-// Profile returns the application profile.
-func (a *App) Profile() AppProfile { return a.profile }
-
 func (a *App) scheduleShift(now sim.Cycle) {
 	ph := a.profile.Phases[a.phase]
 	// Geometric dwell with the configured mean.

@@ -107,7 +107,7 @@ func TestAppGeneratesMixedSizes(t *testing.T) {
 	if total == 0 {
 		t.Fatal("canneal generated nothing")
 	}
-	p := a.Profile()
+	p := a.profile
 	if sizes[p.CtrlFlits] == 0 || sizes[p.DataFlits] == 0 {
 		t.Fatalf("sizes not mixed: %v", sizes)
 	}

@@ -298,20 +298,41 @@ func cycleCase(t *testing.T, seed uint64, kind uint8, rate, mem, read float64, w
 // flits, memory and read flags), the same generated count every cycle, and
 // the same stream position afterwards. The room mask rotates by one core
 // per cycle, so full and open cores interleave differently each cycle.
+// skip lowers Uniform's and Hotspot's skip bound, so a core without room
+// falls back from its block skip to the per-draw path wherever a fuzzed
+// output lies above it, not only at the rare redraw.
 func FuzzSourceCycle(f *testing.F) {
-	f.Add(uint64(1), uint8(0), 1.0, 0.2, 0.0, uint8(8), uint64(0xF0F0_0F0F_AAAA_5555), uint16(0))
-	f.Add(uint64(2), uint8(1), 0.7, 0.5, 0.5, uint8(4), ^uint64(0), uint16(0))
-	f.Add(uint64(3), uint8(2), 0.9, 0.1, 0.3, uint8(6), uint64(0x1234_5678_9ABC_DEF0), uint16(0))
-	f.Add(uint64(4), uint8(3), 0.6, 0.0, 0.0, uint8(8), uint64(0xFFFF_0000_FFFF_0000), uint16(0))
-	f.Add(uint64(5), uint8(4), 0.8, 0.0, 0.0, uint8(7), uint64(0x5555_5555_5555_5555), uint16(0))
-	f.Add(uint64(6), uint8(5), 0.0, 0.0, 0.0, uint8(8), uint64(0xDEAD_BEEF_0BAD_F00D), uint16(3000))
-	f.Add(uint64(7), uint8(11), 0.0, 0.0, 0.0, uint8(5), uint64(0), uint16(700))
-	f.Add(uint64(8), uint8(0), 0.0002, 1.0, 0.0, uint8(1), ^uint64(0), uint16(0))
-	f.Fuzz(func(t *testing.T, seed uint64, kind uint8, rate, mem, read float64, side uint8, mask uint64, start uint16) {
+	f.Add(uint64(1), uint8(0), 1.0, 0.2, 0.0, uint8(7), uint64(0xF0F0_0F0F_AAAA_5555), uint16(0), ^uint64(0))
+	f.Add(uint64(2), uint8(1), 0.7, 0.5, 0.5, uint8(4), ^uint64(0), uint16(0), ^uint64(0))
+	f.Add(uint64(3), uint8(2), 0.9, 0.1, 0.3, uint8(6), uint64(0x1234_5678_9ABC_DEF0), uint16(0), ^uint64(0))
+	f.Add(uint64(4), uint8(3), 0.6, 0.0, 0.0, uint8(7), uint64(0xFFFF_0000_FFFF_0000), uint16(0), ^uint64(0))
+	f.Add(uint64(5), uint8(4), 0.8, 0.0, 0.0, uint8(7), uint64(0x5555_5555_5555_5555), uint16(0), ^uint64(0))
+	f.Add(uint64(6), uint8(5), 0.0, 0.0, 0.0, uint8(8), uint64(0xDEAD_BEEF_0BAD_F00D), uint16(3000), ^uint64(0))
+	f.Add(uint64(7), uint8(11), 0.0, 0.0, 0.0, uint8(5), uint64(0), uint16(700), ^uint64(0))
+	f.Add(uint64(8), uint8(0), 0.0002, 1.0, 0.0, uint8(1), ^uint64(0), uint16(0), ^uint64(0))
+	// Rate 1.0 with reads on, with a hotspot and without memory packets,
+	// over 64 cores and masks that are mostly zeros: nearly every core
+	// skips its draws as a block, and a lowered skip bound sends about
+	// half the blocks back to the per-draw path, at every draw position
+	// of a block.
+	f.Add(uint64(9), uint8(1), 1.0, 0.5, 0.5, uint8(7), uint64(0x0000_0100_0000_0001), uint16(0), ^uint64(0))
+	f.Add(uint64(10), uint8(1), 1.0, 0.5, 0.5, uint8(7), uint64(0x0000_0100_0000_0001), uint16(0), uint64(1)<<62)
+	f.Add(uint64(11), uint8(2), 1.0, 0.3, 0.5, uint8(7), uint64(0x8000_0000_0000_0000), uint16(0), ^uint64(0))
+	f.Add(uint64(12), uint8(14), 1.0, 0.3, 0.5, uint8(7), uint64(0x0010_0000_0000_0000), uint16(0), uint64(3)<<61)
+	f.Add(uint64(13), uint8(0), 1.0, 0.0, 0.0, uint8(7), uint64(0x0000_0000_8000_0000), uint16(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed uint64, kind uint8, rate, mem, read float64, side uint8, mask uint64, start uint16, skip uint64) {
 		w := squareWorld(1+int(side)%8, 1+int(seed%16))
 		src, rng, ref, refRng, ok := cycleCase(t, seed, kind, unitInterval(rate), unitInterval(mem), unitInterval(read), w)
 		if !ok {
 			return
+		}
+		// A lower skip bound only sends more blocks to the per-draw path;
+		// a higher one would skip redraws.
+		switch s := src.(type) {
+		case *Uniform:
+			s.skip = min(s.skip, skip)
+		case *Hotspot:
+			s.inner.skip = min(s.inner.skip, skip)
 		}
 		// App's phase clock starts at cycle 0; a later first poll makes its
 		// first phase advance happen at once.

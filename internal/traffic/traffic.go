@@ -119,6 +119,13 @@ type Uniform struct {
 	// The draws in integer form (see sim.Threshold and sim.Bound).
 	rateT, memT, readT sim.Threshold
 	chans, others      sim.Bound // MemChannels; the other cores
+	// skip is sim.RedrawAt of the bounds drawn: no draw of any core
+	// rejects an output whose 63-bit draw lies below it (see skipFull).
+	skip uint64
+	// hot is Hotspot's hot core (-1 for plain Uniform), and hotT its
+	// redirect probability (see generate).
+	hot  int
+	hotT sim.Threshold
 }
 
 // NewUniform constructs the uniform-random pattern.
@@ -139,13 +146,17 @@ func NewUniform(w World, rate, memFraction float64, flits int, rng *sim.Rand) (*
 		return nil, fmt.Errorf("traffic: memory fraction %v < 1 addresses other cores, but the world has one core", memFraction)
 	}
 	u := &Uniform{world: w, mem: memFraction, flits: flits, reqFlits: flits, rng: rng,
-		rateT: sim.NewThreshold(rate), memT: sim.NewThreshold(memFraction)}
+		rateT: sim.NewThreshold(rate), memT: sim.NewThreshold(memFraction), hot: -1}
+	var bounds []sim.Bound
 	if len(w.MemChannels) > 0 {
 		u.chans = sim.NewBound(len(w.MemChannels))
+		bounds = append(bounds, u.chans)
 	}
 	if len(w.Cores) > 1 {
 		u.others = sim.NewBound(len(w.Cores) - 1)
+		bounds = append(bounds, u.others)
 	}
+	u.skip = sim.RedrawAt(bounds...)
 	return u, nil
 }
 
@@ -173,23 +184,63 @@ func (u *Uniform) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
 
 // Generate implements Source.
 func (u *Uniform) Generate(_ sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
-	return u.generate(room, out, -1, 0)
+	return u.generate(room, out)
 }
 
-// generate is the Uniform per-cycle loop, shared with Hotspot: when hot is
-// a core index, every packet of another core that addresses a core is
-// redirected to hot with probability hotT, a draw made after its
+// generate is the Uniform per-cycle loop, shared with Hotspot: when u.hot
+// is a core index, every packet of another core that addresses a core is
+// redirected to it with probability u.hotT, a draw made after its
 // destination draw. It draws through a local sim.Stream (see there for the
-// ok/From pattern), and a core without room only draws.
-func (u *Uniform) generate(room []bool, out []Gen, hot int, hotT sim.Threshold) ([]Gen, int) {
-	r := u.rng
-	s := r.Stream()
+// ok/From pattern). A core without room draws only to advance the stream,
+// so skipFull skips its draws as a block where it can, and drawEach makes
+// the draws of every other core one by one. The two loops take turns, each
+// stopping at the first core that is the other's; as separate functions,
+// neither loop's registers spill around a call into the other.
+func (u *Uniform) generate(room []bool, out []Gen) ([]Gen, int) {
+	s := u.rng.Stream()
 	n := 0
-	for core, open := range room {
+	// The draws of a core that fires: the injection and memory draws (the
+	// latter when there is one), then a memory packet's channel and read
+	// draws, another packet's destination draw and, unless it is the hot
+	// core, its redirect draw.
+	lead := 2
+	if u.mem == 0 {
+		lead = 1
+	}
+	fd := fireDraws{mem: lead + 1, core: lead + 1, hot: lead + 1}
+	if u.read > 0 {
+		fd.mem++
+	}
+	if u.hot >= 0 {
+		fd.core++
+	}
+	for core := 0; core < len(room); {
+		s, out, n, core = u.drawEach(s, room, core, out, n)
+		var fired int
+		s, core, fired = u.skipFull(s, room, core, fd)
+		n += fired
+	}
+	u.rng.SetStream(s)
+	return out, n
+}
+
+// drawEach is generate's per-draw path. From core on, it makes each
+// core's draws one by one, appends the packets of the cores with room to
+// out and counts every packet in n. It stops at the first core without
+// room that is skippable, and returns the rest of the stream, out, n and
+// that core (len(room) after the last). skipFull stops only at a core
+// with room or one that is not skippable, so each of the two loops
+// always takes at least one core from the other.
+func (u *Uniform) drawEach(s sim.Stream, room []bool, core int, out []Gen, n int) (sim.Stream, []Gen, int, int) {
+	for ; core < len(room); core++ {
+		open := room[core]
+		if !open && u.skippable(s) {
+			return s, out, n, core
+		}
 		var fire, isMem, read, redirect, ok bool
 		var dst int
 		if fire, s, ok = s.Chance(u.rateT); !ok {
-			fire, s = r.ChanceFrom(s, u.rateT)
+			fire, s = u.rng.ChanceFrom(s, u.rateT)
 		}
 		if !fire {
 			continue
@@ -197,16 +248,16 @@ func (u *Uniform) generate(room []bool, out []Gen, hot int, hotT sim.Threshold) 
 		n++
 		if u.mem > 0 {
 			if isMem, s, ok = s.Chance(u.memT); !ok {
-				isMem, s = r.ChanceFrom(s, u.memT)
+				isMem, s = u.rng.ChanceFrom(s, u.memT)
 			}
 		}
 		if isMem {
 			if dst, s, ok = s.Below(u.chans); !ok {
-				dst, s = r.BelowFrom(s, u.chans)
+				dst, s = u.rng.BelowFrom(s, u.chans)
 			}
 			if u.read > 0 {
 				if read, s, ok = s.Chance(u.readT); !ok {
-					read, s = r.ChanceFrom(s, u.readT)
+					read, s = u.rng.ChanceFrom(s, u.readT)
 				}
 			}
 			if open {
@@ -220,11 +271,11 @@ func (u *Uniform) generate(room []bool, out []Gen, hot int, hotT sim.Threshold) 
 			continue
 		}
 		if dst, s, ok = s.Below(u.others); !ok {
-			dst, s = r.BelowFrom(s, u.others)
+			dst, s = u.rng.BelowFrom(s, u.others)
 		}
-		if hot >= 0 && core != hot {
-			if redirect, s, ok = s.Chance(hotT); !ok {
-				redirect, s = r.ChanceFrom(s, hotT)
+		if u.hot >= 0 && core != u.hot {
+			if redirect, s, ok = s.Chance(u.hotT); !ok {
+				redirect, s = u.rng.ChanceFrom(s, u.hotT)
 			}
 		}
 		if !open {
@@ -233,19 +284,72 @@ func (u *Uniform) generate(room []bool, out []Gen, hot int, hotT sim.Threshold) 
 		// Skip the source core without a branch: dst+1 when dst >= core.
 		dst -= (core - 1 - dst) >> 63
 		if redirect {
-			dst = hot
+			dst = u.hot
 		}
 		out = append(out, Gen{Core: core, Seq: n - 1, Dst: u.world.Cores[dst], Flits: u.flits})
 	}
-	r.SetStream(s)
-	return out, n
+	return s, out, n, len(room)
 }
 
-// Hotspot sends a fraction of traffic to one hot core, the rest uniformly.
+// skippable reports whether the next four outputs of s, the most draws
+// one core makes, are 63-bit draws below u.skip, so that no draw of the
+// next core rejects one (see skipFull).
+func (u *Uniform) skippable(s sim.Stream) bool {
+	return len(s) >= 4 && max(s[0]&draw63, s[1]&draw63, s[2]&draw63, s[3]&draw63) < u.skip
+}
+
+// fireDraws counts the draws of a core that fires, by its packet: a
+// memory packet, another core's packet, and the hot core's.
+type fireDraws struct{ mem, core, hot int }
+
+// skipFull is generate's block skip. A draw takes one output unless the
+// output is one it rejects and redraws, and none of a core's draws
+// rejects an output whose 63-bit draw lies below u.skip (sim.RedrawAt).
+// So from core on, while the cores have no room and are skippable, it
+// skips a core's draws as a block: its injection draw decides whether it
+// fires and its memory draw what it addresses, which fixes how many draws
+// it makes, fd's count or one, with no bounded draw computed and no Gen
+// built. Testing outputs past a core's draws only sends more cores to
+// the per-draw path. It returns the rest of the stream, the first core
+// not skipped (len(room) after the last) and the packets the skipped
+// cores generated.
+func (u *Uniform) skipFull(s sim.Stream, room []bool, core int, fd fireDraws) (sim.Stream, int, int) {
+	n := 0
+	rateT, memT := uint64(u.rateT), uint64(u.memT)
+	for ; core < len(room) && !room[core] && len(s) > 0; core++ {
+		// A core that does not fire makes one draw: skip it on that
+		// output alone, as its injection draw would test it.
+		if w := s[0] & draw63; w >= rateT {
+			if w >= u.skip {
+				break
+			}
+			s = s[1:]
+			continue
+		}
+		if !u.skippable(s) {
+			break
+		}
+		k := fd.core
+		if core == u.hot {
+			k = fd.hot
+		}
+		// memT is 0, never hit, without a memory draw.
+		if s[1]&draw63 < memT {
+			k = fd.mem
+		}
+		n++
+		s = s[k:]
+	}
+	return s, core, n
+}
+
+// draw63 masks an output to its 63-bit draw, the bits Chance compares.
+const draw63 = 1<<63 - 1
+
+// Hotspot sends a fraction of traffic to one hot core, the rest uniformly:
+// a Uniform whose hot core is set.
 type Hotspot struct {
 	inner *Uniform
-	hot   int
-	hotT  sim.Threshold // the redirect probability
 }
 
 // NewHotspot constructs a hotspot pattern over the uniform base.
@@ -260,7 +364,8 @@ func NewHotspot(w World, rate, memFraction, hotFraction float64, hot, flits int,
 	if err != nil {
 		return nil, err
 	}
-	return &Hotspot{inner: u, hot: hot, hotT: sim.NewThreshold(hotFraction)}, nil
+	u.hot, u.hotT = hot, sim.NewThreshold(hotFraction)
+	return &Hotspot{inner: u}, nil
 }
 
 // Name implements Source.
@@ -271,7 +376,7 @@ func (h *Hotspot) NextEventCycle(now sim.Cycle) sim.Cycle { return now + 1 }
 
 // Generate implements Source.
 func (h *Hotspot) Generate(_ sim.Cycle, room []bool, out []Gen) ([]Gen, int) {
-	return h.inner.generate(room, out, h.hot, h.hotT)
+	return h.inner.generate(room, out)
 }
 
 // permutation is the shared body of the permutation patterns: each core
